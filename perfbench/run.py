@@ -100,9 +100,7 @@ def run_workload(workloads, name: str, seed: int, seconds: float, trace: bool):
     """One run: returns (result dict for the last line, Outcome, named metrics)."""
     from speed import SpeedClock
 
-    # traced runs read the reference kernel only between operations, so that
-    # its time stays out of the spans
-    clock = SpeedClock(interior=not trace)
+    clock = SpeedClock()
     imports = _import_times(clock)
     tracer = None
     if trace:
@@ -110,6 +108,7 @@ def run_workload(workloads, name: str, seed: int, seconds: float, trace: bool):
 
         tracer = Tracer()
         with tracer:
+            tracer.hide(clock, "read")
             outcome = workloads.WORKLOADS[name](seed, seconds, clock, tracer)
     else:
         outcome = workloads.WORKLOADS[name](seed, seconds, clock)

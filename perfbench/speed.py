@@ -7,42 +7,41 @@ clock can tell. A fixed reference kernel can. It does what the program's inner
 loop does (small matmuls, batch statistics, FFTs, all through the Python
 interpreter), and the program never changes how long it takes.
 
-:meth:`SpeedClock.time` reads the kernel before and after a timed block and,
-while the block runs, again at every ``Model.predict_proba`` return that is at
-least ``INTERVAL_S`` after the last reading (validation at the end of each
-fine-tuning epoch, the read-out of every few TTT samples). Each stretch
-between two readings is scaled by ``NOMINAL_S`` over the mean of its two
-readings, and the block's scaled time is their sum; the readings' own time is
-left out. A change to the program moves the scaled duration as much
-as the raw one, while a slow spell of the machine slows the block and the
-kernel alike and cancels out.
+:meth:`SpeedClock.time` reads the kernel just before and just after a timed
+block and scales the block's wall time by ``NOMINAL_S`` over the mean of the
+two readings. A change to the program moves the scaled duration as much as
+the raw one, while a slow spell of the machine slows the block and the kernel
+alike and cancels out.
+
+The speed also moves within a second, so two readings say little about a
+block that lasts seconds. For such a block the caller names a method the
+block calls now and then; the clock reads the kernel after each return of it
+as well, and scales every piece between two readings by their mean. The
+readings' own time is left out. Fewer readings make the figure noisier, not
+different, so the figure does not depend on how the program calls that method.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import statistics
 import time
 import tracemalloc
 
 import numpy as np
 
-from ttalign import nn
-
 
 class SpeedClock:
     NOMINAL_S = 0.4e-3  # a reading at speed 1.0; about an idle core of the reference machine
-    INTERVAL_S = 0.01
     _ITERATIONS = 8
     _BURSTS = 3
 
-    def __init__(self, interior: bool = True):
-        """``interior=False`` reads the kernel only around blocks, never inside them."""
+    def __init__(self):
         rng = np.random.default_rng(0)
         self._a = rng.standard_normal((64, 25))
         self._b = rng.standard_normal((25, 16))
         self._c = rng.standard_normal((8, 200))
-        self._interior = interior
         self._burst()
         self._readings: list[tuple[float, float, float]] = []  # (start, end, kernel seconds)
         self.read()
@@ -72,41 +71,45 @@ class SpeedClock:
         return [self.NOMINAL_S / k for _, _, k in self._readings]
 
     @contextlib.contextmanager
-    def time(self, out: list):
-        """Append ``(raw s, scaled s, [scaled s of each stretch])`` of the block to ``out``."""
+    def time(self, out: list, read_after: tuple[type, str] | None = None):
+        """Append ``(raw s, scaled s)`` of the block to ``out``.
+
+        ``read_after=(cls, name)`` also reads the kernel after every return of
+        the method ``cls.name`` inside the block. Back-to-back blocks share the
+        reading between them.
+        """
         if time.perf_counter() - self._readings[-1][1] > 0.005:
             self.read()
         first = len(self._readings) - 1
-        patch = contextlib.nullcontext() if not self._interior else self._sample_on_predict()
-        with patch:
+        with self._reading_after(read_after):
             t0 = time.perf_counter()
             yield
             t1 = time.perf_counter()
         self.read()
-        inner = self._readings[first + 1:-1]
-        raw = (t1 - t0) - sum(end - start for start, end, _ in inner)
-        kernels = [k for _, _, k in self._readings[first:]]
-        # stretches between readings: [t0, r1.start], [r1.end, r2.start], ..., [rk.end, t1]
-        bounds = [t0] + [x for start, end, _ in inner for x in (start, end)] + [t1]
-        stretches = [
-            (bounds[2 * j + 1] - bounds[2 * j]) * self.NOMINAL_S * 2 / (kernels[j] + kernels[j + 1])
-            for j in range(len(kernels) - 1)
-        ]
-        out.append((raw, sum(stretches), stretches))
+        readings = self._readings[first:]
+        inner = readings[1:-1]
+        # pieces between readings: [t0, r1.start], [r1.end, r2.start], ..., [rk.end, t1]
+        pieces = [b - a for a, b in zip([t0] + [end for _, end, _ in inner], [start for start, _, _ in inner] + [t1])]
+        scaled = sum(piece * self.NOMINAL_S * 2 / (r0[2] + r1[2])
+                     for piece, r0, r1 in zip(pieces, readings, readings[1:]))
+        out.append((sum(pieces), scaled))
 
     @contextlib.contextmanager
-    def _sample_on_predict(self):
-        original = nn.Model.__dict__["predict_proba"]
-        clock = self
+    def _reading_after(self, target):
+        if target is None:
+            yield
+            return
+        owner, name = target
+        original = owner.__dict__[name]
 
-        def predict_proba(self, data):
-            result = original(self, data)
-            if time.perf_counter() - clock._readings[-1][1] >= clock.INTERVAL_S:
-                clock.read()
+        @functools.wraps(original)
+        def wrapper(*args, **kwargs):
+            result = original(*args, **kwargs)
+            self.read()
             return result
 
-        nn.Model.predict_proba = predict_proba
+        setattr(owner, name, wrapper)
         try:
             yield
         finally:
-            nn.Model.predict_proba = original
+            setattr(owner, name, original)

@@ -5,9 +5,10 @@ Run from the repository root (about two minutes on two cores):
     python3 -m pytest -q perfbench/test_perfbench.py
 
 They check that the exact counts repeat from run to run, that tracing changes
-no output of the program, that the tracer puts every patched function back,
-that the metric names match BENCHMARK.json, and that the benchmark refuses to
-report from a directory without the program.
+no output of the program, that the speed clock scales long blocks piece by
+piece, that the tracer leaves hidden calls out of its spans and puts every
+patched function back, that the metric names match BENCHMARK.json, and that
+the benchmark refuses to report from a directory without the program.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -38,8 +40,10 @@ SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 def _traced(name: str, seed: int, seconds: float):
     tracer = Tracer()
+    clock = SpeedClock()
     with tracer:
-        outcome = workloads.WORKLOADS[name](seed, seconds, SpeedClock(interior=False), tracer)
+        tracer.hide(clock, "read")
+        outcome = workloads.WORKLOADS[name](seed, seconds, clock, tracer)
     return outcome, tracer.layer_metrics()
 
 
@@ -59,6 +63,41 @@ def test_counts_repeat_and_tracing_changes_no_output(name):
     assert set(first_metrics) | {f"traced.{m['name']}" for m in SPEC["end_to_end"]} == {
         m["name"] for m in SPEC["per_layer"]
     }
+
+
+class _Step:
+    def run(self):
+        return 1
+
+
+def test_speed_clock_scales_piece_by_piece():
+    clock = SpeedClock()
+    # three bursts per reading: speed 1 before the block, 1/3 after the inner
+    # call and 1/3 after the block
+    kernels = iter(3 * [1.0] + 3 * [3.0] + 3 * [3.0])
+    clock._burst = lambda: next(kernels) * SpeedClock.NOMINAL_S
+    clock.read()
+    original = _Step.run
+    out = []
+    with clock.time(out, read_after=(_Step, "run")):
+        time.sleep(0.05)
+        assert _Step().run() == 1
+        time.sleep(0.05)
+    assert _Step.run is original
+    raw, scaled = out[0]
+    # each piece scales by the mean of the two readings around it
+    assert raw == pytest.approx(0.1, rel=0.1)
+    assert scaled == pytest.approx(0.05 * 2 / (1 + 3) + 0.05 * 2 / (3 + 3), rel=0.1)
+
+
+def test_hidden_calls_stay_out_of_spans():
+    pause = _Step()
+    pause.run = lambda: time.sleep(0.05)
+    with Tracer() as tracer:
+        tracer.hide(pause, "run")
+        tracer._wrap("nn.outer", pause.run)()
+    (_, start, end, _, _), = tracer.spans
+    assert end - start < 0.01
 
 
 def test_tracer_restores_what_it_patched():

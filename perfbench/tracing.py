@@ -11,6 +11,10 @@ Set-up is traced too, but only the signal-generation and pretraining metrics
 read its spans; every other metric, and every counter, covers the timed part
 that starts at :meth:`Tracer.begin`.
 
+Calls marked with :meth:`Tracer.hide` (the benchmark's own readings of the
+speed reference, some of which run inside traced calls) stop the tracer's
+clock, so no span, interval or self time includes them.
+
 Only layer boundaries are wrapped, not the autodiff primitives: a stage-I step
 calls over a hundred of them and a wrapper on each would swamp what it measures.
 Forward-pass arithmetic therefore counts as self time of the ``nn`` span that
@@ -95,6 +99,7 @@ class Tracer:
         self.finetune_work: list[tuple[int, float]] = []  # (epochs * samples, seconds)
         self.tent_written = [0, 0]  # [BN-affine elements, all parameter elements]
         self._tent_models: list = []
+        self._hidden_s = 0.0  # time of hidden calls so far, left out of every span
 
     def begin(self) -> None:
         """Mark the start of the timed part: counters restart, set-up spans stay."""
@@ -133,12 +138,33 @@ class Tracer:
             self.probing = False
         return False
 
+    def hide(self, owner, attr: str) -> None:
+        """Leave the time of calls of ``owner.attr`` out of every span until the block ends.
+
+        For the benchmark's own work inside traced calls, such as reading the
+        speed reference: the tracer's clock stops while such a call runs.
+        """
+        original = getattr(owner, attr)
+
+        @functools.wraps(original)
+        def hidden(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return original(*args, **kwargs)
+            finally:
+                self._hidden_s += time.perf_counter() - t0
+
+        self._set(owner, attr, original, hidden)
+
+    def _now(self) -> float:
+        return time.perf_counter() - self._hidden_s
+
     def _set(self, owner, attr, original, wrapper):
         self._patched.append((owner, attr, original))
         setattr(owner, attr, wrapper)
 
     def _wrap(self, name, fn):
-        spans, stack, clock = self.spans, self._stack, time.perf_counter
+        spans, stack, clock = self.spans, self._stack, self._now
         hook = name.replace(".", "_")
         before = getattr(self, "_before_" + hook, None)
         after = getattr(self, "_after_" + hook, None)

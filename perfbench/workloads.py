@@ -8,8 +8,8 @@ until ``seconds`` have passed. An operation is one fine-tune,
 one adaptation call or one ``ttalign evaluate`` run. It fails if it raises,
 yields non-finite output, or fails its output check.
 
-Every duration is reported at nominal machine speed (see ``speed.py``); the
-raw figures are printed beside them.
+Every duration is the wall time of whole operations, reported at nominal
+machine speed (see ``speed.py``); the raw figures are printed beside them.
 
 The program is reached only through module attributes (``training.finetune_stage1``
 rather than a name imported from it), so a tracer that patches those attributes
@@ -159,12 +159,11 @@ def finetune_scarce(seed: int, seconds: float, clock: SpeedClock, tracer=None) -
     """Both arms of the ssl_advantage config (batch 8, hidden 32, features 64, 120 epochs).
 
     Operations alternate supervised and joint fine-tuning; pair ``k`` runs on
-    data seed ``seed + k``. Throughput is training samples per second over one
-    median epoch of each arm, validation included. The speed reference is read
-    after each epoch's validation, so the stretches between readings are
-    epochs; the first and last stretch of a call also hold its set-up and final
-    restore, and are left out. A median over some 120 epochs per arm ignores a
-    slow spell that a whole-call time would absorb.
+    data seed ``seed + k``. Throughput is epochs x training samples per second
+    over one median ``finetune_stage1`` call of each arm: the whole call, its
+    validation, set-up before the epoch loop and final restore included. A
+    call lasts seconds, so the speed reference is also read after each
+    validation (``Model.predict_proba``) inside it.
     """
     cfg = pilot.ssl_advantage_config()
     spec = pretext.task_spec_for(cfg.task)
@@ -191,7 +190,7 @@ def finetune_scarce(seed: int, seconds: float, clock: SpeedClock, tracer=None) -
             if data_seed != seed and not fits(arm):
                 break
             with ops.op((arm, data_seed)):
-                with clock.time(calls[arm]):
+                with clock.time(calls[arm], read_after=(nn.Model, "predict_proba")):
                     model, _ = _finetune(cfg, spec, base, weights, data_seed, splits)
                 X, y, _ = splits["test"]
                 probs, _ = adapt.run_adaptation("none", model, spec, X)
@@ -202,14 +201,8 @@ def finetune_scarce(seed: int, seconds: float, clock: SpeedClock, tracer=None) -
                 ops.outputs.append(((arm, data_seed), acc))
         data_seed += 1
 
-    def per_epoch(raw_s, scaled_s, stretches):
-        if len(stretches) < 3:  # no reading inside the call (traced runs)
-            return [(raw_s / cfg.finetune.epochs, scaled_s / cfg.finetune.epochs)]
-        return [(raw_s / (len(stretches) - 1), s) for s in stretches[1:-1]]
-
     n_train = splits["train"][0].shape[0]
-    epochs = [[e for entry in arm_calls for e in per_epoch(*entry)] for arm_calls in calls.values()]
-    scaled, raw = _rate(len(arms) * n_train, epochs)
+    scaled, raw = _rate(len(arms) * cfg.finetune.epochs * n_train, calls.values())
     return Outcome(setup_s, raw_setup_s, scaled, raw, "finetune.samples_per_s", "samples/s",
                    ops.attempted, ops.failed, ops.outputs)
 
@@ -306,55 +299,81 @@ def tent_stream(seed: int, seconds: float, clock: SpeedClock, tracer=None) -> Ou
 WORK_DIR = ROOT / ".perfbench_out" / "evaluate"
 
 
-def _check_report(path: Path) -> list[float]:
-    """Aggregates must equal the mean/std of the per-seed rows they summarise."""
+def _check_report(path: Path) -> dict[int, list[float]]:
+    """Aggregates must equal the mean/std of the per-seed rows they summarise.
+
+    Returns each seed's balanced accuracies, one per strategy.
+    """
     data = json.loads(path.read_text())
     _check(sorted(data["aggregates"]) == sorted(harness.STRATEGIES), f"{path.name}: strategies missing")
-    accs = []
+    accs: dict[int, list[float]] = {rec["seed"]: [] for rec in data["per_seed"]}
     for strategy, metric_stats in data["aggregates"].items():
         for metric, stats in metric_stats.items():
             values = [rec["strategies"][strategy]["metrics"]["values"][metric] for rec in data["per_seed"]]
             _check(all(np.isfinite(values)), f"{path.name}: non-finite {strategy}/{metric}")
             _check(stats["mean"] == float(np.mean(values)) and stats["std"] == float(np.std(values)),
-                      f"{path.name}: aggregate {strategy}/{metric} does not match its rows")
+                   f"{path.name}: aggregate {strategy}/{metric} does not match its rows")
             if metric == "balanced_accuracy":
-                accs.extend(values)
+                for rec, value in zip(data["per_seed"], values):
+                    accs[rec["seed"]].append(value)
     return accs
+
+
+def _evaluate(task: str, base_seed: int, config: Path, out: Path) -> Path:
+    """Run ``ttalign evaluate``; returns the path of its report."""
+    argv = ["evaluate", "--task", task, "--seed", str(base_seed), "--config", str(config), "--out", str(out)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    _check(code == 0, f"ttalign {' '.join(argv)} exited {code}")
+    return out / f"experiment_{task}.json"
 
 
 def pipeline_evaluate(seed: int, seconds: float, clock: SpeedClock, tracer=None) -> Outcome:
     """``ttalign evaluate`` in-process, cycling syn_mi, syn_stress and syn_speech.
 
     Run ``k`` evaluates task ``k % 3`` with base seed ``seed + k // 3``.
-    Throughput is task-seeds per second from each task's median run time.
+    Throughput is task-seeds per second from each task's median run time. A
+    run lasts seconds, so the speed reference is also read after each
+    ``Model.predict_proba`` return inside it.
+
+    Before the timed part, one untimed two-seed syn_mi run checks the
+    aggregation over more than one row; its rows must also equal the timed
+    one-seed runs of the same seeds.
     """
     config = WORK_DIR / "config.json"
+    config2 = WORK_DIR / "config2.json"
 
     def prepare():
         shutil.rmtree(WORK_DIR, ignore_errors=True)
         WORK_DIR.mkdir(parents=True)
         config.write_text(json.dumps({"n_seeds": EVALUATE_SEEDS}))
+        config2.write_text(json.dumps({"n_seeds": 2}))
 
     setup_s, raw_setup_s, _ = _median_setup(clock, prepare)
     ops = _Ops()
     runs: dict[str, list] = {task: [] for task in EVALUATE_TASKS}
-    if tracer is not None:
-        tracer.begin()
-    start = time.perf_counter()
-    k = 0
+    two_seeds: dict[int, list[float]] = {}
     try:
+        with ops.op(("syn_mi", seed, "2 seeds")):
+            two_seeds = _check_report(_evaluate("syn_mi", seed, config2, WORK_DIR / "two-seeds"))
+            _check(sorted(two_seeds) == [seed, seed + 1], f"two-seed run reported seeds {sorted(two_seeds)}")
+        if tracer is not None:
+            tracer.begin()
+        start = time.perf_counter()
+        k = 0
         while k < len(EVALUATE_TASKS) or time.perf_counter() - start < seconds:
             task = EVALUATE_TASKS[k % len(EVALUATE_TASKS)]
             base_seed = seed + k // len(EVALUATE_TASKS)
             out = WORK_DIR / f"{task}-{base_seed}"
             with ops.op((task, base_seed)):
-                argv = ["evaluate", "--task", task, "--seed", str(base_seed),
-                        "--config", str(config), "--out", str(out)]
-                with clock.time(runs[task]), contextlib.redirect_stdout(io.StringIO()):
-                    code = cli.main(argv)
-                _check(code == 0, f"ttalign {' '.join(argv)} exited {code}")
-                accs = _check_report(out / f"experiment_{task}.json")
-                ops.outputs.append(((task, base_seed), accs))
+                with clock.time(runs[task], read_after=(nn.Model, "predict_proba")):
+                    report = _evaluate(task, base_seed, config, out)
+                accs = _check_report(report)
+                _check(list(accs) == [base_seed], f"{task} run reported seeds {list(accs)}")
+                if task == "syn_mi" and base_seed in two_seeds:
+                    _check(accs[base_seed] == two_seeds[base_seed],
+                           f"syn_mi seed {base_seed}: one-seed and two-seed runs disagree")
+                ops.outputs.append(((task, base_seed), accs[base_seed]))
             shutil.rmtree(out, ignore_errors=True)
             k += 1
     finally:
