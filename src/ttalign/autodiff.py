@@ -3,7 +3,10 @@
 Every primitive records a pull-back closure on the active :class:`Tape`. Calling
 :func:`backward` on a scalar loss walks the tape in reverse execution order (a valid
 reverse-topological order, since an op can only consume already-built tensors) and
-accumulates adjoints into the ``grad`` buffers of every tensor that requires grad.
+accumulates adjoints into the ``grad`` buffers of the leaves: tensors created with
+``requires_grad=True``. Recorded intermediates are marked ``requires_grad`` but carry
+``grad=None``; their adjoints live only inside ``backward``. A pull-back skips the
+contribution of any input that does not require grad.
 
 Gradients accumulate across repeated ``backward`` calls; training loops are expected
 to zero parameter grads between steps. All computation is float64 and bitwise
@@ -143,16 +146,17 @@ def no_grad():
 def _record(out: Tensor, inputs: tuple[Tensor, ...], pull) -> Tensor:
     if _GRAD_ENABLED[-1] and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        out.grad = np.zeros_like(out.data)
         active_tape().record(out, inputs, pull)
     return out
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(t) into ``t.grad`` for every recorded tensor.
+    """Accumulate d(loss)/d(t) into ``t.grad`` for every leaf the loss depends on.
 
-    The loss must be scalar and the active tape non-empty. Repeated calls without
-    zeroing add another full gradient (accumulate semantics).
+    Only leaves own a ``grad`` buffer; intermediates keep ``grad=None`` and their
+    adjoints are dropped on return. The loss must be scalar and the active tape
+    non-empty. Repeated calls without zeroing add another full gradient to each leaf
+    (accumulate semantics).
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -162,7 +166,7 @@ def backward(loss: Tensor) -> None:
     adjoint: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
     holders: dict[int, Tensor] = {id(loss): loss}
     for out, inputs, pull in reversed(tape._records):
-        g = adjoint.get(id(out))
+        g = adjoint.pop(id(out), None)  # complete: every consumer was recorded later
         if g is None:
             continue
         for t, contrib in zip(inputs, pull(g)):
@@ -176,7 +180,7 @@ def backward(loss: Tensor) -> None:
                 holders[key] = t
     for key, g in adjoint.items():
         t = holders[key]
-        if t.requires_grad:
+        if t.grad is not None:
             t.grad += g
 
 
@@ -210,7 +214,8 @@ def add(a: Tensor, b) -> Tensor:
     out = Tensor(a.data + b.data)
 
     def pull(g: Array):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        ga = _unbroadcast(g, a.data.shape) if a.requires_grad else None
+        return ga, _unbroadcast(g, b.data.shape) if b.requires_grad else None
 
     return _record(out, (a, b), pull)
 
@@ -220,7 +225,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data - b.data)
 
     def pull(g: Array):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
+        ga = _unbroadcast(g, a.data.shape) if a.requires_grad else None
+        return ga, _unbroadcast(-g, b.data.shape) if b.requires_grad else None
 
     return _record(out, (a, b), pull)
 
@@ -232,7 +238,8 @@ def mul(a: Tensor, b) -> Tensor:
     ad, bd = a.data, b.data
 
     def pull(g: Array):
-        return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
+        ga = _unbroadcast(g * bd, ad.shape) if a.requires_grad else None
+        return ga, _unbroadcast(g * ad, bd.shape) if b.requires_grad else None
 
     return _record(out, (a, b), pull)
 
@@ -243,7 +250,8 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
 
     def pull(g: Array):
-        return _unbroadcast(g / bd, ad.shape), _unbroadcast(-g * ad / (bd * bd), bd.shape)
+        ga = _unbroadcast(g / bd, ad.shape) if a.requires_grad else None
+        return ga, _unbroadcast(-g * ad / (bd * bd), bd.shape) if b.requires_grad else None
 
     return _record(out, (a, b), pull)
 
@@ -265,7 +273,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
 
     def pull(g: Array):
-        return g @ bd.T, ad.T @ g
+        return g @ bd.T if a.requires_grad else None, ad.T @ g if b.requires_grad else None
 
     return _record(out, (a, b), pull)
 
@@ -383,14 +391,18 @@ def unfold(a: Tensor, window: int, stride: int) -> Tensor:
     """Slice the last axis into windows: (..., T) -> (..., K, window).
 
     Requires window and stride to tile the axis exactly: (T - window) % stride == 0.
+    When ``window == stride`` the windows do not overlap and the result is a reshape
+    of ``a``, sharing its data when ``a`` is contiguous.
     """
     T = a.data.shape[-1]
     if window < 1 or stride < 1 or window > T or (T - window) % stride != 0:
         raise ShapeError(f"unfold: window={window} stride={stride} does not tile axis of length {T}")
     k = (T - window) // stride + 1
+    shape = a.data.shape
+    if window == stride:
+        return reshape(a, shape[:-1] + (k, window))
     windows = np.stack([a.data[..., i * stride: i * stride + window] for i in range(k)], axis=-2)
     out = Tensor(windows)
-    shape = a.data.shape
 
     def pull(g: Array):
         full = np.zeros(shape)

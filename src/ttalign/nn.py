@@ -273,53 +273,68 @@ def clone_model(model: Model) -> Model:
     return fresh
 
 
-def collect_bn_params(model: Model, include_stats: bool = False):
-    """BN affine parameters (the Tent-adaptable set), optionally with stat buffers."""
-    params = [(n, t) for n, t in model.named_parameters() if n in set(model.param_groups()["bn_affine"])]
-    if include_stats:
-        return params, model.named_buffers()
-    return params
-
-
 # ---------------------------------------------------------------------------
 # checkpoint file format: magic, version, JSON header, float64 little-endian blobs
 # ---------------------------------------------------------------------------
 
-def save_checkpoint(model: Model, path) -> None:
+def _header_blob(model: Model) -> bytes:
     header = {
         "config": asdict(model.cfg),
         "params": [[n, list(t.shape)] for n, t in model.named_parameters()],
         "buffers": [[n, list(b.shape)] for n, b in model.named_buffers()],
     }
-    blob = json.dumps(header, sort_keys=True).encode()
+    return json.dumps(header, sort_keys=True).encode()
+
+
+def _state_arrays(model: Model) -> list[np.ndarray]:
+    return [t.data for _, t in model.named_parameters()] + [b for _, b in model.named_buffers()]
+
+
+def save_checkpoint(model: Model, path) -> None:
+    blob = _header_blob(model)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(blob)))
         fh.write(blob)
-        for _, t in model.named_parameters():
-            fh.write(t.data.astype("<f8").tobytes())
-        for _, b in model.named_buffers():
-            fh.write(b.astype("<f8").tobytes())
+        for arr in _state_arrays(model):
+            fh.write(arr.astype("<f8").tobytes())
 
 
 def load_checkpoint(path) -> Model:
+    """Read a checkpoint written by :func:`save_checkpoint`.
+
+    The file must be exactly such a checkpoint: a header that rebuilds to itself
+    from its own config, then one float64 blob per tensor and nothing after. Any
+    other file (bad magic, short or malformed header, truncated blob, trailing
+    bytes, non-finite values) raises ContractError.
+    """
     with open(path, "rb") as fh:
-        if fh.read(4) != MAGIC:
-            raise ContractError(f"{path}: not a model checkpoint (bad magic)")
-        version, hlen = struct.unpack("<II", fh.read(8))
-        if version != CHECKPOINT_VERSION:
-            raise ContractError(f"{path}: unsupported checkpoint version {version}")
-        header = json.loads(fh.read(hlen).decode())
-        cfg_dict = dict(header["config"])
+        raw = fh.read()
+    if raw[:4] != MAGIC:
+        raise ContractError(f"{path}: not a model checkpoint (bad magic)")
+    if len(raw) < 12:
+        raise ContractError(f"{path}: truncated checkpoint header")
+    version, hlen = struct.unpack_from("<II", raw, 4)
+    if version != CHECKPOINT_VERSION:
+        raise ContractError(f"{path}: unsupported checkpoint version {version}")
+    blob = raw[12:12 + hlen]
+    try:
+        cfg_dict = dict(json.loads(blob.decode())["config"])
         cfg_dict["ssl_dims"] = tuple(cfg_dict["ssl_dims"])
         model = Model(ModelConfig(**cfg_dict))
-        for name, shape in header["params"]:
-            n = int(np.prod(shape)) if shape else 1
-            raw = np.frombuffer(fh.read(8 * n), dtype="<f8").reshape(shape)
-            target = dict(model.named_parameters())[name]
-            np.copyto(target.data, raw)
-        for name, shape in header["buffers"]:
-            n = int(np.prod(shape)) if shape else 1
-            raw = np.frombuffer(fh.read(8 * n), dtype="<f8").reshape(shape)
-            np.copyto(dict(model.named_buffers())[name], raw)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ContractError(f"{path}: malformed checkpoint header ({type(exc).__name__}: {exc})") from None
+    if blob != _header_blob(model):
+        raise ContractError(f"{path}: checkpoint header does not match the model its config builds")
+    arrays = _state_arrays(model)
+    offset = 12 + hlen
+    size = offset + 8 * sum(a.size for a in arrays)
+    if len(raw) != size:
+        what = "truncated" if len(raw) < size else "has trailing bytes"
+        raise ContractError(f"{path}: checkpoint {what} ({len(raw)} bytes, expected {size})")
+    for arr in arrays:
+        np.copyto(arr, np.frombuffer(raw, dtype="<f8", count=arr.size, offset=offset).reshape(arr.shape))
+        offset += 8 * arr.size
+        if not np.all(np.isfinite(arr)):
+            raise ContractError(f"{path}: checkpoint holds non-finite values")
     return model

@@ -144,6 +144,15 @@ class TestPrimitivePullbacks:
             x,
         )
 
+    def test_unfold_overlapping(self):
+        x = RNG.normal(size=(2, 3, 30))
+        w = RNG.normal(size=(2, 3, 5, 10))
+        self.check(
+            lambda t: ad.sum_(ad.mul(ad.unfold(t, 10, 5), ad.Tensor(w))),
+            lambda v: float((np.stack([v[..., 5 * i: 5 * i + 10] for i in range(5)], axis=-2) * w).sum()),
+            x,
+        )
+
     def test_concat_reshape_transpose(self):
         x = RNG.normal(size=(3, 4))
         w = RNG.normal(size=(8, 3))
@@ -241,6 +250,62 @@ class TestTapeSemantics:
             ad.unfold(ad.Tensor(np.ones((1, 1, 200))), 30, 25)
         with pytest.raises(ShapeError, match="add"):
             ad.add(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((2, 4))))
+
+
+class TestLeanTape:
+    """Only leaves own grad buffers; pulls skip inputs that need no gradient."""
+
+    def _two_layer(self, x, w1, w2):
+        h = ad.relu(ad.matmul(x, w1))
+        return h, ad.mean(ad.mul(ad.matmul(h, w2), ad.matmul(h, w2)))
+
+    def test_intermediates_carry_no_grad_buffer(self):
+        x = ad.Tensor(RNG.normal(size=(5, 4)))
+        w1 = ad.Tensor(RNG.normal(size=(4, 6)), requires_grad=True)
+        w2 = ad.Tensor(RNG.normal(size=(6, 3)), requires_grad=True)
+        with ad.fresh_tape() as tape:
+            h, loss = self._two_layer(x, w1, w2)
+            ad.backward(loss)
+            outs = [rec[0] for rec in tape._records]
+        assert h.requires_grad and loss.requires_grad
+        assert all(t.grad is None for t in outs)
+        assert w1.grad.any() and w2.grad.any()
+
+    def test_two_backward_calls_double_leaf_grads_exactly(self):
+        x = ad.Tensor(RNG.normal(size=(5, 4)))
+        w1 = ad.Tensor(RNG.normal(size=(4, 6)), requires_grad=True)
+        w2 = ad.Tensor(RNG.normal(size=(6, 3)), requires_grad=True)
+        with ad.fresh_tape():
+            _, loss = self._two_layer(x, w1, w2)
+            ad.backward(loss)
+            once = [w1.grad.copy(), w2.grad.copy()]
+            ad.backward(loss)
+        assert np.array_equal(w1.grad, 2 * once[0]) and np.array_equal(w2.grad, 2 * once[1])
+
+    def test_constant_left_matmul_input_gets_same_weight_grad_and_no_buffer(self):
+        x = RNG.normal(size=(7, 4))
+        w = ad.Tensor(RNG.normal(size=(4, 3)), requires_grad=True)
+        grads = {}
+        for needs in (False, True):
+            xt = ad.Tensor(x.copy(), requires_grad=needs)
+            w.zero_grad()
+            with ad.fresh_tape():
+                ad.backward(ad.mean(ad.relu(ad.matmul(xt, w))))
+            grads[needs] = (w.grad.copy(), xt.grad)
+        assert np.array_equal(grads[False][0], grads[True][0])
+        assert grads[False][1] is None and grads[True][1] is not None
+        with ad.fresh_tape() as tape:
+            ad.matmul(ad.Tensor(x), w)
+            (_, _, pull), = tape._records
+        g_x, g_w = pull(np.ones((7, 3)))
+        assert g_x is None and np.array_equal(g_w, x.T @ np.ones((7, 3)))
+
+    def test_tiling_unfold_is_a_view_equal_to_stacked_windows(self):
+        x = RNG.normal(size=(2, 3, 200))
+        out = ad.unfold(ad.Tensor(x), 25, 25)
+        stacked = np.stack([x[..., 25 * i: 25 * (i + 1)] for i in range(8)], axis=-2)
+        assert np.array_equal(out.data, stacked)
+        assert np.shares_memory(out.data, x)
 
 
 class TestGradCheck:

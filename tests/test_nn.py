@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttalign import autodiff as ad
 from ttalign import nn
@@ -255,6 +257,72 @@ class TestCheckpointFile:
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(ContractError, match="magic"):
             nn.load_checkpoint(path)
+
+    @staticmethod
+    def _saved(tmp_path):
+        path = tmp_path / "model.ckpt"
+        nn.save_checkpoint(nn.Model(small_config()), path)
+        return path.read_bytes(), path
+
+    def test_truncated_blob_rejected(self, tmp_path):
+        raw, path = self._saved(tmp_path)
+        path.write_bytes(raw[:-12])
+        with pytest.raises(ContractError, match="truncated"):
+            nn.load_checkpoint(path)
+
+    def test_short_header_rejected(self, tmp_path):
+        raw, path = self._saved(tmp_path)
+        path.write_bytes(raw[:9])
+        with pytest.raises(ContractError, match="truncated checkpoint header"):
+            nn.load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        raw, path = self._saved(tmp_path)
+        path.write_bytes(raw + b"\x00")
+        with pytest.raises(ContractError, match="trailing bytes"):
+            nn.load_checkpoint(path)
+
+    def test_nonfinite_values_rejected(self, tmp_path):
+        raw, path = self._saved(tmp_path)
+        path.write_bytes(raw[:-8] + np.array([np.nan], dtype="<f8").tobytes())
+        with pytest.raises(ContractError, match="non-finite"):
+            nn.load_checkpoint(path)
+
+    def test_header_naming_other_tensors_rejected(self, tmp_path):
+        raw, path = self._saved(tmp_path)
+        path.write_bytes(raw.replace(b'"bn1.gamma"', b'"bn1.gammb"'))
+        with pytest.raises(ContractError, match="does not match"):
+            nn.load_checkpoint(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        edit=st.sampled_from(["truncate", "extend", "flip"]),
+        where=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        extra=st.binary(min_size=1, max_size=16),
+        bit=st.integers(min_value=0, max_value=7),
+    )
+    def test_corrupt_files_raise_only_contract_error(self, tmp_path_factory, edit, where, extra, bit):
+        raw, path = self._saved(tmp_path_factory.mktemp("fuzz"))
+        at = int(where * len(raw))
+        if edit == "truncate":
+            path.write_bytes(raw[:at])
+        elif edit == "extend":
+            path.write_bytes(raw + extra)
+        else:
+            path.write_bytes(raw[:at] + bytes([raw[at] ^ (1 << bit)]) + raw[at + 1:])
+        if edit != "flip":
+            with pytest.raises(ContractError):
+                nn.load_checkpoint(path)
+            return
+        try:
+            loaded = nn.load_checkpoint(path)
+        except ContractError:
+            return
+        # a flip in a float blob or a config digit is undetectable without a
+        # checksum; what loads must then be a well-formed checkpoint in its own right
+        again = tmp_path_factory.mktemp("again") / "model.ckpt"
+        nn.save_checkpoint(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
 
 
 class TestOptimizers:
