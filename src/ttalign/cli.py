@@ -24,27 +24,27 @@ from pathlib import Path
 
 import numpy as np
 
-from .adapt import TentConfig, TttConfig, run_adaptation
+from .adapt import TentConfig, TttConfig
 from .errors import ConfigError, ContractError, ShapeError
 from .gradcheck import TOLERANCE, max_relative_error, run_gradcheck
 from .harness import (
     STRATEGIES,
     ExperimentConfig,
-    _evaluate,
-    _finetune,
-    _model_config,
-    _prepare_base_model,
+    adapt_and_evaluate,
     build_splits,
     config_hash,
     emit_report,
+    finetune,
     preset_experiment,
+    pretrained_base,
     run_ablation,
     run_experiment,
+    strategy_weights,
 )
-from .nn import Model, save_checkpoint
+from .nn import save_checkpoint
 from .pretext import task_spec_for
 from .signals import TASKS, ShiftSpec, save_split
-from .training import FinetuneConfig, PretrainConfig, masked_pretrain
+from .training import FinetuneConfig, PretrainConfig
 
 _NESTED = {
     "finetune": FinetuneConfig,
@@ -168,9 +168,7 @@ def cmd_pretrain(args) -> None:
     seed = _seed(args, cfg)
     out = _out_dir(args)
     splits = build_splits(cfg, seed)
-    spec = task_spec_for(cfg.task)
-    model = Model(_model_config(cfg, spec, seed))
-    model, history = masked_pretrain(model, splits["train"][0], replace(cfg.pretrain, seed=seed))
+    model, history = pretrained_base(cfg, task_spec_for(cfg.task), seed, splits["train"][0])
     save_checkpoint(model, out / "pretrained.ckpt")
     _write_json(out / "pretrain_history.json", history)
     _emit(
@@ -186,16 +184,21 @@ def cmd_pretrain(args) -> None:
     )
 
 
+def _finetuned(cfg: ExperimentConfig, seed: int, strategy: str):
+    """Stages 1-3 for one seed: splits, pretrained base, the strategy's fine-tuned model."""
+    spec = task_spec_for(cfg.task)
+    splits = build_splits(cfg, seed)
+    base, _ = pretrained_base(cfg, spec, seed, splits["train"][0])
+    model, history = finetune(cfg, spec, base, strategy_weights(strategy, spec), seed, splits)
+    return spec, splits, model, history
+
+
 def cmd_finetune(args) -> None:
     cfg = build_config(args)
     strategy = args.strategy or "stage1_ssl"
     seed = _seed(args, cfg)
     out = _out_dir(args)
-    splits = build_splits(cfg, seed)
-    spec = task_spec_for(cfg.task)
-    weights = (0.0, 0.0) if strategy == "supervised_only" else spec.weights
-    base = _prepare_base_model(cfg, spec, seed, splits["train"][0])
-    model, history = _finetune(cfg, spec, base, weights, seed, splits)
+    _, _, model, history = _finetuned(cfg, seed, strategy)
     ckpt = out / f"checkpoint_{strategy}.ckpt"
     save_checkpoint(model, ckpt)
     _write_json(out / f"finetune_history_{strategy}.json", history)
@@ -218,15 +221,9 @@ def cmd_adapt(args) -> None:
     strategy = args.strategy or "none"
     seed = _seed(args, cfg)
     out = _out_dir(args)
-    splits = build_splits(cfg, seed)
-    spec = task_spec_for(cfg.task)
-    base = _prepare_base_model(cfg, spec, seed, splits["train"][0])
-    model, _ = _finetune(cfg, spec, base, spec.weights, seed, splits)
+    spec, splits, model, _ = _finetuned(cfg, seed, "stage1_ssl")
     X_test, y_test, _ = splits["test"]
-    probs, records = run_adaptation(
-        strategy, model, spec, X_test, ttt=replace(cfg.ttt, seed=seed), tent=cfg.tent
-    )
-    result = _evaluate(spec, y_test, probs)
+    result, records = adapt_and_evaluate(strategy, model, spec, cfg, seed, X_test, y_test)
     _write_json(out / f"metrics_{strategy}.json", result.as_dict())
     _write_json(out / f"adaptation_log_{strategy}.json", records)
     _emit(
@@ -265,6 +262,7 @@ def cmd_ablate(args) -> None:
 
 
 def cmd_gradcheck(args) -> None:
+    """Max elementwise relative error per tensor (``autodiff.grad_check``); fails at ``TOLERANCE``."""
     out = _out_dir(args)
     start = time.perf_counter()
     results = run_gradcheck()

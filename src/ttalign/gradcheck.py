@@ -1,12 +1,14 @@
-"""Finite-difference verification of every reverse-mode gradient path.
+"""Finite-difference audit of every reverse-mode gradient path.
 
-Each check builds a deterministic scalar loss, computes analytic gradients on
-the tape, then re-evaluates the loss under central differences for every
-component of every parameter (and of the input, where the input path is the
-interesting one).  Agreement is summarized per tensor as an L2 relative error.
+Each check builds a deterministic scalar loss and hands it, once per named
+tensor (parameters, and the input where the input path is the interesting
+one), to :func:`ttalign.autodiff.grad_check`. That checker refuses a loss that
+is not a deterministic scalar, then compares the tape gradient with central
+differences component by component; each tensor is summarized by its maximum
+elementwise relative error |a - n| / max(|a|, |n|, 1e-12).
 
 Stochastic pieces (dropout) are made repeatable by reseeding the mask
-generator inside the loss closure, so the analytic pass and all 2N numeric
+generator inside the loss closure, so the analytic pass and all numeric
 evaluations see the same mask.  Batch-norm forwards run in train mode with
 ``update_stats=False``: the batch-statistics gradient path is exercised while
 the closure stays side-effect free.
@@ -21,46 +23,12 @@ from .autodiff import Tensor
 from .nn import BatchNorm, Linear, Model, ModelConfig, dropout
 from .training import cross_entropy
 
-EPS = 1e-5
 TOLERANCE = 1e-5
 
 
-def central_difference(tensor: Tensor, value_fn, eps: float = EPS) -> np.ndarray:
-    """Numeric gradient of ``value_fn()`` w.r.t. every component of ``tensor``."""
-    flat = tensor.data.reshape(-1)
-    grad = np.zeros_like(flat)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        hi = value_fn()
-        flat[i] = orig - eps
-        lo = value_fn()
-        flat[i] = orig
-        grad[i] = (hi - lo) / (2.0 * eps)
-    return grad.reshape(tensor.data.shape)
-
-
-def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
-    denom = max(float(np.linalg.norm(analytic)), float(np.linalg.norm(numeric)), 1e-12)
-    return float(np.linalg.norm(analytic - numeric)) / denom
-
-
 def _check(tensors: dict[str, Tensor], loss_fn) -> dict[str, float]:
-    """Compare tape gradients with central differences for each named tensor."""
-    for t in tensors.values():
-        t.zero_grad()
-    with ad.fresh_tape():
-        ad.backward(loss_fn())
-    analytic = {name: t.grad.copy() for name, t in tensors.items()}
-
-    def value() -> float:
-        with ad.no_grad(), ad.fresh_tape():
-            return float(loss_fn().data)
-
-    return {
-        name: relative_error(analytic[name], central_difference(t, value))
-        for name, t in tensors.items()
-    }
+    """Max elementwise relative error of the tape gradient, per named tensor."""
+    return {name: ad.grad_check(lambda _: loss_fn(), t, [t]) for name, t in tensors.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +133,7 @@ def _check_full_stack() -> dict[str, float]:
 
 
 def run_gradcheck() -> dict[str, float]:
-    """Relative error per checked tensor, covering every layer type and the stack."""
+    """Max elementwise relative error per checked tensor, over every layer type and the stack."""
     results: dict[str, float] = {}
     results.update(_check_linear())
     results.update(_check_linear_no_bias())

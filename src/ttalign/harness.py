@@ -1,14 +1,21 @@
-"""Experiment orchestration: dataset builds, strategy comparisons, the pretext
-ablation grid, and deterministic report emission.
+"""Experiment orchestration: the staged pipeline, strategy comparisons, the
+pretext ablation grid, and deterministic report emission.
 
-A *strategy* names a full pipeline applied per seed:
+Every run composes the same stages, and the CLI calls them one by one:
+
+1. :func:`build_splits` — generate, preprocess and split one seed's dataset;
+2. :func:`pretrained_base` — initialise the model and masked-pretrain it;
+3. :func:`finetune` — stage-I fine-tuning of a clone with given pretext weights;
+4. :func:`adapt_and_evaluate` — stage-II adaptation of the test split, then scoring.
+
+A *strategy* names one path through stages 3 and 4 (``STRATEGY_STAGES``):
 
 * ``supervised_only`` — stage-I fine-tuning with both pretext weights at zero.
 * ``stage1_ssl``      — stage-I fine-tuning with the task's pretext weights.
 * ``ttt_ssl``         — stage1_ssl, then per-sample pretext adaptation at test time.
 * ``tent``            — stage1_ssl, then batch entropy minimisation at test time.
 
-The two adaptation strategies share one fine-tuned model per seed; the supervised
+The three pretext strategies share one fine-tuned model per seed; the supervised
 baseline is trained separately. Seeds are independent jobs; the TTALIGN_WORKERS
 environment variable bounds the process pool (default 1 = in-process).
 """
@@ -30,17 +37,17 @@ from .errors import ConfigError, ContractError
 from .metrics import EvalResult, evaluate_predictions
 from .nn import Model, ModelConfig, clone_model
 from .pretext import TaskSpec, task_spec_for
-from .signals import (
-    N_CLASSES,
-    ShiftSpec,
-    TASKS,
-    epochs_to_arrays,
-    generate_dataset,
-    preprocess,
-)
+from .signals import TASKS, ShiftSpec, epochs_to_arrays, generate_dataset, preprocess
 from .training import FinetuneConfig, PretrainConfig, finetune_stage1, masked_pretrain
 
-STRATEGIES = ("supervised_only", "stage1_ssl", "ttt_ssl", "tent")
+# strategy -> (stage-I fine-tuning uses the task's pretext weights, stage-II adaptation kind)
+STRATEGY_STAGES = {
+    "supervised_only": (False, "none"),
+    "stage1_ssl": (True, "none"),
+    "ttt_ssl": (True, "ttt_ssl"),
+    "tent": (True, "tent"),
+}
+STRATEGIES = tuple(STRATEGY_STAGES)
 PROTOCOLS = ("cross_subject", "within_subject")
 ABLATION_COLUMNS = ("none", "ttt_ssl", "tent")
 WORKERS_ENV = "TTALIGN_WORKERS"
@@ -189,40 +196,48 @@ def build_splits(cfg: ExperimentConfig, seed: int) -> dict[str, tuple[np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# single-seed pipeline
+# pipeline stages
 # ---------------------------------------------------------------------------
 
-def _model_config(cfg: ExperimentConfig, spec: TaskSpec, seed: int) -> ModelConfig:
-    return ModelConfig(
-        hidden=cfg.hidden,
-        features=cfg.features,
-        n_main=spec.n_main,
-        ssl_dims=spec.ssl_dims,
-        head_layers=cfg.head_layers,
-        dropout=cfg.dropout,
-        init_seed=seed,
-    )
+def strategy_weights(strategy: str, spec: TaskSpec) -> tuple[float, float]:
+    """Stage-I pretext weights of a strategy: the task's, or zero for ``supervised_only``."""
+    return spec.weights if STRATEGY_STAGES[strategy][0] else (0.0, 0.0)
 
 
-def _prepare_base_model(cfg: ExperimentConfig, spec: TaskSpec, seed: int, X_train: np.ndarray) -> Model:
-    model = Model(_model_config(cfg, spec, seed))
-    if cfg.pretrain is not None:
-        masked_pretrain(model, X_train, replace(cfg.pretrain, seed=seed))
-    return model
+def pretrained_base(cfg: ExperimentConfig, spec: TaskSpec, seed: int, X_train: np.ndarray) -> tuple[Model, list[dict]]:
+    """Freshly initialised model, masked-pretrained on ``X_train`` unless ``cfg.pretrain`` is None."""
+    model = Model(ModelConfig(
+        hidden=cfg.hidden, features=cfg.features, n_main=spec.n_main, ssl_dims=spec.ssl_dims,
+        head_layers=cfg.head_layers, dropout=cfg.dropout, init_seed=seed,
+    ))
+    if cfg.pretrain is None:
+        return model, []
+    return masked_pretrain(model, X_train, replace(cfg.pretrain, seed=seed))
 
 
-def _finetune(cfg, spec, base, weights, seed, splits):
-    ft = replace(cfg.finetune, weights=weights, seed=seed)
-    model = clone_model(base)
+def finetune(cfg: ExperimentConfig, spec: TaskSpec, base: Model, weights: tuple[float, float],
+             seed: int, splits: dict) -> tuple[Model, list[dict]]:
+    """Stage-I fine-tuning of a clone of ``base``; the base model is left untouched."""
     Xtr, ytr, _ = splits["train"]
     Xva, yva, _ = splits["val"]
-    model, history = finetune_stage1(model, spec, Xtr, ytr, Xva, yva, ft)
-    return model, history
+    ft = replace(cfg.finetune, weights=weights, seed=seed)
+    return finetune_stage1(clone_model(base), spec, Xtr, ytr, Xva, yva, ft)
 
 
-def _evaluate(spec: TaskSpec, y_true: np.ndarray, probs: np.ndarray) -> EvalResult:
+def adapt_and_evaluate(kind: str, model: Model, spec: TaskSpec, cfg: ExperimentConfig, seed: int,
+                       X_test: np.ndarray, y_test: np.ndarray,
+                       adapt_spec: TaskSpec | None = None) -> tuple[EvalResult, list[dict]]:
+    """Stage-II adaptation (``none``/``ttt_ssl``/``tent``) of the test split, then scoring.
+
+    ``adapt_spec`` overrides the pretext weighting used while adapting; scoring
+    always uses ``spec``.
+    """
+    probs, logs = run_adaptation(
+        kind, model, adapt_spec if adapt_spec is not None else spec, X_test,
+        ttt=replace(cfg.ttt, seed=seed), tent=cfg.tent,
+    )
     scores = probs[:, 1] if spec.n_main == 2 else None
-    return evaluate_predictions(y_true, probs.argmax(axis=1), spec.n_main, scores=scores)
+    return evaluate_predictions(y_test, probs.argmax(axis=1), spec.n_main, scores=scores), logs
 
 
 def _adapt_summary(records: list[dict]) -> dict:
@@ -233,36 +248,26 @@ def _adapt_summary(records: list[dict]) -> dict:
 
 
 def run_single(cfg: ExperimentConfig, seed: int) -> dict:
-    """Run every configured strategy for one seed; returns a plain-dict record."""
+    """Run every configured strategy for one seed; returns a plain-dict record.
+
+    One model is fine-tuned per distinct weight pair, in ``STRATEGY_STAGES``
+    order (the supervised baseline first); strategies sharing weights share it.
+    """
     spec = task_spec_for(cfg.task)
     splits = build_splits(cfg, seed)
     X_test, y_test, _ = splits["test"]
-
-    base = _prepare_base_model(cfg, spec, seed, splits["train"][0])
-    need_sup = "supervised_only" in cfg.strategies
-    need_ssl = any(s in cfg.strategies for s in ("stage1_ssl", "ttt_ssl", "tent"))
-    sup_model = sup_hist = ssl_model = ssl_hist = None
-    if need_sup:
-        sup_model, sup_hist = _finetune(cfg, spec, base, (0.0, 0.0), seed, splits)
-    if need_ssl:
-        ssl_model, ssl_hist = _finetune(cfg, spec, base, spec.weights, seed, splits)
+    base, _ = pretrained_base(cfg, spec, seed, splits["train"][0])
+    finetuned = {}
+    for strategy in STRATEGY_STAGES:
+        weights = strategy_weights(strategy, spec)
+        if strategy in cfg.strategies and weights not in finetuned:
+            finetuned[weights] = finetune(cfg, spec, base, weights, seed, splits)
 
     record = {"seed": seed, "strategies": {}}
     for strategy in cfg.strategies:
         t0 = time.perf_counter()
-        if strategy == "supervised_only":
-            model, hist = sup_model, sup_hist
-            probs, logs = run_adaptation("none", model, spec, X_test)
-        elif strategy == "stage1_ssl":
-            model, hist = ssl_model, ssl_hist
-            probs, logs = run_adaptation("none", model, spec, X_test)
-        elif strategy == "ttt_ssl":
-            model, hist = ssl_model, ssl_hist
-            probs, logs = run_adaptation("ttt_ssl", model, spec, X_test, ttt=replace(cfg.ttt, seed=seed))
-        else:  # tent
-            model, hist = ssl_model, ssl_hist
-            probs, logs = run_adaptation("tent", model, spec, X_test, tent=cfg.tent)
-        result = _evaluate(spec, y_test, probs)
+        model, hist = finetuned[strategy_weights(strategy, spec)]
+        result, logs = adapt_and_evaluate(STRATEGY_STAGES[strategy][1], model, spec, cfg, seed, X_test, y_test)
         record["strategies"][strategy] = {
             "metrics": result.as_dict(),
             "val_best": float(max(h["val_score"] for h in hist)),
@@ -324,10 +329,15 @@ def _experiment_job(payload: tuple[ExperimentConfig, int]) -> dict:
     return run_single(cfg, seed)
 
 
-def _aggregate(per_seed_values: dict[str, list[float]]) -> dict:
+def _aggregate(results: list[dict]) -> dict:
+    """Mean and population std per metric over ``EvalResult.as_dict()`` records."""
+    metric_values: dict[str, list[float]] = {}
+    for result in results:
+        for metric, value in result["values"].items():
+            metric_values.setdefault(metric, []).append(value)
     return {
         name: {"mean": float(np.mean(vals)), "std": float(np.std(vals))}
-        for name, vals in per_seed_values.items()
+        for name, vals in metric_values.items()
     }
 
 
@@ -336,13 +346,10 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     t0 = time.perf_counter()
     seeds = [cfg.base_seed + s for s in range(cfg.n_seeds)]
     per_seed = _run_jobs(_experiment_job, [(cfg, s) for s in seeds])
-    aggregates = {}
-    for strategy in cfg.strategies:
-        metric_values: dict[str, list[float]] = {}
-        for rec in per_seed:
-            for metric, value in rec["strategies"][strategy]["metrics"]["values"].items():
-                metric_values.setdefault(metric, []).append(value)
-        aggregates[strategy] = _aggregate(metric_values)
+    aggregates = {
+        strategy: _aggregate([rec["strategies"][strategy]["metrics"] for rec in per_seed])
+        for strategy in cfg.strategies
+    }
     return RunReport(
         kind="experiment",
         task=cfg.task,
@@ -370,53 +377,45 @@ def ablation_rows(spec: TaskSpec) -> list[tuple[str, tuple[float, float]]]:
     ]
 
 
-def _ablation_job(payload: tuple[ExperimentConfig, str, tuple[float, float], int]) -> dict:
-    cfg, row, mask, seed = payload
+def _ablation_job(payload: tuple[ExperimentConfig, int]) -> list[dict]:
+    """Every ablation row of one seed, sharing the seed's splits and pretrained base."""
+    cfg, seed = payload
     spec = task_spec_for(cfg.task)
     splits = build_splits(cfg, seed)
     X_test, y_test, _ = splits["test"]
-    base = _prepare_base_model(cfg, spec, seed, splits["train"][0])
-    model, _ = _finetune(cfg, spec, base, mask, seed, splits)
-    # adaptation uses the row's active pretext tasks; the no-SSL row falls back to
-    # the task's default weighting (adaptation without stage-I alignment)
-    adapt_spec = task_spec_for(cfg.task, weights=mask if any(mask) else None)
-    cells = {}
-    for column in ABLATION_COLUMNS:
-        probs, _ = run_adaptation(
-            column if column != "none" else "none",
-            model,
-            adapt_spec,
-            X_test,
-            ttt=replace(cfg.ttt, seed=seed),
-            tent=cfg.tent,
-        )
-        cells[column] = _evaluate(spec, y_test, probs).as_dict()
-    return {"row": row, "seed": seed, "cells": cells}
+    base, _ = pretrained_base(cfg, spec, seed, splits["train"][0])
+    records = []
+    for row, mask in ablation_rows(spec):
+        model, _ = finetune(cfg, spec, base, mask, seed, splits)
+        # adaptation uses the row's active pretext tasks; the no-SSL row falls back to
+        # the task's default weighting (adaptation without stage-I alignment)
+        adapt_spec = task_spec_for(cfg.task, weights=mask if any(mask) else None)
+        cells = {
+            column: adapt_and_evaluate(column, model, spec, cfg, seed, X_test, y_test, adapt_spec)[0].as_dict()
+            for column in ABLATION_COLUMNS
+        }
+        records.append({"row": row, "seed": seed, "cells": cells})
+    return records
 
 
 def run_ablation(cfg: ExperimentConfig) -> RunReport:
-    """Pretext-weight masks x adaptation strategies, every cell a full run."""
+    """Pretext-weight masks x adaptation strategies; one job per seed runs every row."""
     spec = task_spec_for(cfg.task)
     if len(spec.ssl_tasks) != 2:
         raise ConfigError("the ablation grid expects exactly two pretext tasks")
     t0 = time.perf_counter()
     seeds = [cfg.base_seed + s for s in range(cfg.n_seeds)]
-    rows = ablation_rows(spec)
-    payloads = [(cfg, row, mask, seed) for row, mask in rows for seed in seeds]
-    results = _run_jobs(_ablation_job, payloads)
-
-    per_seed = []
-    aggregates: dict[str, dict] = {}
-    for row, _ in rows:
-        row_results = [r for r in results if r["row"] == row]
-        per_seed.extend(row_results)
-        aggregates[row] = {}
-        for column in ABLATION_COLUMNS:
-            metric_values: dict[str, list[float]] = {}
-            for r in row_results:
-                for metric, value in r["cells"][column]["values"].items():
-                    metric_values.setdefault(metric, []).append(value)
-            aggregates[row][column] = _aggregate(metric_values)
+    by_seed = _run_jobs(_ablation_job, [(cfg, seed) for seed in seeds])
+    rows = [row for row, _ in ablation_rows(spec)]
+    # row-major: every seed of the first row, then every seed of the next
+    per_seed = [records[i] for i in range(len(rows)) for records in by_seed]
+    aggregates = {
+        row: {
+            column: _aggregate([records[i]["cells"][column] for records in by_seed])
+            for column in ABLATION_COLUMNS
+        }
+        for i, row in enumerate(rows)
+    }
     return RunReport(
         kind="ablation",
         task=cfg.task,

@@ -244,18 +244,16 @@ class Model:
 class Snapshot:
     params: dict[str, np.ndarray]
     buffers: dict[str, np.ndarray]
-    opt_state: dict | None = None
 
 
-def snapshot(model: Model, optimizer=None) -> Snapshot:
+def snapshot(model: Model) -> Snapshot:
     return Snapshot(
         params={n: t.data.copy() for n, t in model.named_parameters()},
         buffers={n: b.copy() for n, b in model.named_buffers()},
-        opt_state=optimizer.state_dict() if optimizer is not None else None,
     )
 
 
-def restore(model: Model, snap: Snapshot, optimizer=None) -> None:
+def restore(model: Model, snap: Snapshot) -> None:
     names = {n for n, _ in model.named_parameters()}
     if names != set(snap.params):
         raise ContractError("snapshot parameter set does not match the model")
@@ -263,8 +261,6 @@ def restore(model: Model, snap: Snapshot, optimizer=None) -> None:
         np.copyto(t.data, snap.params[n])
     for n, b in model.named_buffers():
         np.copyto(b, snap.buffers[n])
-    if optimizer is not None and snap.opt_state is not None:
-        optimizer.load_state_dict(snap.opt_state)
 
 
 def clone_model(model: Model) -> Model:

@@ -36,12 +36,6 @@ class SGD:
         for _, p in self.named_params:
             p.zero_grad()
 
-    def state_dict(self) -> dict:
-        return {"kind": "sgd", "lr": self.lr}
-
-    def load_state_dict(self, state: dict) -> None:
-        self.lr = state["lr"]
-
 
 class Adam:
     """Adam with bias correction; betas (0.9, 0.999), eps 1e-8 by default."""
@@ -77,21 +71,6 @@ class Adam:
     def zero_grad(self) -> None:
         for _, p in self.named_params:
             p.zero_grad()
-
-    def state_dict(self) -> dict:
-        return {
-            "kind": "adam",
-            "lr": self.lr,
-            "t": self.t,
-            "m": {n: a.copy() for n, a in self.m.items()},
-            "v": {n: a.copy() for n, a in self.v.items()},
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self.lr = state["lr"]
-        self.t = state["t"]
-        self.m = {n: a.copy() for n, a in state["m"].items()}
-        self.v = {n: a.copy() for n, a in state["v"].items()}
 
 
 def make_optimizer(kind: str, named_params, lr: float):

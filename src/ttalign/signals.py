@@ -360,12 +360,45 @@ def save_split(directory, name: str, X: np.ndarray, labels: np.ndarray, subjects
     (directory / f"{name}.json").write_text(json.dumps(sidecar, indent=1, sort_keys=True))
 
 
+def _sidecar_ints(sidecar: dict, key: str, n: int, name: str) -> np.ndarray:
+    values = sidecar[key]
+    if not isinstance(values, list) or len(values) != n or not all(type(v) is int for v in values):
+        raise ContractError(f"{name}.json '{key}' must list {n} integers, one per epoch")
+    return np.array(values, dtype=np.int64)
+
+
 def load_split(directory, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+    """Read a split written by :func:`save_split`; a corrupt pair raises ``ContractError``.
+
+    Rejected: a sidecar that is not a JSON object with ``shape`` (three
+    non-negative ints), ``dtype`` ``"<f4"``, ``labels`` and ``subjects`` (one int
+    per epoch); a ``.f32`` file whose size does not match that shape; and
+    non-finite samples.
+    """
     directory = Path(directory)
-    sidecar = json.loads((directory / f"{name}.json").read_text())
-    shape = tuple(sidecar["shape"])
-    raw = np.frombuffer((directory / f"{name}.f32").read_bytes(), dtype=sidecar["dtype"])
+    try:
+        sidecar = json.loads((directory / f"{name}.json").read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ContractError(f"{name}.json is not a valid JSON sidecar: {exc}") from None
+    if not isinstance(sidecar, dict):
+        raise ContractError(f"{name}.json must hold a JSON object")
+    missing = {"shape", "dtype", "labels", "subjects"} - set(sidecar)
+    if missing:
+        raise ContractError(f"{name}.json sidecar lacks {sorted(missing)}")
+    shape = sidecar["shape"]
+    if not (isinstance(shape, list) and len(shape) == 3 and all(type(v) is int and v >= 0 for v in shape)):
+        raise ContractError(f"{name}.json shape must be three non-negative integers, got {shape!r}")
+    if sidecar["dtype"] != "<f4":
+        raise ContractError(f"{name}.json dtype must be '<f4', got {sidecar['dtype']!r}")
+    blob = (directory / f"{name}.f32").read_bytes()
+    if len(blob) % 4:
+        raise ContractError(f"{name}.f32 holds {len(blob)} bytes, not a whole number of float32 values")
+    raw = np.frombuffer(blob, dtype="<f4")
     if raw.size != int(np.prod(shape)):
-        raise ContractError(f"{name}.f32 holds {raw.size} values, sidecar says {shape}")
+        raise ContractError(f"{name}.f32 holds {raw.size} values, sidecar says {tuple(shape)}")
+    labels = _sidecar_ints(sidecar, "labels", shape[0], name)
+    subjects = _sidecar_ints(sidecar, "subjects", shape[0], name)
     X = raw.reshape(shape).astype(np.float64)
-    return X, np.array(sidecar["labels"]), np.array(sidecar["subjects"]), sidecar
+    if not np.all(np.isfinite(X)):
+        raise ContractError(f"{name}.f32 holds non-finite samples")
+    return X, labels, subjects, sidecar

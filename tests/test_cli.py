@@ -8,11 +8,13 @@ print a single JSON error record to stderr and return a nonzero code.
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ttalign.cli import main
+from ttalign.cli import build_config, build_parser, main
+from ttalign.harness import run_single
 from ttalign.nn import load_checkpoint
 from ttalign.signals import load_split
 
@@ -166,6 +168,19 @@ def test_adapt_rerun_reproduces_metrics_bitwise(tmp_path, micro_cfg, capsys):
         assert run_cli("adapt", "--config", micro_cfg, "--seed", 2, "--out", out,
                        "--strategy", "tent", capsys=capsys)[0] == 0
     assert (out_a / "metrics_tent.json").read_text() == (out_b / "metrics_tent.json").read_text()
+
+
+@pytest.mark.parametrize("strategy, run_single_strategy", [
+    ("tent", "tent"), ("ttt_ssl", "ttt_ssl"), ("none", "stage1_ssl"),
+])
+def test_adapt_metrics_equal_run_single(tmp_path, micro_cfg, capsys, strategy, run_single_strategy):
+    code, stdout, _ = run_cli("adapt", "--config", micro_cfg, "--seed", 1, "--out", tmp_path,
+                              "--strategy", strategy, capsys=capsys)
+    assert code == 0
+    cfg = build_config(build_parser().parse_args(["adapt", "--config", str(micro_cfg), "--seed", "1"]))
+    cfg = replace(cfg, strategies=(run_single_strategy,))
+    expected = run_single(cfg, seed=1)["strategies"][run_single_strategy]["metrics"]["values"]
+    assert json.loads(stdout)["metrics"] == expected
 
 
 # ---------------------------------------------------------------------------

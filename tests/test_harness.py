@@ -13,6 +13,7 @@ import json
 import numpy as np
 import pytest
 
+from ttalign import harness
 from ttalign.errors import ConfigError
 from ttalign.harness import (
     ABLATION_COLUMNS,
@@ -233,6 +234,19 @@ def test_ablation_grid_shape():
         assert set(rec["cells"]) == set(ABLATION_COLUMNS)
     # 4 x 3 = 12 aggregate cells
     assert sum(len(cols) for cols in report.aggregates.values()) == 12
+
+
+def test_ablation_builds_splits_and_base_once_per_seed(monkeypatch):
+    calls = []
+    for name in ("build_splits", "pretrained_base"):
+        original = getattr(harness, name)
+        monkeypatch.setattr(harness, name, lambda *a, _n=name, _f=original: calls.append(_n) or _f(*a))
+    report = run_ablation(micro(n_seeds=2))
+    assert calls.count("build_splits") == 2 and calls.count("pretrained_base") == 2
+    # rows stay row-major: every seed of one row before the next row
+    assert [(r["row"], r["seed"]) for r in report.per_seed] == [
+        (row, seed) for row in ("no_ssl", "stopped_band", "jigsaw", "both") for seed in (0, 1)
+    ]
 
 
 def test_ablation_both_no_ttt_cell_matches_stage1_ssl_run():

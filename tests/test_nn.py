@@ -209,24 +209,6 @@ class TestSnapshotRestore:
         with pytest.raises(ContractError):
             nn.restore(other, snap)
 
-    def test_snapshot_carries_optimizer_state(self):
-        model = nn.Model(small_config())
-        opt = Adam(model.named_parameters(), lr=1e-3)
-        x = RNG.normal(size=(4, 3, 200))
-        y = RNG.integers(0, 3, size=4)
-        for _ in range(2):
-            with ad.fresh_tape():
-                logits = model.forward_main(Tensor(x), train=True)
-                loss = ad.scale(ad.sum_(ad.take_per_row(ad.log_softmax(logits, axis=1), y)), -0.25)
-                opt.zero_grad()
-                ad.backward(loss)
-                opt.step()
-        snap = nn.snapshot(model, opt)
-        t_saved = opt.t
-        opt.step()  # drift
-        nn.restore(model, snap, opt)
-        assert opt.t == t_saved
-
     def test_clone_is_independent(self):
         model = nn.Model(small_config())
         twin = nn.clone_model(model)

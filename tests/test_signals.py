@@ -1,5 +1,7 @@
 """Signal stack: spectral surgery oracles, generator class structure, on-disk format."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -240,6 +242,80 @@ class TestDatasetFiles:
         (tmp_path / "t.f32").write_bytes(b"\x00" * 100)
         with pytest.raises(ContractError):
             sig.load_split(tmp_path, "t")
+
+    @staticmethod
+    def _saved(tmp_path):
+        X = np.arange(4 * 8 * 200, dtype=np.float64).reshape(4, 8, 200) / 7.0
+        sig.save_split(tmp_path, "t", X, np.array([0, 1, 2, 3]), np.array([1, 1, 2, 2]), {"seed": 0})
+        return tmp_path / "t.f32", tmp_path / "t.json"
+
+    def test_partial_float_rejected(self, tmp_path):
+        f32, _ = self._saved(tmp_path)
+        f32.write_bytes(f32.read_bytes()[:-1])
+        with pytest.raises(ContractError, match="whole number of float32"):
+            sig.load_split(tmp_path, "t")
+
+    def test_sidecar_not_json_rejected(self, tmp_path):
+        _, sidecar = self._saved(tmp_path)
+        sidecar.write_text(sidecar.read_text()[:-5])
+        with pytest.raises(ContractError, match="not a valid JSON"):
+            sig.load_split(tmp_path, "t")
+
+    @pytest.mark.parametrize("key", ["shape", "dtype", "labels", "subjects"])
+    def test_sidecar_missing_key_rejected(self, tmp_path, key):
+        _, sidecar = self._saved(tmp_path)
+        meta = json.loads(sidecar.read_text())
+        del meta[key]
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(ContractError, match=key):
+            sig.load_split(tmp_path, "t")
+
+    @pytest.mark.parametrize("key", ["labels", "subjects"])
+    def test_per_epoch_list_length_mismatch_rejected(self, tmp_path, key):
+        _, sidecar = self._saved(tmp_path)
+        meta = json.loads(sidecar.read_text())
+        meta[key] = meta[key][:-1]
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(ContractError, match=f"'{key}' must list 4 integers"):
+            sig.load_split(tmp_path, "t")
+
+    def test_nonfinite_samples_rejected(self, tmp_path):
+        f32, _ = self._saved(tmp_path)
+        f32.write_bytes(np.array([np.inf], dtype="<f4").tobytes() + f32.read_bytes()[4:])
+        with pytest.raises(ContractError, match="non-finite"):
+            sig.load_split(tmp_path, "t")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        target=st.sampled_from(["f32", "json"]),
+        edit=st.sampled_from(["truncate", "extend", "flip"]),
+        where=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        extra=st.binary(min_size=1, max_size=16),
+        bit=st.integers(min_value=0, max_value=7),
+    )
+    def test_corrupt_files_raise_only_contract_error(self, tmp_path_factory, target, edit, where, extra, bit):
+        f32, sidecar = self._saved(tmp_path_factory.mktemp("fuzz"))
+        path = f32 if target == "f32" else sidecar
+        raw = path.read_bytes()
+        at = int(where * len(raw))
+        if edit == "truncate":
+            path.write_bytes(raw[:at])
+        elif edit == "extend":
+            path.write_bytes(raw + extra)
+        else:
+            path.write_bytes(raw[:at] + bytes([raw[at] ^ (1 << bit)]) + raw[at + 1:])
+        try:
+            X, labels, subjects, meta = sig.load_split(f32.parent, "t")
+        except ContractError:
+            return
+        # a flipped sample bit or sidecar digit, or trailing JSON whitespace, is
+        # undetectable without a checksum; what loads must be a well-formed split
+        assert edit != "truncate" and not (edit == "extend" and target == "f32")
+        assert X.shape == tuple(meta["shape"]) and np.all(np.isfinite(X))
+        assert labels.shape == subjects.shape == (X.shape[0],)
+        again = tmp_path_factory.mktemp("again")
+        sig.save_split(again, "t", X, labels, subjects, {})
+        assert (again / "t.f32").read_bytes() == f32.read_bytes()
 
 
 @settings(max_examples=20, deadline=None)
