@@ -27,7 +27,6 @@ from .errors import ConfigError, ContractError
 from .nn import Model, clone_model, restore, snapshot
 from .optim import SGD, make_optimizer
 from .pretext import TaskSpec, make_view
-from .training import cross_entropy
 
 ADAPT_METHODS = ("none", "ttt_ssl", "tent")
 
@@ -47,12 +46,6 @@ def entropy(p, axis: int = -1):
     return -(p * np.log(safe)).sum(axis=axis)
 
 
-def _mean_entropy_graph(logits: Tensor) -> Tensor:
-    """Differentiable mean entropy (nats) of softmax(logits) over the batch."""
-    lsm = ad.log_softmax(logits, axis=1)
-    return ad.scale(ad.sum_(ad.mul(ad.exp(lsm), lsm)), -1.0 / logits.shape[0])
-
-
 def content_rng(x: np.ndarray, seed: int) -> np.random.Generator:
     """RNG keyed by the sample's bytes: identical epochs get identical views,
     and per-sample adaptation commutes with any reordering of the test set."""
@@ -60,10 +53,10 @@ def content_rng(x: np.ndarray, seed: int) -> np.random.Generator:
     return np.random.default_rng([seed, int.from_bytes(digest[:16], "little")])
 
 
-def _param_delta(model: Model, before: dict[str, np.ndarray]) -> float:
-    """L2 norm of the full parameter change since ``before`` (a name->array dict)."""
+def _param_delta(named_params: list[tuple[str, Tensor]], before: dict[str, np.ndarray]) -> float:
+    """L2 norm of the change of ``named_params`` since ``before`` (a name->array dict)."""
     total = 0.0
-    for name, p in model.named_parameters():
+    for name, p in named_params:
         d = p.data - before[name]
         total += float(np.dot(d.ravel(), d.ravel()))
     return float(np.sqrt(total))
@@ -129,7 +122,7 @@ def ttt_ssl_adapt_predict(
             loss = None
             for (j, _, w), s in zip(branches, samples):
                 feats = model.features(Tensor(s.view[None]), train=False)
-                term = ad.scale(cross_entropy(model.ssl_logits(j, feats), [s.label]), w)
+                term = ad.scale(ad.cross_entropy(model.ssl_logits(j, feats), [s.label]), w)
                 loss = term if loss is None else ad.add(loss, term)
             if not np.isfinite(loss.item()):
                 raise ContractError("non-finite pretext loss during adaptation")
@@ -138,7 +131,7 @@ def ttt_ssl_adapt_predict(
             opt.step()
         losses.append(loss.item())
     probs = model.predict_proba(x[None])[0]
-    return probs, {"ssl_loss": losses, "param_delta": _param_delta(model, before)}
+    return probs, {"ssl_loss": losses, "param_delta": _param_delta(model.named_parameters(), before)}
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +198,7 @@ def tent_adapt_predict(
                 logits = model.forward_main(
                     batch, train=True, update_stats=cfg.update_running_stats
                 )
-                objective = _mean_entropy_graph(logits)
+                objective = ad.mean_entropy(logits)
                 if not np.isfinite(objective.item()):
                     raise ContractError(f"non-finite entropy objective on batch {k}")
                 model.zero_grad()
@@ -216,17 +209,13 @@ def tent_adapt_predict(
             logits = model.forward_main(batch, train=True, update_stats=False)
             p = ad.softmax(logits, axis=1).data
         probs[idx] = p
-        delta = float(np.sqrt(sum(
-            float(np.dot((p_.data - before[n]).ravel(), (p_.data - before[n]).ravel()))
-            for n, p_ in named_affine
-        )))
         records.append(
             {
                 "batch": k,
                 "size": int(idx.size),
                 "entropy": step_entropies,
                 "entropy_after": float(entropy(p, axis=1).mean()),
-                "param_delta": delta,
+                "param_delta": _param_delta(named_affine, before),
             }
         )
     return probs, records
@@ -249,8 +238,11 @@ def run_adaptation(
     Adaptation runs on an internal clone, so the caller's model is never mutated.
     ``ttt_ssl`` is episodic unless ``ttt.online``: the clone is snapshotted once and
     restored around every sample. Returns per-sample probabilities plus a log with
-    one record per sample (ttt_ssl) or per batch (tent).
+    one record per sample (ttt_ssl) or per batch (tent). Test epochs holding a NaN
+    or an infinity raise ContractError under every strategy.
     """
+    if not np.all(np.isfinite(X)):
+        raise ContractError("test epochs hold non-finite values")
     if strategy == "none":
         return model.predict_proba(X), []
     if strategy == "ttt_ssl":

@@ -8,6 +8,9 @@ accumulates adjoints into the ``grad`` buffers of the leaves: tensors created wi
 ``grad=None``; their adjoints live only inside ``backward``. A pull-back skips the
 contribution of any input that does not require grad.
 
+Batch norm, softmax cross-entropy and the mean entropy are fused primitives: one
+record each, where a chain of general primitives would take up to nine.
+
 Gradients accumulate across repeated ``backward`` calls; training loops are expected
 to zero parameter grads between steps. All computation is float64 and bitwise
 deterministic for a fixed sequence of operations.
@@ -54,43 +57,8 @@ class Tensor:
         if self.grad is not None:
             self.grad[...] = 0.0
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # arithmetic sugar; all routing through the recorded primitives below
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
 class Tape:
@@ -208,8 +176,7 @@ def _check_broadcast(name: str, a: Tensor, b: Tensor) -> None:
 # primitives
 # ---------------------------------------------------------------------------
 
-def add(a: Tensor, b) -> Tensor:
-    b = _as_tensor(b)
+def add(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("add", a, b)
     out = Tensor(a.data + b.data)
 
@@ -231,8 +198,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), pull)
 
 
-def mul(a: Tensor, b) -> Tensor:
-    b = _as_tensor(b)
+def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("mul", a, b)
     out = Tensor(a.data * b.data)
     ad, bd = a.data, b.data
@@ -240,18 +206,6 @@ def mul(a: Tensor, b) -> Tensor:
     def pull(g: Array):
         ga = _unbroadcast(g * bd, ad.shape) if a.requires_grad else None
         return ga, _unbroadcast(g * ad, bd.shape) if b.requires_grad else None
-
-    return _record(out, (a, b), pull)
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast("div", a, b)
-    out = Tensor(a.data / b.data)
-    ad, bd = a.data, b.data
-
-    def pull(g: Array):
-        ga = _unbroadcast(g / bd, ad.shape) if a.requires_grad else None
-        return ga, _unbroadcast(-g * ad / (bd * bd), bd.shape) if b.requires_grad else None
 
     return _record(out, (a, b), pull)
 
@@ -313,36 +267,6 @@ def sum_(a: Tensor, axis: int | None = None) -> Tensor:
     return _record(out, (a,), pull)
 
 
-def sqrt(a: Tensor) -> Tensor:
-    root = np.sqrt(a.data)
-    out = Tensor(root)
-
-    def pull(g: Array):
-        return (g * 0.5 / root,)
-
-    return _record(out, (a,), pull)
-
-
-def exp(a: Tensor) -> Tensor:
-    e = np.exp(a.data)
-    out = Tensor(e)
-
-    def pull(g: Array):
-        return (g * e,)
-
-    return _record(out, (a,), pull)
-
-
-def log(a: Tensor) -> Tensor:
-    out = Tensor(np.log(a.data))
-    ad = a.data
-
-    def pull(g: Array):
-        return (g / ad,)
-
-    return _record(out, (a,), pull)
-
-
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
@@ -352,37 +276,6 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     def pull(g: Array):
         inner = (g * p).sum(axis=axis, keepdims=True)
         return (p * (g - inner),)
-
-    return _record(out, (a,), pull)
-
-
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out = Tensor(shifted - lse)
-    p = np.exp(shifted - lse)
-
-    def pull(g: Array):
-        return (g - p * g.sum(axis=axis, keepdims=True),)
-
-    return _record(out, (a,), pull)
-
-
-def take_per_row(a: Tensor, idx) -> Tensor:
-    """out[i] = a[i, idx[i]] for a 2-D tensor and integer index vector."""
-    idx = np.asarray(idx, dtype=np.int64)
-    if a.data.ndim != 2 or idx.ndim != 1 or idx.shape[0] != a.data.shape[0]:
-        raise ShapeError(f"take_per_row: tensor {a.data.shape} with index {idx.shape}")
-    if idx.min(initial=0) < 0 or (idx.size and idx.max() >= a.data.shape[1]):
-        raise ContractError("take_per_row: index out of range")
-    rows = np.arange(a.data.shape[0])
-    out = Tensor(a.data[rows, idx])
-    shape = a.data.shape
-
-    def pull(g: Array):
-        full = np.zeros(shape)
-        np.add.at(full, (rows, idx), g)
-        return (full,)
 
     return _record(out, (a,), pull)
 
@@ -413,19 +306,6 @@ def unfold(a: Tensor, window: int, stride: int) -> Tensor:
     return _record(out, (a,), pull)
 
 
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    if not tensors:
-        raise ShapeError("concat: need at least one tensor")
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def pull(g: Array):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return _record(out, tuple(tensors), pull)
-
-
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     out = Tensor(a.data.reshape(shape))
     orig = a.data.shape
@@ -444,6 +324,99 @@ def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
         return (np.transpose(g, inv),)
 
     return _record(out, (a,), pull)
+
+
+# ---------------------------------------------------------------------------
+# fused layers: one tape record each, with a hand-written pull
+# ---------------------------------------------------------------------------
+
+def batch_norm(
+    x: Tensor, gamma: Tensor, beta: Tensor, eps: float, running: tuple[Array, Array] | None = None
+) -> tuple[Tensor, Array, Array]:
+    """Per-feature normalization of a (batch, features) tensor, then ``* gamma + beta``.
+
+    With ``running=None`` (train mode) it normalizes by the batch mean and biased
+    batch variance, and the gradient flows through both. Otherwise it normalizes
+    by the given constant ``(mean, var)``. Returns the output and the mean and
+    variance it used.
+    """
+    xd, gd = x.data, gamma.data
+    if running is None:
+        mu = xd.mean(axis=0)
+        c = xd - mu
+        var = (c * c).mean(axis=0)
+    else:
+        mu, var = running
+        c = xd - mu
+    s = np.sqrt(var + eps)
+    xhat = c / s
+    out = Tensor(xhat * gd + beta.data)
+    n = xd.shape[0]
+
+    # Repeats, in order, the float operations of the backward through the chain it
+    # replaces (mean, sub, mul, mean, add, sqrt, div, mul, add), so gradients are
+    # bitwise equal to that chain's and the golden file reproduces.
+    def pull(g: Array):
+        gx = None
+        if x.requires_grad:
+            gxh = g * gd
+            gx = gxh / s
+            if running is None:
+                gv = ((-gxh * c / (s * s)).sum(axis=0) * 0.5 / s) / n
+                gx = gx + gv * c
+                gx = gx + gv * c
+                gx = gx + (-gx).sum(axis=0) / n
+        ggamma = (g * xhat).sum(axis=0) if gamma.requires_grad else None
+        return gx, ggamma, g.sum(axis=0) if beta.requires_grad else None
+
+    return _record(out, (x, gamma, beta), pull), mu, var
+
+
+def _log_softmax(z: Array) -> tuple[Array, Array]:
+    """Row-wise log-softmax of a 2-D array and its exponential."""
+    shifted = z - z.max(axis=1, keepdims=True)
+    lsm = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return lsm, np.exp(lsm)
+
+
+def cross_entropy(logits: Tensor, labels) -> Tensor:
+    """Softmax cross-entropy of (n, classes) logits, mean over the n rows."""
+    labels = np.asarray(labels, dtype=np.int64)
+    z = logits.data
+    if z.ndim != 2 or labels.ndim != 1 or labels.shape[0] != z.shape[0]:
+        raise ShapeError(f"cross_entropy: logits {z.shape} with labels {labels.shape}")
+    if labels.min(initial=0) < 0 or (labels.size and labels.max() >= z.shape[1]):
+        raise ContractError("cross_entropy: label out of range")
+    lsm, p = _log_softmax(z)
+    n = labels.shape[0]
+    rows = np.arange(n)
+    out = Tensor(lsm[rows, labels].sum() * (-1.0 / n))
+
+    # Repeats, in order, the float operations of the backward through the chain it
+    # replaces (log_softmax, take_per_row, sum, scale), so gradients are bitwise equal.
+    def pull(g: Array):
+        v = g * (-1.0 / n)
+        onehot = np.zeros(z.shape)
+        onehot[rows, labels] = v
+        return (onehot - p * v,)
+
+    return _record(out, (logits,), pull)
+
+
+def mean_entropy(logits: Tensor) -> Tensor:
+    """Mean over rows of the entropy (nats) of softmax(logits); the Tent objective."""
+    lsm, p = _log_softmax(logits.data)
+    n = logits.shape[0]
+    out = Tensor((p * lsm).sum() * (-1.0 / n))
+
+    # Repeats, in order, the float operations of the backward through the chain it
+    # replaces (log_softmax, exp, mul, sum, scale), so gradients are bitwise equal.
+    def pull(g: Array):
+        gm = g * (-1.0 / n)
+        gl = gm * p + gm * lsm * p
+        return (gl - p * gl.sum(axis=1, keepdims=True),)
+
+    return _record(out, (logits,), pull)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .adapt import TentConfig, TttConfig
+from .adapt import ADAPT_METHODS, TentConfig, TttConfig
 from .errors import ConfigError, ContractError, ShapeError
 from .gradcheck import TOLERANCE, max_relative_error, run_gradcheck
 from .harness import (
@@ -53,7 +53,6 @@ _NESTED = {
     "tent": TentConfig,
     "shift": ShiftSpec,
 }
-_ADAPT_STRATEGIES = ("none", "ttt_ssl", "tent")
 _FINETUNE_STRATEGIES = ("supervised_only", "stage1_ssl")
 
 
@@ -293,11 +292,17 @@ def cmd_report(args) -> None:
     if len(candidates) > 1:
         names = ", ".join(p.name for p in candidates)
         raise ConfigError(f"multiple reports under {out} ({names}); pick one with --task")
-    data = json.loads(candidates[0].read_text())
-    _verify_aggregates(data)
-    print(f"report {candidates[0]}  kind={data['kind']}  task={data['task']}  "
-          f"config={data['config_hash']}  seeds={data['seeds']}")
-    _print_table_from_dict(data)
+    path = candidates[0]
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+        _verify_aggregates(data)
+        lines = [f"report {path}  kind={data['kind']}  task={data['task']}  "
+                 f"config={data['config_hash']}  seeds={data['seeds']}", *_table_lines(data)]
+    except ContractError:
+        raise
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ContractError(f"{path}: not a readable report ({type(exc).__name__}: {exc})") from None
+    print("\n".join(lines))
     print("aggregates verified against per-seed rows (tolerance 1e-12)")
 
 
@@ -329,26 +334,27 @@ def _iter_aggregate_rows(data: dict):
 
 def _verify_aggregates(data: dict) -> None:
     for label, metric, stats, vals in _iter_aggregate_rows(data):
+        if not vals:
+            raise ContractError(f"aggregate for {label}/{metric} has no per-seed rows")
         if abs(stats["mean"] - np.mean(vals)) > 1e-12 or abs(stats["std"] - np.std(vals)) > 1e-12:
             raise ContractError(
                 f"aggregate for {label}/{metric} does not match its per-seed rows"
             )
 
 
-def _print_table_from_dict(data: dict) -> None:
+def _table_lines(data: dict) -> list[str]:
     rows = [(label, metric, stats) for label, metric, stats, _ in _iter_aggregate_rows(data)]
     if not rows:
-        print("(empty report)")
-        return
+        return ["(empty report)"]
     width = max(len(label) for label, _, _ in rows)
     mwidth = max(len(metric) for _, metric, _ in rows)
-    for label, metric, stats in rows:
-        print(f"{label:<{width}}  {metric:<{mwidth}}  {stats['mean']:.4f} +/- {stats['std']:.4f}")
+    return [f"{label:<{width}}  {metric:<{mwidth}}  {stats['mean']:.4f} +/- {stats['std']:.4f}"
+            for label, metric, stats in rows]
 
 
 def _print_aggregate_table(report) -> None:
     print(f"{report.kind} {report.task}  config={report.config_hash}  seeds={report.seeds}")
-    _print_table_from_dict(report.to_dict())
+    print("\n".join(_table_lines(report.to_dict())))
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("finetune", "stage-1 fine-tuning (supervised or with pretext heads)",
         _FINETUNE_STRATEGIES)
     add("adapt", "fine-tune, then apply a test-time strategy to the test split",
-        _ADAPT_STRATEGIES)
+        ADAPT_METHODS)
     add("evaluate", "multi-seed strategy comparison; emits CSV + JSON reports", STRATEGIES)
     add("ablate", "pretext-weight x adaptation grid; emits a matrix report")
     add("gradcheck", "finite-difference audit of every gradient path")

@@ -21,7 +21,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .nn import BatchNorm, Linear, Model, ModelConfig, dropout
-from .training import cross_entropy
 
 TOLERANCE = 1e-5
 
@@ -42,7 +41,7 @@ def _check_linear() -> dict[str, float]:
     labels = np.array([0, 1, 2, 4])
     tensors = {name: t for name, t in layer.named_parameters("linear")}
     tensors["linear.input"] = x
-    return _check(tensors, lambda: cross_entropy(layer(x), labels))
+    return _check(tensors, lambda: ad.cross_entropy(layer(x), labels))
 
 
 def _check_linear_no_bias() -> dict[str, float]:
@@ -52,7 +51,7 @@ def _check_linear_no_bias() -> dict[str, float]:
     labels = np.array([0, 1, 2, 0, 1])
     tensors = {name: t for name, t in layer.named_parameters("linear_nb")}
     tensors["linear_nb.input"] = x
-    return _check(tensors, lambda: cross_entropy(layer(x), labels))
+    return _check(tensors, lambda: ad.cross_entropy(layer(x), labels))
 
 
 def _check_batchnorm(train: bool) -> dict[str, float]:
@@ -68,7 +67,7 @@ def _check_batchnorm(train: bool) -> dict[str, float]:
     tensors = {f"{prefix}.gamma": bn.gamma, f"{prefix}.beta": bn.beta, f"{prefix}.input": x}
     return _check(
         tensors,
-        lambda: cross_entropy(bn(x, train=train, update_stats=False), labels),
+        lambda: ad.cross_entropy(bn(x, train=train, update_stats=False), labels),
     )
 
 
@@ -79,7 +78,7 @@ def _check_dropout() -> dict[str, float]:
 
     def loss():
         mask_rng = np.random.default_rng(99)
-        return cross_entropy(dropout(x, 0.4, mask_rng), labels)
+        return ad.cross_entropy(dropout(x, 0.4, mask_rng), labels)
 
     return _check({"dropout.input": x}, loss)
 
@@ -91,7 +90,7 @@ def _check_relu() -> dict[str, float]:
     data[np.abs(data) < 0.05] = 0.1
     x = Tensor(data, requires_grad=True)
     labels = rng.integers(0, 8, 5)
-    return _check({"relu.input": x}, lambda: cross_entropy(ad.relu(x), labels))
+    return _check({"relu.input": x}, lambda: ad.cross_entropy(ad.relu(x), labels))
 
 
 # ---------------------------------------------------------------------------
@@ -122,9 +121,9 @@ def _check_full_stack() -> dict[str, float]:
     def loss():
         mask_rng = np.random.default_rng(77)
         feats = model.features(x, train=True, dropout_rng=mask_rng, update_stats=False)
-        total = cross_entropy(model.main_logits(feats), y_main)
+        total = ad.cross_entropy(model.main_logits(feats), y_main)
         for j, w in enumerate(weights):
-            total = ad.add(total, ad.scale(cross_entropy(model.ssl_logits(j, feats), y_ssl[j]), w))
+            total = ad.add(total, ad.scale(ad.cross_entropy(model.ssl_logits(j, feats), y_ssl[j]), w))
         return total
 
     tensors = {f"stack.{name}": t for name, t in model.named_parameters()}

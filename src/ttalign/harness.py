@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .adapt import TentConfig, TttConfig, run_adaptation
+from .adapt import ADAPT_METHODS, TentConfig, TttConfig, run_adaptation
 from .errors import ConfigError, ContractError
 from .metrics import EvalResult, evaluate_predictions
 from .nn import Model, ModelConfig, clone_model
@@ -49,7 +49,6 @@ STRATEGY_STAGES = {
 }
 STRATEGIES = tuple(STRATEGY_STAGES)
 PROTOCOLS = ("cross_subject", "within_subject")
-ABLATION_COLUMNS = ("none", "ttt_ssl", "tent")
 WORKERS_ENV = "TTALIGN_WORKERS"
 
 
@@ -392,7 +391,7 @@ def _ablation_job(payload: tuple[ExperimentConfig, int]) -> list[dict]:
         adapt_spec = task_spec_for(cfg.task, weights=mask if any(mask) else None)
         cells = {
             column: adapt_and_evaluate(column, model, spec, cfg, seed, X_test, y_test, adapt_spec)[0].as_dict()
-            for column in ABLATION_COLUMNS
+            for column in ADAPT_METHODS
         }
         records.append({"row": row, "seed": seed, "cells": cells})
     return records
@@ -412,7 +411,7 @@ def run_ablation(cfg: ExperimentConfig) -> RunReport:
     aggregates = {
         row: {
             column: _aggregate([records[i]["cells"][column] for records in by_seed])
-            for column in ABLATION_COLUMNS
+            for column in ADAPT_METHODS
         }
         for i, row in enumerate(rows)
     }
@@ -425,7 +424,7 @@ def run_ablation(cfg: ExperimentConfig) -> RunReport:
         per_seed=per_seed,
         aggregates=aggregates,
         wall_time=time.perf_counter() - t0,
-        columns=list(ABLATION_COLUMNS),
+        columns=list(ADAPT_METHODS),
     )
 
 

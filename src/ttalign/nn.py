@@ -67,19 +67,13 @@ class BatchNorm:
         self.running_var = np.ones(features)
 
     def __call__(self, x: Tensor, train: bool, update_stats: bool = True) -> Tensor:
-        if train:
-            mu = ad.mean(x, axis=0)
-            centered = ad.sub(x, mu)
-            var = ad.mean(ad.mul(centered, centered), axis=0)
-            xhat = ad.div(centered, ad.sqrt(ad.add(var, self.eps)))
-            if update_stats:
-                m = self.momentum
-                self.running_mean = (1.0 - m) * self.running_mean + m * mu.data
-                self.running_var = (1.0 - m) * self.running_var + m * var.data
-        else:
-            sigma = np.sqrt(self.running_var + self.eps)
-            xhat = ad.div(ad.sub(x, Tensor(self.running_mean)), Tensor(sigma))
-        return ad.add(ad.mul(xhat, self.gamma), self.beta)
+        running = None if train else (self.running_mean, self.running_var)
+        out, mu, var = ad.batch_norm(x, self.gamma, self.beta, self.eps, running)
+        if train and update_stats:
+            m = self.momentum
+            self.running_mean = (1.0 - m) * self.running_mean + m * mu
+            self.running_var = (1.0 - m) * self.running_var + m * var
+        return out
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:

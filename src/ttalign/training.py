@@ -17,21 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Tensor, cross_entropy
 from .errors import ConfigError, ContractError
 from .metrics import auroc, cohens_kappa, monitoring_metric
 from .nn import Linear, Model, restore, snapshot
 from .optim import make_optimizer
 from .pretext import TaskSpec, make_view
-
-
-def cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Softmax cross-entropy with mean reduction over the batch."""
-    labels = np.asarray(labels, dtype=np.int64)
-    return ad.scale(
-        ad.sum_(ad.take_per_row(ad.log_softmax(logits, axis=1), labels)),
-        -1.0 / labels.shape[0],
-    )
 
 
 def combined_loss(

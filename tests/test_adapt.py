@@ -16,7 +16,6 @@ import ttalign.autodiff as ad
 from ttalign.adapt import (
     TentConfig,
     TttConfig,
-    _mean_entropy_graph,
     _tent_batches,
     content_rng,
     entropy,
@@ -101,7 +100,7 @@ def test_mean_entropy_graph_matches_numpy_oracle():
     rng = np.random.default_rng(4)
     z = rng.normal(size=(16, 5)) * 2
     with fresh_tape():
-        got = _mean_entropy_graph(Tensor(z)).item()
+        got = ad.mean_entropy(Tensor(z)).item()
     p = np.exp(z - z.max(axis=1, keepdims=True))
     p /= p.sum(axis=1, keepdims=True)
     assert abs(got - entropy(p, axis=1).mean()) < 1e-12
@@ -111,7 +110,7 @@ def test_mean_entropy_graph_gradient_matches_finite_differences():
     rng = np.random.default_rng(5)
     z = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
     with fresh_tape():
-        backward(_mean_entropy_graph(z))
+        backward(ad.mean_entropy(z))
     analytic = z.grad.copy()
     eps = 1e-6
     fd = np.zeros_like(z.data)
@@ -122,7 +121,7 @@ def test_mean_entropy_graph_gradient_matches_finite_differences():
             z.data = base.copy()
             z.data[i] += sgn * eps
             with ad.no_grad(), fresh_tape():
-                vals.append(_mean_entropy_graph(z).item())
+                vals.append(ad.mean_entropy(z).item())
         fd[i] = (vals[0] - vals[1]) / (2 * eps)
     z.data = base
     rel = np.abs(analytic - fd) / np.maximum.reduce(
@@ -369,3 +368,13 @@ def test_run_adaptation_unknown_strategy():
     model, spec = tiny_model()
     with pytest.raises(ConfigError):
         run_adaptation("fine_tune_harder", model, spec, make_epochs(2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("strategy", ["none", "ttt_ssl", "tent"])
+def test_run_adaptation_rejects_nonfinite_epochs(strategy, bad):
+    model, spec = tiny_model()
+    X = make_epochs(4)
+    X[2, 5, 17] = bad
+    with pytest.raises(ContractError, match="non-finite"):
+        run_adaptation(strategy, model, spec, X)

@@ -70,13 +70,13 @@ class TestPrimitivePullbacks:
         want = fd_grad(lambda v: float(((x + v) ** 2).sum()), b.copy())
         assert rel_err(bt.grad, want) < 1e-5
 
-    def test_div_sqrt_exp_log(self):
+    def test_scale(self):
         x = RNG.uniform(0.5, 2.0, size=(5, 3))
         c = RNG.uniform(0.5, 2.0, size=(5, 3))
         ct = ad.Tensor(c)
         self.check(
-            lambda t: ad.sum_(ad.log(ad.add(ad.exp(ad.div(t, ct)), ad.sqrt(t)))),
-            lambda v: float(np.log(np.exp(v / c) + np.sqrt(v)).sum()),
+            lambda t: ad.sum_(ad.mul(ad.scale(t, -2.5), ad.mul(t, ct))),
+            lambda v: float((-2.5 * v * v * c).sum()),
             x,
         )
 
@@ -112,26 +112,12 @@ class TestPrimitivePullbacks:
             x,
         )
 
-    def test_softmax_and_log_softmax(self):
+    def test_softmax(self):
         x = RNG.normal(size=(5, 4)) * 3
         w = RNG.normal(size=(5, 4))
         self.check(
             lambda t: ad.sum_(ad.mul(ad.softmax(t, axis=1), ad.Tensor(w))),
             lambda v: float((np.exp(v - v.max(1, keepdims=True)) / np.exp(v - v.max(1, keepdims=True)).sum(1, keepdims=True) * w).sum()),
-            x,
-        )
-        self.check(
-            lambda t: ad.sum_(ad.mul(ad.log_softmax(t, axis=1), ad.Tensor(w))),
-            lambda v: float(((v - v.max(1, keepdims=True) - np.log(np.exp(v - v.max(1, keepdims=True)).sum(1, keepdims=True))) * w).sum()),
-            x,
-        )
-
-    def test_take_per_row(self):
-        x = RNG.normal(size=(6, 5))
-        idx = RNG.integers(0, 5, size=6)
-        self.check(
-            lambda t: ad.sum_(ad.take_per_row(t, idx)),
-            lambda v: float(v[np.arange(6), idx].sum()),
             x,
         )
 
@@ -153,21 +139,59 @@ class TestPrimitivePullbacks:
             x,
         )
 
-    def test_concat_reshape_transpose(self):
+    def test_reshape_transpose(self):
         x = RNG.normal(size=(3, 4))
-        w = RNG.normal(size=(8, 3))
+        w = RNG.normal(size=(8, 3))[:4].T
 
         def build(t):
-            both = ad.concat([t, ad.scale(t, 2.0)], axis=0)  # (6,4)
-            moved = ad.transpose(ad.reshape(both, (2, 3, 4)), (1, 0, 2))
-            return ad.sum_(ad.mul(ad.reshape(moved, (3, 8)), ad.Tensor(w.T)))
+            moved = ad.transpose(ad.reshape(t, (2, 3, 2)), (1, 0, 2))
+            return ad.sum_(ad.mul(ad.reshape(moved, (3, 4)), ad.Tensor(w)))
 
         def build_np(v):
-            both = np.concatenate([v, 2.0 * v], axis=0)
-            moved = both.reshape(2, 3, 4).transpose(1, 0, 2)
-            return float((moved.reshape(3, 8) * w.T).sum())
+            moved = v.reshape(2, 3, 2).transpose(1, 0, 2)
+            return float((moved.reshape(3, 4) * w).sum())
 
         self.check(build, build_np, x)
+
+
+class TestFusedLayers:
+    """batch_norm against a numpy oracle; cross_entropy label checks."""
+
+    @pytest.mark.parametrize("train", [True, False])
+    @pytest.mark.parametrize("wrt", ["x", "gamma", "beta"])
+    def test_batch_norm_matches_finite_differences(self, train, wrt):
+        rng = np.random.default_rng(3)
+        vals = {
+            "x": rng.normal(loc=1.0, scale=2.0, size=(6, 4)),
+            "gamma": rng.uniform(0.5, 1.5, size=4),
+            "beta": rng.normal(size=4),
+        }
+        running = (rng.normal(size=4), rng.uniform(0.5, 2.0, size=4))
+        w = rng.normal(size=(6, 4))
+        eps = 1e-5
+
+        def build(t):
+            ts = {k: ad.Tensor(v) for k, v in vals.items()}
+            ts[wrt] = t
+            out, _, _ = ad.batch_norm(ts["x"], ts["gamma"], ts["beta"], eps, None if train else running)
+            return ad.sum_(ad.mul(out, ad.Tensor(w)))
+
+        def build_np(v):
+            a = dict(vals, **{wrt: v})
+            mu, var = (a["x"].mean(axis=0), a["x"].var(axis=0)) if train else running
+            return float((((a["x"] - mu) / np.sqrt(var + eps) * a["gamma"] + a["beta"]) * w).sum())
+
+        got = analytic_grad(build, vals[wrt])
+        assert rel_err(got, fd_grad(build_np, vals[wrt].copy())) < 1e-5
+
+    def test_cross_entropy_rejects_bad_labels(self):
+        z = ad.Tensor(np.zeros((3, 4)))
+        with pytest.raises(ContractError, match="out of range"):
+            ad.cross_entropy(z, [0, 4, 1])
+        with pytest.raises(ContractError, match="out of range"):
+            ad.cross_entropy(z, [0, -1, 1])
+        with pytest.raises(ShapeError, match="cross_entropy"):
+            ad.cross_entropy(z, [0, 1])
 
 
 class TestTapeSemantics:
@@ -318,7 +342,7 @@ class TestGradCheck:
 
         def fragment(inp):
             logits = ad.add(ad.matmul(inp, W), b)
-            return ad.scale(ad.sum_(ad.take_per_row(ad.log_softmax(logits, axis=1), y)), -1.0 / 5)
+            return ad.cross_entropy(logits, y)
 
         assert ad.grad_check(fragment, x, [W, b]) < 1e-6
 
@@ -338,7 +362,7 @@ class TestGradCheck:
                 h = ad.add(ad.matmul(h, params[2 * i]), params[2 * i + 1])
                 if i < 2:
                     h = ad.relu(h)
-            return ad.scale(ad.sum_(ad.take_per_row(ad.log_softmax(h, axis=1), y)), -0.25)
+            return ad.cross_entropy(h, y)
 
         assert ad.grad_check(fragment, x, params) < 1e-6
 

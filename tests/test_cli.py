@@ -225,6 +225,31 @@ def test_report_detects_tampered_aggregates(tmp_path, micro_cfg, capsys):
     assert json.loads(err)["error"] == "ContractError"
 
 
+def test_report_rejects_aggregates_without_rows(tmp_path, micro_cfg, capsys):
+    out = tmp_path / "ev"
+    assert run_cli("evaluate", "--config", micro_cfg, "--out", out,
+                   "--strategy", "supervised_only", capsys=capsys)[0] == 0
+    path = out / "experiment_syn_mi.json"
+    data = json.loads(path.read_text())
+    data["per_seed"] = []
+    path.write_text(json.dumps(data))
+    code, _, err = run_cli("report", "--out", out, capsys=capsys)
+    assert code == 3
+    record = json.loads(err)
+    assert record["error"] == "ContractError" and "no per-seed rows" in record["message"]
+
+
+@pytest.mark.parametrize("content", [b"{broken", b"\xff\xfe{}", b'{"kind": "experiment"}', b"[]"])
+def test_report_rejects_unreadable_report_file(tmp_path, capsys, content):
+    out = tmp_path / "ev"
+    out.mkdir()
+    (out / "experiment_syn_mi.json").write_bytes(content)
+    code, stdout, err = run_cli("report", "--out", out, capsys=capsys)
+    assert code == 3 and stdout == ""
+    record = json.loads(err)
+    assert record["error"] == "ContractError" and "experiment_syn_mi.json" in record["message"]
+
+
 def test_gradcheck_passes_and_writes_audit(tmp_path, capsys):
     out = tmp_path / "gc"
     code, stdout, _ = run_cli("gradcheck", "--out", out, capsys=capsys)

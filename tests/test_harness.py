@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 from ttalign import harness
+from ttalign.adapt import ADAPT_METHODS
 from ttalign.errors import ConfigError
 from ttalign.harness import (
-    ABLATION_COLUMNS,
     ExperimentConfig,
     RunReport,
     build_splits,
@@ -231,7 +231,7 @@ def test_ablation_grid_shape():
     assert rows == {"no_ssl", "stopped_band", "jigsaw", "both"}
     assert len(report.per_seed) == 4
     for rec in report.per_seed:
-        assert set(rec["cells"]) == set(ABLATION_COLUMNS)
+        assert set(rec["cells"]) == set(ADAPT_METHODS)
     # 4 x 3 = 12 aggregate cells
     assert sum(len(cols) for cols in report.aggregates.values()) == 12
 

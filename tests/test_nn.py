@@ -10,6 +10,7 @@ from ttalign import nn
 from ttalign.autodiff import Tensor
 from ttalign.errors import ConfigError, ContractError
 from ttalign.optim import SGD, Adam, make_optimizer
+from ttalign.training import cross_entropy
 
 RNG = np.random.default_rng(42)
 
@@ -86,6 +87,16 @@ class TestBatchNorm:
             return ad.mean(ad.mul(bn(inp, train=True, update_stats=False), w))
 
         assert ad.grad_check(fragment, x, [bn.gamma, bn.beta]) < 1e-5
+
+    def test_train_forward_and_each_loss_record_one_entry(self):
+        bn = nn.BatchNorm(4)
+        with ad.fresh_tape() as tape:
+            out = bn(Tensor(np.arange(24.0).reshape(6, 4), requires_grad=True), train=True)
+            assert len(tape) == 1
+            cross_entropy(out, [0, 1, 2, 3, 0, 1])
+            assert len(tape) == 2
+            ad.mean_entropy(out)
+            assert len(tape) == 3
 
 
 class TestDropout:
@@ -168,7 +179,7 @@ class TestModel:
             rng = np.random.default_rng(77)  # fixed mask per evaluation
             feats = model.features(inp, train=True, dropout_rng=rng, update_stats=False)
             logits = model.main_logits(feats)
-            return ad.scale(ad.sum_(ad.take_per_row(ad.log_softmax(logits, axis=1), y)), -0.25)
+            return ad.cross_entropy(logits, y)
 
         assert ad.grad_check(fragment, x, params) < 1e-5
 
@@ -182,7 +193,7 @@ class TestModel:
         def fragment(inp):
             feats = model.features(inp, train=False)
             logits = model.ssl_logits(0, feats)
-            return ad.scale(ad.sum_(ad.take_per_row(ad.log_softmax(logits, axis=1), y)), -0.25)
+            return ad.cross_entropy(logits, y)
 
         assert ad.grad_check(fragment, x, model.parameters()) < 1e-5
 
