@@ -38,7 +38,15 @@ def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b) / denom))
 
 
-RNG = np.random.default_rng(20260819)
+SEED = 20260819
+RNG = np.random.default_rng(SEED)
+
+
+@pytest.fixture(autouse=True)
+def fresh_rng():
+    """Give every test its own generator, so its data does not depend on the tests before it."""
+    global RNG
+    RNG = np.random.default_rng(SEED)
 
 
 class TestPrimitivePullbacks:

@@ -12,7 +12,15 @@ from ttalign.errors import ConfigError, ContractError
 from ttalign.optim import SGD, Adam, make_optimizer
 from ttalign.training import cross_entropy
 
-RNG = np.random.default_rng(42)
+SEED = 42
+RNG = np.random.default_rng(SEED)
+
+
+@pytest.fixture(autouse=True)
+def fresh_rng():
+    """Give every test its own generator, so its data does not depend on the tests before it."""
+    global RNG
+    RNG = np.random.default_rng(SEED)
 
 
 def small_config(**kw):
