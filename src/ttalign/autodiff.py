@@ -66,7 +66,6 @@ class Tape:
 
     Each record is ``(out, inputs, pull)`` where ``pull(out_adjoint)`` returns one
     gradient contribution per input (or None for non-differentiable inputs).
-    Clearing the tape frees cached activations; parameter tensors are unaffected.
     """
 
     def __init__(self):
@@ -74,9 +73,6 @@ class Tape:
 
     def record(self, out: Tensor, inputs: tuple[Tensor, ...], pull) -> None:
         self._records.append((out, inputs, pull))
-
-    def clear(self) -> None:
-        self._records.clear()
 
     def __len__(self) -> int:
         return len(self._records)
@@ -276,32 +272,6 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     def pull(g: Array):
         inner = (g * p).sum(axis=axis, keepdims=True)
         return (p * (g - inner),)
-
-    return _record(out, (a,), pull)
-
-
-def unfold(a: Tensor, window: int, stride: int) -> Tensor:
-    """Slice the last axis into windows: (..., T) -> (..., K, window).
-
-    Requires window and stride to tile the axis exactly: (T - window) % stride == 0.
-    When ``window == stride`` the windows do not overlap and the result is a reshape
-    of ``a``, sharing its data when ``a`` is contiguous.
-    """
-    T = a.data.shape[-1]
-    if window < 1 or stride < 1 or window > T or (T - window) % stride != 0:
-        raise ShapeError(f"unfold: window={window} stride={stride} does not tile axis of length {T}")
-    k = (T - window) // stride + 1
-    shape = a.data.shape
-    if window == stride:
-        return reshape(a, shape[:-1] + (k, window))
-    windows = np.stack([a.data[..., i * stride: i * stride + window] for i in range(k)], axis=-2)
-    out = Tensor(windows)
-
-    def pull(g: Array):
-        full = np.zeros(shape)
-        for i in range(k):
-            full[..., i * stride: i * stride + window] += g[..., i, :]
-        return (full,)
 
     return _record(out, (a,), pull)
 

@@ -19,8 +19,10 @@ import argparse
 import json
 import sys
 import time
+import types
 from dataclasses import asdict, fields, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -66,11 +68,38 @@ def _tuplify(obj):
     return obj
 
 
+def _fits(value, hint) -> bool:
+    """Whether a loaded JSON value (lists as tuples) has the type a config field declares."""
+    args = get_args(hint)
+    if isinstance(hint, types.UnionType):
+        return any(_fits(value, a) for a in args)
+    if get_origin(hint) is tuple:
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value) if isinstance(value, tuple) else ()
+        return isinstance(value, tuple) and len(value) == len(args) and all(map(_fits, value, args))
+    if hint is float:
+        hint = (int, float)
+    return isinstance(value, hint) and (hint is bool or not isinstance(value, bool))
+
+
+def _typed(cls, values: dict, prefix: str = "") -> dict:
+    """``values`` with lists as tuples; ConfigError for a value of the wrong type."""
+    hints = get_type_hints(cls)
+    out = {key: _tuplify(value) for key, value in values.items()}
+    for key, value in out.items():
+        if key in hints and not _fits(value, hints[key]):
+            want = str(hints[key]).removeprefix("<class '").removesuffix("'>")
+            raise ConfigError(f"config key '{prefix}{key}' must be {want}, got {json.dumps(values[key])}")
+    return out
+
+
 def load_config_file(path: Path) -> dict:
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(raw, dict):
@@ -101,13 +130,13 @@ def build_config(args) -> ExperimentConfig:
                 raise ConfigError(f"config key '{key}' must be an object or null")
             current = getattr(base, key)
             merged = dict(asdict(current)) if current is not None else {}
-            merged.update(value)
+            merged.update(_typed(_NESTED[key], value, f"{key}."))
             try:
-                overrides[key] = _NESTED[key](**{k: _tuplify(v) for k, v in merged.items()})
+                overrides[key] = _NESTED[key](**merged)
             except TypeError as exc:
                 raise ConfigError(f"bad fields for '{key}': {exc}")
         else:
-            overrides[key] = _tuplify(value)
+            overrides.update(_typed(ExperimentConfig, {key: value}))
     if args.seed is not None:
         overrides["base_seed"] = args.seed
     return preset_experiment(task, **overrides)

@@ -101,8 +101,6 @@ def _check_full_stack() -> dict[str, float]:
     cfg = ModelConfig(
         channels=3,
         samples=50,
-        window=25,
-        stride=25,
         hidden=4,
         features=6,
         n_main=3,

@@ -436,8 +436,8 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def emit_report(report: RunReport, out_dir, formats: tuple[str, ...] = ("csv", "structured_text")) -> list[Path]:
-    """Write the report deterministically; returns the created file paths.
+def emit_report(report: RunReport, out_dir) -> list[Path]:
+    """Write the report deterministically as CSV and JSON; returns ``[csv_path, json_path]``.
 
     CSV rows are ``strategy,seed,metric,value`` (ablation: ``row/column`` as the
     strategy key) with 17-significant-digit decimal values, followed by mean/std
@@ -445,35 +445,28 @@ def emit_report(report: RunReport, out_dir, formats: tuple[str, ...] = ("csv", "
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for fmt in formats:
-        if fmt == "csv":
-            path = out_dir / f"{report.kind}_{report.task}.csv"
-            lines = ["strategy,seed,metric,value"]
-            if report.kind == "experiment":
-                for strategy in report.columns:
-                    for rec in report.per_seed:
-                        for metric, value in rec["strategies"][strategy]["metrics"]["values"].items():
-                            lines.append(f"{strategy},{rec['seed']},{metric},{_fmt(value)}")
-                for strategy in report.columns:
-                    for metric, stats in report.aggregates.get(strategy, {}).items():
-                        lines.append(f"{strategy},mean,{metric},{_fmt(stats['mean'])}")
-                        lines.append(f"{strategy},std,{metric},{_fmt(stats['std'])}")
-            else:
-                for rec in report.per_seed:
-                    for column, cell in rec["cells"].items():
-                        for metric, value in cell["values"].items():
-                            lines.append(f"{rec['row']}/{column},{rec['seed']},{metric},{_fmt(value)}")
-                for row, columns in report.aggregates.items():
-                    for column, metrics in columns.items():
-                        for metric, stats in metrics.items():
-                            lines.append(f"{row}/{column},mean,{metric},{_fmt(stats['mean'])}")
-                            lines.append(f"{row}/{column},std,{metric},{_fmt(stats['std'])}")
-            path.write_text("\n".join(lines) + "\n")
-        elif fmt == "structured_text":
-            path = out_dir / f"{report.kind}_{report.task}.json"
-            path.write_text(json.dumps(report.to_dict(), indent=2) + "\n")
-        else:
-            raise ConfigError(f"unknown report format '{fmt}'")
-        written.append(path)
-    return written
+    lines = ["strategy,seed,metric,value"]
+    if report.kind == "experiment":
+        for strategy in report.columns:
+            for rec in report.per_seed:
+                for metric, value in rec["strategies"][strategy]["metrics"]["values"].items():
+                    lines.append(f"{strategy},{rec['seed']},{metric},{_fmt(value)}")
+        for strategy in report.columns:
+            for metric, stats in report.aggregates.get(strategy, {}).items():
+                lines.append(f"{strategy},mean,{metric},{_fmt(stats['mean'])}")
+                lines.append(f"{strategy},std,{metric},{_fmt(stats['std'])}")
+    else:
+        for rec in report.per_seed:
+            for column, cell in rec["cells"].items():
+                for metric, value in cell["values"].items():
+                    lines.append(f"{rec['row']}/{column},{rec['seed']},{metric},{_fmt(value)}")
+        for row, columns in report.aggregates.items():
+            for column, metrics in columns.items():
+                for metric, stats in metrics.items():
+                    lines.append(f"{row}/{column},mean,{metric},{_fmt(stats['mean'])}")
+                    lines.append(f"{row}/{column},std,{metric},{_fmt(stats['std'])}")
+    csv_path = out_dir / f"{report.kind}_{report.task}.csv"
+    csv_path.write_text("\n".join(lines) + "\n")
+    json_path = out_dir / f"{report.kind}_{report.task}.json"
+    json_path.write_text(json.dumps(report.to_dict(), indent=2) + "\n")
+    return [csv_path, json_path]

@@ -1,7 +1,8 @@
 """Model components: linear layers, batch norm, dropout, and the shared-backbone
 classifier with one main head and a list of pretext heads.
 
-The backbone is a per-channel temporal convolution realized as unfold + matmul,
+The backbone cuts each channel into consecutive, non-overlapping windows of
+``WINDOW`` samples (one reshape) and runs a per-window linear map over them,
 followed by batch norm, ReLU, a channel-mixing linear layer, a second norm/ReLU,
 and a temporal mean-pool down to one feature vector per input window sequence.
 """
@@ -19,7 +20,9 @@ from .autodiff import Tensor
 from .errors import ConfigError, ContractError
 
 MAGIC = b"TTA1"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+
+WINDOW = 25  # samples per non-overlapping window of the backbone
 
 
 class Linear:
@@ -54,13 +57,10 @@ class BatchNorm:
     stored running statistics and never mutates them.
     """
 
-    def __init__(self, features: int, momentum: float = 0.1, eps: float = 1e-5):
-        if eps <= 0:
-            raise ConfigError(f"batch norm eps must be positive, got {eps}")
-        if not 0 < momentum < 1:
-            raise ConfigError(f"batch norm momentum must lie in (0, 1), got {momentum}")
-        self.momentum = momentum
-        self.eps = eps
+    momentum = 0.1
+    eps = 1e-5
+
+    def __init__(self, features: int):
         self.gamma = Tensor(np.ones(features), requires_grad=True)
         self.beta = Tensor(np.zeros(features), requires_grad=True)
         self.running_mean = np.zeros(features)
@@ -90,25 +90,19 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
 class ModelConfig:
     channels: int = 8
     samples: int = 200
-    window: int = 25
-    stride: int = 25
     hidden: int = 32
     features: int = 64
     n_main: int = 4
     ssl_dims: tuple[int, ...] = ()
     head_layers: int = 1
     dropout: float = 0.1
-    bn_momentum: float = 0.1
-    bn_eps: float = 1e-5
     init_seed: int = 0
 
     def __post_init__(self):
         if self.head_layers not in (1, 2, 3):
             raise ConfigError(f"head_layers must be 1, 2, or 3, got {self.head_layers}")
-        if self.samples < self.window or (self.samples - self.window) % self.stride != 0:
-            raise ConfigError(
-                f"window {self.window} / stride {self.stride} do not tile {self.samples} samples"
-            )
+        if self.samples <= 0 or self.samples % WINDOW != 0:
+            raise ConfigError(f"samples must be a positive multiple of {WINDOW}, got {self.samples}")
 
 
 class Model:
@@ -121,14 +115,13 @@ class Model:
     def __init__(self, cfg: ModelConfig):
         self.cfg = cfg
         rng = np.random.default_rng(cfg.init_seed)
-        self.conv = Linear(cfg.window, cfg.hidden, rng, bias=False)
-        self.bn1 = BatchNorm(cfg.hidden, cfg.bn_momentum, cfg.bn_eps)
+        self.conv = Linear(WINDOW, cfg.hidden, rng, bias=False)
+        self.bn1 = BatchNorm(cfg.hidden)
         self.mix = Linear(cfg.channels * cfg.hidden, cfg.features, rng, bias=False)
         # learned window-position term; zero-initialized so a fresh model's
         # features are position-uniform until training moves it
-        k = (cfg.samples - cfg.window) // cfg.stride + 1
-        self.pos = Tensor(np.zeros((k, cfg.features)), requires_grad=True)
-        self.bn2 = BatchNorm(cfg.features, cfg.bn_momentum, cfg.bn_eps)
+        self.pos = Tensor(np.zeros((cfg.samples // WINDOW, cfg.features)), requires_grad=True)
+        self.bn2 = BatchNorm(cfg.features)
         self.head: list[Linear] = []
         for i in range(cfg.head_layers):
             fan_out = cfg.n_main if i == cfg.head_layers - 1 else cfg.features
@@ -188,9 +181,9 @@ class Model:
                 f"expected input (B, {cfg.channels}, {cfg.samples}), got {x.shape}"
             )
         b = x.shape[0]
-        k = (cfg.samples - cfg.window) // cfg.stride + 1
-        win = ad.unfold(x, cfg.window, cfg.stride)                  # (B, C, K, W)
-        h = self.conv(ad.reshape(win, (b * cfg.channels * k, cfg.window)))
+        k = cfg.samples // WINDOW
+        # (B, C, K * W) reshapes to (B * C * K, W): each row is one run of consecutive samples
+        h = self.conv(ad.reshape(x, (b * cfg.channels * k, WINDOW)))
         h = ad.relu(self.bn1(h, train, update_stats))               # (B*C*K, H)
         h = ad.reshape(h, (b, cfg.channels, k, cfg.hidden))
         h = ad.transpose(h, (0, 2, 1, 3))                           # (B, K, C, H)

@@ -53,18 +53,14 @@ def band_table_for(task: str) -> tuple[tuple[float, float], ...]:
 
 
 def stopped_band(
-    data: np.ndarray,
-    rng: np.random.Generator,
-    table: tuple[tuple[float, float], ...],
-    rate: float = TARGET_RATE,
-    transition: float = 1.0,
+    data: np.ndarray, rng: np.random.Generator, table: tuple[tuple[float, float], ...]
 ) -> PretextSample:
     """Remove one randomly chosen band; the label is the band's table index."""
     if not table:
         raise ConfigError("stopped_band needs a non-empty band table")
     label = int(rng.integers(len(table)))
     low, high = table[label]
-    view = bandstop(data, rate, low, high, transition)
+    view = bandstop(data, TARGET_RATE, low, high)
     return PretextSample(view=view, task="stopped_band", label=label, n_classes=len(table))
 
 
@@ -84,24 +80,12 @@ def amp_scale(data: np.ndarray, rng: np.random.Generator) -> PretextSample:
     )
 
 
-def ap_flip(
-    data: np.ndarray,
-    rng: np.random.Generator,
-    pairs: tuple[tuple[int, int], ...] = AP_PAIRS,
-) -> PretextSample:
-    """Swap each anterior-posterior channel pair with probability 1/2 (all or none)."""
-    n_ch = data.shape[0]
-    seen: set[int] = set()
-    for a, b in pairs:
-        if not (0 <= a < n_ch and 0 <= b < n_ch) or a == b:
-            raise ConfigError(f"invalid channel pair ({a}, {b}) for {n_ch} channels")
-        if a in seen or b in seen:
-            raise ConfigError(f"channel pair ({a}, {b}) overlaps another pair")
-        seen.update((a, b))
+def ap_flip(data: np.ndarray, rng: np.random.Generator) -> PretextSample:
+    """Swap each anterior-posterior channel pair (``AP_PAIRS``) with probability 1/2 (all or none)."""
     label = int(rng.integers(2))
     view = data.copy()
     if label:
-        for a, b in pairs:
+        for a, b in AP_PAIRS:
             view[[a, b]] = view[[b, a]]
     return PretextSample(view=view, task="ap_flip", label=label, n_classes=2)
 
@@ -158,14 +142,9 @@ class TaskSpec:
     ssl_dims: tuple[int, int]
     weights: tuple[float, float]
     band_table: tuple[tuple[float, float], ...]
-    jigsaw_k: int = 3
 
 
-def task_spec_for(
-    task: str,
-    weights: tuple[float, float] | None = None,
-    jigsaw_k: int = 3,
-) -> TaskSpec:
+def task_spec_for(task: str, weights: tuple[float, float] | None = None) -> TaskSpec:
     from .signals import N_CLASSES
 
     if task not in DOMAIN_TASK:
@@ -175,7 +154,7 @@ def task_spec_for(
     dims = {
         "amp_scale": len(AMP_FACTORS),
         "ap_flip": 2,
-        "jigsaw": math.factorial(jigsaw_k),
+        "jigsaw": math.factorial(3),  # jigsaw() permutes k = 3 chunks
     }[domain]
     return TaskSpec(
         task=task,
@@ -184,7 +163,6 @@ def task_spec_for(
         ssl_dims=(len(table), dims),
         weights=SSL_WEIGHTS[task] if weights is None else tuple(weights),
         band_table=table,
-        jigsaw_k=jigsaw_k,
     )
 
 
@@ -197,5 +175,5 @@ def make_view(name: str, data: np.ndarray, rng: np.random.Generator, spec: TaskS
     if name == "ap_flip":
         return ap_flip(data, rng)
     if name == "jigsaw":
-        return jigsaw(data, rng, spec.jigsaw_k)
+        return jigsaw(data, rng)
     raise ConfigError(f"unknown pretext task '{name}'")

@@ -79,7 +79,7 @@ def _verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
 def _tiny(task="syn_mi", seed=5, **overrides) -> tuple[Model, object]:
     spec = task_spec_for(task)
     kw = dict(
-        channels=8, samples=200, window=25, stride=25,
+        channels=8, samples=200,
         hidden=6, features=12, n_main=spec.n_main, ssl_dims=spec.ssl_dims,
         dropout=0.0, head_layers=1, init_seed=seed,
     )

@@ -35,7 +35,7 @@ LN2 = 0.6931471805599453
 def tiny_model(task="syn_mi", seed=5, **overrides):
     spec = task_spec_for(task)
     kw = dict(
-        channels=8, samples=200, window=25, stride=25, hidden=6, features=12,
+        channels=8, samples=200, hidden=6, features=12,
         n_main=spec.n_main, ssl_dims=spec.ssl_dims, dropout=0.0, head_layers=1,
         init_seed=seed,
     )

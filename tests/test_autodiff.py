@@ -129,24 +129,6 @@ class TestPrimitivePullbacks:
             x,
         )
 
-    def test_unfold(self):
-        x = RNG.normal(size=(2, 3, 50))
-        w = RNG.normal(size=(2, 3, 2, 25))
-        self.check(
-            lambda t: ad.sum_(ad.mul(ad.unfold(t, 25, 25), ad.Tensor(w))),
-            lambda v: float((np.stack([v[..., :25], v[..., 25:]], axis=-2) * w).sum()),
-            x,
-        )
-
-    def test_unfold_overlapping(self):
-        x = RNG.normal(size=(2, 3, 30))
-        w = RNG.normal(size=(2, 3, 5, 10))
-        self.check(
-            lambda t: ad.sum_(ad.mul(ad.unfold(t, 10, 5), ad.Tensor(w))),
-            lambda v: float((np.stack([v[..., 5 * i: 5 * i + 10] for i in range(5)], axis=-2) * w).sum()),
-            x,
-        )
-
     def test_reshape_transpose(self):
         x = RNG.normal(size=(3, 4))
         w = RNG.normal(size=(8, 3))[:4].T
@@ -203,12 +185,6 @@ class TestFusedLayers:
 
 
 class TestTapeSemantics:
-    def test_unfold_window_count(self):
-        x = ad.Tensor(np.arange(200.0).reshape(1, 1, 200))
-        out = ad.unfold(x, 25, 25)
-        assert out.shape == (1, 1, 8, 25)
-        np.testing.assert_array_equal(out.data[0, 0, 3], np.arange(75.0, 100.0))
-
     def test_identity_matmul(self):
         x = RNG.normal(size=(4, 4))
         out = ad.matmul(ad.Tensor(x), ad.Tensor(np.eye(4)))
@@ -278,8 +254,6 @@ class TestTapeSemantics:
     def test_shape_errors_name_the_offender(self):
         with pytest.raises(ShapeError, match="matmul"):
             ad.matmul(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((4, 2))))
-        with pytest.raises(ShapeError, match="unfold"):
-            ad.unfold(ad.Tensor(np.ones((1, 1, 200))), 30, 25)
         with pytest.raises(ShapeError, match="add"):
             ad.add(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((2, 4))))
 
@@ -331,14 +305,6 @@ class TestLeanTape:
             (_, _, pull), = tape._records
         g_x, g_w = pull(np.ones((7, 3)))
         assert g_x is None and np.array_equal(g_w, x.T @ np.ones((7, 3)))
-
-    def test_tiling_unfold_is_a_view_equal_to_stacked_windows(self):
-        x = RNG.normal(size=(2, 3, 200))
-        out = ad.unfold(ad.Tensor(x), 25, 25)
-        stacked = np.stack([x[..., 25 * i: 25 * (i + 1)] for i in range(8)], axis=-2)
-        assert np.array_equal(out.data, stacked)
-        assert np.shares_memory(out.data, x)
-
 
 class TestGradCheck:
     def test_linear_softmax_ce_fragment(self):

@@ -71,6 +71,22 @@ def test_malformed_json_rejected(tmp_path, capsys):
     assert json.loads(err)["error"] == "ConfigError"
 
 
+@pytest.mark.parametrize("content, key", [
+    (b"\xff\xfe{}", "not UTF-8"),
+    (b'{"n_seeds": "2"}', "n_seeds"),
+    (b'{"test_gain": "x"}', "test_gain"),
+    (b'{"shift": {"channel_gain": [1]}}', "shift.channel_gain"),
+    (b'{"hidden": "big"}', "hidden"),
+])
+def test_config_of_wrong_encoding_or_type_rejected(tmp_path, capsys, content, key):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, stdout, err = run_cli("evaluate", "--config", path, "--out", tmp_path / "o", capsys=capsys)
+    assert code == 2 and stdout == "" and err.count("\n") == 1
+    record = json.loads(err)
+    assert record["error"] == "ConfigError" and key in record["message"]
+
+
 def test_pretrain_disabled_rejected(tmp_path, capsys):
     path = tmp_path / "nopre.json"
     path.write_text(json.dumps({**MICRO, "pretrain": None}))

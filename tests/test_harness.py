@@ -286,26 +286,21 @@ def test_emit_report_empty_strategy_list_header_only(tmp_path):
         config_hash="0" * 16, seeds=[], per_seed=[], aggregates={}, wall_time=0.0,
         columns=[],
     )
-    paths = emit_report(report, tmp_path, formats=("csv",))
+    paths = emit_report(report, tmp_path)
     assert paths[0].read_text() == "strategy,seed,metric,value\n"
 
 
 def test_emit_report_json_matches_report(tmp_path):
     report = run_experiment(micro(strategies=("supervised_only",), n_seeds=1))
-    paths = emit_report(report, tmp_path, formats=("structured_text",))
-    loaded = json.loads(paths[0].read_text())
+    paths = emit_report(report, tmp_path)
+    assert [p.name for p in paths] == ["experiment_syn_mi.csv", "experiment_syn_mi.json"]
+    loaded = json.loads(paths[1].read_text())
     assert loaded == report.to_dict()
-
-
-def test_emit_report_unknown_format(tmp_path):
-    report = run_experiment(micro(strategies=("supervised_only",), n_seeds=1))
-    with pytest.raises(ConfigError):
-        emit_report(report, tmp_path, formats=("parquet",))
 
 
 def test_ablation_csv_rows(tmp_path):
     report = run_ablation(micro(n_seeds=1))
-    paths = emit_report(report, tmp_path, formats=("csv",))
+    paths = emit_report(report, tmp_path)
     rows = list(csv.DictReader(io.StringIO(paths[0].read_text())))
     keys = {r["strategy"] for r in rows}
     assert "both/none" in keys and "no_ssl/tent" in keys

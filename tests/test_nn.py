@@ -1,5 +1,7 @@
 """Model layer tests: batch norm statistics, backbone wiring, snapshots, checkpoints."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,7 @@ def fresh_rng():
 
 def small_config(**kw):
     base = dict(
-        channels=3, samples=200, window=25, stride=25, hidden=6, features=8,
+        channels=3, samples=200, hidden=6, features=8,
         n_main=3, ssl_dims=(4, 6), dropout=0.1, init_seed=5,
     )
     base.update(kw)
@@ -35,7 +37,8 @@ def small_config(**kw):
 class TestBatchNorm:
     def test_running_stat_update_matches_hand_computation(self):
         # batch [[1,2],[3,6]]: mean [2,4], biased var [1,4]; momentum 0.1 from (0,1)
-        bn = nn.BatchNorm(2, momentum=0.1)
+        bn = nn.BatchNorm(2)
+        assert bn.momentum == 0.1
         with ad.fresh_tape():
             bn(Tensor(np.array([[1.0, 2.0], [3.0, 6.0]])), train=True)
         np.testing.assert_allclose(bn.running_mean, [0.2, 0.4], atol=1e-15)
@@ -77,12 +80,6 @@ class TestBatchNorm:
         with ad.fresh_tape():
             out = bn(Tensor(np.full((1, 4), 7.0)), train=True).data
         np.testing.assert_allclose(out, np.zeros((1, 4)), atol=1e-12)  # beta = 0
-
-    def test_config_validation(self):
-        with pytest.raises(ConfigError):
-            nn.BatchNorm(3, eps=0.0)
-        with pytest.raises(ConfigError):
-            nn.BatchNorm(3, momentum=1.0)
 
     def test_train_mode_gradcheck(self):
         bn = nn.BatchNorm(4)
@@ -174,8 +171,33 @@ class TestModel:
             small_config(head_layers=4)
 
     def test_window_stride_validation(self):
-        with pytest.raises(ConfigError):
-            small_config(window=30, stride=25)
+        for samples in (210, 20, 0):  # not a positive multiple of WINDOW = 25
+            with pytest.raises(ConfigError, match="multiple of 25"):
+                small_config(samples=samples)
+        assert nn.Model(small_config(samples=50)).pos.shape == (2, 8)
+
+    def test_features_match_numpy_oracle_over_consecutive_windows(self):
+        model = nn.Model(small_config())
+        for bn in (model.bn1, model.bn2):
+            bn.gamma.data[:] = RNG.uniform(0.5, 1.5, size=bn.gamma.shape)
+            bn.beta.data[:] = RNG.normal(size=bn.beta.shape)
+            bn.running_mean = RNG.normal(size=bn.running_mean.shape)
+            bn.running_var = RNG.uniform(0.5, 2.0, size=bn.running_var.shape)
+        model.pos.data[:] = RNG.normal(size=model.pos.shape)
+        x = RNG.normal(size=(5, 3, 200))
+
+        def bn_relu(h, bn):
+            h = (h - bn.running_mean) / np.sqrt(bn.running_var + bn.eps) * bn.gamma.data + bn.beta.data
+            return np.maximum(h, 0.0)
+
+        w = nn.WINDOW
+        windows = np.stack([x[:, :, i * w:(i + 1) * w] for i in range(200 // w)], axis=2)  # (B, C, K, W)
+        h = bn_relu(windows @ model.conv.w.data, model.bn1)                                # (B, C, K, H)
+        h = h.transpose(0, 2, 1, 3).reshape(5, 200 // w, -1)                              # (B, K, C*H)
+        h = bn_relu(h @ model.mix.w.data + model.pos.data, model.bn2)                      # (B, K, D)
+        with ad.fresh_tape():
+            got = model.features(Tensor(x), train=False).data
+        np.testing.assert_allclose(got, h.mean(axis=1), rtol=1e-12, atol=1e-12)
 
     def test_full_stack_gradcheck_train_mode(self):
         model = nn.Model(small_config())
@@ -252,6 +274,13 @@ class TestCheckpointFile:
             assert n1 == n2 and np.array_equal(b1, b2)
         x = RNG.normal(size=(4, 3, 200))
         assert np.array_equal(model.predict_proba(x), loaded.predict_proba(x))
+
+    def test_version_1_checkpoint_rejected(self, tmp_path):
+        raw, path = self._saved(tmp_path)
+        assert struct.unpack_from("<I", raw, 4) == (nn.CHECKPOINT_VERSION,) == (2,)
+        path.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])
+        with pytest.raises(ContractError, match="unsupported checkpoint version 1"):
+            nn.load_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"

@@ -121,13 +121,6 @@ class TestApFlip:
             assert np.array_equal(s.view[a], x[b])
             assert np.array_equal(s.view[b], x[a])
 
-    def test_bad_pairs_rejected(self):
-        x = noisy_epoch(6)
-        with pytest.raises(ConfigError):
-            px.ap_flip(x, np.random.default_rng(0), pairs=((0, 9),))
-        with pytest.raises(ConfigError):
-            px.ap_flip(x, np.random.default_rng(0), pairs=((0, 1), (1, 2)))
-
 
 class _ForcedFlip:
     """Stub generator whose integer draw always lands on 1."""

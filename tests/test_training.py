@@ -35,8 +35,6 @@ def tiny_model(task="syn_mi", seed=5, **overrides):
     kw = dict(
         channels=8,
         samples=200,
-        window=25,
-        stride=25,
         hidden=6,
         features=12,
         n_main=spec.n_main,
