@@ -14,12 +14,19 @@ numbers — and commit the result.
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-from pathlib import Path
+import os
 
-from ttalign.pilot import evaluate_pilot, run_pilot
+# One BLAS thread, set before numpy loads: at these shapes a second BLAS thread
+# burns a core for no wall-time gain.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+from ttalign.pilot import evaluate_pilot, run_pilot  # noqa: E402
 
 GOLDEN = Path(__file__).resolve().parents[1] / "golden" / "directional_margins.json"
 

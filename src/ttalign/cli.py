@@ -31,17 +31,19 @@ from .errors import ConfigError, ContractError, ShapeError
 from .gradcheck import TOLERANCE, max_relative_error, run_gradcheck
 from .harness import (
     STRATEGIES,
+    STRATEGY_CELLS,
     ExperimentConfig,
-    adapt_and_evaluate,
     build_splits,
     config_hash,
     emit_report,
-    finetune,
+    finetuned_rows,
     preset_experiment,
     pretrained_base,
+    report_aggregates,
+    report_cells,
     run_ablation,
+    run_cells,
     run_experiment,
-    strategy_weights,
 )
 from .nn import save_checkpoint
 from .pretext import task_spec_for
@@ -56,6 +58,8 @@ _NESTED = {
     "shift": ShiftSpec,
 }
 _FINETUNE_STRATEGIES = ("supervised_only", "stage1_ssl")
+# nested fields every run overwrites with its own seed and the strategy's weights
+_RUN_OWNED = {"finetune": ("seed", "weights"), "pretrain": ("seed",), "ttt": ("seed",)}
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +132,9 @@ def build_config(args) -> ExperimentConfig:
                 continue
             if not isinstance(value, dict):
                 raise ConfigError(f"config key '{key}' must be an object or null")
+            for owned in _RUN_OWNED.get(key, ()):
+                if owned in value:
+                    raise ConfigError(f"config key '{key}.{owned}' is set by the run, not the config file")
             current = getattr(base, key)
             merged = dict(asdict(current)) if current is not None else {}
             merged.update(_typed(_NESTED[key], value, f"{key}."))
@@ -212,21 +219,14 @@ def cmd_pretrain(args) -> None:
     )
 
 
-def _finetuned(cfg: ExperimentConfig, seed: int, strategy: str):
-    """Stages 1-3 for one seed: splits, pretrained base, the strategy's fine-tuned model."""
-    spec = task_spec_for(cfg.task)
-    splits = build_splits(cfg, seed)
-    base, _ = pretrained_base(cfg, spec, seed, splits["train"][0])
-    model, history = finetune(cfg, spec, base, strategy_weights(strategy, spec), seed, splits)
-    return spec, splits, model, history
-
-
 def cmd_finetune(args) -> None:
     cfg = build_config(args)
     strategy = args.strategy or "stage1_ssl"
     seed = _seed(args, cfg)
     out = _out_dir(args)
-    _, _, model, history = _finetuned(cfg, seed, strategy)
+    row = STRATEGY_CELLS[strategy][0]
+    _, _, models = finetuned_rows(cfg, seed, [row])
+    model, history = models[row]
     ckpt = out / f"checkpoint_{strategy}.ckpt"
     save_checkpoint(model, ckpt)
     _write_json(out / f"finetune_history_{strategy}.json", history)
@@ -249,9 +249,7 @@ def cmd_adapt(args) -> None:
     strategy = args.strategy or "none"
     seed = _seed(args, cfg)
     out = _out_dir(args)
-    spec, splits, model, _ = _finetuned(cfg, seed, "stage1_ssl")
-    X_test, y_test, _ = splits["test"]
-    result, records = adapt_and_evaluate(strategy, model, spec, cfg, seed, X_test, y_test)
+    result, records, _, _ = run_cells(cfg, seed, [("both", strategy)])["both", strategy]
     _write_json(out / f"metrics_{strategy}.json", result.as_dict())
     _write_json(out / f"adaptation_log_{strategy}.json", records)
     _emit(
@@ -339,40 +337,25 @@ def cmd_report(args) -> None:
 # report rendering and verification
 # ---------------------------------------------------------------------------
 
-def _iter_aggregate_rows(data: dict):
-    """Yield (label, metric, stats, per_seed_values) for experiment or ablation dicts."""
-    if data["kind"] == "experiment":
-        for strategy, metrics in data["aggregates"].items():
-            for metric, stats in metrics.items():
-                vals = [
-                    rec["strategies"][strategy]["metrics"]["values"][metric]
-                    for rec in data["per_seed"]
-                ]
-                yield strategy, metric, stats, vals
-    else:
-        for row, columns in data["aggregates"].items():
-            for column, metrics in columns.items():
-                for metric, stats in metrics.items():
-                    vals = [
-                        rec["cells"][column]["values"][metric]
-                        for rec in data["per_seed"]
-                        if rec["row"] == row
-                    ]
-                    yield f"{row}/{column}", metric, stats, vals
-
-
 def _verify_aggregates(data: dict) -> None:
-    for label, metric, stats, vals in _iter_aggregate_rows(data):
-        if not vals:
-            raise ContractError(f"aggregate for {label}/{metric} has no per-seed rows")
-        if abs(stats["mean"] - np.mean(vals)) > 1e-12 or abs(stats["std"] - np.std(vals)) > 1e-12:
-            raise ContractError(
-                f"aggregate for {label}/{metric} does not match its per-seed rows"
-            )
+    """Recompute every aggregate from its per-seed rows with numpy, independently of ``harness``."""
+    rows: dict[str, list[dict]] = {}
+    for label, _, values in report_cells(data):
+        rows.setdefault(label, []).append(values)
+    for label, metrics in report_aggregates(data).items():
+        for metric, stats in metrics.items():
+            vals = [values[metric] for values in rows.get(label, [])]
+            if not vals:
+                raise ContractError(f"aggregate for {label}/{metric} has no per-seed rows")
+            if abs(stats["mean"] - np.mean(vals)) > 1e-12 or abs(stats["std"] - np.std(vals)) > 1e-12:
+                raise ContractError(
+                    f"aggregate for {label}/{metric} does not match its per-seed rows"
+                )
 
 
 def _table_lines(data: dict) -> list[str]:
-    rows = [(label, metric, stats) for label, metric, stats, _ in _iter_aggregate_rows(data)]
+    rows = [(label, metric, stats) for label, metrics in report_aggregates(data).items()
+            for metric, stats in metrics.items()]
     if not rows:
         return ["(empty report)"]
     width = max(len(label) for label, _, _ in rows)

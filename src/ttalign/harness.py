@@ -1,23 +1,22 @@
-"""Experiment orchestration: the staged pipeline, strategy comparisons, the
-pretext ablation grid, and deterministic report emission.
+"""Experiment orchestration: the staged pipeline, the strategy/ablation grid, and
+deterministic report emission.
 
-Every run composes the same stages, and the CLI calls them one by one:
+Every run is a set of ``(row, column)`` cells of one grid, and runs the same stages:
 
 1. :func:`build_splits` — generate, preprocess and split one seed's dataset;
 2. :func:`pretrained_base` — initialise the model and masked-pretrain it;
-3. :func:`finetune` — stage-I fine-tuning of a clone with given pretext weights;
-4. :func:`adapt_and_evaluate` — stage-II adaptation of the test split, then scoring.
+3. :func:`finetune` — stage-I fine-tuning of a clone with one row's pretext weights
+   (:func:`ablation_rows`: none, either pretext task alone, or both);
+4. :func:`adapt_and_evaluate` — one column's stage-II method (``ADAPT_METHODS``) on
+   the test split, then scoring.
 
-A *strategy* names one path through stages 3 and 4 (``STRATEGY_STAGES``):
-
-* ``supervised_only`` — stage-I fine-tuning with both pretext weights at zero.
-* ``stage1_ssl``      — stage-I fine-tuning with the task's pretext weights.
-* ``ttt_ssl``         — stage1_ssl, then per-sample pretext adaptation at test time.
-* ``tent``            — stage1_ssl, then batch entropy minimisation at test time.
-
-The three pretext strategies share one fine-tuned model per seed; the supervised
-baseline is trained separately. Seeds are independent jobs; the TTALIGN_WORKERS
-environment variable bounds the process pool (default 1 = in-process).
+:func:`finetuned_rows` runs stages 1-3 for one seed, each row fine-tuned once, and
+:func:`run_cells` adds stage 4. A compared *strategy* is one cell (``STRATEGY_CELLS``):
+``supervised_only`` is ``no_ssl``/``none``; ``stage1_ssl``, ``ttt_ssl`` and ``tent``
+are the ``both`` row (the task's pretext weights) under ``none``, per-sample
+pretext adaptation and batch entropy minimisation. Only this module knows the
+report layout; :func:`report_cells` and :func:`report_aggregates` read it. Seeds
+are independent jobs; TTALIGN_WORKERS bounds the process pool (default 1 = in-process).
 """
 
 from __future__ import annotations
@@ -37,17 +36,17 @@ from .errors import ConfigError, ContractError
 from .metrics import EvalResult, evaluate_predictions
 from .nn import Model, ModelConfig, clone_model
 from .pretext import TaskSpec, task_spec_for
-from .signals import TASKS, ShiftSpec, epochs_to_arrays, generate_dataset, preprocess
+from .signals import EPOCH_SAMPLES, TARGET_RATE, TASKS, ShiftSpec, epochs_to_arrays, generate_dataset, preprocess
 from .training import FinetuneConfig, PretrainConfig, finetune_stage1, masked_pretrain
 
-# strategy -> (stage-I fine-tuning uses the task's pretext weights, stage-II adaptation kind)
-STRATEGY_STAGES = {
-    "supervised_only": (False, "none"),
-    "stage1_ssl": (True, "none"),
-    "ttt_ssl": (True, "ttt_ssl"),
-    "tent": (True, "tent"),
+# strategy -> its (stage-I row, stage-II column) cell of the grid
+STRATEGY_CELLS = {
+    "supervised_only": ("no_ssl", "none"),
+    "stage1_ssl": ("both", "none"),
+    "ttt_ssl": ("both", "ttt_ssl"),
+    "tent": ("both", "tent"),
 }
-STRATEGIES = tuple(STRATEGY_STAGES)
+STRATEGIES = tuple(STRATEGY_CELLS)
 PROTOCOLS = ("cross_subject", "within_subject")
 WORKERS_ENV = "TTALIGN_WORKERS"
 
@@ -93,6 +92,12 @@ class ExperimentConfig:
             raise ConfigError(f"test_gain must be positive, got {self.test_gain}")
         if self.trials_per_subject < 1:
             raise ConfigError("trials_per_subject must be >= 1")
+        if self.duration < EPOCH_SAMPLES / TARGET_RATE:
+            raise ConfigError(f"duration must cover one epoch ({EPOCH_SAMPLES / TARGET_RATE:g} s), got {self.duration}")
+        if self.hidden < 1 or self.features < 1:
+            raise ConfigError(f"hidden and features must be >= 1, got {self.hidden} and {self.features}")
+        if self.base_seed < 0:
+            raise ConfigError(f"base_seed must be >= 0, got {self.base_seed}")
         if self.protocol == "cross_subject":
             groups = [set(self.train_subjects), set(self.val_subjects), set(self.test_subjects)]
             if any(not g for g in groups):
@@ -198,9 +203,15 @@ def build_splits(cfg: ExperimentConfig, seed: int) -> dict[str, tuple[np.ndarray
 # pipeline stages
 # ---------------------------------------------------------------------------
 
-def strategy_weights(strategy: str, spec: TaskSpec) -> tuple[float, float]:
-    """Stage-I pretext weights of a strategy: the task's, or zero for ``supervised_only``."""
-    return spec.weights if STRATEGY_STAGES[strategy][0] else (0.0, 0.0)
+def ablation_rows(spec: TaskSpec) -> dict[str, tuple[float, float]]:
+    """The grid's rows: row name -> stage-I pretext weights."""
+    w1, w2 = spec.weights
+    return {
+        "no_ssl": (0.0, 0.0),
+        spec.ssl_tasks[0]: (w1, 0.0),
+        spec.ssl_tasks[1]: (0.0, w2),
+        "both": (w1, w2),
+    }
 
 
 def pretrained_base(cfg: ExperimentConfig, spec: TaskSpec, seed: int, X_train: np.ndarray) -> tuple[Model, list[dict]]:
@@ -223,20 +234,48 @@ def finetune(cfg: ExperimentConfig, spec: TaskSpec, base: Model, weights: tuple[
     return finetune_stage1(clone_model(base), spec, Xtr, ytr, Xva, yva, ft)
 
 
-def adapt_and_evaluate(kind: str, model: Model, spec: TaskSpec, cfg: ExperimentConfig, seed: int,
-                       X_test: np.ndarray, y_test: np.ndarray,
-                       adapt_spec: TaskSpec | None = None) -> tuple[EvalResult, list[dict]]:
+def adapt_and_evaluate(kind: str, model: Model, spec: TaskSpec, weights: tuple[float, float],
+                       cfg: ExperimentConfig, seed: int,
+                       X_test: np.ndarray, y_test: np.ndarray) -> tuple[EvalResult, list[dict]]:
     """Stage-II adaptation (``none``/``ttt_ssl``/``tent``) of the test split, then scoring.
 
-    ``adapt_spec`` overrides the pretext weighting used while adapting; scoring
-    always uses ``spec``.
+    Adaptation uses the row's stage-I pretext ``weights``; a row without pretext
+    weights falls back to the task's (adaptation without stage-I alignment).
     """
-    probs, logs = run_adaptation(
-        kind, model, adapt_spec if adapt_spec is not None else spec, X_test,
-        ttt=replace(cfg.ttt, seed=seed), tent=cfg.tent,
-    )
+    adapt_spec = replace(spec, weights=weights) if any(weights) else spec
+    probs, logs = run_adaptation(kind, model, adapt_spec, X_test, ttt=replace(cfg.ttt, seed=seed), tent=cfg.tent)
     scores = probs[:, 1] if spec.n_main == 2 else None
     return evaluate_predictions(y_test, probs.argmax(axis=1), spec.n_main, scores=scores), logs
+
+
+def finetuned_rows(cfg: ExperimentConfig, seed: int,
+                   rows) -> tuple[TaskSpec, dict, dict[str, tuple[Model, list[dict]]]]:
+    """Stages 1-3 for one seed: the splits and pretrained base once, then each row fine-tuned once.
+
+    Returns the task spec, the splits and ``{row: (model, history)}`` in ``rows`` order.
+    """
+    spec = task_spec_for(cfg.task)
+    splits = build_splits(cfg, seed)
+    base, _ = pretrained_base(cfg, spec, seed, splits["train"][0])
+    weights = ablation_rows(spec)
+    return spec, splits, {row: finetune(cfg, spec, base, weights[row], seed, splits) for row in dict.fromkeys(rows)}
+
+
+def run_cells(cfg: ExperimentConfig, seed: int, cells) -> dict[tuple[str, str], tuple]:
+    """Stages 1-4 for one seed over ``(row, column)`` cells.
+
+    Returns ``{cell: (EvalResult, adaptation logs, fine-tuning history, stage-II wall time)}``.
+    """
+    spec, splits, models = finetuned_rows(cfg, seed, [row for row, _ in cells])
+    X_test, y_test, _ = splits["test"]
+    weights = ablation_rows(spec)
+    out = {}
+    for row, column in cells:
+        t0 = time.perf_counter()
+        model, history = models[row]
+        result, logs = adapt_and_evaluate(column, model, spec, weights[row], cfg, seed, X_test, y_test)
+        out[row, column] = (result, logs, history, time.perf_counter() - t0)
+    return out
 
 
 def _adapt_summary(records: list[dict]) -> dict:
@@ -247,31 +286,16 @@ def _adapt_summary(records: list[dict]) -> dict:
 
 
 def run_single(cfg: ExperimentConfig, seed: int) -> dict:
-    """Run every configured strategy for one seed; returns a plain-dict record.
-
-    One model is fine-tuned per distinct weight pair, in ``STRATEGY_STAGES``
-    order (the supervised baseline first); strategies sharing weights share it.
-    """
-    spec = task_spec_for(cfg.task)
-    splits = build_splits(cfg, seed)
-    X_test, y_test, _ = splits["test"]
-    base, _ = pretrained_base(cfg, spec, seed, splits["train"][0])
-    finetuned = {}
-    for strategy in STRATEGY_STAGES:
-        weights = strategy_weights(strategy, spec)
-        if strategy in cfg.strategies and weights not in finetuned:
-            finetuned[weights] = finetune(cfg, spec, base, weights, seed, splits)
-
+    """Run every configured strategy's cell for one seed; returns a plain-dict record."""
+    cells = run_cells(cfg, seed, [STRATEGY_CELLS[s] for s in cfg.strategies])
     record = {"seed": seed, "strategies": {}}
     for strategy in cfg.strategies:
-        t0 = time.perf_counter()
-        model, hist = finetuned[strategy_weights(strategy, spec)]
-        result, logs = adapt_and_evaluate(STRATEGY_STAGES[strategy][1], model, spec, cfg, seed, X_test, y_test)
+        result, logs, history, wall_time = cells[STRATEGY_CELLS[strategy]]
         record["strategies"][strategy] = {
             "metrics": result.as_dict(),
-            "val_best": float(max(h["val_score"] for h in hist)),
+            "val_best": float(max(h["val_score"] for h in history)),
             "adaptation": _adapt_summary(logs),
-            "wall_time": time.perf_counter() - t0,
+            "wall_time": wall_time,
         }
     return record
 
@@ -287,23 +311,13 @@ class RunReport:
     protocol: str
     config_hash: str
     seeds: list[int]
+    columns: list[str]
     per_seed: list[dict]
     aggregates: dict
     wall_time: float
-    columns: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "task": self.task,
-            "protocol": self.protocol,
-            "config_hash": self.config_hash,
-            "seeds": self.seeds,
-            "columns": self.columns,
-            "per_seed": self.per_seed,
-            "aggregates": self.aggregates,
-            "wall_time": self.wall_time,
-        }
+        return asdict(self)
 
 
 def _worker_count() -> int:
@@ -315,17 +329,13 @@ def _worker_count() -> int:
     return max(1, n)
 
 
-def _run_jobs(fn, payloads: list) -> list:
+def _run_jobs(fn, cfg: ExperimentConfig, seeds: list[int]) -> list:
+    """``[fn(cfg, seed) for seed in seeds]``, in a process pool when TTALIGN_WORKERS > 1."""
     workers = _worker_count()
-    if workers == 1 or len(payloads) <= 1:
-        return [fn(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
-        return list(pool.map(fn, payloads))
-
-
-def _experiment_job(payload: tuple[ExperimentConfig, int]) -> dict:
-    cfg, seed = payload
-    return run_single(cfg, seed)
+    if workers == 1 or len(seeds) <= 1:
+        return [fn(cfg, seed) for seed in seeds]
+    with ProcessPoolExecutor(max_workers=min(workers, len(seeds))) as pool:
+        return list(pool.map(fn, [cfg] * len(seeds), seeds))
 
 
 def _aggregate(results: list[dict]) -> dict:
@@ -344,7 +354,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     """Full strategy comparison over ``cfg.n_seeds`` seeds."""
     t0 = time.perf_counter()
     seeds = [cfg.base_seed + s for s in range(cfg.n_seeds)]
-    per_seed = _run_jobs(_experiment_job, [(cfg, s) for s in seeds])
+    per_seed = _run_jobs(run_single, cfg, seeds)
     aggregates = {
         strategy: _aggregate([rec["strategies"][strategy]["metrics"] for rec in per_seed])
         for strategy in cfg.strategies
@@ -366,46 +376,22 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
 # ablation grid
 # ---------------------------------------------------------------------------
 
-def ablation_rows(spec: TaskSpec) -> list[tuple[str, tuple[float, float]]]:
-    w1, w2 = spec.weights
+def _ablation_job(cfg: ExperimentConfig, seed: int) -> list[dict]:
+    """Every cell of the grid for one seed; one record per row."""
+    rows = ablation_rows(task_spec_for(cfg.task))
+    cells = run_cells(cfg, seed, [(row, column) for row in rows for column in ADAPT_METHODS])
     return [
-        ("no_ssl", (0.0, 0.0)),
-        (spec.ssl_tasks[0], (w1, 0.0)),
-        (spec.ssl_tasks[1], (0.0, w2)),
-        ("both", (w1, w2)),
+        {"row": row, "seed": seed, "cells": {column: cells[row, column][0].as_dict() for column in ADAPT_METHODS}}
+        for row in rows
     ]
-
-
-def _ablation_job(payload: tuple[ExperimentConfig, int]) -> list[dict]:
-    """Every ablation row of one seed, sharing the seed's splits and pretrained base."""
-    cfg, seed = payload
-    spec = task_spec_for(cfg.task)
-    splits = build_splits(cfg, seed)
-    X_test, y_test, _ = splits["test"]
-    base, _ = pretrained_base(cfg, spec, seed, splits["train"][0])
-    records = []
-    for row, mask in ablation_rows(spec):
-        model, _ = finetune(cfg, spec, base, mask, seed, splits)
-        # adaptation uses the row's active pretext tasks; the no-SSL row falls back to
-        # the task's default weighting (adaptation without stage-I alignment)
-        adapt_spec = task_spec_for(cfg.task, weights=mask if any(mask) else None)
-        cells = {
-            column: adapt_and_evaluate(column, model, spec, cfg, seed, X_test, y_test, adapt_spec)[0].as_dict()
-            for column in ADAPT_METHODS
-        }
-        records.append({"row": row, "seed": seed, "cells": cells})
-    return records
 
 
 def run_ablation(cfg: ExperimentConfig) -> RunReport:
     """Pretext-weight masks x adaptation strategies; one job per seed runs every row."""
-    spec = task_spec_for(cfg.task)
-    if len(spec.ssl_tasks) != 2:
-        raise ConfigError("the ablation grid expects exactly two pretext tasks")
     t0 = time.perf_counter()
     seeds = [cfg.base_seed + s for s in range(cfg.n_seeds)]
-    by_seed = _run_jobs(_ablation_job, [(cfg, seed) for seed in seeds])
-    rows = [row for row, _ in ablation_rows(spec)]
+    by_seed = _run_jobs(_ablation_job, cfg, seeds)
+    rows = list(ablation_rows(task_spec_for(cfg.task)))
     # row-major: every seed of the first row, then every seed of the next
     per_seed = [records[i] for i in range(len(rows)) for records in by_seed]
     aggregates = {
@@ -429,8 +415,32 @@ def run_ablation(cfg: ExperimentConfig) -> RunReport:
 
 
 # ---------------------------------------------------------------------------
-# report emission
+# report layout and emission
 # ---------------------------------------------------------------------------
+
+def report_cells(data: dict):
+    """Yield ``(label, seed, {metric: value})`` for every per-seed result of a report dict.
+
+    Labels are strategies (experiment) or ``row/column`` (ablation); the order is
+    the CSV's: strategy-major for experiments, record order for ablations.
+    """
+    if data["kind"] == "experiment":
+        for strategy in data["columns"]:
+            for rec in data["per_seed"]:
+                yield strategy, rec["seed"], rec["strategies"][strategy]["metrics"]["values"]
+    else:
+        for rec in data["per_seed"]:
+            for column, cell in rec["cells"].items():
+                yield f"{rec['row']}/{column}", rec["seed"], cell["values"]
+
+
+def report_aggregates(data: dict) -> dict[str, dict]:
+    """A report dict's aggregates as ``{label: {metric: {"mean", "std"}}}``; labels as in :func:`report_cells`."""
+    if data["kind"] == "experiment":
+        return data["aggregates"]
+    return {f"{row}/{column}": metrics
+            for row, columns in data["aggregates"].items() for column, metrics in columns.items()}
+
 
 def _fmt(v: float) -> str:
     return format(float(v), ".17g")
@@ -445,28 +455,16 @@ def emit_report(report: RunReport, out_dir) -> list[Path]:
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    data = report.to_dict()
     lines = ["strategy,seed,metric,value"]
-    if report.kind == "experiment":
-        for strategy in report.columns:
-            for rec in report.per_seed:
-                for metric, value in rec["strategies"][strategy]["metrics"]["values"].items():
-                    lines.append(f"{strategy},{rec['seed']},{metric},{_fmt(value)}")
-        for strategy in report.columns:
-            for metric, stats in report.aggregates.get(strategy, {}).items():
-                lines.append(f"{strategy},mean,{metric},{_fmt(stats['mean'])}")
-                lines.append(f"{strategy},std,{metric},{_fmt(stats['std'])}")
-    else:
-        for rec in report.per_seed:
-            for column, cell in rec["cells"].items():
-                for metric, value in cell["values"].items():
-                    lines.append(f"{rec['row']}/{column},{rec['seed']},{metric},{_fmt(value)}")
-        for row, columns in report.aggregates.items():
-            for column, metrics in columns.items():
-                for metric, stats in metrics.items():
-                    lines.append(f"{row}/{column},mean,{metric},{_fmt(stats['mean'])}")
-                    lines.append(f"{row}/{column},std,{metric},{_fmt(stats['std'])}")
+    for label, seed, values in report_cells(data):
+        lines.extend(f"{label},{seed},{metric},{_fmt(value)}" for metric, value in values.items())
+    for label, metrics in report_aggregates(data).items():
+        for metric, stats in metrics.items():
+            lines.append(f"{label},mean,{metric},{_fmt(stats['mean'])}")
+            lines.append(f"{label},std,{metric},{_fmt(stats['std'])}")
     csv_path = out_dir / f"{report.kind}_{report.task}.csv"
     csv_path.write_text("\n".join(lines) + "\n")
     json_path = out_dir / f"{report.kind}_{report.task}.json"
-    json_path.write_text(json.dumps(report.to_dict(), indent=2) + "\n")
+    json_path.write_text(json.dumps(data, indent=2) + "\n")
     return [csv_path, json_path]

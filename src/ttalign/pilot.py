@@ -33,6 +33,7 @@ from .harness import (
     RunReport,
     config_hash,
     preset_experiment,
+    report_cells,
     run_experiment,
 )
 from .training import FinetuneConfig
@@ -119,10 +120,8 @@ def pilot_config_hashes() -> dict[str, str]:
 
 
 def _per_seed_balacc(report: RunReport, strategy: str) -> list[float]:
-    return [
-        row["strategies"][strategy]["metrics"]["values"]["balanced_accuracy"]
-        for row in report.per_seed
-    ]
+    return [values["balanced_accuracy"]
+            for label, _, values in report_cells(report.to_dict()) if label == strategy]
 
 
 def _pair(report: RunReport, baseline: str, challenger: str) -> dict:

@@ -63,6 +63,8 @@ class PretrainConfig:
             raise ConfigError(f"mask_ratio must lie in (0, 1), got {self.mask_ratio}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be positive")
+        if self.patch < 1:
+            raise ConfigError(f"patch must be >= 1, got {self.patch}")
 
 
 def masked_pretrain(model: Model, X: np.ndarray, cfg: PretrainConfig) -> tuple[Model, list[dict]]:

@@ -1,4 +1,10 @@
+import os
 import sys
+
+# One BLAS thread, set before anything imports numpy: at these shapes a second
+# BLAS thread burns a core for no wall-time gain.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 
 def pytest_terminal_summary(terminalreporter):

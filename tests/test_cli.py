@@ -87,6 +87,38 @@ def test_config_of_wrong_encoding_or_type_rejected(tmp_path, capsys, content, ke
     assert record["error"] == "ConfigError" and key in record["message"]
 
 
+@pytest.mark.parametrize("override, key", [
+    ({"hidden": 0}, "hidden"),
+    ({"features": -3}, "features"),
+    ({"duration": 0}, "duration"),
+    ({"duration": -1}, "duration"),
+    ({"duration": 0.5}, "duration"),
+    ({"pretrain": {"patch": 0}}, "patch"),
+    ({"pretrain": {"patch": -25}}, "patch"),
+    ({"base_seed": -1}, "base_seed"),
+])
+def test_config_out_of_range_rejected(tmp_path, capsys, override, key):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**MICRO, **override}))
+    code, stdout, err = run_cli("evaluate", "--config", path, "--out", tmp_path / "o", capsys=capsys)
+    assert code == 2 and stdout == ""
+    record = json.loads(err)
+    assert record["error"] == "ConfigError" and key in record["message"]
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("finetune", "seed", 7), ("finetune", "weights", [5, 5]), ("pretrain", "seed", 4), ("ttt", "seed", 9),
+])
+def test_run_owned_config_keys_rejected(tmp_path, capsys, section, key, value):
+    # the run overwrites these with its seed and the strategy's weights
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**MICRO, section: {**MICRO.get(section, {}), key: value}}))
+    code, stdout, err = run_cli("evaluate", "--config", path, "--out", tmp_path / "o", capsys=capsys)
+    assert code == 2 and stdout == ""
+    record = json.loads(err)
+    assert record["error"] == "ConfigError" and f"{section}.{key}" in record["message"]
+
+
 def test_pretrain_disabled_rejected(tmp_path, capsys):
     path = tmp_path / "nopre.json"
     path.write_text(json.dumps({**MICRO, "pretrain": None}))

@@ -17,6 +17,7 @@ from ttalign import harness
 from ttalign.adapt import ADAPT_METHODS
 from ttalign.errors import ConfigError
 from ttalign.harness import (
+    STRATEGY_CELLS,
     ExperimentConfig,
     RunReport,
     build_splits,
@@ -237,25 +238,33 @@ def test_ablation_grid_shape():
 
 
 def test_ablation_builds_splits_and_base_once_per_seed(monkeypatch):
+    monkeypatch.delenv("TTALIGN_WORKERS", raising=False)  # counts need the in-process path
+    stages = ("build_splits", "pretrained_base", "finetune")
     calls = []
-    for name in ("build_splits", "pretrained_base"):
+    for name in stages:
         original = getattr(harness, name)
         monkeypatch.setattr(harness, name, lambda *a, _n=name, _f=original: calls.append(_n) or _f(*a))
     report = run_ablation(micro(n_seeds=2))
-    assert calls.count("build_splits") == 2 and calls.count("pretrained_base") == 2
+    # per seed: one split, one base, one fine-tune per row
+    assert [calls.count(name) for name in stages] == [2, 2, 8]
     # rows stay row-major: every seed of one row before the next row
     assert [(r["row"], r["seed"]) for r in report.per_seed] == [
         (row, seed) for row in ("no_ssl", "stopped_band", "jigsaw", "both") for seed in (0, 1)
     ]
+    # the four strategies are cells of two rows: two fine-tunes per seed
+    calls.clear()
+    run_experiment(micro(n_seeds=2))
+    assert [calls.count(name) for name in stages] == [2, 2, 4]
 
 
 def test_ablation_both_no_ttt_cell_matches_stage1_ssl_run():
-    cfg = micro(strategies=("stage1_ssl",), n_seeds=1)
+    cfg = micro(n_seeds=1)
     experiment = run_experiment(cfg)
     ablation = run_ablation(cfg)
-    expected = experiment.per_seed[0]["strategies"]["stage1_ssl"]["metrics"]["values"]
-    both = next(r for r in ablation.per_seed if r["row"] == "both" and r["seed"] == 0)
-    assert both["cells"]["none"]["values"] == expected
+    for strategy, (row, column) in STRATEGY_CELLS.items():
+        expected = experiment.per_seed[0]["strategies"][strategy]["metrics"]["values"]
+        record = next(r for r in ablation.per_seed if r["row"] == row and r["seed"] == 0)
+        assert record["cells"][column]["values"] == expected, strategy
 
 
 # ---------------------------------------------------------------------------
