@@ -30,6 +30,7 @@ from .adapt import ADAPT_METHODS, TentConfig, TttConfig
 from .errors import ConfigError, ContractError, ShapeError
 from .gradcheck import TOLERANCE, max_relative_error, run_gradcheck
 from .harness import (
+    RUN_OWNED,
     STRATEGIES,
     STRATEGY_CELLS,
     ExperimentConfig,
@@ -58,8 +59,6 @@ _NESTED = {
     "shift": ShiftSpec,
 }
 _FINETUNE_STRATEGIES = ("supervised_only", "stage1_ssl")
-# nested fields every run overwrites with its own seed and the strategy's weights
-_RUN_OWNED = {"finetune": ("seed", "weights"), "pretrain": ("seed",), "ttt": ("seed",)}
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +131,7 @@ def build_config(args) -> ExperimentConfig:
                 continue
             if not isinstance(value, dict):
                 raise ConfigError(f"config key '{key}' must be an object or null")
-            for owned in _RUN_OWNED.get(key, ()):
+            for owned in RUN_OWNED.get(key, ()):
                 if owned in value:
                     raise ConfigError(f"config key '{key}.{owned}' is set by the run, not the config file")
             current = getattr(base, key)
@@ -226,7 +225,7 @@ def cmd_finetune(args) -> None:
     out = _out_dir(args)
     row = STRATEGY_CELLS[strategy][0]
     _, _, models = finetuned_rows(cfg, seed, [row])
-    model, history = models[row]
+    _, model, history = models[row]
     ckpt = out / f"checkpoint_{strategy}.ckpt"
     save_checkpoint(model, ckpt)
     _write_json(out / f"finetune_history_{strategy}.json", history)

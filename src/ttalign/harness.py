@@ -203,6 +203,10 @@ def build_splits(cfg: ExperimentConfig, seed: int) -> dict[str, tuple[np.ndarray
 # pipeline stages
 # ---------------------------------------------------------------------------
 
+# nested config fields the stages below overwrite with the run seed and the row's weights
+RUN_OWNED = {"pretrain": ("seed",), "finetune": ("seed", "weights"), "ttt": ("seed",)}
+
+
 def ablation_rows(spec: TaskSpec) -> dict[str, tuple[float, float]]:
     """The grid's rows: row name -> stage-I pretext weights."""
     w1, w2 = spec.weights
@@ -249,16 +253,18 @@ def adapt_and_evaluate(kind: str, model: Model, spec: TaskSpec, weights: tuple[f
 
 
 def finetuned_rows(cfg: ExperimentConfig, seed: int,
-                   rows) -> tuple[TaskSpec, dict, dict[str, tuple[Model, list[dict]]]]:
+                   rows) -> tuple[TaskSpec, dict, dict[str, tuple[tuple[float, float], Model, list[dict]]]]:
     """Stages 1-3 for one seed: the splits and pretrained base once, then each row fine-tuned once.
 
-    Returns the task spec, the splits and ``{row: (model, history)}`` in ``rows`` order.
+    Returns the task spec, the splits and ``{row: (weights, model, history)}`` in ``rows`` order.
     """
     spec = task_spec_for(cfg.task)
     splits = build_splits(cfg, seed)
     base, _ = pretrained_base(cfg, spec, seed, splits["train"][0])
-    weights = ablation_rows(spec)
-    return spec, splits, {row: finetune(cfg, spec, base, weights[row], seed, splits) for row in dict.fromkeys(rows)}
+    table = ablation_rows(spec)
+    return spec, splits, {
+        row: (table[row], *finetune(cfg, spec, base, table[row], seed, splits)) for row in dict.fromkeys(rows)
+    }
 
 
 def run_cells(cfg: ExperimentConfig, seed: int, cells) -> dict[tuple[str, str], tuple]:
@@ -268,12 +274,11 @@ def run_cells(cfg: ExperimentConfig, seed: int, cells) -> dict[tuple[str, str], 
     """
     spec, splits, models = finetuned_rows(cfg, seed, [row for row, _ in cells])
     X_test, y_test, _ = splits["test"]
-    weights = ablation_rows(spec)
     out = {}
     for row, column in cells:
         t0 = time.perf_counter()
-        model, history = models[row]
-        result, logs = adapt_and_evaluate(column, model, spec, weights[row], cfg, seed, X_test, y_test)
+        weights, model, history = models[row]
+        result, logs = adapt_and_evaluate(column, model, spec, weights, cfg, seed, X_test, y_test)
         out[row, column] = (result, logs, history, time.perf_counter() - t0)
     return out
 
@@ -390,16 +395,16 @@ def run_ablation(cfg: ExperimentConfig) -> RunReport:
     """Pretext-weight masks x adaptation strategies; one job per seed runs every row."""
     t0 = time.perf_counter()
     seeds = [cfg.base_seed + s for s in range(cfg.n_seeds)]
-    by_seed = _run_jobs(_ablation_job, cfg, seeds)
-    rows = list(ablation_rows(task_spec_for(cfg.task)))
+    # one tuple per row, holding that row's record from every seed
+    by_row = list(zip(*_run_jobs(_ablation_job, cfg, seeds)))
     # row-major: every seed of the first row, then every seed of the next
-    per_seed = [records[i] for i in range(len(rows)) for records in by_seed]
+    per_seed = [record for records in by_row for record in records]
     aggregates = {
-        row: {
-            column: _aggregate([records[i]["cells"][column] for records in by_seed])
+        records[0]["row"]: {
+            column: _aggregate([record["cells"][column] for record in records])
             for column in ADAPT_METHODS
         }
-        for i, row in enumerate(rows)
+        for records in by_row
     }
     return RunReport(
         kind="ablation",
@@ -430,8 +435,8 @@ def report_cells(data: dict):
                 yield strategy, rec["seed"], rec["strategies"][strategy]["metrics"]["values"]
     else:
         for rec in data["per_seed"]:
-            for column, cell in rec["cells"].items():
-                yield f"{rec['row']}/{column}", rec["seed"], cell["values"]
+            for column in data["columns"]:
+                yield f"{rec['row']}/{column}", rec["seed"], rec["cells"][column]["values"]
 
 
 def report_aggregates(data: dict) -> dict[str, dict]:

@@ -144,7 +144,7 @@ class TaskSpec:
     band_table: tuple[tuple[float, float], ...]
 
 
-def task_spec_for(task: str, weights: tuple[float, float] | None = None) -> TaskSpec:
+def task_spec_for(task: str) -> TaskSpec:
     from .signals import N_CLASSES
 
     if task not in DOMAIN_TASK:
@@ -161,7 +161,7 @@ def task_spec_for(task: str, weights: tuple[float, float] | None = None) -> Task
         n_main=N_CLASSES[task],
         ssl_tasks=("stopped_band", domain),
         ssl_dims=(len(table), dims),
-        weights=SSL_WEIGHTS[task] if weights is None else tuple(weights),
+        weights=SSL_WEIGHTS[task],
         band_table=table,
     )
 

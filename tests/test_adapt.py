@@ -7,6 +7,8 @@ diff proving entropy minimisation touches batch-norm affine terms and nothing
 else.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -224,7 +226,7 @@ def test_ttt_online_carries_adaptation_across_samples():
 
 def test_ttt_first_only_mode():
     x = make_epochs(1, seed=47)[0]
-    spec = task_spec_for("syn_mi", weights=(0.0, 0.8))
+    spec = replace(task_spec_for("syn_mi"), weights=(0.0, 0.8))
     m1, _ = tiny_model(seed=53)
     m2, _ = tiny_model(seed=53)
     p_both, r_both = ttt_ssl_adapt_predict(m1, x, spec, TttConfig(lr=1e-2))
@@ -235,7 +237,7 @@ def test_ttt_first_only_mode():
 
 def test_ttt_all_zero_weights_rejected():
     model, _ = tiny_model()
-    spec = task_spec_for("syn_mi", weights=(0.0, 0.0))
+    spec = replace(task_spec_for("syn_mi"), weights=(0.0, 0.0))
     with pytest.raises(ConfigError):
         ttt_ssl_adapt_predict(model, make_epochs(1)[0], spec, TttConfig())
 

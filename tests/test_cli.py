@@ -287,6 +287,43 @@ def test_report_rejects_aggregates_without_rows(tmp_path, micro_cfg, capsys):
     assert record["error"] == "ContractError" and "no per-seed rows" in record["message"]
 
 
+def _ablation_report(per_seed: list[dict]) -> dict:
+    """A minimal ablation report dict whose aggregates are recomputed from ``per_seed``."""
+    columns = ["none", "ttt_ssl", "tent"]
+    aggregates = {}
+    for rec in per_seed:
+        for column, cell in rec["cells"].items():
+            aggregates.setdefault(rec["row"], {}).setdefault(column, []).append(cell["values"]["accuracy"])
+    aggregates = {
+        row: {column: {"accuracy": {"mean": float(np.mean(v)), "std": float(np.std(v))}}
+              for column, v in by_column.items()}
+        for row, by_column in aggregates.items()
+    }
+    return {"kind": "ablation", "task": "syn_mi", "protocol": "cross_subject", "config_hash": "0" * 16,
+            "seeds": [0, 1], "columns": columns, "per_seed": per_seed, "aggregates": aggregates,
+            "wall_time": 0.0}
+
+
+def test_report_rejects_ablation_record_missing_a_cell(tmp_path, capsys):
+    out = tmp_path / "abl"
+    out.mkdir()
+    path = out / "ablation_syn_mi.json"
+    per_seed = [
+        {"row": "both", "seed": seed, "cells": {column: {"values": {"accuracy": 0.25 * (seed + 1) + 0.125 * k}}
+                                                for k, column in enumerate(("none", "ttt_ssl", "tent"))}}
+        for seed in (0, 1)
+    ]
+    path.write_text(json.dumps(_ablation_report(per_seed)))
+    assert run_cli("report", "--out", out, capsys=capsys)[0] == 0
+    del per_seed[1]["cells"]["tent"]
+    # the aggregate is recomputed over the seeds left, so only the missing cell gives it away
+    path.write_text(json.dumps(_ablation_report(per_seed)))
+    code, stdout, err = run_cli("report", "--out", out, capsys=capsys)
+    assert code == 3 and stdout == ""
+    record = json.loads(err)
+    assert record["error"] == "ContractError" and "'tent'" in record["message"]
+
+
 @pytest.mark.parametrize("content", [b"{broken", b"\xff\xfe{}", b'{"kind": "experiment"}', b"[]"])
 def test_report_rejects_unreadable_report_file(tmp_path, capsys, content):
     out = tmp_path / "ev"

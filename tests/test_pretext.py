@@ -1,6 +1,7 @@
 """Pretext transforms: exact label grids, involution/inversion, label recoverability."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -177,7 +178,7 @@ class TestTaskSpec:
         assert speech.n_main == 5 and stress.n_main == 2 and mi.n_main == 4
 
     def test_weight_override(self):
-        spec = px.task_spec_for("syn_mi", weights=(0.0, 0.5))
+        spec = replace(px.task_spec_for("syn_mi"), weights=(0.0, 0.5))
         assert spec.weights == (0.0, 0.5)
 
     def test_make_view_dispatch(self):
