@@ -113,16 +113,16 @@ def ttt_ssl_adapt_predict(
     if not branches:
         raise ConfigError("no active pretext branch to adapt on (all weights zero)")
     rng = content_rng(x, cfg.seed)
-    samples = [make_view(name, x, rng, spec) for _, name, _ in branches]
+    views = [make_view(name, x[None], rng, spec) for _, name, _ in branches]
     before = {name: p.data.copy() for name, p in model.named_parameters()}
     opt = make_optimizer(cfg.optimizer, model.named_parameters(), cfg.lr)
     losses = []
     for _ in range(cfg.steps):
         with ad.fresh_tape():
             loss = None
-            for (j, _, w), s in zip(branches, samples):
-                feats = model.features(Tensor(s.view[None]), train=False)
-                term = ad.scale(ad.cross_entropy(model.ssl_logits(j, feats), [s.label]), w)
+            for (j, _, w), (view, label) in zip(branches, views):
+                feats = model.features(Tensor(view), train=False)
+                term = ad.scale(ad.cross_entropy(model.ssl_logits(j, feats), label), w)
                 loss = term if loss is None else ad.add(loss, term)
             if not np.isfinite(loss.item()):
                 raise ContractError("non-finite pretext loss during adaptation")

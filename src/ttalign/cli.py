@@ -8,7 +8,9 @@ persisted report).
 
 Every command is deterministic given ``--config`` and ``--seed``: repeated
 invocations reproduce all emitted metric values bit for bit.  Failures exit
-nonzero after printing a single machine-readable JSON error record to stderr.
+nonzero after printing a single machine-readable JSON error record to stderr:
+2 for a config error, 3 for a contract violation, 4 for an I/O error and 5 when
+the run does not fit in memory.
 The ``TTALIGN_WORKERS`` environment variable sets the worker-pool size for
 multi-seed commands.
 """
@@ -433,6 +435,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         _error_record(args.command, exc)
         return 4
+    except MemoryError as exc:
+        _error_record(args.command, exc)
+        return 5
 
 
 def _error_record(command: str, exc: Exception) -> None:

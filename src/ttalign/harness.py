@@ -102,6 +102,9 @@ class ExperimentConfig:
             groups = [set(self.train_subjects), set(self.val_subjects), set(self.test_subjects)]
             if any(not g for g in groups):
                 raise ConfigError("cross_subject needs non-empty train/val/test subject sets")
+            for key in ("train_subjects", "val_subjects", "test_subjects"):
+                if min(getattr(self, key)) < 1:
+                    raise ConfigError(f"{key}: subject ids must be >= 1, got {list(getattr(self, key))}")
             if groups[0] & groups[1] or groups[0] & groups[2] or groups[1] & groups[2]:
                 raise ConfigError("cross_subject train/val/test subject sets must be disjoint")
         else:

@@ -5,6 +5,12 @@ The backbone cuts each channel into consecutive, non-overlapping windows of
 ``WINDOW`` samples (one reshape) and runs a per-window linear map over them,
 followed by batch norm, ReLU, a channel-mixing linear layer, a second norm/ReLU,
 and a temporal mean-pool down to one feature vector per input window sequence.
+
+A :class:`Model` keeps its state in three flat float64 arenas: the parameters,
+their grads, and the batch-norm running statistics. Every parameter's ``data``
+and ``grad`` and every running-stat buffer is a view into one of them, so
+snapshot, restore, clone and zero-grad are each one array operation, and an
+optimizer can step over the whole model at once.
 """
 
 from __future__ import annotations
@@ -71,8 +77,9 @@ class BatchNorm:
         out, mu, var = ad.batch_norm(x, self.gamma, self.beta, self.eps, running)
         if train and update_stats:
             m = self.momentum
-            self.running_mean = (1.0 - m) * self.running_mean + m * mu
-            self.running_var = (1.0 - m) * self.running_var + m * var
+            # in place: inside a Model these buffers are views into its arena
+            self.running_mean[...] = (1.0 - m) * self.running_mean + m * mu
+            self.running_var[...] = (1.0 - m) * self.running_var + m * var
         return out
 
 
@@ -105,6 +112,16 @@ class ModelConfig:
             raise ConfigError(f"samples must be a positive multiple of {WINDOW}, got {self.samples}")
 
 
+def _arena(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Copy ``arrays`` back to back into one flat array; returns it and a view of it shaped like each."""
+    flat = np.concatenate([a.ravel() for a in arrays])
+    views, lo = [], 0
+    for a in arrays:
+        views.append(flat[lo:lo + a.size].reshape(a.shape))
+        lo += a.size
+    return flat, views
+
+
 class Model:
     """Shared backbone + main head + pretext heads.
 
@@ -127,6 +144,15 @@ class Model:
             fan_out = cfg.n_main if i == cfg.head_layers - 1 else cfg.features
             self.head.append(Linear(cfg.features, fan_out, rng))
         self.ssl_heads = [Linear(cfg.features, d, rng) for d in cfg.ssl_dims]
+
+        named = self.named_parameters()
+        self.layout = tuple((n, t.shape) for n, t in named)
+        self.param_arena, datas = _arena([t.data for _, t in named])
+        self.grad_arena, grads = _arena([t.grad for _, t in named])
+        for (_, t), data, grad in zip(named, datas, grads):
+            t.data, t.grad = data, grad
+        self.buffer_arena, buffers = _arena([b for _, b in self.named_buffers()])
+        self.bn1.running_mean, self.bn1.running_var, self.bn2.running_mean, self.bn2.running_var = buffers
 
     # -- parameter bookkeeping ------------------------------------------------
 
@@ -163,8 +189,7 @@ class Model:
         }
 
     def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.zero_grad()
+        self.grad_arena.fill(0.0)
 
     # -- forward passes --------------------------------------------------------
 
@@ -227,32 +252,39 @@ class Model:
 # snapshot / restore
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class Snapshot:
-    params: dict[str, np.ndarray]
-    buffers: dict[str, np.ndarray]
+    """Copies of a model's parameter and buffer arenas, with the parameter layout."""
+
+    layout: tuple[tuple[str, tuple[int, ...]], ...]
+    param_arena: np.ndarray
+    buffer_arena: np.ndarray
+
+    @property
+    def params(self) -> dict[str, np.ndarray]:
+        """Each parameter by name, as a view into the copied arena."""
+        out, lo = {}, 0
+        for name, shape in self.layout:
+            size = int(np.prod(shape))
+            out[name] = self.param_arena[lo:lo + size].reshape(shape)
+            lo += size
+        return out
 
 
 def snapshot(model: Model) -> Snapshot:
-    return Snapshot(
-        params={n: t.data.copy() for n, t in model.named_parameters()},
-        buffers={n: b.copy() for n, b in model.named_buffers()},
-    )
+    return Snapshot(model.layout, model.param_arena.copy(), model.buffer_arena.copy())
 
 
 def restore(model: Model, snap: Snapshot) -> None:
-    names = {n for n, _ in model.named_parameters()}
-    if names != set(snap.params):
+    if snap.layout != model.layout:
         raise ContractError("snapshot parameter set does not match the model")
-    for n, t in model.named_parameters():
-        np.copyto(t.data, snap.params[n])
-    for n, b in model.named_buffers():
-        np.copyto(b, snap.buffers[n])
+    np.copyto(model.param_arena, snap.param_arena)
+    np.copyto(model.buffer_arena, snap.buffer_arena)
 
 
 def clone_model(model: Model) -> Model:
     fresh = Model(model.cfg)
-    restore(fresh, snapshot(model))
+    restore(fresh, Snapshot(model.layout, model.param_arena, model.buffer_arena))  # a view, not a copy
     return fresh
 
 
@@ -269,18 +301,14 @@ def _header_blob(model: Model) -> bytes:
     return json.dumps(header, sort_keys=True).encode()
 
 
-def _state_arrays(model: Model) -> list[np.ndarray]:
-    return [t.data for _, t in model.named_parameters()] + [b for _, b in model.named_buffers()]
-
-
 def save_checkpoint(model: Model, path) -> None:
     blob = _header_blob(model)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(blob)))
         fh.write(blob)
-        for arr in _state_arrays(model):
-            fh.write(arr.astype("<f8").tobytes())
+        for arena in (model.param_arena, model.buffer_arena):  # every tensor's blob, in header order
+            fh.write(arena.astype("<f8").tobytes())
 
 
 def load_checkpoint(path) -> Model:
@@ -309,15 +337,15 @@ def load_checkpoint(path) -> Model:
         raise ContractError(f"{path}: malformed checkpoint header ({type(exc).__name__}: {exc})") from None
     if blob != _header_blob(model):
         raise ContractError(f"{path}: checkpoint header does not match the model its config builds")
-    arrays = _state_arrays(model)
+    arenas = (model.param_arena, model.buffer_arena)
     offset = 12 + hlen
-    size = offset + 8 * sum(a.size for a in arrays)
+    size = offset + 8 * sum(a.size for a in arenas)
     if len(raw) != size:
         what = "truncated" if len(raw) < size else "has trailing bytes"
         raise ContractError(f"{path}: checkpoint {what} ({len(raw)} bytes, expected {size})")
-    for arr in arrays:
-        np.copyto(arr, np.frombuffer(raw, dtype="<f8", count=arr.size, offset=offset).reshape(arr.shape))
-        offset += 8 * arr.size
-        if not np.all(np.isfinite(arr)):
+    for arena in arenas:
+        np.copyto(arena, np.frombuffer(raw, dtype="<f8", count=arena.size, offset=offset))
+        offset += 8 * arena.size
+        if not np.all(np.isfinite(arena)):
             raise ContractError(f"{path}: checkpoint holds non-finite values")
     return model

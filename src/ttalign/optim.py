@@ -1,7 +1,13 @@
 """Plain SGD and Adam over named parameter lists.
 
-Both optimizers read each parameter's ``grad`` buffer in place. A non-finite
-gradient aborts the step with a diagnostic naming the offending parameter.
+Both optimizers step over *runs*: maximal stretches of consecutive parameters
+whose ``data`` and ``grad`` buffers lie back to back in one flat array, such as a
+model's parameter arena. Each run is updated by one set of ufunc calls on its flat
+view; a tensor outside any arena is a run of its own. The elementwise operations
+and their order are those of a per-tensor update, so results are bitwise the same.
+
+Both optimizers read the ``grad`` buffers in place. A non-finite gradient aborts
+the step with a diagnostic naming the offending parameter.
 """
 
 from __future__ import annotations
@@ -11,33 +17,71 @@ import numpy as np
 from .autodiff import Tensor
 from .errors import ConfigError, ContractError
 
+# (the run's named parameters, flat view of their data, flat view of their grads)
+Run = tuple[list[tuple[str, Tensor]], np.ndarray, np.ndarray]
 
-def _check_finite(named_params) -> None:
+
+def _address(a: np.ndarray) -> int:
+    return a.__array_interface__["data"][0]
+
+
+def _adjacent(a: np.ndarray, b: np.ndarray) -> bool:
+    """True when ``b`` starts where ``a`` ends, both contiguous views into one flat array."""
+    base = a.base
+    return (base is not None and b.base is base and base.ndim == 1 and base.flags.c_contiguous
+            and a.flags.c_contiguous and b.flags.c_contiguous and _address(a) + a.nbytes == _address(b))
+
+
+def _flat(arrays: list[np.ndarray]) -> np.ndarray:
+    """One array spanning ``arrays``, which are adjacent in that order."""
+    if len(arrays) == 1:
+        return arrays[0]
+    base = arrays[0].base
+    lo = (_address(arrays[0]) - _address(base)) // base.itemsize
+    return base[lo:lo + sum(a.size for a in arrays)]
+
+
+def _runs(named_params) -> list[Run]:
+    """Split ``named_params`` into runs of memory-adjacent tensors, keeping their order."""
+    groups: list[list[tuple[str, Tensor]]] = []
     for name, p in named_params:
-        if not np.all(np.isfinite(p.grad)):
+        last = groups[-1][-1][1] if groups else None
+        if last is not None and _adjacent(last.data, p.data) and _adjacent(last.grad, p.grad):
+            groups[-1].append((name, p))
+        else:
+            groups.append([(name, p)])
+    return [(g, _flat([p.data for _, p in g]), _flat([p.grad for _, p in g])) for g in groups]
+
+
+def _check_finite(runs: list[Run]) -> None:
+    for named, _, grad in runs:
+        if not np.isfinite(grad).all():
+            name = next(n for n, p in named if not np.isfinite(p.grad).all())
             raise ContractError(f"non-finite gradient in parameter '{name}'")
 
 
-class SGD:
-    """theta <- theta - lr * grad."""
-
+class _Optimizer:
     def __init__(self, named_params: list[tuple[str, Tensor]], lr: float):
         if lr <= 0:
             raise ConfigError(f"learning rate must be positive, got {lr}")
-        self.named_params = list(named_params)
+        self.runs = _runs(named_params)
         self.lr = lr
 
-    def step(self) -> None:
-        _check_finite(self.named_params)
-        for _, p in self.named_params:
-            p.data -= self.lr * p.grad
-
     def zero_grad(self) -> None:
-        for _, p in self.named_params:
-            p.zero_grad()
+        for _, _, grad in self.runs:
+            grad.fill(0.0)
 
 
-class Adam:
+class SGD(_Optimizer):
+    """theta <- theta - lr * grad."""
+
+    def step(self) -> None:
+        _check_finite(self.runs)
+        for _, data, grad in self.runs:
+            data -= self.lr * grad
+
+
+class Adam(_Optimizer):
     """Adam with bias correction; betas (0.9, 0.999), eps 1e-8 by default."""
 
     def __init__(
@@ -47,30 +91,29 @@ class Adam:
         betas: tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,
     ):
-        if lr <= 0:
-            raise ConfigError(f"learning rate must be positive, got {lr}")
-        self.named_params = list(named_params)
-        self.lr = lr
+        super().__init__(named_params, lr)
         self.b1, self.b2 = betas
         self.eps = eps
         self.t = 0
-        self.m = {n: np.zeros_like(p.data) for n, p in self.named_params}
-        self.v = {n: np.zeros_like(p.data) for n, p in self.named_params}
+        # moments, plus two scratch buffers: at arena size a fresh temporary per
+        # operation costs more than the arithmetic
+        self.m, self.v, self._num, self._den = (
+            [np.zeros_like(data) for _, data, _ in self.runs] for _ in range(4))
 
     def step(self) -> None:
-        _check_finite(self.named_params)
+        """m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g g; theta -= lr (m / c1) / (sqrt(v / c2) + eps)."""
+        _check_finite(self.runs)
         self.t += 1
         c1 = 1.0 - self.b1 ** self.t
         c2 = 1.0 - self.b2 ** self.t
-        for n, p in self.named_params:
-            g = p.grad
-            self.m[n] = self.b1 * self.m[n] + (1.0 - self.b1) * g
-            self.v[n] = self.b2 * self.v[n] + (1.0 - self.b2) * g * g
-            p.data -= self.lr * (self.m[n] / c1) / (np.sqrt(self.v[n] / c2) + self.eps)
-
-    def zero_grad(self) -> None:
-        for _, p in self.named_params:
-            p.zero_grad()
+        for (_, data, g), m, v, num, den in zip(self.runs, self.m, self.v, self._num, self._den):
+            m *= self.b1
+            m += np.multiply(1.0 - self.b1, g, out=num)
+            v *= self.b2
+            v += np.multiply(np.multiply(1.0 - self.b2, g, out=num), g, out=num)
+            np.multiply(self.lr, np.divide(m, c1, out=num), out=num)
+            np.add(np.sqrt(np.divide(v, c2, out=den), out=den), self.eps, out=den)
+            data -= np.divide(num, den, out=num)
 
 
 def make_optimizer(kind: str, named_params, lr: float):

@@ -1,9 +1,12 @@
 """Self-supervised pretext transforms and the per-task pretext wiring.
 
 Every transform consumes one (channels, 200) epoch array plus an RNG, draws its
-own label, and returns the transformed view with that label. Two pretext tasks are
-active per main task: stopped-band prediction (shared by all tasks, with a
-task-specific frequency-band table) paired with one domain task:
+own label, and returns the transformed view with that label. :func:`make_view`
+applies one task to a whole (batch, channels, 200) array at once, with the same
+draws, views and labels as the per-sample transforms run epoch by epoch.
+
+Two pretext tasks are active per main task: stopped-band prediction (shared by
+all tasks, with a task-specific frequency-band table) paired with one domain task:
 
 * syn_speech -> amplitude scaling (16 factors evenly spaced on [-2, 2])
 * syn_stress -> anterior-posterior channel flip (binary)
@@ -12,6 +15,7 @@ task-specific frequency-band table) paired with one domain task:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .signals import AP_PAIRS, TARGET_RATE, bandstop
+from .signals import AP_PAIRS, TARGET_RATE, bandstop, bandstop_mask
 
 BAND_TABLES: dict[str, tuple[tuple[float, float], ...]] = {
     "syn_speech": ((0.5, 8.0), (8.0, 30.0), (30.0, 70.0), (70.0, 100.0)),
@@ -30,6 +34,9 @@ BAND_TABLES: dict[str, tuple[tuple[float, float], ...]] = {
 AMP_FACTORS: tuple[float, ...] = tuple(-2.0 + (k * 4.0) / 15.0 for k in range(16))
 
 DOMAIN_TASK = {"syn_speech": "amp_scale", "syn_stress": "ap_flip", "syn_mi": "jigsaw"}
+
+# classes of each domain task; jigsaw permutes k = 3 chunks
+DOMAIN_DIMS = {"amp_scale": len(AMP_FACTORS), "ap_flip": 2, "jigsaw": math.factorial(3)}
 
 # (stopped_band weight, domain task weight) per main task
 SSL_WEIGHTS = {"syn_speech": (0.6, 0.6), "syn_stress": (0.2, 0.1), "syn_mi": (0.1, 0.8)}
@@ -151,29 +158,74 @@ def task_spec_for(task: str) -> TaskSpec:
         raise ConfigError(f"unknown task '{task}'")
     domain = DOMAIN_TASK[task]
     table = band_table_for(task)
-    dims = {
-        "amp_scale": len(AMP_FACTORS),
-        "ap_flip": 2,
-        "jigsaw": math.factorial(3),  # jigsaw() permutes k = 3 chunks
-    }[domain]
     return TaskSpec(
         task=task,
         n_main=N_CLASSES[task],
         ssl_tasks=("stopped_band", domain),
-        ssl_dims=(len(table), dims),
+        ssl_dims=(len(table), DOMAIN_DIMS[domain]),
         weights=SSL_WEIGHTS[task],
         band_table=table,
     )
 
 
-def make_view(name: str, data: np.ndarray, rng: np.random.Generator, spec: TaskSpec) -> PretextSample:
-    """Draw one pretext view for the named task under this spec."""
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@functools.lru_cache(maxsize=16)
+def _band_masks(table: tuple[tuple[float, float], ...], n: int) -> np.ndarray:
+    """(bands, n // 2 + 1): the :func:`stopped_band` mask of each band of ``table``."""
+    return _readonly(np.stack([bandstop_mask(n, TARGET_RATE, low, high) for low, high in table]))
+
+
+@functools.lru_cache(maxsize=16)
+def _jigsaw_orders(n: int) -> np.ndarray:
+    """(6, n): the time index that builds the :func:`jigsaw` view (k = 3) of each label."""
+    bounds = _chunk_bounds(n, 3)
+    return _readonly(np.array([np.concatenate([np.arange(*bounds[i]) for i in perm])
+                               for perm in itertools.permutations(range(3))]))
+
+
+@functools.lru_cache(maxsize=16)
+def _flip_orders(channels: int) -> np.ndarray:
+    """(2, channels): the channel order of the :func:`ap_flip` view of each label."""
+    orders = np.tile(np.arange(channels), (2, 1))
+    for a, b in AP_PAIRS:
+        orders[1, [a, b]] = orders[1, [b, a]]
+    return _readonly(orders)
+
+
+def make_view(
+    name: str, data: np.ndarray, rng: np.random.Generator, spec: TaskSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw one view of the named task per epoch of a (B, C, T) batch; returns (views, labels).
+
+    Each epoch's label is one scalar ``rng.integers`` draw, in batch order: the
+    per-sample transform's own call, so the stream does not rest on how numpy
+    fills an array draw. The views, the labels and the generator's state
+    afterwards are bitwise those of the per-sample transform applied to each
+    epoch in turn.
+    """
+    if data.ndim != 3:
+        raise ContractError(f"make_view expects a (B, C, T) batch, got shape {data.shape}")
     if name == "stopped_band":
-        return stopped_band(data, rng, spec.band_table)
-    if name == "amp_scale":
-        return amp_scale(data, rng)
-    if name == "ap_flip":
-        return ap_flip(data, rng)
-    if name == "jigsaw":
-        return jigsaw(data, rng)
-    raise ConfigError(f"unknown pretext task '{name}'")
+        if not spec.band_table:
+            raise ConfigError("stopped_band needs a non-empty band table")
+        n_classes = len(spec.band_table)
+    elif name in DOMAIN_DIMS:
+        n_classes = DOMAIN_DIMS[name]
+    else:
+        raise ConfigError(f"unknown pretext task '{name}'")
+    labels = np.array([rng.integers(n_classes) for _ in range(data.shape[0])], dtype=np.int64)
+    if name == "stopped_band":
+        n = data.shape[-1]
+        masks = _band_masks(spec.band_table, n)[labels][:, None, :]
+        views = np.fft.irfft(np.fft.rfft(data, axis=-1) * masks, n=n, axis=-1)
+    elif name == "amp_scale":
+        views = np.array(AMP_FACTORS)[labels][:, None, None] * data
+    elif name == "ap_flip":
+        views = data[np.arange(data.shape[0])[:, None], _flip_orders(data.shape[1])[labels]]
+    else:
+        views = np.stack([x[:, order] for x, order in zip(data, _jigsaw_orders(data.shape[-1])[labels])])
+    return views, labels

@@ -117,12 +117,16 @@ def _stop_mask(freqs: np.ndarray, low: float, high: float, transition: float) ->
     return m
 
 
+def bandstop_mask(n: int, rate: float, low: float, high: float, transition: float = 1.0) -> np.ndarray:
+    """The rfft-bin gains by which :func:`bandstop` scales an n-sample signal."""
+    _validate_band(low, high, rate, "bandstop")
+    return _stop_mask(np.fft.rfftfreq(n, d=1.0 / rate), low, high, transition)
+
+
 def bandstop(data: np.ndarray, rate: float, low: float, high: float, transition: float = 1.0) -> np.ndarray:
     """Zero the [low, high] Hz band of each channel with raised-cosine edges."""
-    _validate_band(low, high, rate, "bandstop")
     n = data.shape[-1]
-    freqs = np.fft.rfftfreq(n, d=1.0 / rate)
-    spec = np.fft.rfft(data, axis=-1) * _stop_mask(freqs, low, high, transition)
+    spec = np.fft.rfft(data, axis=-1) * bandstop_mask(n, rate, low, high, transition)
     return np.fft.irfft(spec, n=n, axis=-1)
 
 

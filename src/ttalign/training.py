@@ -195,9 +195,7 @@ def finetune_stage1(
                 main_logits = model.forward_main(Tensor(xb), train=True, dropout_rng=dropout_rng)
                 ssl_logits, ssl_labels, ssl_w = [], [], []
                 for j, name, w in active:
-                    samples = [make_view(name, xb[i], pretext_rng, spec) for i in range(xb.shape[0])]
-                    views = np.stack([s.view for s in samples])
-                    labels = np.array([s.label for s in samples], dtype=np.int64)
+                    views, labels = make_view(name, xb, pretext_rng, spec)
                     # views normalize with their own batch statistics, but only
                     # main-branch forwards feed the running estimates used at eval
                     feats = model.features(

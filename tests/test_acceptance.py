@@ -133,12 +133,12 @@ def test_criterion_02_single_step_exactness():
         if w != 0.0
     ]
     rng = content_rng(x, cfg.seed)
-    samples = [make_view(name, x, rng, spec) for _, name, _ in branches]
+    views = [make_view(name, x[None], rng, spec) for _, name, _ in branches]
     with ad.fresh_tape():
         loss = None
-        for (j, _, w), s in zip(branches, samples):
-            feats = reference.features(Tensor(s.view[None]), train=False)
-            term = ad.scale(cross_entropy(reference.ssl_logits(j, feats), [s.label]), w)
+        for (j, _, w), (view, label) in zip(branches, views):
+            feats = reference.features(Tensor(view), train=False)
+            term = ad.scale(cross_entropy(reference.ssl_logits(j, feats), label), w)
             loss = term if loss is None else ad.add(loss, term)
         reference.zero_grad()
         ad.backward(loss)

@@ -149,12 +149,12 @@ def test_ttt_single_sgd_step_is_exact_gradient_descent():
     # independent replication of the single step
     rng = content_rng(x, cfg.seed)
     branches = [(j, name, w) for j, (name, w) in enumerate(zip(spec.ssl_tasks, spec.weights)) if w != 0.0]
-    samples = [make_view(name, x, rng, spec) for _, name, _ in branches]
+    views = [make_view(name, x[None], rng, spec) for _, name, _ in branches]
     with fresh_tape():
         loss = None
-        for (j, _, w), s in zip(branches, samples):
-            feats = ref.features(Tensor(s.view[None]), train=False)
-            term = ad.scale(cross_entropy(ref.ssl_logits(j, feats), [s.label]), w)
+        for (j, _, w), (view, label) in zip(branches, views):
+            feats = ref.features(Tensor(view), train=False)
+            term = ad.scale(cross_entropy(ref.ssl_logits(j, feats), label), w)
             loss = term if loss is None else ad.add(loss, term)
         backward(loss)
     moved = 0

@@ -96,6 +96,8 @@ def test_config_of_wrong_encoding_or_type_rejected(tmp_path, capsys, content, ke
     ({"pretrain": {"patch": 0}}, "patch"),
     ({"pretrain": {"patch": -25}}, "patch"),
     ({"base_seed": -1}, "base_seed"),
+    ({"train_subjects": [-1, 1]}, "train_subjects"),
+    ({"test_subjects": [0]}, "test_subjects"),
 ])
 def test_config_out_of_range_rejected(tmp_path, capsys, override, key):
     path = tmp_path / "bad.json"
@@ -104,6 +106,21 @@ def test_config_out_of_range_rejected(tmp_path, capsys, override, key):
     assert code == 2 and stdout == ""
     record = json.loads(err)
     assert record["error"] == "ConfigError" and key in record["message"]
+
+
+@pytest.mark.parametrize("command", ["generate", "evaluate"])
+def test_memory_error_maps_to_exit_5(tmp_path, micro_cfg, capsys, monkeypatch, command):
+    import ttalign.harness
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.45 TiB for an array")
+
+    monkeypatch.delenv("TTALIGN_WORKERS", raising=False)
+    monkeypatch.setattr(ttalign.harness, "generate_dataset", out_of_memory)
+    code, stdout, err = run_cli(command, "--config", micro_cfg, "--out", tmp_path / "o", capsys=capsys)
+    assert code == 5 and stdout == "" and err.count("\n") == 1
+    record = json.loads(err)
+    assert record == {"command": command, "error": "MemoryError", "message": "Unable to allocate 7.45 TiB for an array"}
 
 
 @pytest.mark.parametrize("section, key, value", [

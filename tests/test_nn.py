@@ -181,8 +181,8 @@ class TestModel:
         for bn in (model.bn1, model.bn2):
             bn.gamma.data[:] = RNG.uniform(0.5, 1.5, size=bn.gamma.shape)
             bn.beta.data[:] = RNG.normal(size=bn.beta.shape)
-            bn.running_mean = RNG.normal(size=bn.running_mean.shape)
-            bn.running_var = RNG.uniform(0.5, 2.0, size=bn.running_var.shape)
+            bn.running_mean[...] = RNG.normal(size=bn.running_mean.shape)
+            bn.running_var[...] = RNG.uniform(0.5, 2.0, size=bn.running_var.shape)
         model.pos.data[:] = RNG.normal(size=model.pos.shape)
         x = RNG.normal(size=(5, 3, 200))
 
@@ -244,6 +244,19 @@ class TestSnapshotRestore:
         for n, p in model.named_parameters():
             assert np.array_equal(p.data, snap.params[n])
 
+    def test_restore_undoes_running_stat_update_after_snapshot(self):
+        model = nn.Model(small_config())
+        snap = nn.snapshot(model)
+        stats = [b.copy() for _, b in model.named_buffers()]
+        with ad.fresh_tape():  # a train-mode forward folds batch stats into the running ones
+            model.features(Tensor(RNG.normal(size=(6, 3, 200))), train=True)
+        assert not np.array_equal(model.bn1.running_mean, stats[0])
+        nn.restore(model, snap)
+        for (n, b), before in zip(model.named_buffers(), stats):
+            assert np.array_equal(b, before), n
+        for bn, (mean, var) in ((model.bn1, stats[:2]), (model.bn2, stats[2:])):
+            assert np.array_equal(bn.running_mean, mean) and np.array_equal(bn.running_var, var)
+
     def test_restore_rejects_mismatched_model(self):
         snap = nn.snapshot(nn.Model(small_config()))
         other = nn.Model(small_config(ssl_dims=(4,)))
@@ -257,6 +270,44 @@ class TestSnapshotRestore:
         assert np.array_equal(model.predict_proba(x), twin.predict_proba(x))
         twin.conv.w.data += 1.0
         assert not np.array_equal(model.conv.w.data, twin.conv.w.data)
+
+
+class TestArena:
+    def test_state_is_views_into_three_arenas(self):
+        model = nn.Model(small_config(head_layers=2))
+        named = model.named_parameters()
+        assert [n for n, _ in model.layout] == [n for n, _ in named]
+        assert model.param_arena.size == model.grad_arena.size == sum(p.size for _, p in named)
+        lo = 0
+        for _, p in named:
+            assert np.shares_memory(p.data, model.param_arena[lo:lo + p.size])
+            assert np.shares_memory(p.grad, model.grad_arena[lo:lo + p.size])
+            lo += p.size
+        lo = 0
+        for _, b in model.named_buffers():
+            assert np.shares_memory(b, model.buffer_arena[lo:lo + b.size])
+            lo += b.size
+        assert lo == model.buffer_arena.size
+
+    def test_zero_grad_clears_every_grad(self):
+        model = nn.Model(small_config())
+        x, y = Tensor(RNG.normal(size=(4, 3, 200))), RNG.integers(0, 4, size=4)
+        with ad.fresh_tape():
+            ad.backward(ad.cross_entropy(model.forward_main(x, train=True), y))
+        assert all(p.grad.any() for p in (model.conv.w, model.mix.w))
+        model.zero_grad()
+        assert all(not p.grad.any() for p in model.parameters())
+
+    def test_clone_copies_params_and_buffers_only(self):
+        model = nn.Model(small_config(init_seed=3))
+        with ad.fresh_tape():
+            model.features(Tensor(RNG.normal(size=(6, 3, 200))), train=True)
+        model.conv.w.grad[...] = 1.0
+        twin = nn.clone_model(model)
+        assert np.array_equal(twin.param_arena, model.param_arena)
+        assert np.array_equal(twin.buffer_arena, model.buffer_arena)
+        assert not twin.grad_arena.any()
+        assert not np.shares_memory(twin.param_arena, model.param_arena)
 
 
 class TestCheckpointFile:
@@ -373,6 +424,20 @@ class TestOptimizers:
         Adam([("p", p)], lr=1e-3).step()
         np.testing.assert_allclose(np.abs(p.data - before), 1e-3, rtol=1e-4)
 
+    def test_adam_replays_reference_update_bitwise(self):
+        model = nn.Model(small_config())
+        opt = Adam(model.named_parameters(), lr=1e-2)
+        theta = model.param_arena.copy()
+        m, v = np.zeros_like(theta), np.zeros_like(theta)
+        for t in range(1, 4):
+            g = RNG.normal(size=theta.shape)
+            model.grad_arena[...] = g
+            opt.step()
+            m = 0.9 * m + (1.0 - 0.9) * g
+            v = 0.999 * v + (1.0 - 0.999) * g * g
+            theta = theta - 1e-2 * (m / (1.0 - 0.9 ** t)) / (np.sqrt(v / (1.0 - 0.999 ** t)) + 1e-8)
+            assert np.array_equal(model.param_arena, theta)
+
     def test_zero_grad_then_step_is_noop_for_sgd(self):
         p = self._grad_step_setup()
         opt = SGD([("p", p)], lr=0.1)
@@ -386,6 +451,29 @@ class TestOptimizers:
         p.grad[1] = np.nan
         with pytest.raises(ContractError, match="'p'"):
             SGD([("p", p)], lr=0.1).step()
+
+    def test_nonfinite_gradient_in_arena_names_parameter(self):
+        model = nn.Model(small_config())
+        model.pos.grad[0, 1] = np.inf
+        with pytest.raises(ContractError, match="'pos'"):
+            Adam(model.named_parameters(), lr=1e-3).step()
+
+    @pytest.mark.parametrize("kind", ["adam", "sgd"])
+    def test_arena_steps_equal_standalone_copies(self, kind):
+        model = nn.Model(small_config(head_layers=2))
+        copies = [(n, Tensor(p.data.copy(), requires_grad=True)) for n, p in model.named_parameters()]
+        subset = [(n, p) for n, p in model.named_parameters() if n.startswith("bn")]
+        opt = make_optimizer(kind, model.named_parameters(), 1e-2)
+        ref = make_optimizer(kind, copies, 1e-2)
+        assert len(opt.runs) == 1 and len(ref.runs) == len(copies)
+        assert len(make_optimizer(kind, subset, 1e-2).runs) == 2  # bn1 and bn2 gamma/beta pairs
+        for _ in range(5):
+            for (_, p), (_, q) in zip(model.named_parameters(), copies):
+                p.grad[...] = q.grad[...] = RNG.normal(size=p.shape)
+            opt.step()
+            ref.step()
+        for (n, p), (_, q) in zip(model.named_parameters(), copies):
+            assert np.array_equal(p.data, q.data), n
 
     def test_factory(self):
         p = self._grad_step_setup()

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from ttalign import pretext as px
 from ttalign import signals as sig
-from ttalign.errors import ConfigError
+from ttalign.errors import ConfigError, ContractError
 
 
 def noisy_epoch(seed=0, rms=5.0):
@@ -182,21 +182,55 @@ class TestTaskSpec:
         assert spec.weights == (0.0, 0.5)
 
     def test_make_view_dispatch(self):
-        x = noisy_epoch(10)
+        x = noisy_epoch(10)[None]
         spec = px.task_spec_for("syn_mi")
         for name in spec.ssl_tasks:
-            s = px.make_view(name, x, np.random.default_rng(3), spec)
-            assert s.view.shape == x.shape
+            views, labels = px.make_view(name, x, np.random.default_rng(3), spec)
+            assert views.shape == x.shape and labels.shape == (1,) and labels.dtype == np.int64
         with pytest.raises(ConfigError):
             px.make_view("rotation", x, np.random.default_rng(3), spec)
+        with pytest.raises(ContractError):
+            px.make_view("jigsaw", x[0], np.random.default_rng(3), spec)
 
     def test_seeded_views_reproduce(self):
-        x = noisy_epoch(11)
+        x = noisy_epoch(11)[None]
         spec = px.task_spec_for("syn_speech")
         for name in spec.ssl_tasks:
             a = px.make_view(name, x, np.random.default_rng(8), spec)
             b = px.make_view(name, x, np.random.default_rng(8), spec)
-            assert a.label == b.label and np.array_equal(a.view, b.view)
+            assert np.array_equal(a[1], b[1]) and np.array_equal(a[0], b[0])
+
+
+# the per-sample transforms are the reference for the batched make_view
+PER_SAMPLE = {
+    "stopped_band": lambda x, rng, spec: px.stopped_band(x, rng, spec.band_table),
+    "amp_scale": lambda x, rng, spec: px.amp_scale(x, rng),
+    "ap_flip": lambda x, rng, spec: px.ap_flip(x, rng),
+    "jigsaw": lambda x, rng, spec: px.jigsaw(x, rng),
+}
+
+
+@pytest.mark.parametrize("batch", [1, 3, 8])
+@pytest.mark.parametrize("task, name", [
+    (task, name) for task in ("syn_mi", "syn_stress", "syn_speech") for name in px.task_spec_for(task).ssl_tasks
+])
+def test_batched_views_equal_stacked_per_sample_draws(task, name, batch):
+    spec = px.task_spec_for(task)
+    X = np.stack([noisy_epoch(100 + i) for i in range(batch)])
+    rng, ref_rng, one_rng = (np.random.default_rng([batch, 5]) for _ in range(3))
+    views, labels = px.make_view(name, X, rng, spec)
+
+    ref = [PER_SAMPLE[name](x, ref_rng, spec) for x in X]
+    assert all(s.task == name for s in ref)
+    assert np.array_equal(labels, [s.label for s in ref])
+    assert np.array_equal(views, np.stack([s.view for s in ref]))
+
+    one = [px.make_view(name, X[i:i + 1], one_rng, spec) for i in range(batch)]
+    assert np.array_equal(labels, np.concatenate([lab for _, lab in one]))
+    assert np.array_equal(views, np.concatenate([v for v, _ in one]))
+
+    state = rng.bit_generator.state
+    assert state == ref_rng.bit_generator.state == one_rng.bit_generator.state
 
 
 @settings(max_examples=30, deadline=None)
@@ -209,8 +243,8 @@ def test_property_views_preserve_shape_and_label_range(seed, name, task):
     rng = np.random.default_rng(seed)
     x = sig.pink_noise(rng, 8, 200, 200.0, rms=4.0)
     spec = px.task_spec_for(task)
-    s = px.make_view(name, x, rng, spec)
-    assert s.view.shape == x.shape
-    assert s.view.dtype == np.float64
-    assert 0 <= s.label < s.n_classes
-    assert s.n_classes == dict(zip(("stopped_band", spec.ssl_tasks[1]), spec.ssl_dims)).get(s.task, s.n_classes)
+    views, labels = px.make_view(name, x[None], rng, spec)
+    assert views.shape == (1,) + x.shape
+    assert views.dtype == np.float64
+    n_classes = len(spec.band_table) if name == "stopped_band" else px.DOMAIN_DIMS[name]
+    assert 0 <= labels[0] < n_classes
