@@ -11,6 +11,9 @@ directory, so both run the unmodified ``perfbench/run.py`` of their own tree as
 
     python3 perfbench/run.py --workload W --seed S --seconds X --trace 0
 
+where X is the ``run_seconds`` that ``BENCHMARK.json`` fixes, so every
+recorded pair runs at the benchmark's own run length.
+
 ``--run W:N`` runs N pairs of workload W. Pair k uses seed ``--seed + k`` on
 both sides; the parent runs first in even pairs and the change in odd ones.
 The result is written to ``BENCH_<label>.json`` at the repository root: the
@@ -105,7 +108,6 @@ def main(argv=None) -> int:
     parser.add_argument("--run", action="append", required=True, metavar="WORKLOAD:PAIRS",
                         help="workload and its number of pairs; repeatable")
     parser.add_argument("--seed", type=int, required=True, help="seed of the first pair")
-    parser.add_argument("--seconds", type=float, default=20.0, help="--seconds of every perfbench run")
     args = parser.parse_args(argv)
 
     plan = []
@@ -116,6 +118,7 @@ def main(argv=None) -> int:
         plan.append((workload, int(n)))
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seconds = spec["run_seconds"]
 
     work = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
     try:
@@ -128,7 +131,7 @@ def main(argv=None) -> int:
                 order = SIDES if k % 2 == 0 else SIDES[::-1]
                 for side in order:
                     t0 = time.perf_counter()
-                    machine, result = run_once(trees[side], workload, seed, args.seconds)
+                    machine, result = run_once(trees[side], workload, seed, seconds)
                     runs.append({
                         "workload": workload, "pair": k, "seed": seed, "side": side, "first": side == order[0],
                         "correct": result["correct"], "attempted": result["attempted"], "failed": result["failed"],
@@ -142,7 +145,7 @@ def main(argv=None) -> int:
     payload = {
         "label": args.label,
         "revisions": revs,
-        "command": "python3 perfbench/run.py --workload W --seed S --seconds %g --trace 0" % args.seconds,
+        "command": "python3 perfbench/run.py --workload W --seed S --seconds %g --trace 0" % seconds,
         "machine": machine,
         "summary": summarize(runs, better),
         "runs": runs,

@@ -227,5 +227,5 @@ def make_view(
     elif name == "ap_flip":
         views = data[np.arange(data.shape[0])[:, None], _flip_orders(data.shape[1])[labels]]
     else:
-        views = np.stack([x[:, order] for x, order in zip(data, _jigsaw_orders(data.shape[-1])[labels])])
+        views = np.take_along_axis(data, _jigsaw_orders(data.shape[-1])[labels][:, None, :], axis=-1)
     return views, labels

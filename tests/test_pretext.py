@@ -246,5 +246,7 @@ def test_property_views_preserve_shape_and_label_range(seed, name, task):
     views, labels = px.make_view(name, x[None], rng, spec)
     assert views.shape == (1,) + x.shape
     assert views.dtype == np.float64
-    n_classes = len(spec.band_table) if name == "stopped_band" else px.DOMAIN_DIMS[name]
-    assert 0 <= labels[0] < n_classes
+    # the label must fit the head that learns it: this task's, or that of the task owning the pretext
+    owner = spec if name in spec.ssl_tasks else px.task_spec_for(
+        next(t for t, domain in px.DOMAIN_TASK.items() if domain == name))
+    assert 0 <= labels[0] < owner.ssl_dims[owner.ssl_tasks.index(name)]
