@@ -20,8 +20,12 @@ The result is written to ``BENCH_<label>.json`` at the repository root: the
 machine facts perfbench printed, both revisions, every run's end-to-end
 metrics, and per workload and metric each side's median and quartiles, the
 change's wins over the parent pair by pair, and whether the gap between the
-medians exceeds the parent's interquartile range. Only the standard library
-is used.
+medians exceeds the parent's interquartile range.
+
+After the pairs, each side makes one traced run per workload (``--trace 1``,
+seed ``--seed``), and the file also holds those per-layer metrics: they show
+where a change's time went, while the end-to-end figures above come from the
+untraced runs alone. Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -57,10 +61,10 @@ def export(rev: str, dest: Path) -> str:
     return sha
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
-    """One untraced perfbench run; returns (machine facts, result of its last line)."""
+def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> tuple[dict, dict]:
+    """One perfbench run; returns (machine facts, result of its last line)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode not in (0, 1) or not lines:
@@ -139,6 +143,14 @@ def main(argv=None) -> int:
                         "wall_s": time.perf_counter() - t0,
                     })
                     print(json.dumps(runs[-1]), flush=True)
+        traced = {}
+        for workload, _ in plan:
+            traced[workload] = {"seed": args.seed}
+            for side in SIDES:
+                _, result = run_once(trees[side], workload, args.seed, seconds, trace=1)
+                traced[workload][side] = {"correct": result["correct"], "metrics": result["metrics"]}
+                print(json.dumps({"workload": workload, "side": side, "traced": True,
+                                  "correct": result["correct"]}), flush=True)
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
@@ -146,9 +158,12 @@ def main(argv=None) -> int:
         "label": args.label,
         "revisions": revs,
         "command": "python3 perfbench/run.py --workload W --seed S --seconds %g --trace 0" % seconds,
+        "traced_command": "python3 perfbench/run.py --workload W --seed %d --seconds %g --trace 1"
+                          % (args.seed, seconds),
         "machine": machine,
         "summary": summarize(runs, better),
         "runs": runs,
+        "traced": traced,
     }
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(payload, indent=1) + "\n")

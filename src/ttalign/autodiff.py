@@ -9,7 +9,10 @@ accumulates adjoints into the ``grad`` buffers of the leaves: tensors created wi
 contribution of any input that does not require grad.
 
 Batch norm, softmax cross-entropy and the mean entropy are fused primitives: one
-record each, where a chain of general primitives would take up to nine.
+record each, where a chain of general primitives would take up to nine. Layers
+elsewhere record their own fused ops through :func:`record`; ``nn.Model.features``
+records a whole backbone pass as one, with the batch-norm arithmetic of
+:func:`bn_forward` and :func:`bn_pull`.
 
 Gradients accumulate across repeated ``backward`` calls; training loops are expected
 to zero parameter grads between steps. All computation is float64 and bitwise
@@ -107,7 +110,13 @@ def no_grad():
         _GRAD_ENABLED.pop()
 
 
-def _record(out: Tensor, inputs: tuple[Tensor, ...], pull) -> Tensor:
+def record(out: Tensor, inputs: tuple[Tensor, ...], pull) -> Tensor:
+    """Put ``out`` on the active tape with its ``pull``, if recording is on and an input needs grad.
+
+    ``pull(out_adjoint)`` returns one contribution per input, None where an input
+    needs none. Primitives here and fused layers elsewhere record through this hook.
+    Returns ``out``.
+    """
     if _GRAD_ENABLED[-1] and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         active_tape().record(out, inputs, pull)
@@ -180,7 +189,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         ga = _unbroadcast(g, a.data.shape) if a.requires_grad else None
         return ga, _unbroadcast(g, b.data.shape) if b.requires_grad else None
 
-    return _record(out, (a, b), pull)
+    return record(out, (a, b), pull)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -191,7 +200,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         ga = _unbroadcast(g, a.data.shape) if a.requires_grad else None
         return ga, _unbroadcast(-g, b.data.shape) if b.requires_grad else None
 
-    return _record(out, (a, b), pull)
+    return record(out, (a, b), pull)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -203,7 +212,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         ga = _unbroadcast(g * bd, ad.shape) if a.requires_grad else None
         return ga, _unbroadcast(g * ad, bd.shape) if b.requires_grad else None
 
-    return _record(out, (a, b), pull)
+    return record(out, (a, b), pull)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
@@ -213,7 +222,7 @@ def scale(a: Tensor, s: float) -> Tensor:
     def pull(g: Array):
         return (g * s,)
 
-    return _record(out, (a,), pull)
+    return record(out, (a,), pull)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -225,7 +234,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def pull(g: Array):
         return g @ bd.T if a.requires_grad else None, ad.T @ g if b.requires_grad else None
 
-    return _record(out, (a, b), pull)
+    return record(out, (a, b), pull)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -235,7 +244,7 @@ def relu(a: Tensor) -> Tensor:
     def pull(g: Array):
         return (g * mask,)
 
-    return _record(out, (a,), pull)
+    return record(out, (a,), pull)
 
 
 def mean(a: Tensor, axis: int | None = None) -> Tensor:
@@ -248,7 +257,7 @@ def mean(a: Tensor, axis: int | None = None) -> Tensor:
         n = shape[axis]
         return (np.broadcast_to(np.expand_dims(g, axis) / n, shape).copy(),)
 
-    return _record(out, (a,), pull)
+    return record(out, (a,), pull)
 
 
 def sum_(a: Tensor, axis: int | None = None) -> Tensor:
@@ -260,7 +269,7 @@ def sum_(a: Tensor, axis: int | None = None) -> Tensor:
             return (np.full(shape, g),)
         return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
 
-    return _record(out, (a,), pull)
+    return record(out, (a,), pull)
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -273,7 +282,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
         inner = (g * p).sum(axis=axis, keepdims=True)
         return (p * (g - inner),)
 
-    return _record(out, (a,), pull)
+    return record(out, (a,), pull)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -283,7 +292,7 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     def pull(g: Array):
         return (g.reshape(orig),)
 
-    return _record(out, (a,), pull)
+    return record(out, (a,), pull)
 
 
 def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
@@ -293,12 +302,68 @@ def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
     def pull(g: Array):
         return (np.transpose(g, inv),)
 
-    return _record(out, (a,), pull)
+    return record(out, (a,), pull)
 
 
 # ---------------------------------------------------------------------------
 # fused layers: one tape record each, with a hand-written pull
 # ---------------------------------------------------------------------------
+
+def bn_forward(
+    xd: Array, gd: Array, bd: Array, eps: float, running: tuple[Array, Array] | None = None
+) -> tuple[Array, tuple[Array, Array, Array], Array, Array]:
+    """Forward of :func:`batch_norm` on arrays: ``(out, cache, mean, var)``.
+
+    ``cache`` is what :func:`bn_pull` needs. The statistics are taken with
+    ``np.add.reduce(..) / n``, which is bitwise ``.mean(axis=0)``.
+    """
+    n = xd.shape[0]
+    if running is None:
+        mu = np.add.reduce(xd, axis=0) / n
+        c = xd - mu
+        xhat = np.multiply(c, c)
+        var = np.add.reduce(xhat, axis=0) / n
+    else:
+        mu, var = running
+        c = xd - mu
+        xhat = np.empty_like(c)
+    s = np.sqrt(var + eps)
+    np.divide(c, s, out=xhat)
+    out = xhat * gd
+    out += bd
+    return out, (xhat, c, s), mu, var
+
+
+def bn_pull(
+    g: Array, gd: Array, cache: tuple[Array, Array, Array], train: bool,
+    need_x: bool, need_gamma: bool, need_beta: bool,
+) -> tuple[Array | None, Array | None, Array | None]:
+    """Contributions of :func:`batch_norm` for ``(x, gamma, beta)``; None where not needed.
+
+    Repeats, in order, the float operations of the backward through the chain the
+    fused op replaces (mean, sub, mul, mean, add, sqrt, div, mul, add), so gradients
+    are bitwise equal to that chain's and the golden file reproduces. One scratch
+    buffer holds each (n, features) temporary in turn.
+    """
+    xhat, c, s = cache
+    gx = scratch = None
+    if need_x:
+        scratch = g * gd
+        gx = scratch / s
+        if train:
+            n = g.shape[0]
+            np.negative(scratch, out=scratch)
+            scratch *= c
+            scratch /= s * s
+            gv = (scratch.sum(axis=0) * 0.5 / s) / n
+            gx += np.multiply(gv, c, out=scratch)
+            gx += np.multiply(gv, c, out=scratch)  # c feeds the variance twice (c * c)
+            gx += np.negative(gx, out=scratch).sum(axis=0) / n
+    ggamma = None
+    if need_gamma:
+        ggamma = (g * xhat if scratch is None else np.multiply(g, xhat, out=scratch)).sum(axis=0)
+    return gx, ggamma, g.sum(axis=0) if need_beta else None
+
 
 def batch_norm(
     x: Tensor, gamma: Tensor, beta: Tensor, eps: float, running: tuple[Array, Array] | None = None
@@ -310,36 +375,13 @@ def batch_norm(
     by the given constant ``(mean, var)``. Returns the output and the mean and
     variance it used.
     """
-    xd, gd = x.data, gamma.data
-    if running is None:
-        mu = xd.mean(axis=0)
-        c = xd - mu
-        var = (c * c).mean(axis=0)
-    else:
-        mu, var = running
-        c = xd - mu
-    s = np.sqrt(var + eps)
-    xhat = c / s
-    out = Tensor(xhat * gd + beta.data)
-    n = xd.shape[0]
+    out, cache, mu, var = bn_forward(x.data, gamma.data, beta.data, eps, running)
+    gd = gamma.data
 
-    # Repeats, in order, the float operations of the backward through the chain it
-    # replaces (mean, sub, mul, mean, add, sqrt, div, mul, add), so gradients are
-    # bitwise equal to that chain's and the golden file reproduces.
     def pull(g: Array):
-        gx = None
-        if x.requires_grad:
-            gxh = g * gd
-            gx = gxh / s
-            if running is None:
-                gv = ((-gxh * c / (s * s)).sum(axis=0) * 0.5 / s) / n
-                gx = gx + gv * c
-                gx = gx + gv * c
-                gx = gx + (-gx).sum(axis=0) / n
-        ggamma = (g * xhat).sum(axis=0) if gamma.requires_grad else None
-        return gx, ggamma, g.sum(axis=0) if beta.requires_grad else None
+        return bn_pull(g, gd, cache, running is None, x.requires_grad, gamma.requires_grad, beta.requires_grad)
 
-    return _record(out, (x, gamma, beta), pull), mu, var
+    return record(Tensor(out), (x, gamma, beta), pull), mu, var
 
 
 def _log_softmax(z: Array) -> tuple[Array, Array]:
@@ -351,6 +393,16 @@ def _log_softmax(z: Array) -> tuple[Array, Array]:
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
     """Softmax cross-entropy of (n, classes) logits, mean over the n rows."""
+    return cross_entropy_picked(logits, labels)[0]
+
+
+def cross_entropy_picked(logits: Tensor, labels) -> tuple[Tensor, Array]:
+    """:func:`cross_entropy`, and each row's log-probability of its label.
+
+    The loss is ``picked.sum() * (-1/n)``. A training log reads ``-picked.mean()``
+    from the same log-softmax; the two agree bit for bit only when n is a power
+    of two.
+    """
     labels = np.asarray(labels, dtype=np.int64)
     z = logits.data
     if z.ndim != 2 or labels.ndim != 1 or labels.shape[0] != z.shape[0]:
@@ -360,7 +412,8 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     lsm, p = _log_softmax(z)
     n = labels.shape[0]
     rows = np.arange(n)
-    out = Tensor(lsm[rows, labels].sum() * (-1.0 / n))
+    picked = lsm[rows, labels]
+    out = Tensor(picked.sum() * (-1.0 / n))
 
     # Repeats, in order, the float operations of the backward through the chain it
     # replaces (log_softmax, take_per_row, sum, scale), so gradients are bitwise equal.
@@ -370,7 +423,7 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
         onehot[rows, labels] = v
         return (onehot - p * v,)
 
-    return _record(out, (logits,), pull)
+    return record(out, (logits,), pull), picked
 
 
 def mean_entropy(logits: Tensor) -> Tensor:
@@ -386,7 +439,7 @@ def mean_entropy(logits: Tensor) -> Tensor:
         gl = gm * p + gm * lsm * p
         return (gl - p * gl.sum(axis=1, keepdims=True),)
 
-    return _record(out, (logits,), pull)
+    return record(out, (logits,), pull)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,11 @@ The backbone cuts each channel into consecutive, non-overlapping windows of
 ``WINDOW`` samples (one reshape) and runs a per-window linear map over them,
 followed by batch norm, ReLU, a channel-mixing linear layer, a second norm/ReLU,
 and a temporal mean-pool down to one feature vector per input window sequence.
+One pass (:meth:`Model.features`) is one tape record. Its hand-written pull
+repeats, in order, the float operations of the backward through the chain of
+primitives it replaces, so gradients are bitwise those of that chain; the
+batch-norm arithmetic is ``autodiff.bn_forward``/``bn_pull``, shared with
+:class:`BatchNorm`.
 
 A :class:`Model` keeps its state in three flat float64 arenas: the parameters,
 their grads, and the batch-norm running statistics. Every parameter's ``data``
@@ -73,24 +78,42 @@ class BatchNorm:
         self.running_var = np.ones(features)
 
     def __call__(self, x: Tensor, train: bool, update_stats: bool = True) -> Tensor:
-        running = None if train else (self.running_mean, self.running_var)
-        out, mu, var = ad.batch_norm(x, self.gamma, self.beta, self.eps, running)
+        out, mu, var = ad.batch_norm(x, self.gamma, self.beta, self.eps, self._running(train))
         if train and update_stats:
-            m = self.momentum
-            # in place: inside a Model these buffers are views into its arena
-            self.running_mean[...] = (1.0 - m) * self.running_mean + m * mu
-            self.running_var[...] = (1.0 - m) * self.running_var + m * var
+            self._update_running(mu, var)
         return out
+
+    def normalize(self, xd: np.ndarray, train: bool, update_stats: bool = True):
+        """:meth:`__call__` on a bare array, for a fused pass: records nothing and
+        returns ``autodiff.bn_forward``'s output and cache."""
+        out, cache, mu, var = ad.bn_forward(xd, self.gamma.data, self.beta.data, self.eps, self._running(train))
+        if train and update_stats:
+            self._update_running(mu, var)
+        return out, cache
+
+    def _running(self, train: bool) -> tuple[np.ndarray, np.ndarray] | None:
+        return None if train else (self.running_mean, self.running_var)
+
+    def _update_running(self, mu: np.ndarray, var: np.ndarray) -> None:
+        m = self.momentum
+        # in place: inside a Model these buffers are views into its arena
+        self.running_mean[...] = (1.0 - m) * self.running_mean + m * mu
+        self.running_var[...] = (1.0 - m) * self.running_var + m * var
+
+
+def dropout_mask(shape: tuple[int, ...], p: float, rng: np.random.Generator | None) -> np.ndarray | None:
+    """Inverted-dropout multiplier of ``shape``; None (identity) without a generator or when p == 0."""
+    if rng is None or p == 0.0:
+        return None
+    if not 0.0 <= p < 1.0:
+        raise ConfigError(f"dropout rate must lie in [0, 1), got {p}")
+    return (rng.random(shape) >= p) / (1.0 - p)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
     """Inverted dropout; identity when no generator is supplied or p == 0."""
-    if rng is None or p == 0.0:
-        return x
-    if not 0.0 <= p < 1.0:
-        raise ConfigError(f"dropout rate must lie in [0, 1), got {p}")
-    mask = (rng.random(x.shape) >= p) / (1.0 - p)
-    return ad.mul(x, Tensor(mask))
+    mask = dropout_mask(x.shape, p, rng)
+    return x if mask is None else ad.mul(x, Tensor(mask))
 
 
 @dataclass(frozen=True)
@@ -200,25 +223,54 @@ class Model:
         dropout_rng: np.random.Generator | None = None,
         update_stats: bool = True,
     ) -> Tensor:
+        """The backbone pass, (B, C, T) -> (B, features), recorded as one tape entry."""
         cfg = self.cfg
         if x.ndim != 3 or x.shape[1] != cfg.channels or x.shape[2] != cfg.samples:
             raise ContractError(
                 f"expected input (B, {cfg.channels}, {cfg.samples}), got {x.shape}"
             )
-        b = x.shape[0]
+        b, ch, hid, d = x.shape[0], cfg.channels, cfg.hidden, cfg.features
         k = cfg.samples // WINDOW
+        conv_w, bn1, mix_w, pos, bn2 = self.conv.w, self.bn1, self.mix.w, self.pos, self.bn2
+        wc, g1, wm, g2 = conv_w.data, bn1.gamma.data, mix_w.data, bn2.gamma.data
         # (B, C, K * W) reshapes to (B * C * K, W): each row is one run of consecutive samples
-        h = self.conv(ad.reshape(x, (b * cfg.channels * k, WINDOW)))
-        h = ad.relu(self.bn1(h, train, update_stats))               # (B*C*K, H)
-        h = ad.reshape(h, (b, cfg.channels, k, cfg.hidden))
-        h = ad.transpose(h, (0, 2, 1, 3))                           # (B, K, C, H)
-        h = self.mix(ad.reshape(h, (b * k, cfg.channels * cfg.hidden)))
-        h = ad.add(ad.reshape(h, (b, k, cfg.features)), self.pos)   # window-position term
-        h = ad.relu(self.bn2(ad.reshape(h, (b * k, cfg.features)), train, update_stats))
-        h = ad.mean(ad.reshape(h, (b, k, cfg.features)), axis=1)    # (B, D)
-        if train:
-            h = dropout(h, cfg.dropout, dropout_rng)
-        return h
+        rows = x.data.reshape(b * ch * k, WINDOW)
+        a1, cache1 = bn1.normalize(rows @ wc, train, update_stats)
+        np.maximum(a1, 0.0, out=a1)                                              # (B*C*K, H)
+        mixed_in = a1.reshape(b, ch, k, hid).transpose(0, 2, 1, 3).reshape(b * k, ch * hid)
+        h = (mixed_in @ wm).reshape(b, k, d) + pos.data                          # window-position term
+        a2, cache2 = bn2.normalize(h.reshape(b * k, d), train, update_stats)
+        np.maximum(a2, 0.0, out=a2)                                              # (B*K, D)
+        out = a2.reshape(b, k, d).mean(axis=1)                                   # (B, D)
+        mask = dropout_mask(out.shape, cfg.dropout, dropout_rng) if train else None
+        if mask is not None:
+            out = out * mask
+        inputs = (x, conv_w, bn1.gamma, bn1.beta, mix_w, pos, bn2.gamma, bn2.beta)
+
+        # Repeats, in order, the float operations of the backward through the chain
+        # of primitives this pass replaces (reshape, matmul, batch norm, relu,
+        # reshape, transpose, reshape, matmul, reshape, add, reshape, batch norm,
+        # relu, reshape, mean, dropout), so gradients are bitwise equal to it. A
+        # ReLU's mask is read from its output: max(v, 0) > 0 exactly when v > 0.
+        def pull(g: np.ndarray):
+            need = [t.requires_grad for t in inputs]
+            if mask is not None:
+                g = g * mask
+            g = np.broadcast_to(np.expand_dims(g, 1) / k, (b, k, d)).copy().reshape(b * k, d)
+            g *= a2 > 0.0
+            gh, gg2, gb2 = ad.bn_pull(g, g2, cache2, train, any(need[:6]), need[6], need[7])
+            gpos = gh.reshape(b, k, d).sum(axis=0) if need[5] else None
+            gwm = mixed_in.T @ gh if need[4] else None
+            gx = gwc = gg1 = gb1 = None
+            if any(need[:4]):
+                g = (gh @ wm.T).reshape(b, k, ch, hid).transpose(0, 2, 1, 3).reshape(b * ch * k, hid)
+                g *= a1 > 0.0
+                g, gg1, gb1 = ad.bn_pull(g, g1, cache1, train, any(need[:2]), need[2], need[3])
+                gwc = rows.T @ g if need[1] else None
+                gx = (g @ wc.T).reshape(x.shape) if need[0] else None
+            return gx, gwc, gg1, gb1, gwm, gpos, gg2, gb2
+
+        return ad.record(Tensor(out), inputs, pull)
 
     def main_logits(self, feats: Tensor) -> Tensor:
         h = feats

@@ -31,17 +31,25 @@ def combined_loss(
     ssl_logits: list[Tensor],
     ssl_labels: list,
     weights,
-) -> Tensor:
-    """CE(main) + sum_j weights[j] * CE(ssl_j). Branch lists must align."""
+) -> tuple[Tensor, list[float]]:
+    """CE(main) + sum_j weights[j] * CE(ssl_j), and each branch's unweighted CE as logged.
+
+    Branch lists must align. The logged values list the main branch first, then the
+    pretext branches in order. Each is ``-mean`` of the picked log-probabilities of
+    the loss's own log-softmax (see :func:`autodiff.cross_entropy_picked`).
+    """
     if not (len(ssl_logits) == len(ssl_labels) == len(weights)):
         raise ContractError(
             f"misaligned pretext branches: {len(ssl_logits)} logits, "
             f"{len(ssl_labels)} label sets, {len(weights)} weights"
         )
-    loss = cross_entropy(main_logits, y)
+    loss, picked = ad.cross_entropy_picked(main_logits, y)
+    logged = [float(-picked.mean())]
     for w, logits, labels in zip(weights, ssl_logits, ssl_labels):
-        loss = ad.add(loss, ad.scale(cross_entropy(logits, labels), float(w)))
-    return loss
+        term, picked = ad.cross_entropy_picked(logits, labels)
+        loss = ad.add(loss, ad.scale(term, float(w)))
+        logged.append(float(-picked.mean()))
+    return loss, logged
 
 
 # ---------------------------------------------------------------------------
@@ -204,15 +212,15 @@ def finetune_stage1(
                     ssl_logits.append(model.ssl_logits(j, feats))
                     ssl_labels.append(labels)
                     ssl_w.append(w)
-                loss = combined_loss(main_logits, yb, ssl_logits, ssl_labels, ssl_w)
+                loss, logged = combined_loss(main_logits, yb, ssl_logits, ssl_labels, ssl_w)
                 if not np.isfinite(loss.item()):
                     raise ContractError(f"non-finite fine-tuning loss at epoch {epoch}")
                 opt.zero_grad()
                 ad.backward(loss)
                 opt.step()
-            main_losses.append(cross_entropy_value(main_logits, yb))
-            for (j, name, w), logits, labels in zip(active, ssl_logits, ssl_labels):
-                ssl_sums[name].append(cross_entropy_value(logits, labels))
+            main_losses.append(logged[0])
+            for (_, name, _), value in zip(active, logged[1:]):
+                ssl_sums[name].append(value)
         score = _validation_score(model, X_val, y_val, monitor)
         if score > best_score:
             best_score = score
@@ -230,10 +238,3 @@ def finetune_stage1(
     restore(model, best_snap)
     return model, history
 
-
-def cross_entropy_value(logits: Tensor, labels) -> float:
-    """Plain-number CE of already-computed logits (no recording)."""
-    z = logits.data
-    z = z - z.max(axis=1, keepdims=True)
-    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    return float(-logp[np.arange(len(labels)), np.asarray(labels)].mean())

@@ -431,7 +431,7 @@ def test_criterion_08_degeneracy_and_linearity():
                 lin_model.ssl_logits(j, lin_model.features(Tensor(views[j]), train=False))
                 for j in range(2)
             ]
-            ad.backward(combined_loss(main, yb, slog, vlabs, weights))
+            ad.backward(combined_loss(main, yb, slog, vlabs, weights)[0])
         return {
             n: p.grad.copy()
             for n, p in lin_model.named_parameters()

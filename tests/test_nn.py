@@ -228,6 +228,84 @@ class TestModel:
         assert ad.grad_check(fragment, x, model.parameters()) < 1e-5
 
 
+def chain_features(model, x, train, dropout_rng=None, update_stats=True):
+    """The backbone as the chain of primitives the fused ``Model.features`` replaces."""
+    cfg = model.cfg
+    b, ch, k = x.shape[0], cfg.channels, cfg.samples // nn.WINDOW
+
+    def bn_relu(h, layer):
+        running = None if train else (layer.running_mean, layer.running_var)
+        out, mu, var = ad.batch_norm(h, layer.gamma, layer.beta, layer.eps, running)
+        if train and update_stats:
+            m = layer.momentum
+            layer.running_mean[...] = (1.0 - m) * layer.running_mean + m * mu
+            layer.running_var[...] = (1.0 - m) * layer.running_var + m * var
+        return ad.relu(out)
+
+    h = bn_relu(ad.matmul(ad.reshape(x, (b * ch * k, nn.WINDOW)), model.conv.w), model.bn1)
+    h = ad.transpose(ad.reshape(h, (b, ch, k, cfg.hidden)), (0, 2, 1, 3))
+    h = ad.matmul(ad.reshape(h, (b * k, ch * cfg.hidden)), model.mix.w)
+    h = ad.add(ad.reshape(h, (b, k, cfg.features)), model.pos)
+    h = bn_relu(ad.reshape(h, (b * k, cfg.features)), model.bn2)
+    h = ad.mean(ad.reshape(h, (b, k, cfg.features)), axis=1)
+    if train and dropout_rng is not None and cfg.dropout != 0.0:
+        mask = (dropout_rng.random(h.shape) >= cfg.dropout) / (1.0 - cfg.dropout)
+        h = ad.mul(h, Tensor(mask))
+    return h
+
+
+BACKBONE_CONFIGS = {
+    "default": nn.ModelConfig(),
+    "gradcheck": nn.ModelConfig(channels=3, samples=50, hidden=4, features=6, n_main=3,
+                                ssl_dims=(4, 3), head_layers=2, dropout=0.3, init_seed=21),
+    # three windows: dividing by k and multiplying by 1/k round differently
+    "three_windows": nn.ModelConfig(channels=2, samples=75, hidden=5, features=7, dropout=0.2),
+}
+
+
+class TestFusedBackbone:
+    """``Model.features`` is one tape record whose pull replays the primitive chain bit for bit."""
+
+    @pytest.mark.parametrize("config", sorted(BACKBONE_CONFIGS))
+    @pytest.mark.parametrize("mode", ["train_dropout_stats", "train_plain", "eval"])
+    def test_fused_pass_replays_the_primitive_chain_bitwise(self, config, mode):
+        fused = nn.Model(BACKBONE_CONFIGS[config])
+        fused.param_arena[:] = RNG.normal(size=fused.param_arena.size) * 0.5
+        fused.buffer_arena[:] = RNG.uniform(0.5, 1.5, size=fused.buffer_arena.size)
+        chain = nn.clone_model(fused)
+        stats_before = fused.buffer_arena.copy()
+        cfg = fused.cfg
+        x_data = RNG.normal(size=(5, cfg.channels, cfg.samples))
+        weights = Tensor(RNG.normal(size=(5, cfg.features)))
+        train = mode != "eval"
+        update_stats = mode == "train_dropout_stats"
+        names = ["conv.w", "bn1.gamma", "bn1.beta", "mix.w", "pos", "bn2.gamma", "bn2.beta"]
+
+        def run(model, forward):
+            x = Tensor(x_data, requires_grad=True)
+            rng = np.random.default_rng(7) if update_stats else None
+            with ad.fresh_tape():
+                feats = forward(model, x, train, rng, update_stats)
+                ad.backward(ad.sum_(ad.mul(feats, weights)))
+            params = dict(model.named_parameters())
+            return feats.data, [x.grad] + [params[n].grad for n in names], model.buffer_arena
+
+        got_out, got_grads, got_stats = run(fused, nn.Model.features)
+        want_out, want_grads, want_stats = run(chain, chain_features)
+        assert np.array_equal(got_out, want_out)
+        for name, got, want in zip(["input"] + names, got_grads, want_grads):
+            assert got.any() and np.array_equal(got, want), name
+        assert np.array_equal(got_stats, want_stats)
+        assert np.array_equal(got_stats, stats_before) != update_stats
+
+    @pytest.mark.parametrize("train", [True, False])
+    def test_one_pass_adds_one_tape_record(self, train):
+        model = nn.Model(small_config())
+        with ad.fresh_tape() as tape:
+            model.features(Tensor(RNG.normal(size=(4, 3, 200))), train=train, dropout_rng=np.random.default_rng(1))
+            assert len(tape) == 1
+
+
 class TestSnapshotRestore:
     def test_roundtrip_is_bitwise(self):
         model = nn.Model(small_config())

@@ -21,7 +21,6 @@ from ttalign.training import (
     PretrainConfig,
     combined_loss,
     cross_entropy,
-    cross_entropy_value,
     finetune_stage1,
     masked_pretrain,
 )
@@ -81,11 +80,20 @@ def test_cross_entropy_shift_invariance():
     assert abs(a - b) < 1e-12
 
 
-def test_cross_entropy_value_matches_tensor_path():
+def test_combined_loss_logs_each_branch_as_a_separate_log_softmax():
+    """Logged values equal a recomputed log-softmax's ``-mean`` bit for bit, and the loss to 1e-14."""
     rng = np.random.default_rng(2)
-    z = rng.normal(size=(7, 4)) * 3
-    y = rng.integers(0, 4, size=7)
-    assert abs(cross_entropy_value(Tensor(z), y) - cross_entropy(Tensor(z), y).item()) < 1e-14
+    z, y = rng.normal(size=(7, 4)) * 3, rng.integers(0, 4, size=7)
+    s, ls = rng.normal(size=(7, 5)) * 3, rng.integers(0, 5, size=7)
+
+    def logged_ce(logits, labels):  # the old helper's arithmetic
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        return float(-logp[np.arange(len(labels)), labels].mean())
+
+    _, logged = combined_loss(Tensor(z), y, [Tensor(s)], [ls], (0.5,))
+    assert logged == [logged_ce(z, y), logged_ce(s, ls)]
+    assert abs(logged[0] - cross_entropy(Tensor(z), y).item()) < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +105,7 @@ def test_combined_loss_frozen_arithmetic():
     main = Tensor(np.zeros((2, 4)))
     s1 = Tensor(np.zeros((2, 4)))
     s2 = Tensor(np.zeros((2, 16)))
-    got = combined_loss(main, [0, 1], [s1, s2], [[0, 3], [7, 2]], (0.5, 0.25)).item()
+    got = combined_loss(main, [0, 1], [s1, s2], [[0, 3], [7, 2]], (0.5, 0.25))[0].item()
     # ln4 + 0.5*ln4 + 0.25*ln16 = 2*ln4 = ln16
     assert abs(got - 2.772588722239781) < 1e-12
 
@@ -106,16 +114,16 @@ def test_combined_loss_no_branches_equals_plain_ce():
     rng = np.random.default_rng(3)
     z = rng.normal(size=(6, 4))
     y = rng.integers(0, 4, size=6)
-    assert combined_loss(Tensor(z), y, [], [], ()).item() == cross_entropy(Tensor(z), y).item()
+    assert combined_loss(Tensor(z), y, [], [], ())[0].item() == cross_entropy(Tensor(z), y).item()
 
 
 def test_combined_loss_value_linear_in_weights():
     rng = np.random.default_rng(4)
     main, y = Tensor(rng.normal(size=(5, 3))), rng.integers(0, 3, size=5)
     s, ls = Tensor(rng.normal(size=(5, 4))), rng.integers(0, 4, size=5)
-    l0 = combined_loss(main, y, [s], [ls], (0.0,)).item()
-    l1 = combined_loss(main, y, [s], [ls], (0.7,)).item()
-    l2 = combined_loss(main, y, [s], [ls], (1.4,)).item()
+    l0 = combined_loss(main, y, [s], [ls], (0.0,))[0].item()
+    l1 = combined_loss(main, y, [s], [ls], (0.7,))[0].item()
+    l2 = combined_loss(main, y, [s], [ls], (1.4,))[0].item()
     assert abs((l2 - l0) - 2.0 * (l1 - l0)) < 1e-12
 
 
@@ -135,7 +143,7 @@ def test_combined_loss_gradient_linear_in_weights():
             main = model.main_logits(feats)
             sfeats = model.features(Tensor(views), train=False)
             slog = model.ssl_logits(0, sfeats)
-            loss = combined_loss(main, yb, [slog], [vlab], (w,))
+            loss, _ = combined_loss(main, yb, [slog], [vlab], (w,))
             backward(loss)
         return {n: p.grad.copy() for n, p in model.named_parameters()}
 
