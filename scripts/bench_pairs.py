@@ -19,8 +19,8 @@ both sides; the parent runs first in even pairs and the change in odd ones.
 The result is written to ``BENCH_<label>.json`` at the repository root: the
 machine facts perfbench printed, both revisions, every run's end-to-end
 metrics, and per workload and metric each side's median and quartiles, the
-change's wins over the parent pair by pair, and whether the gap between the
-medians exceeds the parent's interquartile range.
+change's wins over the parent pair by pair, and the verdicts of
+:func:`summarize` against the metric's bound in ``BENCHMARK.json``.
 
 After the pairs, each side makes one traced run per workload (``--trace 1``,
 seed ``--seed``), and the file also holds those per-layer metrics: they show
@@ -73,16 +73,27 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 
     return machine, json.loads(lines[-1])
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
-    """Median, quartiles and pairwise wins of every end-to-end metric, per workload."""
+def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
+    """Per workload and end-to-end metric: medians, quartiles, pairwise wins and verdicts.
+
+    ``end_to_end`` is the list of that name in ``BENCHMARK.json``: each metric's
+    ``name``, the direction that is ``better`` and the ``bound`` by which its median
+    may worsen, as a fraction of the parent's. The verdicts follow the benchmark's
+    rules: ``worse_than_bound`` is a regression; ``spread_exceeds_bound`` marks a
+    metric whose parent runs spread too widely to resolve that bound, unless
+    ``every_change_run_better``; ``gain_shown`` needs wins in at least nine tenths
+    of the pairs (ties count for neither) and a gap between the medians wider than
+    the parent's interquartile range.
+    """
     out = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         mine = [r for r in runs if r["workload"] == workload]
         pairs = sorted({r["pair"] for r in mine})
         by = {(r["pair"], r["side"]): r for r in mine}
         metrics = {}
-        for metric, direction in better.items():
-            sides = {side: [by[(k, side)]["metrics"][metric] for k in pairs] for side in SIDES}
+        for metric in end_to_end:
+            direction, bound = metric["better"], metric["bound"]
+            sides = {side: [by[(k, side)]["metrics"][metric["name"]] for k in pairs] for side in SIDES}
             stats = {}
             for side, values in sides.items():
                 q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
@@ -90,13 +101,21 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
             sign = 1.0 if direction == "higher" else -1.0
             gaps = [sign * (c - p) for p, c in zip(sides["parent"], sides["change"])]
             gap = sign * (stats["change"]["median"] - stats["parent"]["median"])
-            metrics[metric] = {
+            parent_median = stats["parent"]["median"]
+            wins = sum(g > 0 for g in gaps)
+            metrics[metric["name"]] = {
                 "better": direction,
+                "bound": bound,
                 **stats,
-                "change_vs_parent": stats["change"]["median"] / stats["parent"]["median"] - 1.0,
-                "change_wins": sum(g > 0 for g in gaps),
+                "change_vs_parent": stats["change"]["median"] / parent_median - 1.0,
+                "change_wins": wins,
                 "pairs": len(pairs),
                 "median_gap_exceeds_parent_iqr": gap > stats["parent"]["iqr"],
+                "every_change_run_better": (min(sign * c for c in sides["change"])
+                                            > max(sign * p for p in sides["parent"])),
+                "worse_than_bound": -gap > bound * abs(parent_median),
+                "spread_exceeds_bound": stats["parent"]["iqr"] > bound * abs(parent_median),
+                "gain_shown": 10 * wins >= 9 * len(pairs) and gap > stats["parent"]["iqr"],
             }
         failed = {side: sum(by[(k, side)]["failed"] for k in pairs) for side in SIDES}
         attempted = {side: sum(by[(k, side)]["attempted"] for k in pairs) for side in SIDES}
@@ -121,7 +140,6 @@ def main(argv=None) -> int:
             parser.error(f"--run needs WORKLOAD:PAIRS with PAIRS >= 1, got {item!r}")
         plan.append((workload, int(n)))
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
 
     work = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
@@ -161,7 +179,7 @@ def main(argv=None) -> int:
         "traced_command": "python3 perfbench/run.py --workload W --seed %d --seconds %g --trace 1"
                           % (args.seed, seconds),
         "machine": machine,
-        "summary": summarize(runs, better),
+        "summary": summarize(runs, spec["end_to_end"]),
         "runs": runs,
         "traced": traced,
     }

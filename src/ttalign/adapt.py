@@ -25,7 +25,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ContractError
 from .nn import Model, clone_model, restore, snapshot
-from .optim import SGD, make_optimizer
+from .optim import SGD, check_optimizer, make_optimizer
 from .pretext import TaskSpec, make_view
 
 ADAPT_METHODS = ("none", "ttt_ssl", "tent")
@@ -82,6 +82,7 @@ class TttConfig:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if self.ssl_mode not in ("both_weighted", "first_only"):
             raise ConfigError(f"unknown ssl_mode '{self.ssl_mode}'")
+        check_optimizer(self.optimizer)
 
 
 def _ttt_branches(spec: TaskSpec, cfg: TttConfig) -> list[tuple[int, str, float]]:
@@ -115,7 +116,7 @@ def ttt_ssl_adapt_predict(
     rng = content_rng(x, cfg.seed)
     views = [make_view(name, x[None], rng, spec) for _, name, _ in branches]
     before = {name: p.data.copy() for name, p in model.named_parameters()}
-    opt = make_optimizer(cfg.optimizer, model.named_parameters(), cfg.lr)
+    opt = make_optimizer(cfg.optimizer, [model], cfg.lr)
     losses = []
     for _ in range(cfg.steps):
         with ad.fresh_tape():
@@ -239,13 +240,14 @@ def run_adaptation(
     ``ttt_ssl`` is episodic unless ``ttt.online``: the clone is snapshotted once and
     restored around every sample. Returns per-sample probabilities plus a log with
     one record per sample (ttt_ssl) or per batch (tent). Test epochs holding a NaN
-    or an infinity raise ContractError under every strategy.
+    or an infinity raise ContractError under every strategy, and so does an
+    adaptation that diverges: non-finite probabilities or parameter change.
     """
     if not np.all(np.isfinite(X)):
         raise ContractError("test epochs hold non-finite values")
     if strategy == "none":
-        return model.predict_proba(X), []
-    if strategy == "ttt_ssl":
+        probs, records = model.predict_proba(X), []
+    elif strategy == "ttt_ssl":
         cfg = ttt or TttConfig()
         if X.ndim != 3:
             raise ContractError(f"expected (n, C, T) test epochs, got {X.shape}")
@@ -259,7 +261,10 @@ def run_adaptation(
             records.append(rec)
             if not cfg.online:
                 restore(work, base)
-        return probs, records
-    if strategy == "tent":
-        return tent_adapt_predict(clone_model(model), X, tent or TentConfig())
-    raise ConfigError(f"unknown strategy '{strategy}' (expected one of {ADAPT_METHODS})")
+    elif strategy == "tent":
+        probs, records = tent_adapt_predict(clone_model(model), X, tent or TentConfig())
+    else:
+        raise ConfigError(f"unknown strategy '{strategy}' (expected one of {ADAPT_METHODS})")
+    if not (np.isfinite(probs).all() and np.isfinite([r["param_delta"] for r in records]).all()):
+        raise ContractError(f"{strategy} adaptation diverged: non-finite probabilities or parameter change")
+    return probs, records

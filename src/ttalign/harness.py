@@ -36,7 +36,7 @@ from .errors import ConfigError, ContractError
 from .metrics import EvalResult, evaluate_predictions
 from .nn import Model, ModelConfig, clone_model
 from .pretext import TaskSpec, task_spec_for
-from .signals import EPOCH_SAMPLES, TARGET_RATE, TASKS, ShiftSpec, epochs_to_arrays, generate_dataset, preprocess
+from .signals import EPOCH_SAMPLES, N_CLASSES, TARGET_RATE, TASKS, ShiftSpec, epochs_to_arrays, generate_dataset, preprocess
 from .training import FinetuneConfig, PretrainConfig, finetune_stage1, masked_pretrain
 
 # strategy -> its (stage-I row, stage-II column) cell of the grid
@@ -98,6 +98,8 @@ class ExperimentConfig:
             raise ConfigError(f"hidden and features must be >= 1, got {self.hidden} and {self.features}")
         if self.base_seed < 0:
             raise ConfigError(f"base_seed must be >= 0, got {self.base_seed}")
+        if self.finetune.monitor == "auroc" and N_CLASSES[self.task] != 2:
+            raise ConfigError(f"monitor 'auroc' needs a binary task; {self.task} has {N_CLASSES[self.task]} classes")
         if self.protocol == "cross_subject":
             groups = [set(self.train_subjects), set(self.val_subjects), set(self.test_subjects)]
             if any(not g for g in groups):

@@ -1,10 +1,11 @@
-"""Plain SGD and Adam over named parameter lists.
+"""Plain SGD and Adam over runs of parameters that the caller names.
 
-Both optimizers step over *runs*: maximal stretches of consecutive parameters
-whose ``data`` and ``grad`` buffers lie back to back in one flat array, such as a
-model's parameter arena. Each run is updated by one set of ufunc calls on its flat
-view; a tensor outside any arena is a run of its own. The elementwise operations
-and their order are those of a per-tensor update, so results are bitwise the same.
+An optimizer's ``params`` is a list of *runs*. A :class:`~ttalign.nn.Model` is one
+run: its whole parameter arena and grad arena, each one flat array. A
+``(name, Tensor)`` pair is a run of its own. Each run is updated by one set of
+ufunc calls on its flat view. The elementwise operations and their order are those
+of a per-tensor update, so results are bitwise the same however the caller groups
+the parameters.
 
 Both optimizers read the ``grad`` buffers in place. A non-finite gradient aborts
 the step with a diagnostic naming the offending parameter.
@@ -16,50 +17,19 @@ import numpy as np
 
 from .autodiff import Tensor
 from .errors import ConfigError, ContractError
+from .nn import Model
 
-# (the run's named parameters, flat view of their data, flat view of their grads)
+OPTIMIZERS = ("adam", "sgd")
+
+# (the run's named parameters, its data, its grads)
 Run = tuple[list[tuple[str, Tensor]], np.ndarray, np.ndarray]
 
 
-def _address(a: np.ndarray) -> int:
-    return a.__array_interface__["data"][0]
-
-
-def _extent(a: np.ndarray) -> tuple[np.ndarray, int, int] | None:
-    """``(base, first byte, end byte)`` of a contiguous view into a flat contiguous array, else None."""
-    base = a.base
-    if base is None or base.ndim != 1 or not base.flags.c_contiguous or not a.flags.c_contiguous:
-        return None
-    start = _address(a)
-    return base, start, start + a.nbytes
-
-
-def _flat(arrays: list[np.ndarray], first) -> np.ndarray:
-    """One array spanning ``arrays``, which are adjacent in that order; ``first`` is the first one's extent."""
-    if len(arrays) == 1:
-        return arrays[0]
-    base, start, _ = first
-    lo = (start - _address(base)) // base.itemsize
-    return base[lo:lo + sum(a.size for a in arrays)]
-
-
-def _runs(named_params) -> list[Run]:
-    """Split ``named_params`` into runs of memory-adjacent tensors, keeping their order.
-
-    Each tensor's data and grad addresses are read once: optimizers are built per
-    test epoch in TTT, where this set-up is a visible share of the work.
-    """
-    groups: list[list] = []  # [named params, (data, grad) extents of the first, of the last]
-    for name, p in named_params:
-        ext = (_extent(p.data), _extent(p.grad))
-        last = groups[-1][2] if groups else (None, None)
-        if all(e and l and e[0] is l[0] and e[1] == l[2] for e, l in zip(ext, last)):
-            groups[-1][0].append((name, p))
-            groups[-1][2] = ext
-        else:
-            groups.append([[(name, p)], ext, ext])
-    return [(g, _flat([p.data for _, p in g], first[0]), _flat([p.grad for _, p in g], first[1]))
-            for g, first, _ in groups]
+def _run(item: Model | tuple[str, Tensor]) -> Run:
+    if isinstance(item, Model):
+        return item.named_parameters(), item.param_arena, item.grad_arena
+    _, p = item
+    return [item], p.data, p.grad
 
 
 def _check_finite(runs: list[Run]) -> None:
@@ -70,10 +40,10 @@ def _check_finite(runs: list[Run]) -> None:
 
 
 class _Optimizer:
-    def __init__(self, named_params: list[tuple[str, Tensor]], lr: float):
+    def __init__(self, params: list[Model | tuple[str, Tensor]], lr: float):
         if lr <= 0:
             raise ConfigError(f"learning rate must be positive, got {lr}")
-        self.runs = _runs(named_params)
+        self.runs = [_run(item) for item in params]
         self.lr = lr
 
     def zero_grad(self) -> None:
@@ -91,18 +61,13 @@ class SGD(_Optimizer):
 
 
 class Adam(_Optimizer):
-    """Adam with bias correction; betas (0.9, 0.999), eps 1e-8 by default."""
+    """Adam with bias correction, betas (0.9, 0.999) and eps 1e-8."""
 
-    def __init__(
-        self,
-        named_params: list[tuple[str, Tensor]],
-        lr: float,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-    ):
-        super().__init__(named_params, lr)
-        self.b1, self.b2 = betas
-        self.eps = eps
+    b1, b2 = 0.9, 0.999
+    eps = 1e-8
+
+    def __init__(self, params: list[Model | tuple[str, Tensor]], lr: float):
+        super().__init__(params, lr)
         self.t = 0
         # moments, plus two scratch buffers: at arena size a fresh temporary per
         # operation costs more than the arithmetic
@@ -125,9 +90,12 @@ class Adam(_Optimizer):
             data -= np.divide(num, den, out=num)
 
 
-def make_optimizer(kind: str, named_params, lr: float):
-    if kind == "adam":
-        return Adam(named_params, lr)
-    if kind == "sgd":
-        return SGD(named_params, lr)
-    raise ConfigError(f"unknown optimizer '{kind}' (expected 'adam' or 'sgd')")
+def check_optimizer(kind: str) -> None:
+    """ConfigError unless ``kind`` names an optimizer; configs call it when built."""
+    if kind not in OPTIMIZERS:
+        raise ConfigError(f"unknown optimizer '{kind}' (expected one of {OPTIMIZERS})")
+
+
+def make_optimizer(kind: str, params: list[Model | tuple[str, Tensor]], lr: float):
+    check_optimizer(kind)
+    return Adam(params, lr) if kind == "adam" else SGD(params, lr)

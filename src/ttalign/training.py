@@ -21,7 +21,7 @@ from .autodiff import Tensor, cross_entropy
 from .errors import ConfigError, ContractError
 from .metrics import auroc, cohens_kappa, monitoring_metric
 from .nn import Linear, Model, restore, snapshot
-from .optim import make_optimizer
+from .optim import check_optimizer, make_optimizer
 from .pretext import TaskSpec, make_view
 
 
@@ -73,6 +73,7 @@ class PretrainConfig:
             raise ConfigError("epochs and batch_size must be positive")
         if self.patch < 1:
             raise ConfigError(f"patch must be >= 1, got {self.patch}")
+        check_optimizer(self.optimizer)
 
 
 def masked_pretrain(model: Model, X: np.ndarray, cfg: PretrainConfig) -> tuple[Model, list[dict]]:
@@ -92,11 +93,7 @@ def masked_pretrain(model: Model, X: np.ndarray, cfg: PretrainConfig) -> tuple[M
 
     rng = np.random.default_rng([cfg.seed, 0xA5])
     decoder = Linear(model.cfg.features, c * t, np.random.default_rng([cfg.seed, 0xDE]))
-    opt = make_optimizer(
-        cfg.optimizer,
-        model.named_parameters() + decoder.named_parameters("decoder"),
-        cfg.lr,
-    )
+    opt = make_optimizer(cfg.optimizer, [model, *decoder.named_parameters("decoder")], cfg.lr)
 
     history = []
     n = X.shape[0]
@@ -134,6 +131,9 @@ def masked_pretrain(model: Model, X: np.ndarray, cfg: PretrainConfig) -> tuple[M
 # stage I: joint fine-tuning
 # ---------------------------------------------------------------------------
 
+MONITORS = ("auroc", "cohens_kappa")  # what fine-tuning can track on validation
+
+
 @dataclass(frozen=True)
 class FinetuneConfig:
     epochs: int = 20
@@ -147,15 +147,16 @@ class FinetuneConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be positive")
+        check_optimizer(self.optimizer)
+        if self.monitor is not None and self.monitor not in MONITORS:
+            raise ConfigError(f"unknown monitor '{self.monitor}' (expected one of {MONITORS} or null)")
 
 
 def _validation_score(model: Model, X_val, y_val, monitor: str) -> float:
     probs = model.predict_proba(X_val)
     if monitor == "auroc":
         return auroc(y_val, probs[:, 1])
-    if monitor == "cohens_kappa":
-        return cohens_kappa(y_val, probs.argmax(axis=1))
-    raise ConfigError(f"unknown monitoring metric '{monitor}'")
+    return cohens_kappa(y_val, probs.argmax(axis=1))
 
 
 def finetune_stage1(
@@ -186,7 +187,7 @@ def finetune_stage1(
     shuffle_rng = np.random.default_rng([cfg.seed, 1])
     pretext_rng = np.random.default_rng([cfg.seed, 2])
     dropout_rng = np.random.default_rng([cfg.seed, 3])
-    opt = make_optimizer(cfg.optimizer, model.named_parameters(), cfg.lr)
+    opt = make_optimizer(cfg.optimizer, [model], cfg.lr)
 
     history: list[dict] = []
     best_score = -np.inf

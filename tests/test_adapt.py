@@ -249,6 +249,8 @@ def test_ttt_config_validation():
         TttConfig(lr=0.0)
     with pytest.raises(ConfigError):
         TttConfig(ssl_mode="everything")
+    with pytest.raises(ConfigError, match="optimizer"):
+        TttConfig(optimizer="lion")
     model, spec = tiny_model()
     with pytest.raises(ContractError):
         ttt_ssl_adapt_predict(model, np.zeros((8, 100)), spec, TttConfig())
@@ -380,3 +382,12 @@ def test_run_adaptation_rejects_nonfinite_epochs(strategy, bad):
     X[2, 5, 17] = bad
     with pytest.raises(ContractError, match="non-finite"):
         run_adaptation(strategy, model, spec, X)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+@pytest.mark.parametrize("strategy", ["ttt_ssl", "tent"])
+def test_run_adaptation_rejects_diverging_adaptation(strategy):
+    model, spec = tiny_model()
+    cfgs = {"ttt": TttConfig(lr=1e300), "tent": TentConfig(lr=1e300, batch_size=4)}
+    with pytest.raises(ContractError, match="diverged"):
+        run_adaptation(strategy, model, spec, make_epochs(8), **cfgs)

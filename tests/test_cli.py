@@ -98,6 +98,11 @@ def test_config_of_wrong_encoding_or_type_rejected(tmp_path, capsys, content, ke
     ({"base_seed": -1}, "base_seed"),
     ({"train_subjects": [-1, 1]}, "train_subjects"),
     ({"test_subjects": [0]}, "test_subjects"),
+    ({"finetune": {"monitor": "auroc"}}, "monitor"),  # syn_mi has four classes
+    ({"finetune": {"monitor": "f1"}}, "monitor"),
+    ({"finetune": {"optimizer": "lion"}}, "optimizer"),
+    ({"pretrain": {"optimizer": "lion"}}, "optimizer"),
+    ({"ttt": {"optimizer": "lion"}}, "optimizer"),
 ])
 def test_config_out_of_range_rejected(tmp_path, capsys, override, key):
     path = tmp_path / "bad.json"
@@ -106,6 +111,16 @@ def test_config_out_of_range_rejected(tmp_path, capsys, override, key):
     assert code == 2 and stdout == ""
     record = json.loads(err)
     assert record["error"] == "ConfigError" and key in record["message"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+def test_diverging_adaptation_exits_3(tmp_path, capsys):
+    path = tmp_path / "diverge.json"
+    path.write_text(json.dumps({**MICRO, "ttt": {"lr": 1e300}, "strategies": ["ttt_ssl"]}))
+    code, stdout, err = run_cli("evaluate", "--config", path, "--out", tmp_path / "o", capsys=capsys)
+    assert code == 3 and stdout == ""
+    record = json.loads(err)
+    assert record["error"] == "ContractError" and "diverged" in record["message"]
 
 
 @pytest.mark.parametrize("command", ["generate", "evaluate"])

@@ -504,7 +504,7 @@ class TestOptimizers:
 
     def test_adam_replays_reference_update_bitwise(self):
         model = nn.Model(small_config())
-        opt = Adam(model.named_parameters(), lr=1e-2)
+        opt = Adam([model], lr=1e-2)
         theta = model.param_arena.copy()
         m, v = np.zeros_like(theta), np.zeros_like(theta)
         for t in range(1, 4):
@@ -534,23 +534,24 @@ class TestOptimizers:
         model = nn.Model(small_config())
         model.pos.grad[0, 1] = np.inf
         with pytest.raises(ContractError, match="'pos'"):
-            Adam(model.named_parameters(), lr=1e-3).step()
+            Adam([model], lr=1e-3).step()
 
     @pytest.mark.parametrize("kind", ["adam", "sgd"])
     def test_arena_steps_equal_standalone_copies(self, kind):
+        # the pretraining mix: a whole model arena plus a standalone tensor
         model = nn.Model(small_config(head_layers=2))
-        copies = [(n, Tensor(p.data.copy(), requires_grad=True)) for n, p in model.named_parameters()]
-        subset = [(n, p) for n, p in model.named_parameters() if n.startswith("bn")]
-        opt = make_optimizer(kind, model.named_parameters(), 1e-2)
+        extra = ("decoder.w", Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True))
+        named = model.named_parameters() + [extra]
+        copies = [(n, Tensor(p.data.copy(), requires_grad=True)) for n, p in named]
+        opt = make_optimizer(kind, [model, extra], 1e-2)
         ref = make_optimizer(kind, copies, 1e-2)
-        assert len(opt.runs) == 1 and len(ref.runs) == len(copies)
-        assert len(make_optimizer(kind, subset, 1e-2).runs) == 2  # bn1 and bn2 gamma/beta pairs
+        assert len(opt.runs) == 2 and len(ref.runs) == len(copies)
         for _ in range(5):
-            for (_, p), (_, q) in zip(model.named_parameters(), copies):
+            for (_, p), (_, q) in zip(named, copies):
                 p.grad[...] = q.grad[...] = RNG.normal(size=p.shape)
             opt.step()
             ref.step()
-        for (n, p), (_, q) in zip(model.named_parameters(), copies):
+        for (n, p), (_, q) in zip(named, copies):
             assert np.array_equal(p.data, q.data), n
 
     def test_factory(self):

@@ -353,3 +353,5 @@ def test_finetune_validation_contracts():
                         FinetuneConfig(epochs=1, weights=(0.5,)))
     with pytest.raises(ConfigError):
         FinetuneConfig(epochs=0)
+    with pytest.raises(ConfigError, match="monitor"):
+        FinetuneConfig(monitor="f1")
