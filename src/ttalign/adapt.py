@@ -11,13 +11,17 @@ Two adaptation routes over a fine-tuned model, plus a no-op baseline:
 
 * ``tent`` — entropy minimisation on batches: forward in batch-statistics mode,
   minimise the mean prediction entropy (nats) by plain gradient descent on the
-  batch-norm affine parameters only. Everything else is frozen bit-for-bit.
+  batch-norm affine parameters only. Everything else is frozen bit-for-bit and,
+  for the length of the call, carries no gradient: the backward skips it.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate
+from math import prod
 
 import numpy as np
 
@@ -53,13 +57,19 @@ def content_rng(x: np.ndarray, seed: int) -> np.random.Generator:
     return np.random.default_rng([seed, int.from_bytes(digest[:16], "little")])
 
 
-def _param_delta(named_params: list[tuple[str, Tensor]], before: dict[str, np.ndarray]) -> float:
-    """L2 norm of the change of ``named_params`` since ``before`` (a name->array dict)."""
+def _l2_norm(parts) -> float:
+    """L2 norm over the arrays ``parts``: one dot per array, summed in order."""
     total = 0.0
-    for name, p in named_params:
-        d = p.data - before[name]
+    for d in parts:
         total += float(np.dot(d.ravel(), d.ravel()))
     return float(np.sqrt(total))
+
+
+@lru_cache(maxsize=16)
+def _arena_slices(layout: tuple[tuple[str, tuple[int, ...]], ...]) -> tuple[slice, ...]:
+    """Each parameter's slice of a parameter arena laid out as ``layout``."""
+    bounds = list(accumulate((prod(shape) for _, shape in layout), initial=0))
+    return tuple(slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +125,7 @@ def ttt_ssl_adapt_predict(
         raise ConfigError("no active pretext branch to adapt on (all weights zero)")
     rng = content_rng(x, cfg.seed)
     views = [make_view(name, x[None], rng, spec) for _, name, _ in branches]
-    before = {name: p.data.copy() for name, p in model.named_parameters()}
+    before = model.param_arena.copy()
     opt = make_optimizer(cfg.optimizer, [model], cfg.lr)
     losses = []
     for _ in range(cfg.steps):
@@ -132,7 +142,8 @@ def ttt_ssl_adapt_predict(
             opt.step()
         losses.append(loss.item())
     probs = model.predict_proba(x[None])[0]
-    return probs, {"ssl_loss": losses, "param_delta": _param_delta(model.named_parameters(), before)}
+    d = model.param_arena - before
+    return probs, {"ssl_loss": losses, "param_delta": _l2_norm(d[s] for s in _arena_slices(model.layout))}
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +187,10 @@ def tent_adapt_predict(
     forward (no stats update) produces the predictions. Adaptation carries across
     batches and mutates ``model`` in place (gamma/beta, plus running stats when
     ``update_running_stats``); every other parameter is left bit-for-bit intact.
-    Use :func:`run_adaptation` to keep the caller's model untouched.
+    For the length of the call those parameters have ``requires_grad`` off, so the
+    backward computes no gradient for them; their flags are set back on return,
+    also when the call raises. Use :func:`run_adaptation` to keep the caller's
+    model untouched.
     """
     if X.ndim != 3:
         raise ContractError(f"expected (n, C, T) test epochs, got {X.shape}")
@@ -186,39 +200,46 @@ def tent_adapt_predict(
         )
     affine = set(model.param_groups()["bn_affine"])
     named_affine = [(n, p) for n, p in model.named_parameters() if n in affine]
+    frozen = [(t, t.requires_grad) for n, t in model.named_parameters() if n not in affine]
     opt = SGD(named_affine, cfg.lr)
 
     probs = np.empty((X.shape[0], model.cfg.n_main))
     records: list[dict] = []
-    for k, idx in enumerate(_tent_batches(X.shape[0], cfg.batch_size)):
-        batch = Tensor(X[idx])
-        before = {n: p.data.copy() for n, p in named_affine}
-        step_entropies = []
-        for _ in range(cfg.steps_per_batch):
-            with ad.fresh_tape():
-                logits = model.forward_main(
-                    batch, train=True, update_stats=cfg.update_running_stats
-                )
-                objective = ad.mean_entropy(logits)
-                if not np.isfinite(objective.item()):
-                    raise ContractError(f"non-finite entropy objective on batch {k}")
-                model.zero_grad()
-                ad.backward(objective)
-                opt.step()
-            step_entropies.append(objective.item())
-        with ad.no_grad(), ad.fresh_tape():
-            logits = model.forward_main(batch, train=True, update_stats=False)
-            p = ad.softmax(logits, axis=1).data
-        probs[idx] = p
-        records.append(
-            {
-                "batch": k,
-                "size": int(idx.size),
-                "entropy": step_entropies,
-                "entropy_after": float(entropy(p, axis=1).mean()),
-                "param_delta": _param_delta(named_affine, before),
-            }
-        )
+    for t, _ in frozen:  # no gradient needed: backward skips their products
+        t.requires_grad = False
+    try:
+        for k, idx in enumerate(_tent_batches(X.shape[0], cfg.batch_size)):
+            batch = Tensor(X[idx])
+            before = {n: p.data.copy() for n, p in named_affine}
+            step_entropies = []
+            for _ in range(cfg.steps_per_batch):
+                with ad.fresh_tape():
+                    logits = model.forward_main(
+                        batch, train=True, update_stats=cfg.update_running_stats
+                    )
+                    objective = ad.mean_entropy(logits)
+                    if not np.isfinite(objective.item()):
+                        raise ContractError(f"non-finite entropy objective on batch {k}")
+                    model.zero_grad()
+                    ad.backward(objective)
+                    opt.step()
+                step_entropies.append(objective.item())
+            with ad.no_grad(), ad.fresh_tape():
+                logits = model.forward_main(batch, train=True, update_stats=False)
+                p = ad.softmax(logits, axis=1).data
+            probs[idx] = p
+            records.append(
+                {
+                    "batch": k,
+                    "size": int(idx.size),
+                    "entropy": step_entropies,
+                    "entropy_after": float(entropy(p, axis=1).mean()),
+                    "param_delta": _l2_norm(p.data - before[n] for n, p in named_affine),
+                }
+            )
+    finally:
+        for t, flag in frozen:
+            t.requires_grad = flag
     return probs, records
 
 

@@ -10,7 +10,9 @@ Every command is deterministic given ``--config`` and ``--seed``: repeated
 invocations reproduce all emitted metric values bit for bit.  Failures exit
 nonzero after printing a single machine-readable JSON error record to stderr:
 2 for a config error, 3 for a contract violation, 4 for an I/O error and 5 when
-the run does not fit in memory.
+the run does not fit in memory. Commands run with numpy's overflow and
+invalid-value warnings off: a run that goes non-finite fails its own finite
+check, and stderr keeps the one record.
 The ``TTALIGN_WORKERS`` environment variable sets the worker-pool size for
 multi-seed commands.
 """
@@ -424,7 +426,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _HANDLERS[args.command](args)
+        # a run that goes non-finite fails its own finite check with a typed
+        # error; numpy's warnings would put lines ahead of the one-line record
+        with np.errstate(over="ignore", invalid="ignore"):
+            _HANDLERS[args.command](args)
         return 0
     except ConfigError as exc:
         _error_record(args.command, exc)

@@ -177,6 +177,20 @@ def test_ttt_record_and_probs_shape():
     assert rec["param_delta"] > 0.0
 
 
+def test_ttt_param_delta_matches_per_tensor_reference():
+    """The arena delta keeps the per-tensor dots and their sum, so its bytes stay the same."""
+    model, spec = tiny_model(seed=137, head_layers=2)
+    x = make_epochs(1, seed=139)[0]
+    before = {n: p.data.copy() for n, p in model.named_parameters()}
+    _, rec = ttt_ssl_adapt_predict(model, x, spec, TttConfig(lr=1e-2))
+    total = 0.0
+    for n, p in model.named_parameters():
+        d = p.data - before[n]
+        total += float(np.dot(d.ravel(), d.ravel()))
+    assert total > 0.0
+    assert rec["param_delta"] == float(np.sqrt(total))
+
+
 def test_ttt_same_epoch_same_views():
     """Content-hash seeding: identical epochs adapt identically on fresh models."""
     x = make_epochs(1, seed=17)[0]
@@ -276,6 +290,46 @@ def test_tent_updates_only_bn_affine_parameters():
     assert changed - affine == set(), f"non-BN parameters changed: {changed - affine}"
     for n, b in model.named_buffers():
         assert np.array_equal(b, buffers[n]), f"running stat {n} changed with updates off"
+
+
+def test_tent_frozen_parameters_leave_affine_gradients_bitwise():
+    """Freezing the non-affine parameters as Tent does drops their gradients and
+    changes no bit of the BN-affine ones."""
+    model, _ = tiny_model(seed=109, head_layers=2)
+    batch = Tensor(make_epochs(6, seed=113))
+    affine = set(model.param_groups()["bn_affine"])
+
+    def grads():
+        model.zero_grad()
+        with fresh_tape():
+            backward(ad.mean_entropy(model.forward_main(batch, train=True, update_stats=False)))
+        return {n: p.grad.copy() for n, p in model.named_parameters()}
+
+    full = grads()
+    for n, p in model.named_parameters():
+        p.requires_grad = n in affine
+    frozen = grads()
+    for n in affine:
+        assert full[n].any() and np.array_equal(frozen[n], full[n]), n
+    others = full.keys() - affine
+    assert any(full[n].any() for n in others)  # the trainable backward did compute them
+    for n in others:
+        assert not frozen[n].any(), n
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the NaN is the point
+def test_tent_restores_requires_grad_flags():
+    model, _ = tiny_model(seed=127)
+    X = make_epochs(8, seed=131)
+    model.pos.requires_grad = False  # a caller's own freeze survives the call
+    expected = [(n, p.requires_grad) for n, p in model.named_parameters()]
+    tent_adapt_predict(model, X, TentConfig(batch_size=4))
+    assert [(n, p.requires_grad) for n, p in model.named_parameters()] == expected
+    X[0, 0, 0] = np.nan  # raises inside the loop; lr=1e300 only saturates the entropy
+    with pytest.raises(ContractError, match="non-finite entropy"):
+        tent_adapt_predict(model, X, TentConfig(batch_size=4))
+    assert [(n, p.requires_grad) for n, p in model.named_parameters()] == expected
+    assert sum(flag for _, flag in expected) == len(expected) - 1
 
 
 def test_tent_running_stats_update_flag():

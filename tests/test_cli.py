@@ -8,6 +8,7 @@ print a single JSON error record to stderr and return a nonzero code.
 import json
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -121,6 +122,17 @@ def test_diverging_adaptation_exits_3(tmp_path, capsys):
     assert code == 3 and stdout == ""
     record = json.loads(err)
     assert record["error"] == "ContractError" and "diverged" in record["message"]
+
+
+@pytest.mark.parametrize("section", ["ttt", "tent", "finetune"])
+def test_diverging_run_prints_one_stderr_line(tmp_path, capsys, section):
+    path = tmp_path / "diverge.json"
+    path.write_text(json.dumps({**MICRO, section: {**MICRO.get(section, {}), "lr": 1e300}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would be a line ahead of the record
+        code, stdout, err = run_cli("evaluate", "--config", path, "--out", tmp_path / "o", capsys=capsys)
+    assert code == 3 and stdout == "" and err.count("\n") == 1
+    assert json.loads(err)["error"] == "ContractError"
 
 
 @pytest.mark.parametrize("command", ["generate", "evaluate"])
