@@ -323,13 +323,13 @@ def test_tent_restores_requires_grad_flags():
     X = make_epochs(8, seed=131)
     model.pos.requires_grad = False  # a caller's own freeze survives the call
     expected = [(n, p.requires_grad) for n, p in model.named_parameters()]
+    assert [n for n, flag in expected if not flag] == ["pos"]
     tent_adapt_predict(model, X, TentConfig(batch_size=4))
     assert [(n, p.requires_grad) for n, p in model.named_parameters()] == expected
     X[0, 0, 0] = np.nan  # raises inside the loop; lr=1e300 only saturates the entropy
     with pytest.raises(ContractError, match="non-finite entropy"):
         tent_adapt_predict(model, X, TentConfig(batch_size=4))
     assert [(n, p.requires_grad) for n, p in model.named_parameters()] == expected
-    assert sum(flag for _, flag in expected) == len(expected) - 1
 
 
 def test_tent_running_stats_update_flag():
