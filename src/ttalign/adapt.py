@@ -65,6 +65,12 @@ def _l2_norm(parts) -> float:
     return float(np.sqrt(total))
 
 
+def _check_converged(strategy: str, probs: np.ndarray, delta: float) -> None:
+    """ContractError unless an adaptation's probabilities and parameter change are finite."""
+    if not (np.isfinite(probs).all() and np.isfinite(delta)):
+        raise ContractError(f"{strategy} adaptation diverged: non-finite probabilities or parameter change")
+
+
 @lru_cache(maxsize=16)
 def _arena_slices(layout: tuple[tuple[str, tuple[int, ...]], ...]) -> tuple[slice, ...]:
     """Each parameter's slice of a parameter arena laid out as ``layout``."""
@@ -114,7 +120,8 @@ def ttt_ssl_adapt_predict(
     step (before that step's update) plus the L2 norm of the parameter change. The
     model is left in its adapted state — the handle for inspection or reuse; drivers
     that want episodic behaviour snapshot/restore around this call (see
-    :func:`run_adaptation`).
+    :func:`run_adaptation`). Non-finite probabilities or parameter change raise
+    ContractError.
     """
     if x.ndim != 2 or x.shape != (model.cfg.channels, model.cfg.samples):
         raise ContractError(
@@ -143,7 +150,9 @@ def ttt_ssl_adapt_predict(
         losses.append(loss.item())
     probs = model.predict_proba(x[None])[0]
     d = model.param_arena - before
-    return probs, {"ssl_loss": losses, "param_delta": _l2_norm(d[s] for s in _arena_slices(model.layout))}
+    delta = _l2_norm(d[s] for s in _arena_slices(model.layout))
+    _check_converged("ttt_ssl", probs, delta)
+    return probs, {"ssl_loss": losses, "param_delta": delta}
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +198,9 @@ def tent_adapt_predict(
     ``update_running_stats``); every other parameter is left bit-for-bit intact.
     For the length of the call those parameters have ``requires_grad`` off, so the
     backward computes no gradient for them; their flags are set back on return,
-    also when the call raises. Use :func:`run_adaptation` to keep the caller's
-    model untouched.
+    also when the call raises. A batch whose probabilities or parameter change
+    are non-finite raises ContractError. Use :func:`run_adaptation` to keep the
+    caller's model untouched.
     """
     if X.ndim != 3:
         raise ContractError(f"expected (n, C, T) test epochs, got {X.shape}")
@@ -227,6 +237,8 @@ def tent_adapt_predict(
             with ad.no_grad(), ad.fresh_tape():
                 logits = model.forward_main(batch, train=True, update_stats=False)
                 p = ad.softmax(logits, axis=1).data
+            delta = _l2_norm(p.data - before[n] for n, p in named_affine)
+            _check_converged("tent", p, delta)
             probs[idx] = p
             records.append(
                 {
@@ -234,7 +246,7 @@ def tent_adapt_predict(
                     "size": int(idx.size),
                     "entropy": step_entropies,
                     "entropy_after": float(entropy(p, axis=1).mean()),
-                    "param_delta": _l2_norm(p.data - before[n] for n, p in named_affine),
+                    "param_delta": delta,
                 }
             )
     finally:
@@ -286,6 +298,4 @@ def run_adaptation(
         probs, records = tent_adapt_predict(clone_model(model), X, tent or TentConfig())
     else:
         raise ConfigError(f"unknown strategy '{strategy}' (expected one of {ADAPT_METHODS})")
-    if not (np.isfinite(probs).all() and np.isfinite([r["param_delta"] for r in records]).all()):
-        raise ContractError(f"{strategy} adaptation diverged: non-finite probabilities or parameter change")
     return probs, records

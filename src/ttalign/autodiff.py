@@ -49,19 +49,12 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
     def zero_grad(self) -> None:
         if self.grad is not None:
             self.grad[...] = 0.0
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
 class Tape:
@@ -247,27 +240,12 @@ def relu(a: Tensor) -> Tensor:
     return record(out, (a,), pull)
 
 
-def mean(a: Tensor, axis: int | None = None) -> Tensor:
-    out = Tensor(a.data.mean(axis=axis))
+def sum_(a: Tensor) -> Tensor:
+    out = Tensor(a.data.sum())
     shape = a.data.shape
 
     def pull(g: Array):
-        if axis is None:
-            return (np.full(shape, g / a.data.size),)
-        n = shape[axis]
-        return (np.broadcast_to(np.expand_dims(g, axis) / n, shape).copy(),)
-
-    return record(out, (a,), pull)
-
-
-def sum_(a: Tensor, axis: int | None = None) -> Tensor:
-    out = Tensor(a.data.sum(axis=axis))
-    shape = a.data.shape
-
-    def pull(g: Array):
-        if axis is None:
-            return (np.full(shape, g),)
-        return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
+        return (np.full(shape, g),)
 
     return record(out, (a,), pull)
 
@@ -291,16 +269,6 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 
     def pull(g: Array):
         return (g.reshape(orig),)
-
-    return record(out, (a,), pull)
-
-
-def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
-    out = Tensor(np.transpose(a.data, axes))
-    inv = np.argsort(axes)
-
-    def pull(g: Array):
-        return (np.transpose(g, inv),)
 
     return record(out, (a,), pull)
 

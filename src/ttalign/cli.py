@@ -101,8 +101,11 @@ def _typed(cls, values: dict, prefix: str = "") -> dict:
 
 
 def load_config_file(path: Path) -> dict:
+    def non_finite(constant: str):
+        raise ConfigError(f"config file {path} holds {constant}; numbers must be finite")
+
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=non_finite)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except UnicodeDecodeError as exc:

@@ -191,9 +191,6 @@ class Model:
             out += layer.named_parameters(f"ssl.{i}")
         return out
 
-    def parameters(self) -> list[Tensor]:
-        return [t for _, t in self.named_parameters()]
-
     def named_buffers(self) -> list[tuple[str, np.ndarray]]:
         return [
             ("bn1.running_mean", self.bn1.running_mean),

@@ -9,9 +9,9 @@ Three task families are generated on a fixed 8-channel montage:
 * ``syn_speech`` (5 classes): a broadband carrier amplitude-modulated at a
   class-specific envelope rate (2..6 Hz) plus the envelope-following component.
 
-All spectral surgery (band-pass, band-stop, resampling, band power) works on the
-one-sided FFT with raised-cosine transition edges, so passbands are preserved
-exactly and stopbands are zeroed exactly at the bin level.
+All spectral surgery (band-pass, band-stop masks, resampling) works on the
+one-sided FFT with raised-cosine edges ``TRANSITION`` Hz wide, so passbands are
+preserved exactly and stopbands are zeroed exactly at the bin level.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ N_CLASSES = {"syn_mi": 4, "syn_stress": 2, "syn_speech": 5}
 NATIVE_RATE = {"syn_mi": 250.0, "syn_stress": 500.0, "syn_speech": 256.0}
 TARGET_RATE = 200.0
 EPOCH_SAMPLES = 200
+TRANSITION = 1.0  # Hz, width of each raised-cosine filter edge
 
 # class -> suppressed channel group for syn_mi
 MI_GROUPS = ((2, 4), (3, 5), (0, 1), (6, 7))  # left, right, frontal, occipital
@@ -106,36 +107,29 @@ def _validate_band(low: float, high: float, rate: float, name: str) -> None:
         raise ConfigError(f"{name}: band edge {high} Hz above Nyquist {rate / 2} Hz")
 
 
-def _stop_mask(freqs: np.ndarray, low: float, high: float, transition: float) -> np.ndarray:
-    """1 in the passband, 0 in [low, high], raised-cosine ramps of width ``transition``."""
+def _stop_mask(freqs: np.ndarray, low: float, high: float) -> np.ndarray:
+    """1 in the passband, 0 in [low, high], raised-cosine ramps of width ``TRANSITION``."""
     m = np.ones_like(freqs)
     m[(freqs >= low) & (freqs <= high)] = 0.0
-    lo_ramp = (freqs >= low - transition) & (freqs < low)
-    m[lo_ramp] = 0.5 * (1.0 + np.cos(np.pi * (freqs[lo_ramp] - (low - transition)) / transition))
-    hi_ramp = (freqs > high) & (freqs <= high + transition)
-    m[hi_ramp] = 0.5 * (1.0 - np.cos(np.pi * (freqs[hi_ramp] - high) / transition))
+    lo_ramp = (freqs >= low - TRANSITION) & (freqs < low)
+    m[lo_ramp] = 0.5 * (1.0 + np.cos(np.pi * (freqs[lo_ramp] - (low - TRANSITION)) / TRANSITION))
+    hi_ramp = (freqs > high) & (freqs <= high + TRANSITION)
+    m[hi_ramp] = 0.5 * (1.0 - np.cos(np.pi * (freqs[hi_ramp] - high) / TRANSITION))
     return m
 
 
-def bandstop_mask(n: int, rate: float, low: float, high: float, transition: float = 1.0) -> np.ndarray:
-    """The rfft-bin gains by which :func:`bandstop` scales an n-sample signal."""
+def bandstop_mask(n: int, rate: float, low: float, high: float) -> np.ndarray:
+    """The rfft-bin gains that zero the [low, high] Hz band of an n-sample signal."""
     _validate_band(low, high, rate, "bandstop")
-    return _stop_mask(np.fft.rfftfreq(n, d=1.0 / rate), low, high, transition)
+    return _stop_mask(np.fft.rfftfreq(n, d=1.0 / rate), low, high)
 
 
-def bandstop(data: np.ndarray, rate: float, low: float, high: float, transition: float = 1.0) -> np.ndarray:
-    """Zero the [low, high] Hz band of each channel with raised-cosine edges."""
-    n = data.shape[-1]
-    spec = np.fft.rfft(data, axis=-1) * bandstop_mask(n, rate, low, high, transition)
-    return np.fft.irfft(spec, n=n, axis=-1)
-
-
-def bandpass(data: np.ndarray, rate: float, low: float, high: float, transition: float = 1.0) -> np.ndarray:
+def bandpass(data: np.ndarray, rate: float, low: float, high: float) -> np.ndarray:
     """Keep [low, high] Hz exactly, raised-cosine skirts outside, zero elsewhere."""
     _validate_band(low, high, rate, "bandpass")
     n = data.shape[-1]
     freqs = np.fft.rfftfreq(n, d=1.0 / rate)
-    m = 1.0 - _stop_mask(freqs, low, high, transition)
+    m = 1.0 - _stop_mask(freqs, low, high)
     spec = np.fft.rfft(data, axis=-1) * m
     return np.fft.irfft(spec, n=n, axis=-1)
 
@@ -160,27 +154,6 @@ def resample(data: np.ndarray, rate_in: float, rate_out: float) -> np.ndarray:
     if n_out % 2 == 0:
         out_spec[..., -1] = out_spec[..., -1].real
     return np.fft.irfft(out_spec, n=n_out, axis=-1) * (n_out / n)
-
-
-def bandpower(data: np.ndarray, rate: float, low: float, high: float) -> float:
-    """Mean periodogram power in [low, high] Hz, Parseval-consistent.
-
-    One-sided periodogram scaled so the sum over the full band equals the time-domain
-    mean square. 2-D input is averaged across channels.
-    """
-    _validate_band(low, high, rate, "bandpower")
-    x = np.atleast_2d(np.asarray(data, dtype=np.float64))
-    n = x.shape[-1]
-    spec = np.fft.rfft(x, axis=-1)
-    p = (np.abs(spec) ** 2) / (n * n)
-    weights = np.full(p.shape[-1], 2.0)
-    weights[0] = 1.0
-    if n % 2 == 0:
-        weights[-1] = 1.0
-    p = p * weights
-    freqs = np.fft.rfftfreq(n, d=1.0 / rate)
-    sel = (freqs >= low) & (freqs <= high)
-    return float(p[..., sel].sum(axis=-1).mean())
 
 
 def pink_noise(rng: np.random.Generator, channels: int, n: int, rate: float, rms: float) -> np.ndarray:
@@ -304,13 +277,8 @@ def generate_dataset(
 # preprocessing
 # ---------------------------------------------------------------------------
 
-def preprocess(
-    rec: Recording,
-    target_rate: float = TARGET_RATE,
-    band: tuple[float, float] | None = (0.3, 75.0),
-    transition: float = 1.0,
-) -> list[Epoch]:
-    """Band-pass (optional), resample to ``target_rate``, cut 1 s non-overlapping epochs.
+def preprocess(rec: Recording, band: tuple[float, float] | None = (0.3, 75.0)) -> list[Epoch]:
+    """Band-pass (optional), resample to ``TARGET_RATE``, cut 1 s non-overlapping epochs.
 
     A recording shorter than one epoch after resampling yields an empty list.
     """
@@ -318,8 +286,8 @@ def preprocess(
         raise ContractError(f"recording data must be 2-D, got shape {rec.data.shape}")
     x = rec.data
     if band is not None:
-        x = bandpass(x, rec.rate, band[0], band[1], transition)
-    x = resample(x, rec.rate, target_rate)
+        x = bandpass(x, rec.rate, band[0], band[1])
+    x = resample(x, rec.rate, TARGET_RATE)
     n_epochs = x.shape[-1] // EPOCH_SAMPLES
     return [
         Epoch(

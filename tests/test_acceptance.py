@@ -10,11 +10,13 @@ it is never to be loosened.
 import json
 import math
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-import test_metrics as oracles
+import test_metrics as metric_oracles
+from oracles import bandpower, jigsaw_order
 from ttalign import autodiff as ad
 from ttalign.adapt import (
     TentConfig,
@@ -43,18 +45,8 @@ from ttalign.pilot import (
     pilot_config_hashes,
     run_pilot,
 )
-from ttalign.pretext import (
-    AMP_FACTORS,
-    amp_scale,
-    ap_flip,
-    band_table_for,
-    jigsaw,
-    jigsaw_invert,
-    make_view,
-    stopped_band,
-    task_spec_for,
-)
-from ttalign.signals import AP_PAIRS, TARGET_RATE, bandpower
+from ttalign.pretext import AMP_FACTORS, band_table_for, make_view, task_spec_for
+from ttalign.signals import AP_PAIRS, TARGET_RATE
 from ttalign.training import (
     FinetuneConfig,
     combined_loss,
@@ -249,45 +241,44 @@ def test_criterion_04_entropy_descent():
 def test_criterion_05_pretext_correctness():
     rng = np.random.default_rng(17)
     data = rng.standard_normal((8, 200))
+    stress, mi = task_spec_for("syn_stress"), task_spec_for("syn_mi")
 
-    # flip twice == identity, bitwise (find a draw that actually flips)
-    flipped = None
-    for seed in range(16):
-        s = ap_flip(data, np.random.default_rng(seed))
-        if s.label == 1:
-            flipped = s.view
-            break
+    def first_flip(x):
+        """The view of the first of 16 seeds whose ap_flip draw flips, else None."""
+        for seed in range(16):
+            views, labels = make_view("ap_flip", x[None], np.random.default_rng(seed), stress)
+            if labels[0] == 1:
+                return views[0]
+        return None
+
+    # flip twice == identity, bitwise, and a flip swaps every AP pair (find a draw that flips)
+    flipped = first_flip(data)
     assert flipped is not None, "no flipping draw in 16 seeds"
-    twice = None
-    for seed in range(16):
-        s = ap_flip(flipped, np.random.default_rng(seed))
-        if s.label == 1:
-            twice = s.view
-            break
+    twice = first_flip(flipped)
     flip_ok = twice is not None and np.array_equal(twice, data)
+    flip_ok &= all(np.array_equal(flipped[[a, b]], data[[b, a]]) for a, b in AP_PAIRS)
 
-    # jigsaw inverse permutation round-trips bitwise, all k and all labels
+    # jigsaw: the argsort of the chunk order round-trips bitwise, over 24 draws
     jig_ok = True
-    for k in (2, 3):
-        for seed in range(24):
-            s = jigsaw(data, np.random.default_rng(seed), k=k)
-            jig_ok &= np.array_equal(jigsaw_invert(s.view, s.label, k), data)
+    for seed in range(24):
+        views, labels = make_view("jigsaw", data[None], np.random.default_rng(seed), mi)
+        jig_ok &= np.array_equal(views[0][:, np.argsort(jigsaw_order(200, labels[0]))], data)
 
     # amplitude factors: the exact 16-point grid, and the view is an exact product
     grid_ok = all(AMP_FACTORS[k] == -2.0 + (k * 4.0) / 15.0 for k in range(16))
     grid_ok &= len(AMP_FACTORS) == 16
     for seed in range(8):
-        s = amp_scale(data, np.random.default_rng(seed))
-        grid_ok &= np.array_equal(s.view, AMP_FACTORS[s.label] * data)
+        views, labels = make_view("amp_scale", data[None], np.random.default_rng(seed), mi)
+        grid_ok &= np.array_equal(views[0], AMP_FACTORS[labels[0]] * data)
 
     # band-stop: >= 40 dB on a stopband-centered sine, <= 0.1 dB on a passband sine
     t = np.arange(int(4 * TARGET_RATE)) / TARGET_RATE
     low, high = 8.0, 13.0
-    table = ((low, high),)
+    one_band = replace(mi, band_table=((low, high),))
     center = np.tile(np.sin(2 * np.pi * 10.5 * t), (2, 1))
     passband = np.tile(np.sin(2 * np.pi * 30.0 * t), (2, 1))
-    stopped = stopped_band(center, np.random.default_rng(0), table).view
-    kept = stopped_band(passband, np.random.default_rng(0), table).view
+    stopped = make_view("stopped_band", center[None], np.random.default_rng(0), one_band)[0][0]
+    kept = make_view("stopped_band", passband[None], np.random.default_rng(0), one_band)[0][0]
     atten_db = 10 * math.log10(
         bandpower(center, TARGET_RATE, low, high)
         / bandpower(stopped, TARGET_RATE, low, high)
@@ -340,11 +331,11 @@ def test_criterion_07_metric_oracles():
 
         worst = max(worst, abs(
             balanced_accuracy(y_true, y_pred)
-            - oracles.oracle_balanced_accuracy(y_true, y_pred)))
+            - metric_oracles.oracle_balanced_accuracy(y_true, y_pred)))
         worst = max(worst, abs(
-            cohens_kappa(y_true, y_pred) - oracles.oracle_kappa(y_true, y_pred)))
+            cohens_kappa(y_true, y_pred) - metric_oracles.oracle_kappa(y_true, y_pred)))
         worst = max(worst, abs(
-            weighted_f1(y_true, y_pred) - oracles.oracle_weighted_f1(y_true, y_pred)))
+            weighted_f1(y_true, y_pred) - metric_oracles.oracle_weighted_f1(y_true, y_pred)))
 
         y_bin = rng.integers(0, 2, size=n)
         while len(np.unique(y_bin)) < 2:
@@ -353,9 +344,9 @@ def test_criterion_07_metric_oracles():
         if i % 3 == 0:
             scores = np.round(scores, 1)  # force ties through the rank path
         worst = max(worst, abs(
-            auroc(y_bin, scores) - oracles.oracle_auroc_pairwise(y_bin, scores)))
+            auroc(y_bin, scores) - metric_oracles.oracle_auroc_pairwise(y_bin, scores)))
         worst = max(worst, abs(
-            auc_pr(y_bin, scores) - oracles.oracle_average_precision(y_bin, scores)))
+            auc_pr(y_bin, scores) - metric_oracles.oracle_average_precision(y_bin, scores)))
 
     ok = worst <= 1e-12
     _verdict(7, "metric-oracle-equivalence", ok,

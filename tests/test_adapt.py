@@ -445,3 +445,14 @@ def test_run_adaptation_rejects_diverging_adaptation(strategy):
     cfgs = {"ttt": TttConfig(lr=1e300), "tent": TentConfig(lr=1e300, batch_size=4)}
     with pytest.raises(ContractError, match="diverged"):
         run_adaptation(strategy, model, spec, make_epochs(8), **cfgs)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+@pytest.mark.parametrize("strategy", ["ttt_ssl", "tent"])
+def test_direct_adaptation_call_rejects_divergence(strategy):
+    model, spec = tiny_model()
+    with pytest.raises(ContractError, match="diverged"):
+        if strategy == "ttt_ssl":
+            ttt_ssl_adapt_predict(model, make_epochs(1)[0], spec, TttConfig(lr=1e300))
+        else:
+            tent_adapt_predict(model, make_epochs(8), TentConfig(lr=1e300, batch_size=4))

@@ -78,6 +78,9 @@ def test_malformed_json_rejected(tmp_path, capsys):
     (b'{"test_gain": "x"}', "test_gain"),
     (b'{"shift": {"channel_gain": [1]}}', "shift.channel_gain"),
     (b'{"hidden": "big"}', "hidden"),
+    (b'{"duration": NaN}', "NaN"),
+    (b'{"duration": Infinity}', "Infinity"),
+    (b'{"task": "syn_speech", "split_fractions": [NaN, 0.2, 0.2]}', "NaN"),
 ])
 def test_config_of_wrong_encoding_or_type_rejected(tmp_path, capsys, content, key):
     path = tmp_path / "bad.json"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from ttalign import autodiff as ad
 from ttalign import nn
 from ttalign.autodiff import Tensor
@@ -89,7 +90,7 @@ class TestBatchNorm:
         w = Tensor(RNG.normal(size=(6, 4)))
 
         def fragment(inp):
-            return ad.mean(ad.mul(bn(inp, train=True, update_stats=False), w))
+            return oracles.mean(ad.mul(bn(inp, train=True, update_stats=False), w))
 
         assert ad.grad_check(fragment, x, [bn.gamma, bn.beta]) < 1e-5
 
@@ -203,7 +204,7 @@ class TestModel:
         model = nn.Model(small_config())
         x = Tensor(RNG.normal(size=(4, 3, 200)))
         y = RNG.integers(0, 3, size=4)
-        params = model.parameters()
+        params = [p for _, p in model.named_parameters()]
 
         def fragment(inp):
             rng = np.random.default_rng(77)  # fixed mask per evaluation
@@ -225,7 +226,7 @@ class TestModel:
             logits = model.ssl_logits(0, feats)
             return ad.cross_entropy(logits, y)
 
-        assert ad.grad_check(fragment, x, model.parameters()) < 1e-5
+        assert ad.grad_check(fragment, x, [p for _, p in model.named_parameters()]) < 1e-5
 
 
 def chain_features(model, x, train, dropout_rng=None, update_stats=True):
@@ -243,11 +244,11 @@ def chain_features(model, x, train, dropout_rng=None, update_stats=True):
         return ad.relu(out)
 
     h = bn_relu(ad.matmul(ad.reshape(x, (b * ch * k, nn.WINDOW)), model.conv.w), model.bn1)
-    h = ad.transpose(ad.reshape(h, (b, ch, k, cfg.hidden)), (0, 2, 1, 3))
+    h = oracles.transpose(ad.reshape(h, (b, ch, k, cfg.hidden)), (0, 2, 1, 3))
     h = ad.matmul(ad.reshape(h, (b * k, ch * cfg.hidden)), model.mix.w)
     h = ad.add(ad.reshape(h, (b, k, cfg.features)), model.pos)
     h = bn_relu(ad.reshape(h, (b * k, cfg.features)), model.bn2)
-    h = ad.mean(ad.reshape(h, (b, k, cfg.features)), axis=1)
+    h = oracles.mean(ad.reshape(h, (b, k, cfg.features)), axis=1)
     if train and dropout_rng is not None and cfg.dropout != 0.0:
         mask = (dropout_rng.random(h.shape) >= cfg.dropout) / (1.0 - cfg.dropout)
         h = ad.mul(h, Tensor(mask))
@@ -355,12 +356,12 @@ class TestArena:
         model = nn.Model(small_config(head_layers=2))
         named = model.named_parameters()
         assert [n for n, _ in model.layout] == [n for n, _ in named]
-        assert model.param_arena.size == model.grad_arena.size == sum(p.size for _, p in named)
+        assert model.param_arena.size == model.grad_arena.size == sum(p.data.size for _, p in named)
         lo = 0
         for _, p in named:
-            assert np.shares_memory(p.data, model.param_arena[lo:lo + p.size])
-            assert np.shares_memory(p.grad, model.grad_arena[lo:lo + p.size])
-            lo += p.size
+            assert np.shares_memory(p.data, model.param_arena[lo:lo + p.data.size])
+            assert np.shares_memory(p.grad, model.grad_arena[lo:lo + p.data.size])
+            lo += p.data.size
         lo = 0
         for _, b in model.named_buffers():
             assert np.shares_memory(b, model.buffer_arena[lo:lo + b.size])
@@ -374,7 +375,7 @@ class TestArena:
             ad.backward(ad.cross_entropy(model.forward_main(x, train=True), y))
         assert all(p.grad.any() for p in (model.conv.w, model.mix.w))
         model.zero_grad()
-        assert all(not p.grad.any() for p in model.parameters())
+        assert all(not p.grad.any() for _, p in model.named_parameters())
 
     def test_clone_copies_params_and_buffers_only(self):
         model = nn.Model(small_config(init_seed=3))

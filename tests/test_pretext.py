@@ -1,6 +1,5 @@
-"""Pretext transforms: exact label grids, involution/inversion, label recoverability."""
+"""Pretext views: exact label grids, involution/inversion, label recoverability."""
 
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from oracles import JIGSAW_PERMS, bandpower, jigsaw_order
 from ttalign import pretext as px
 from ttalign import signals as sig
 from ttalign.errors import ConfigError, ContractError
@@ -36,38 +37,46 @@ class TestBandTables:
             px.band_table_for("syn_sleep")
 
 
+def draw(name, X, rng, task="syn_mi"):
+    return px.make_view(name, X, rng, px.task_spec_for(task))
+
+
+class _Forced:
+    """Stub generator whose integer draw always lands on ``label``."""
+
+    def __init__(self, label):
+        self.label = label
+
+    def integers(self, *_a, **_k):
+        return self.label
+
+
 class TestStoppedBand:
     def test_label_matches_drawn_band_and_classes(self):
-        x = noisy_epoch(1)
-        s = px.stopped_band(x, np.random.default_rng(0), px.band_table_for("syn_mi"))
-        assert s.n_classes == 4 and 0 <= s.label < 4
-        assert s.view.shape == x.shape
+        x = noisy_epoch(1)[None]
+        view, labels = draw("stopped_band", x, np.random.default_rng(0))
+        assert 0 <= labels[0] < len(px.band_table_for("syn_mi"))
+        assert view.shape == x.shape
 
     def test_out_of_band_tone_preserved_for_label_zero(self):
         # 10 Hz sine with the stress table, band 0 = (4, 8): RMS within 1%
         t = np.arange(200) / 200.0
-        x = np.tile(np.sin(2 * np.pi * 10.0 * t), (8, 1))
-        rng = np.random.default_rng(3)
-        s = None
-        while s is None or s.label != 0:
-            s = px.stopped_band(x, rng, px.band_table_for("syn_stress"))
-        assert abs(np.sqrt((s.view ** 2).mean()) - np.sqrt((x ** 2).mean())) < 0.01
+        x = np.tile(np.sin(2 * np.pi * 10.0 * t), (1, 8, 1))
+        view, _ = draw("stopped_band", x, _Forced(0), "syn_stress")
+        assert abs(np.sqrt((view ** 2).mean()) - np.sqrt((x ** 2).mean())) < 0.01
 
     def test_label_recoverable_from_bandpower_ratio(self):
         table = px.band_table_for("syn_mi")
-        rng = np.random.default_rng(7)
-        for trial in range(40):
-            x = noisy_epoch(seed=100 + trial)
-            s = px.stopped_band(x, rng, table)
-            ratios = [
-                sig.bandpower(s.view, 200.0, lo, hi) / sig.bandpower(x, 200.0, lo, hi)
-                for lo, hi in table
-            ]
-            assert int(np.argmin(ratios)) == s.label
+        X = np.stack([noisy_epoch(seed=100 + trial) for trial in range(40)])
+        views, labels = draw("stopped_band", X, np.random.default_rng(7))
+        for x, view, label in zip(X, views, labels):
+            ratios = [bandpower(view, 200.0, lo, hi) / bandpower(x, 200.0, lo, hi) for lo, hi in table]
+            assert int(np.argmin(ratios)) == label
 
     def test_empty_table_rejected(self):
+        spec = replace(px.task_spec_for("syn_mi"), band_table=())
         with pytest.raises(ConfigError):
-            px.stopped_band(noisy_epoch(), np.random.default_rng(0), ())
+            px.make_view("stopped_band", noisy_epoch()[None], np.random.default_rng(0), spec)
 
 
 class TestAmpScale:
@@ -81,89 +90,55 @@ class TestAmpScale:
 
     def test_view_is_exact_multiple(self):
         x = noisy_epoch(2)
-        s = px.amp_scale(x, np.random.default_rng(5))
-        assert np.array_equal(s.view, px.AMP_FACTORS[s.label] * x)
-        assert s.n_classes == 16
+        view, labels = draw("amp_scale", x[None], np.random.default_rng(5))
+        assert np.array_equal(view[0], px.AMP_FACTORS[labels[0]] * x)
 
     def test_label_recoverable_from_rms_and_sign(self):
-        rng = np.random.default_rng(11)
-        for trial in range(40):
-            x = noisy_epoch(seed=200 + trial)
-            s = px.amp_scale(x, rng)
-            magnitude = np.sqrt((s.view ** 2).mean() / (x ** 2).mean())
-            sign = np.sign(np.sum(s.view * x))
-            recovered = int(np.argmin([abs(sign * magnitude - f) for f in px.AMP_FACTORS]))
-            assert recovered == s.label
+        X = np.stack([noisy_epoch(seed=200 + trial) for trial in range(40)])
+        views, labels = draw("amp_scale", X, np.random.default_rng(11))
+        for x, view, label in zip(X, views, labels):
+            magnitude = np.sqrt((view ** 2).mean() / (x ** 2).mean())
+            sign = np.sign(np.sum(view * x))
+            assert int(np.argmin([abs(sign * magnitude - f) for f in px.AMP_FACTORS])) == label
 
 
 class TestApFlip:
     def test_involution_bitwise(self):
-        x = noisy_epoch(3)
-        rng = np.random.default_rng(1)
-        s = None
-        while s is None or s.label != 1:
-            s = px.ap_flip(x, rng)
-        twice = px.ap_flip(s.view, _ForcedFlip())
-        assert twice.label == 1
-        assert np.array_equal(twice.view, x)
+        x = noisy_epoch(3)[None]
+        once, _ = draw("ap_flip", x, _Forced(1))
+        twice, labels = draw("ap_flip", once, _Forced(1))
+        assert labels[0] == 1 and not np.array_equal(once, x)
+        assert np.array_equal(twice, x)
 
     def test_unflipped_view_is_copy_not_alias(self):
-        x = noisy_epoch(4)
-        s = None
-        rng = np.random.default_rng(2)
-        while s is None or s.label != 0:
-            s = px.ap_flip(x, rng)
-        assert np.array_equal(s.view, x) and s.view is not x
+        x = noisy_epoch(4)[None]
+        view, _ = draw("ap_flip", x, _Forced(0))
+        assert np.array_equal(view, x) and not np.shares_memory(view, x)
 
     def test_pairs_swap_expected_rows(self):
         x = noisy_epoch(5)
-        s = px.ap_flip(x, _ForcedFlip())
+        view = draw("ap_flip", x[None], _Forced(1))[0][0]
         for a, b in sig.AP_PAIRS:
-            assert np.array_equal(s.view[a], x[b])
-            assert np.array_equal(s.view[b], x[a])
-
-
-class _ForcedFlip:
-    """Stub generator whose integer draw always lands on 1."""
-
-    def integers(self, *_a, **_k):
-        return 1
+            assert np.array_equal(view[a], x[b])
+            assert np.array_equal(view[b], x[a])
 
 
 class TestJigsaw:
     def test_identity_permutation_is_label_zero(self):
-        x = noisy_epoch(7)
-        s = px.jigsaw(x, _ForcedZero(), k=3)
-        assert s.label == 0
-        assert np.array_equal(s.view, x)
-
-    def test_k2_has_two_classes_k3_has_six(self):
-        x = noisy_epoch(8)
-        assert px.jigsaw(x, np.random.default_rng(0), k=2).n_classes == 2
-        assert px.jigsaw(x, np.random.default_rng(0), k=3).n_classes == 6
+        x = noisy_epoch(7)[None]
+        view, labels = draw("jigsaw", x, _Forced(0))
+        assert labels[0] == 0 and np.array_equal(view, x)
 
     def test_inverse_roundtrip_bitwise(self):
-        rng = np.random.default_rng(9)
-        for k in (2, 3):
-            for trial in range(12):
-                x = noisy_epoch(seed=300 + trial)
-                s = px.jigsaw(x, rng, k=k)
-                assert np.array_equal(px.jigsaw_invert(s.view, s.label, k), x)
+        X = np.stack([noisy_epoch(seed=300 + trial) for trial in range(12)])
+        views, labels = draw("jigsaw", X, np.random.default_rng(9))
+        for x, view, label in zip(X, views, labels):
+            assert np.array_equal(view[:, np.argsort(jigsaw_order(200, label))], x)
 
     def test_chunks_are_near_equal_and_contiguous(self):
-        bounds = px._chunk_bounds(200, 3)
-        sizes = [hi - lo for lo, hi in bounds]
-        assert sum(sizes) == 200 and max(sizes) - min(sizes) <= 1
-        assert bounds[0][0] == 0 and bounds[-1][1] == 200
-
-    def test_unsupported_k_rejected(self):
-        with pytest.raises(ConfigError):
-            px.jigsaw(noisy_epoch(), np.random.default_rng(0), k=5)
-
-
-class _ForcedZero:
-    def integers(self, *_a, **_k):
-        return 0
+        chunks = [np.arange(0, 67), np.arange(67, 134), np.arange(134, 200)]
+        for order, perm in zip(px._jigsaw_orders(200), JIGSAW_PERMS):
+            assert np.array_equal(order, np.concatenate([chunks[i] for i in perm]))
 
 
 class TestTaskSpec:
@@ -203,10 +178,10 @@ class TestTaskSpec:
 
 # the per-sample transforms are the reference for the batched make_view
 PER_SAMPLE = {
-    "stopped_band": lambda x, rng, spec: px.stopped_band(x, rng, spec.band_table),
-    "amp_scale": lambda x, rng, spec: px.amp_scale(x, rng),
-    "ap_flip": lambda x, rng, spec: px.ap_flip(x, rng),
-    "jigsaw": lambda x, rng, spec: px.jigsaw(x, rng),
+    "stopped_band": lambda x, rng, spec: oracles.stopped_band(x, rng, spec.band_table),
+    "amp_scale": lambda x, rng, spec: oracles.amp_scale(x, rng),
+    "ap_flip": lambda x, rng, spec: oracles.ap_flip(x, rng),
+    "jigsaw": lambda x, rng, spec: oracles.jigsaw(x, rng),
 }
 
 
@@ -221,9 +196,8 @@ def test_batched_views_equal_stacked_per_sample_draws(task, name, batch):
     views, labels = px.make_view(name, X, rng, spec)
 
     ref = [PER_SAMPLE[name](x, ref_rng, spec) for x in X]
-    assert all(s.task == name for s in ref)
-    assert np.array_equal(labels, [s.label for s in ref])
-    assert np.array_equal(views, np.stack([s.view for s in ref]))
+    assert np.array_equal(labels, [label for _, label in ref])
+    assert np.array_equal(views, np.stack([view for view, _ in ref]))
 
     one = [px.make_view(name, X[i:i + 1], one_rng, spec) for i in range(batch)]
     assert np.array_equal(labels, np.concatenate([lab for _, lab in one]))
