@@ -65,7 +65,7 @@ def _l2_norm(parts) -> float:
     return float(np.sqrt(total))
 
 
-def _check_converged(strategy: str, probs: np.ndarray, delta: float) -> None:
+def _raise_if_diverged(strategy: str, probs: np.ndarray, delta: float) -> None:
     """ContractError unless an adaptation's probabilities and parameter change are finite."""
     if not (np.isfinite(probs).all() and np.isfinite(delta)):
         raise ContractError(f"{strategy} adaptation diverged: non-finite probabilities or parameter change")
@@ -151,7 +151,7 @@ def ttt_ssl_adapt_predict(
     probs = model.predict_proba(x[None])[0]
     d = model.param_arena - before
     delta = _l2_norm(d[s] for s in _arena_slices(model.layout))
-    _check_converged("ttt_ssl", probs, delta)
+    _raise_if_diverged("ttt_ssl", probs, delta)
     return probs, {"ssl_loss": losses, "param_delta": delta}
 
 
@@ -238,7 +238,7 @@ def tent_adapt_predict(
                 logits = model.forward_main(batch, train=True, update_stats=False)
                 p = ad.softmax(logits, axis=1).data
             delta = _l2_norm(p.data - before[n] for n, p in named_affine)
-            _check_converged("tent", p, delta)
+            _raise_if_diverged("tent", p, delta)
             probs[idx] = p
             records.append(
                 {
