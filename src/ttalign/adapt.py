@@ -19,16 +19,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import accumulate
-from math import prod
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ContractError
-from .nn import Model, clone_model, restore, snapshot
+from .nn import Model, arena_slices, clone_model, restore, snapshot
 from .optim import SGD, check_optimizer, make_optimizer
 from .pretext import TaskSpec, make_view
 
@@ -71,13 +68,6 @@ def _raise_if_diverged(strategy: str, probs: np.ndarray, delta: float) -> None:
         raise ContractError(f"{strategy} adaptation diverged: non-finite probabilities or parameter change")
 
 
-@lru_cache(maxsize=16)
-def _arena_slices(layout: tuple[tuple[str, tuple[int, ...]], ...]) -> tuple[slice, ...]:
-    """Each parameter's slice of a parameter arena laid out as ``layout``."""
-    bounds = list(accumulate((prod(shape) for _, shape in layout), initial=0))
-    return tuple(slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]))
-
-
 # ---------------------------------------------------------------------------
 # per-sample self-supervised test-time training
 # ---------------------------------------------------------------------------
@@ -94,7 +84,7 @@ class TttConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
-        if self.lr <= 0:
+        if not self.lr > 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if self.ssl_mode not in ("both_weighted", "first_only"):
             raise ConfigError(f"unknown ssl_mode '{self.ssl_mode}'")
@@ -150,7 +140,7 @@ def ttt_ssl_adapt_predict(
         losses.append(loss.item())
     probs = model.predict_proba(x[None])[0]
     d = model.param_arena - before
-    delta = _l2_norm(d[s] for s in _arena_slices(model.layout))
+    delta = _l2_norm(d[s] for s in arena_slices(model.layout))
     _raise_if_diverged("ttt_ssl", probs, delta)
     return probs, {"ssl_loss": losses, "param_delta": delta}
 
@@ -167,7 +157,7 @@ class TentConfig:
     update_running_stats: bool = True
 
     def __post_init__(self):
-        if self.lr <= 0:
+        if not self.lr > 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if self.steps_per_batch < 1:
             raise ConfigError(f"steps_per_batch must be >= 1, got {self.steps_per_batch}")

@@ -3,7 +3,7 @@ deterministic report emission.
 
 Every run is a set of ``(row, column)`` cells of one grid, and runs the same stages:
 
-1. :func:`build_splits` — generate, preprocess and split one seed's dataset;
+1. :func:`build_splits` — generate, split and preprocess one seed's dataset;
 2. :func:`pretrained_base` — initialise the model and masked-pretrain it;
 3. :func:`finetune` — stage-I fine-tuning of a clone with one row's pretext weights
    (:func:`ablation_rows`: none, either pretext task alone, or both);
@@ -32,11 +32,11 @@ from pathlib import Path
 import numpy as np
 
 from .adapt import ADAPT_METHODS, TentConfig, TttConfig, run_adaptation
-from .errors import ConfigError, ContractError
+from .errors import ConfigError
 from .metrics import EvalResult, evaluate_predictions
 from .nn import Model, ModelConfig, clone_model
 from .pretext import TaskSpec, task_spec_for
-from .signals import EPOCH_SAMPLES, N_CLASSES, TARGET_RATE, TASKS, ShiftSpec, epochs_to_arrays, generate_dataset, preprocess
+from .signals import EPOCH_SAMPLES, N_CLASSES, TARGET_RATE, TASKS, ShiftSpec, generate_dataset, preprocess
 from .training import FinetuneConfig, PretrainConfig, finetune_stage1, masked_pretrain
 
 # strategy -> its (stage-I row, stage-II column) cell of the grid
@@ -88,12 +88,16 @@ class ExperimentConfig:
             raise ConfigError(f"unknown strategies {sorted(unknown)}")
         if self.n_seeds < 1:
             raise ConfigError(f"n_seeds must be >= 1, got {self.n_seeds}")
-        if self.test_gain <= 0:
+        if not self.test_gain > 0:
             raise ConfigError(f"test_gain must be positive, got {self.test_gain}")
         if self.trials_per_subject < 1:
             raise ConfigError("trials_per_subject must be >= 1")
-        if self.duration < EPOCH_SAMPLES / TARGET_RATE:
+        if not self.duration >= EPOCH_SAMPLES / TARGET_RATE:
             raise ConfigError(f"duration must cover one epoch ({EPOCH_SAMPLES / TARGET_RATE:g} s), got {self.duration}")
+        if not 0 <= self.dropout < 1:
+            raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
+        if self.pretrain is not None and EPOCH_SAMPLES % self.pretrain.patch:
+            raise ConfigError(f"pretrain patch {self.pretrain.patch} does not divide the {EPOCH_SAMPLES}-sample epoch")
         if self.hidden < 1 or self.features < 1:
             raise ConfigError(f"hidden and features must be >= 1, got {self.hidden} and {self.features}")
         if self.base_seed < 0:
@@ -113,7 +117,7 @@ class ExperimentConfig:
             if self.n_subjects < 1:
                 raise ConfigError("within_subject needs n_subjects >= 1")
             fr = self.split_fractions
-            if len(fr) != 3 or any(f <= 0 for f in fr) or abs(sum(fr) - 1.0) > 1e-9:
+            if len(fr) != 3 or not all(f > 0 for f in fr) or not abs(sum(fr) - 1.0) <= 1e-9:
                 raise ConfigError(f"split_fractions must be 3 positive numbers summing to 1, got {fr}")
 
 
@@ -156,29 +160,27 @@ def config_hash(cfg: ExperimentConfig) -> str:
 # ---------------------------------------------------------------------------
 
 def build_splits(cfg: ExperimentConfig, seed: int) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Generate, preprocess, and split one seed's dataset.
+    """Generate, split and preprocess one seed's dataset.
 
     Cross-subject: whole subjects go to one split each. Within-subject: every
     subject contributes to all three splits, stratified by class, recordings kept
     whole (all epochs of a recording land in the same split). The test split is
     multiplied by ``test_gain`` afterwards (covariate-shift knob).
     """
-    if cfg.protocol == "cross_subject":
-        wanted = {"train": set(cfg.train_subjects), "val": set(cfg.val_subjects), "test": set(cfg.test_subjects)}
-        n_subjects = max(max(g) for g in wanted.values())
-        recs = generate_dataset(cfg.task, n_subjects, cfg.trials_per_subject, seed, cfg.shift, cfg.duration)
-        epochs = {"train": [], "val": [], "test": []}
+    cross = cfg.protocol == "cross_subject"
+    n_subjects = max(*cfg.train_subjects, *cfg.val_subjects, *cfg.test_subjects) if cross else cfg.n_subjects
+    recs = generate_dataset(cfg.task, n_subjects, cfg.trials_per_subject, seed, cfg.shift, cfg.duration)
+    split_recs = {"train": [], "val": [], "test": []}
+    if cross:
+        split_of = {s: name for name in split_recs for s in getattr(cfg, f"{name}_subjects")}
         for rec in recs:
-            for name, members in wanted.items():
-                if rec.subject in members:
-                    epochs[name].extend(preprocess(rec))
+            if rec.subject in split_of:
+                split_recs[split_of[rec.subject]].append(rec)
     else:
-        recs = generate_dataset(cfg.task, cfg.n_subjects, cfg.trials_per_subject, seed, cfg.shift, cfg.duration)
-        epochs = {"train": [], "val": [], "test": []}
         by_subject_class: dict[tuple[int, int], list] = {}
         for rec in recs:
             by_subject_class.setdefault((rec.subject, rec.label), []).append(rec)
-        for (_, _), group in sorted(by_subject_class.items()):
+        for _, group in sorted(by_subject_class.items()):
             n = len(group)
             n_tr = int(np.floor(cfg.split_fractions[0] * n))
             n_va = int(np.floor(cfg.split_fractions[1] * n))
@@ -187,17 +189,10 @@ def build_splits(cfg: ExperimentConfig, seed: int) -> dict[str, tuple[np.ndarray
                     f"{n} recordings per subject/class cannot fill all three splits "
                     f"at fractions {cfg.split_fractions}"
                 )
-            for rec in group[:n_tr]:
-                epochs["train"].extend(preprocess(rec))
-            for rec in group[n_tr: n_tr + n_va]:
-                epochs["val"].extend(preprocess(rec))
-            for rec in group[n_tr + n_va:]:
-                epochs["test"].extend(preprocess(rec))
-    out = {}
-    for name, eps in epochs.items():
-        if not eps:
-            raise ContractError(f"split '{name}' ended up empty")
-        out[name] = epochs_to_arrays(eps)
+            split_recs["train"] += group[:n_tr]
+            split_recs["val"] += group[n_tr: n_tr + n_va]
+            split_recs["test"] += group[n_tr + n_va:]
+    out = {name: preprocess(group) for name, group in split_recs.items()}
     if cfg.test_gain != 1.0:
         X, y, subj = out["test"]
         out["test"] = (X * cfg.test_gain, y, subj)

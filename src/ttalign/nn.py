@@ -23,6 +23,9 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, asdict
+from functools import lru_cache
+from itertools import accumulate
+from math import prod
 
 import numpy as np
 
@@ -143,6 +146,13 @@ def _arena(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
         views.append(flat[lo:lo + a.size].reshape(a.shape))
         lo += a.size
     return flat, views
+
+
+@lru_cache(maxsize=16)
+def arena_slices(layout: tuple[tuple[str, tuple[int, ...]], ...]) -> tuple[slice, ...]:
+    """Each parameter's slice of a parameter arena laid out as ``layout``."""
+    bounds = list(accumulate((prod(shape) for _, shape in layout), initial=0))
+    return tuple(slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]))
 
 
 class Model:
@@ -312,12 +322,8 @@ class Snapshot:
     @property
     def params(self) -> dict[str, np.ndarray]:
         """Each parameter by name, as a view into the copied arena."""
-        out, lo = {}, 0
-        for name, shape in self.layout:
-            size = int(np.prod(shape))
-            out[name] = self.param_arena[lo:lo + size].reshape(shape)
-            lo += size
-        return out
+        return {name: self.param_arena[s].reshape(shape)
+                for (name, shape), s in zip(self.layout, arena_slices(self.layout))}
 
 
 def snapshot(model: Model) -> Snapshot:

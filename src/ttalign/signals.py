@@ -35,6 +35,7 @@ NATIVE_RATE = {"syn_mi": 250.0, "syn_stress": 500.0, "syn_speech": 256.0}
 TARGET_RATE = 200.0
 EPOCH_SAMPLES = 200
 TRANSITION = 1.0  # Hz, width of each raised-cosine filter edge
+PASSBAND = (0.3, 75.0)  # Hz, kept by preprocess
 
 # class -> suppressed channel group for syn_mi
 MI_GROUPS = ((2, 4), (3, 5), (0, 1), (6, 7))  # left, right, frontal, occipital
@@ -49,17 +50,6 @@ class Recording:
     rate: float
     subject: int
     label: int
-    task: str
-
-
-@dataclass
-class Epoch:
-    """One model-ready segment: (channels, 200) at 200 Hz."""
-
-    data: np.ndarray
-    subject: int
-    label: int
-    task: str
 
 
 @dataclass(frozen=True)
@@ -82,7 +72,7 @@ class ShiftSpec:
             raise ConfigError(f"channel gain range must satisfy 0 < lo <= hi, got {self.channel_gain}")
         if not 0 <= self.component_jitter < 1:
             raise ConfigError(f"component jitter must lie in [0, 1), got {self.component_jitter}")
-        if self.noise_scale < 0:
+        if not self.noise_scale >= 0:
             raise ConfigError(f"noise scale must be non-negative, got {self.noise_scale}")
 
 
@@ -183,7 +173,7 @@ def _raised_cosine_drop(t: np.ndarray, onset: float, ramp: float, floor: float) 
     return env
 
 
-def _subject_profile(task: str, shift: ShiftSpec, master_seed: int, subject: int):
+def _subject_profile(shift: ShiftSpec, master_seed: int, subject: int):
     rng = np.random.default_rng(subject_seed(master_seed ^ shift.seed, subject))
     lo, hi = shift.channel_gain
     gains = rng.uniform(lo, hi, size=len(MONTAGE))
@@ -240,7 +230,7 @@ def generate_recording(
         raise ConfigError(f"unknown task '{task}' (expected one of {TASKS})")
 
     x *= gains[:, None]
-    return Recording(data=x, rate=rate, subject=subject, label=label, task=task)
+    return Recording(data=x, rate=rate, subject=subject, label=label)
 
 
 def generate_dataset(
@@ -263,7 +253,7 @@ def generate_dataset(
     n_classes = N_CLASSES[task]
     out: list[Recording] = []
     for subject in range(1, n_subjects + 1):
-        rng, gains, comp = _subject_profile(task, shift, seed, subject)
+        rng, gains, comp = _subject_profile(shift, seed, subject)
         labels = np.tile(np.arange(n_classes), trials_per_subject // n_classes + 1)[:trials_per_subject]
         labels = rng.permutation(labels)
         for label in labels:
@@ -277,37 +267,25 @@ def generate_dataset(
 # preprocessing
 # ---------------------------------------------------------------------------
 
-def preprocess(rec: Recording, band: tuple[float, float] | None = (0.3, 75.0)) -> list[Epoch]:
-    """Band-pass (optional), resample to ``TARGET_RATE``, cut 1 s non-overlapping epochs.
+def preprocess(recordings: list[Recording]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One split's ``(X, labels, subjects)`` arrays from its recordings, in order.
 
-    A recording shorter than one epoch after resampling yields an empty list.
+    Each recording is band-passed to ``PASSBAND``, resampled to ``TARGET_RATE`` and
+    cut into non-overlapping ``EPOCH_SAMPLES`` epochs, one recording at a time; a
+    recording shorter than one epoch contributes none.
     """
-    if rec.data.ndim != 2:
-        raise ContractError(f"recording data must be 2-D, got shape {rec.data.shape}")
-    x = rec.data
-    if band is not None:
-        x = bandpass(x, rec.rate, band[0], band[1])
-    x = resample(x, rec.rate, TARGET_RATE)
-    n_epochs = x.shape[-1] // EPOCH_SAMPLES
-    return [
-        Epoch(
-            data=x[:, i * EPOCH_SAMPLES: (i + 1) * EPOCH_SAMPLES].copy(),
-            subject=rec.subject,
-            label=rec.label,
-            task=rec.task,
-        )
-        for i in range(n_epochs)
-    ]
-
-
-def epochs_to_arrays(epochs: list[Epoch]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack epochs into (X, labels, subjects) arrays."""
+    epochs, labels, subjects = [], [], []
+    for rec in recordings:
+        if rec.data.ndim != 2:
+            raise ContractError(f"recording data must be 2-D, got shape {rec.data.shape}")
+        x = resample(bandpass(rec.data, rec.rate, *PASSBAND), rec.rate, TARGET_RATE)
+        n_epochs = x.shape[-1] // EPOCH_SAMPLES
+        epochs += [x[:, i * EPOCH_SAMPLES: (i + 1) * EPOCH_SAMPLES] for i in range(n_epochs)]
+        labels += [rec.label] * n_epochs
+        subjects += [rec.subject] * n_epochs
     if not epochs:
-        raise ContractError("no epochs to stack")
-    X = np.stack([e.data for e in epochs])
-    y = np.array([e.label for e in epochs], dtype=np.int64)
-    subj = np.array([e.subject for e in epochs], dtype=np.int64)
-    return X, y, subj
+        raise ContractError(f"no epochs in {len(recordings)} recordings")
+    return np.stack(epochs), np.array(labels, dtype=np.int64), np.array(subjects, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

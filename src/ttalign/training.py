@@ -73,6 +73,8 @@ class PretrainConfig:
             raise ConfigError("epochs and batch_size must be positive")
         if self.patch < 1:
             raise ConfigError(f"patch must be >= 1, got {self.patch}")
+        if not self.lr > 0:
+            raise ConfigError(f"pretrain lr must be positive, got {self.lr}")
         check_optimizer(self.optimizer)
 
 
@@ -147,6 +149,8 @@ class FinetuneConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be positive")
+        if not self.lr > 0:
+            raise ConfigError(f"finetune lr must be positive, got {self.lr}")
         check_optimizer(self.optimizer)
         if self.monitor is not None and self.monitor not in MONITORS:
             raise ConfigError(f"unknown monitor '{self.monitor}' (expected one of {MONITORS} or null)")

@@ -10,11 +10,13 @@ import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ttalign.cli import build_config, build_parser, main
+from ttalign.errors import ConfigError
 from ttalign.harness import run_single
 from ttalign.nn import load_checkpoint
 from ttalign.signals import load_split
@@ -115,6 +117,27 @@ def test_config_out_of_range_rejected(tmp_path, capsys, override, key):
     assert code == 2 and stdout == ""
     record = json.loads(err)
     assert record["error"] == "ConfigError" and key in record["message"]
+
+
+@pytest.mark.parametrize("override, key", [
+    ({"finetune": {"lr": 0}}, "finetune lr"),
+    ({"finetune": {"lr": -1}}, "finetune lr"),
+    ({"pretrain": {"lr": 0}}, "pretrain lr"),
+    ({"dropout": 1.5}, "dropout"),
+    ({"dropout": -0.1}, "dropout"),
+    ({"pretrain": {"epochs": 1, "patch": 7}}, "patch"),
+])
+def test_config_rejected_before_any_data_is_generated(tmp_path, monkeypatch, override, key):
+    import ttalign.harness
+
+    def never(*args, **kwargs):
+        raise AssertionError("data generated before the config was checked")
+
+    monkeypatch.setattr(ttalign.harness, "generate_dataset", never)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**MICRO, **override}))
+    with pytest.raises(ConfigError, match=key):
+        build_config(build_parser().parse_args(["evaluate", "--config", str(path)]))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
@@ -395,6 +418,12 @@ def test_gradcheck_passes_and_writes_audit(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # module entry point
 # ---------------------------------------------------------------------------
+
+def test_every_function_is_reached_by_a_command():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "reach.py"
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
 
 def test_module_entry_point_subprocess(tmp_path, micro_cfg):
     out = tmp_path / "gen"

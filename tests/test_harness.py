@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from ttalign import harness
-from ttalign.adapt import ADAPT_METHODS
+from ttalign.adapt import ADAPT_METHODS, TentConfig, TttConfig
 from ttalign.errors import ConfigError
 from ttalign.harness import (
     STRATEGY_CELLS,
@@ -28,7 +28,7 @@ from ttalign.harness import (
     run_experiment,
     run_single,
 )
-from ttalign.signals import ShiftSpec
+from ttalign.signals import PASSBAND, TARGET_RATE, ShiftSpec, bandpass, generate_dataset, resample
 from ttalign.training import FinetuneConfig, PretrainConfig
 
 
@@ -84,6 +84,25 @@ def test_config_validation():
         ExperimentConfig(test_gain=0.0)
     with pytest.raises(ConfigError):
         ExperimentConfig(protocol="within_subject", split_fractions=(0.5, 0.5, 0.5))
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("build, field", [
+    (FinetuneConfig, {"lr": NAN}),
+    (PretrainConfig, {"lr": NAN}),
+    (TttConfig, {"lr": NAN}),
+    (TentConfig, {"lr": NAN}),
+    (ShiftSpec, {"noise_scale": NAN}),
+    (micro, {"dropout": NAN}),
+    (micro, {"test_gain": NAN}),
+    (micro, {"duration": NAN}),
+    (micro, {"protocol": "within_subject", "split_fractions": (NAN, 0.2, 0.2)}),
+], ids=lambda v: "-".join(v) if isinstance(v, dict) else v.__name__)
+def test_nan_fails_every_range_check(build, field):
+    with pytest.raises(ConfigError):
+        build(**field)
 
 
 def test_config_hash_deterministic_and_sensitive():
@@ -147,6 +166,35 @@ def test_test_gain_scales_test_split_only():
     assert np.array_equal(shifted["train"][0], plain["train"][0])
     assert np.array_equal(shifted["val"][0], plain["val"][0])
     assert np.array_equal(shifted["test"][0], plain["test"][0] * 1.3)
+
+
+@pytest.mark.parametrize("task", ["syn_mi", "syn_speech"])  # cross- and within-subject
+def test_multi_epoch_recordings_stay_whole_and_in_order(task):
+    cfg = micro(task, duration=2.5)
+    cross = cfg.protocol == "cross_subject"
+    n_subjects = max(*cfg.train_subjects, *cfg.val_subjects, *cfg.test_subjects) if cross else cfg.n_subjects
+    recs = generate_dataset(cfg.task, n_subjects, cfg.trials_per_subject, 1, cfg.shift, cfg.duration)
+    epochs = []
+    for rec in recs:
+        x = resample(bandpass(rec.data, rec.rate, *PASSBAND), rec.rate, TARGET_RATE)
+        assert x.shape[-1] // 200 == 2
+        epochs.append([x[:, :200], x[:, 200:400]])
+    owner = {first.tobytes(): i for i, (first, _) in enumerate(epochs)}
+    orders = {}
+    for name, (X, y, subj) in build_splits(cfg, seed=1).items():
+        assert X.flags.c_contiguous and len(X) % 2 == 0
+        order = orders[name] = [owner[X[i].tobytes()] for i in range(0, len(X), 2)]
+        assert np.array_equal(X, np.stack([e for i in order for e in epochs[i]]))
+        assert y.tolist() == [recs[i].label for i in order for _ in range(2)]
+        assert subj.tolist() == [recs[i].subject for i in order for _ in range(2)]
+    # every recording lands whole in exactly one split
+    assert sorted(i for order in orders.values() for i in order) == list(range(len(recs)))
+    for name, order in orders.items():
+        if cross:
+            assert order == sorted(order)
+            assert {recs[i].subject for i in order} == set(getattr(cfg, f"{name}_subjects"))
+        else:
+            assert order == sorted(order, key=lambda i: (recs[i].subject, recs[i].label, i))
 
 
 def test_build_splits_deterministic():

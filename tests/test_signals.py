@@ -138,29 +138,38 @@ class TestResample:
 
 class TestPreprocess:
     def test_epoch_count_10s_500hz(self):
-        rec = sig.Recording(np.zeros((8, 5000)), 500.0, subject=1, label=0, task="syn_mi")
-        assert len(sig.preprocess(rec)) == 10
+        rec = sig.Recording(np.zeros((8, 5000)), 500.0, subject=1, label=0)
+        X, y, subj = sig.preprocess([rec])
+        assert X.shape == (10, 8, 200) and y.shape == subj.shape == (10,)
 
-    def test_native_200hz_no_filter_is_exact_slicing(self):
+    def test_native_200hz_is_exact_slicing_of_the_passband(self):
         rng = np.random.default_rng(2)
         data = rng.normal(size=(8, 600))
-        rec = sig.Recording(data, 200.0, subject=1, label=2, task="syn_mi")
-        eps = sig.preprocess(rec, band=None)
-        assert len(eps) == 3
-        for i, ep in enumerate(eps):
-            assert np.array_equal(ep.data, data[:, 200 * i: 200 * (i + 1)])
-            assert ep.label == 2 and ep.subject == 1
+        rec = sig.Recording(data, 200.0, subject=1, label=2)
+        X, y, subj = sig.preprocess([rec])
+        passed = sig.bandpass(data, 200.0, *sig.PASSBAND)
+        assert X.shape == (3, 8, 200) and X.flags.c_contiguous
+        for i in range(3):
+            assert np.array_equal(X[i], passed[:, 200 * i: 200 * (i + 1)])
+        assert y.tolist() == [2, 2, 2] and subj.tolist() == [1, 1, 1]
+        assert y.dtype == subj.dtype == np.int64
 
     def test_short_recording_yields_no_epochs(self):
-        rec = sig.Recording(np.zeros((8, 100)), 200.0, subject=1, label=0, task="syn_mi")
-        assert sig.preprocess(rec, band=None) == []
+        short = sig.Recording(np.zeros((8, 100)), 200.0, subject=1, label=0)
+        whole = sig.Recording(np.ones((8, 200)), 200.0, subject=2, label=3)
+        X, y, subj = sig.preprocess([short, whole, short])
+        assert X.shape == (1, 8, 200) and y.tolist() == [3] and subj.tolist() == [2]
+        with pytest.raises(ContractError):
+            sig.preprocess([short])
 
     def test_bandpass_removes_out_of_band_content(self):
         x = tone(0.5, rate=500.0, n=5000, amp=5.0)[None, :] * np.ones((8, 1))
         x += tone(110.0, rate=500.0, n=5000, amp=5.0)
-        rec = sig.Recording(x, 500.0, subject=1, label=0, task="syn_stress")
-        (ep, *_rest) = sig.preprocess(rec, band=(4.0, 30.0))
-        assert rms(ep.data) < 0.05
+        assert rms(sig.bandpass(x, 500.0, 4.0, 30.0)) < 0.05
+        # 90 Hz lies below the 100 Hz Nyquist of TARGET_RATE: only PASSBAND removes it
+        hum = tone(90.0, rate=500.0, n=5000, amp=5.0)[None, :] * np.ones((8, 1))
+        X, _, _ = sig.preprocess([sig.Recording(hum, 500.0, subject=1, label=0)])
+        assert rms(X) < 0.05
 
 
 class TestGenerators:
@@ -205,8 +214,7 @@ class TestGenerators:
     @pytest.mark.parametrize("task", sig.TASKS)
     def test_band_power_probe_separability(self, task):
         recs = sig.generate_dataset(task, 2, 60, seed=21, shift=sig.UNSHIFTED)
-        eps = [e for r in recs for e in sig.preprocess(r)]
-        X, y, _ = sig.epochs_to_arrays(eps)
+        X, y, _ = sig.preprocess(recs)
         F = band_features(X)
         n = len(y)
         cut = int(0.7 * n)
@@ -226,7 +234,7 @@ class TestGenerators:
 class TestDatasetFiles:
     def test_roundtrip(self, tmp_path):
         recs = sig.generate_dataset("syn_mi", 1, 8, seed=7)
-        X, y, subj = sig.epochs_to_arrays([e for r in recs for e in sig.preprocess(r)])
+        X, y, subj = sig.preprocess(recs)
         meta = {"task": "syn_mi", "seed": 7, "generator": {"n_subjects": 1, "trials": 8}}
         sig.save_split(tmp_path, "train", X, y, subj, meta)
         X2, y2, subj2, sidecar = sig.load_split(tmp_path, "train")
