@@ -5,9 +5,13 @@ Two adaptation routes over a fine-tuned model, plus a no-op baseline:
 * ``ttt_ssl`` — per-sample self-supervised test-time training: for each test epoch,
   take one or more gradient steps on the pretext loss built from that epoch alone
   (a single plain-gradient-descent step is exactly ``theta' = theta - lr * g``),
-  then predict. Episodic by default: the driver restores the model between samples,
-  so predictions are independent of test-set order. Pretext randomness is seeded
-  from a content hash of the sample, so the same epoch always gets the same views.
+  then predict. Episodic by default: every epoch adapts from the same weights, so
+  predictions are independent of test-set order. Episodes never interact (batch
+  norm runs in eval mode), so they run in blocks of up to ``TTT_BLOCK`` epochs, one
+  parameter replica per epoch (:func:`nn.replicas`), through one stacked pass per
+  step; each epoch's numbers are bitwise those of adapting it alone. Online mode
+  carries one model from epoch to epoch. Pretext randomness is seeded from a
+  content hash of the sample, so the same epoch always gets the same views.
 
 * ``tent`` — entropy minimisation on batches: forward in batch-statistics mode,
   minimise the mean prediction entropy (nats) by plain gradient descent on the
@@ -25,11 +29,14 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ContractError
-from .nn import Model, arena_slices, clone_model, restore, snapshot
+from .nn import Model, arena_slices, clone_model, replicas
 from .optim import SGD, check_optimizer, make_optimizer
-from .pretext import TaskSpec, make_view
+from .pretext import TaskSpec, apply_view, view_classes
 
 ADAPT_METHODS = ("none", "ttt_ssl", "tent")
+
+# Episodic TTT adapts this many test epochs at once, one parameter replica each.
+TTT_BLOCK = 16
 
 
 def entropy(p, axis: int = -1):
@@ -64,7 +71,7 @@ def _l2_norm(parts) -> float:
 
 def _raise_if_diverged(strategy: str, probs: np.ndarray, delta: float) -> None:
     """ContractError unless an adaptation's probabilities and parameter change are finite."""
-    if not (np.isfinite(probs).all() and np.isfinite(delta)):
+    if not (np.isfinite(probs).all() and np.isfinite(delta).all()):
         raise ContractError(f"{strategy} adaptation diverged: non-finite probabilities or parameter change")
 
 
@@ -101,6 +108,54 @@ def _ttt_branches(spec: TaskSpec, cfg: TttConfig) -> list[tuple[int, str, float]
     ]
 
 
+def _ttt_block(
+    work: Model, start: np.ndarray, X: np.ndarray, spec: TaskSpec, cfg: TttConfig
+) -> tuple[np.ndarray, list[dict]]:
+    """Adapt replica i of ``work`` on epoch ``X[i]`` alone, for every i at once, then predict.
+
+    ``work`` is bound to one parameter replica per epoch of the (s, C, T) block
+    (:func:`nn.replicas`); each starts from the parameters ``start``. Epoch i's
+    labels come from its own :func:`content_rng`, drawn in ``make_view``'s
+    order, and each pretext branch builds the block's views in one transform.
+    Every step is one stacked pass, backward and optimizer step over all
+    replicas. Replicas never interact, so each epoch's probabilities and record
+    are bitwise those of adapting it alone.
+    """
+    branches = _ttt_branches(spec, cfg)
+    if not branches:
+        raise ConfigError("no active pretext branch to adapt on (all weights zero)")
+    classes = [view_classes(name, spec) for _, name, _ in branches]
+    rngs = (content_rng(x, cfg.seed) for x in X)
+    labels = np.array([[rng.integers(c) for c in classes] for rng in rngs], dtype=np.int64)
+    views = [Tensor(apply_view(name, X, labels[:, b], spec)[:, None]) for b, (_, name, _) in enumerate(branches)]
+    np.copyto(work.param_arena, start)
+    opt = make_optimizer(cfg.optimizer, [work], cfg.lr)
+    losses = np.empty((len(X), cfg.steps))
+    for step in range(cfg.steps):
+        with ad.fresh_tape():
+            loss = None
+            for b, (j, _, w) in enumerate(branches):
+                feats = work.features(views[b], train=False)
+                term = ad.scale(ad.cross_entropy(work.ssl_logits(j, feats), labels[:, b:b + 1]), w)
+                loss = term if loss is None else ad.add(loss, term)
+            if not np.isfinite(loss.data).all():
+                raise ContractError("non-finite pretext loss during adaptation")
+            opt.zero_grad()
+            ad.backward(ad.sum_(loss))  # replica r's loss reaches only replica r's parameters
+            opt.step()
+        losses[:, step] = loss.data
+    probs = work.predict_proba(X[:, None])[:, 0]
+    # the grads are spent: they take the parameter change, and each row's squared
+    # norm is summed one parameter at a time, as the dots of a per-tensor norm
+    d = np.subtract(work.param_arena, start, out=work.grad_arena)
+    sq = np.zeros(len(X))
+    for s in arena_slices(work.layout):
+        sq += (d[:, None, s] @ d[:, s, None])[:, 0, 0]
+    delta = np.sqrt(sq)
+    _raise_if_diverged("ttt_ssl", probs, delta)
+    return probs, [{"ssl_loss": row, "param_delta": dr} for row, dr in zip(losses.tolist(), delta.tolist())]
+
+
 def ttt_ssl_adapt_predict(
     model: Model, x: np.ndarray, spec: TaskSpec, cfg: TttConfig
 ) -> tuple[np.ndarray, dict]:
@@ -108,41 +163,18 @@ def ttt_ssl_adapt_predict(
 
     Returns the class-probability row and a record holding the pretext loss at every
     step (before that step's update) plus the L2 norm of the parameter change. The
-    model is left in its adapted state — the handle for inspection or reuse; drivers
-    that want episodic behaviour snapshot/restore around this call (see
-    :func:`run_adaptation`). Non-finite probabilities or parameter change raise
-    ContractError.
+    model is left in its adapted state, for inspection or reuse (its grads hold
+    scratch); :func:`run_adaptation` adapts a copy. A non-finite pretext loss,
+    gradient, probability or parameter change raises ContractError.
     """
     if x.ndim != 2 or x.shape != (model.cfg.channels, model.cfg.samples):
         raise ContractError(
             f"expected one ({model.cfg.channels}, {model.cfg.samples}) epoch, got {x.shape}"
         )
-    branches = _ttt_branches(spec, cfg)
-    if not branches:
-        raise ConfigError("no active pretext branch to adapt on (all weights zero)")
-    rng = content_rng(x, cfg.seed)
-    views = [make_view(name, x[None], rng, spec) for _, name, _ in branches]
-    before = model.param_arena.copy()
-    opt = make_optimizer(cfg.optimizer, [model], cfg.lr)
-    losses = []
-    for _ in range(cfg.steps):
-        with ad.fresh_tape():
-            loss = None
-            for (j, _, w), (view, label) in zip(branches, views):
-                feats = model.features(Tensor(view), train=False)
-                term = ad.scale(ad.cross_entropy(model.ssl_logits(j, feats), label), w)
-                loss = term if loss is None else ad.add(loss, term)
-            if not np.isfinite(loss.item()):
-                raise ContractError("non-finite pretext loss during adaptation")
-            opt.zero_grad()
-            ad.backward(loss)
-            opt.step()
-        losses.append(loss.item())
-    probs = model.predict_proba(x[None])[0]
-    d = model.param_arena - before
-    delta = _l2_norm(d[s] for s in arena_slices(model.layout))
-    _raise_if_diverged("ttt_ssl", probs, delta)
-    return probs, {"ssl_loss": losses, "param_delta": delta}
+    start = model.param_arena.copy()
+    with replicas(model, model.param_arena[None], model.grad_arena[None]):  # one replica: the model itself
+        probs, (record,) = _ttt_block(model, start, x[None], spec, cfg)
+    return probs[0], record
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +292,11 @@ def run_adaptation(
     """Predict the test epochs under the chosen adaptation strategy.
 
     Adaptation runs on an internal clone, so the caller's model is never mutated.
-    ``ttt_ssl`` is episodic unless ``ttt.online``: the clone is snapshotted once and
-    restored around every sample. Returns per-sample probabilities plus a log with
+    ``ttt_ssl`` is episodic unless ``ttt.online``: blocks of ``TTT_BLOCK`` epochs
+    adapt at once, one parameter replica per epoch, every replica starting from the
+    model's parameters, in two (S, P) arenas allocated once per call. Online, the
+    clone adapts in place one epoch after another (:func:`ttt_ssl_adapt_predict`).
+    Returns per-sample probabilities plus a log with
     one record per sample (ttt_ssl) or per batch (tent). Test epochs holding a NaN
     or an infinity raise ContractError under every strategy, and so does an
     adaptation that diverges: non-finite probabilities or parameter change.
@@ -275,15 +310,20 @@ def run_adaptation(
         if X.ndim != 3:
             raise ContractError(f"expected (n, C, T) test epochs, got {X.shape}")
         work = clone_model(model)
-        base = snapshot(work)
         probs = np.empty((X.shape[0], model.cfg.n_main))
         records = []
-        for i in range(X.shape[0]):
-            probs[i], rec = ttt_ssl_adapt_predict(work, X[i], spec, cfg)
-            rec["index"] = i
-            records.append(rec)
-            if not cfg.online:
-                restore(work, base)
+        if cfg.online:  # one model, adapted epoch after epoch
+            for i, x in enumerate(X):
+                probs[i], rec = ttt_ssl_adapt_predict(work, x, spec, cfg)
+                records.append({**rec, "index": i})
+        else:  # blocks of replicas, each replica starting from the model
+            params = np.empty((min(TTT_BLOCK, len(X)), model.param_arena.size))
+            grads = np.empty_like(params)
+            for lo in range(0, len(X), TTT_BLOCK):
+                block = X[lo:lo + TTT_BLOCK]
+                with replicas(work, params[:len(block)], grads[:len(block)]):
+                    probs[lo:lo + len(block)], recs = _ttt_block(work, model.param_arena, block, spec, cfg)
+                records += [{**rec, "index": i} for i, rec in enumerate(recs, start=lo)]
     elif strategy == "tent":
         probs, records = tent_adapt_predict(clone_model(model), X, tent or TentConfig())
     else:

@@ -219,13 +219,16 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul: shapes {a.data.shape} @ {b.data.shape} do not conform")
+    """``a @ b`` of two matrices, or of two stacks of them with the same leading axes."""
+    sa, sb = a.data.shape, b.data.shape
+    if len(sa) < 2 or sa[:-2] != sb[:-2] or len(sa) != len(sb) or sa[-1] != sb[-2]:
+        raise ShapeError(f"matmul: shapes {sa} @ {sb} do not conform")
     out = Tensor(a.data @ b.data)
     ad, bd = a.data, b.data
 
     def pull(g: Array):
-        return g @ bd.T if a.requires_grad else None, ad.T @ g if b.requires_grad else None
+        ga = g @ bd.swapaxes(-1, -2) if a.requires_grad else None
+        return ga, ad.swapaxes(-1, -2) @ g if b.requires_grad else None
 
     return record(out, (a, b), pull)
 
@@ -283,7 +286,9 @@ def bn_forward(
     """Forward of :func:`batch_norm` on arrays: ``(out, cache, mean, var)``.
 
     ``cache`` is what :func:`bn_pull` needs. The statistics are taken with
-    ``np.add.reduce(..) / n``, which is bitwise ``.mean(axis=0)``.
+    ``np.add.reduce(..) / n``, which is bitwise ``.mean(axis=0)``. With ``running``
+    given, ``xd`` may be a stack ``(..., n, features)`` whose ``gd`` and ``bd``
+    carry the same leading axes, one affine pair per stacked batch.
     """
     n = xd.shape[0]
     if running is None:
@@ -297,8 +302,8 @@ def bn_forward(
         xhat = np.empty_like(c)
     s = np.sqrt(var + eps)
     np.divide(c, s, out=xhat)
-    out = xhat * gd
-    out += bd
+    out = xhat * gd[..., None, :]  # a stacked affine pair broadcasts over its own batch
+    out += bd[..., None, :]
     return out, (xhat, c, s), mu, var
 
 
@@ -311,12 +316,13 @@ def bn_pull(
     Repeats, in order, the float operations of the backward through the chain the
     fused op replaces (mean, sub, mul, mean, add, sqrt, div, mul, add), so gradients
     are bitwise equal to that chain's and the golden file reproduces. One scratch
-    buffer holds each (n, features) temporary in turn.
+    buffer holds each (n, features) temporary in turn. In eval mode ``g`` may be a
+    stack, as in :func:`bn_forward`.
     """
     xhat, c, s = cache
     gx = scratch = None
     if need_x:
-        scratch = g * gd
+        scratch = g * gd[..., None, :]
         gx = scratch / s
         if train:
             n = g.shape[0]
@@ -329,8 +335,8 @@ def bn_pull(
             gx += np.negative(gx, out=scratch).sum(axis=0) / n
     ggamma = None
     if need_gamma:
-        ggamma = (g * xhat if scratch is None else np.multiply(g, xhat, out=scratch)).sum(axis=0)
-    return gx, ggamma, g.sum(axis=0) if need_beta else None
+        ggamma = (g * xhat if scratch is None else np.multiply(g, xhat, out=scratch)).sum(axis=-2)
+    return gx, ggamma, g.sum(axis=-2) if need_beta else None
 
 
 def batch_norm(
@@ -353,43 +359,46 @@ def batch_norm(
 
 
 def _log_softmax(z: Array) -> tuple[Array, Array]:
-    """Row-wise log-softmax of a 2-D array and its exponential."""
-    shifted = z - z.max(axis=1, keepdims=True)
-    lsm = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    """Log-softmax over the last axis and its exponential."""
+    shifted = z - z.max(axis=-1, keepdims=True)
+    lsm = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     return lsm, np.exp(lsm)
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Softmax cross-entropy of (n, classes) logits, mean over the n rows."""
+    """Softmax cross-entropy of (n, classes) logits, mean over the n rows.
+
+    A stack of (S, n, classes) logits with (S, n) labels gives the S losses.
+    """
     return cross_entropy_picked(logits, labels)[0]
 
 
 def cross_entropy_picked(logits: Tensor, labels) -> tuple[Tensor, Array]:
     """:func:`cross_entropy`, and each row's log-probability of its label.
 
-    The loss is ``picked.sum() * (-1/n)``. A training log reads ``-picked.mean()``
-    from the same log-softmax; the two agree bit for bit only when n is a power
-    of two.
+    The loss is ``picked.sum(axis=-1) * (-1/n)``. A training log reads
+    ``-picked.mean()`` from the same log-softmax; the two agree bit for bit only
+    when n is a power of two.
     """
     labels = np.asarray(labels, dtype=np.int64)
     z = logits.data
-    if z.ndim != 2 or labels.ndim != 1 or labels.shape[0] != z.shape[0]:
+    if z.ndim < 2 or labels.shape != z.shape[:-1]:
         raise ShapeError(f"cross_entropy: logits {z.shape} with labels {labels.shape}")
-    if labels.min(initial=0) < 0 or (labels.size and labels.max() >= z.shape[1]):
+    if labels.min(initial=0) < 0 or (labels.size and labels.max() >= z.shape[-1]):
         raise ContractError("cross_entropy: label out of range")
     lsm, p = _log_softmax(z)
-    n = labels.shape[0]
-    rows = np.arange(n)
-    picked = lsm[rows, labels]
-    out = Tensor(picked.sum() * (-1.0 / n))
+    n, classes = labels.shape[-1], z.shape[-1]
+    cells = (np.arange(labels.size), labels.reshape(-1))  # each row's label, rows flattened
+    picked = lsm.reshape(-1, classes)[cells].reshape(labels.shape)
+    out = Tensor(picked.sum(axis=-1) * (-1.0 / n))
 
     # Repeats, in order, the float operations of the backward through the chain it
     # replaces (log_softmax, take_per_row, sum, scale), so gradients are bitwise equal.
     def pull(g: Array):
         v = g * (-1.0 / n)
         onehot = np.zeros(z.shape)
-        onehot[rows, labels] = v
-        return (onehot - p * v,)
+        onehot.reshape(-1, classes)[cells] = np.repeat(v, n)
+        return (onehot - p * v[..., None, None],)
 
     return record(out, (logits,), pull), picked
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -92,8 +93,9 @@ class ExperimentConfig:
             raise ConfigError(f"test_gain must be positive, got {self.test_gain}")
         if self.trials_per_subject < 1:
             raise ConfigError("trials_per_subject must be >= 1")
-        if not self.duration >= EPOCH_SAMPLES / TARGET_RATE:
-            raise ConfigError(f"duration must cover one epoch ({EPOCH_SAMPLES / TARGET_RATE:g} s), got {self.duration}")
+        if not EPOCH_SAMPLES / TARGET_RATE <= self.duration < math.inf:
+            raise ConfigError(
+                f"duration must be finite and cover one epoch ({EPOCH_SAMPLES / TARGET_RATE:g} s), got {self.duration}")
         if not 0 <= self.dropout < 1:
             raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
         if self.pretrain is not None and EPOCH_SAMPLES % self.pretrain.patch:
@@ -168,8 +170,11 @@ def build_splits(cfg: ExperimentConfig, seed: int) -> dict[str, tuple[np.ndarray
     multiplied by ``test_gain`` afterwards (covariate-shift knob).
     """
     cross = cfg.protocol == "cross_subject"
-    n_subjects = max(*cfg.train_subjects, *cfg.val_subjects, *cfg.test_subjects) if cross else cfg.n_subjects
-    recs = generate_dataset(cfg.task, n_subjects, cfg.trials_per_subject, seed, cfg.shift, cfg.duration)
+    if cross:
+        subjects = sorted({*cfg.train_subjects, *cfg.val_subjects, *cfg.test_subjects})
+    else:
+        subjects = range(1, cfg.n_subjects + 1)
+    recs = generate_dataset(cfg.task, subjects, cfg.trials_per_subject, seed, cfg.shift, cfg.duration)
     split_recs = {"train": [], "val": [], "test": []}
     if cross:
         split_of = {s: name for name in split_recs for s in getattr(cfg, f"{name}_subjects")}

@@ -15,13 +15,16 @@ A :class:`Model` keeps its state in three flat float64 arenas: the parameters,
 their grads, and the batch-norm running statistics. Every parameter's ``data``
 and ``grad`` and every running-stat buffer is a view into one of them, so
 snapshot, restore, clone and zero-grad are each one array operation, and an
-optimizer can step over the whole model at once.
+optimizer can step over the whole model at once. Inside :func:`replicas` the
+parameters view (S, P) arenas instead, one row per replica, and a pass through
+the model adapts S independent copies of it at once.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, asdict
 from functools import lru_cache
 from itertools import accumulate
@@ -44,7 +47,8 @@ class Linear:
 
     Layers feeding straight into a batch norm are built without a bias: the batch
     mean subtraction cancels any constant row shift, so such a bias would carry an
-    identically-zero gradient.
+    identically-zero gradient. Inside :func:`replicas`, ``x`` is
+    (S, n, fan_in) and each replica's bias broadcasts over its own rows.
     """
 
     def __init__(self, fan_in: int, fan_out: int, rng: np.random.Generator, bias: bool = True):
@@ -53,7 +57,10 @@ class Linear:
 
     def __call__(self, x: Tensor) -> Tensor:
         h = ad.matmul(x, self.w)
-        return ad.add(h, self.b) if self.b is not None else h
+        if self.b is None:
+            return h
+        b = self.b if self.b.ndim == 1 else ad.reshape(self.b, (*self.b.shape[:-1], 1, self.b.shape[-1]))
+        return ad.add(h, b)
 
     def named_parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
         out = [(f"{prefix}.w", self.w)]
@@ -230,25 +237,37 @@ class Model:
         dropout_rng: np.random.Generator | None = None,
         update_stats: bool = True,
     ) -> Tensor:
-        """The backbone pass, (B, C, T) -> (B, features), recorded as one tape entry."""
+        """The backbone pass, (B, C, T) -> (B, features), recorded as one tape entry.
+
+        Inside :func:`replicas` every array carries a leading
+        replica axis: ``x`` is (S, B, C, T), the output (S, B, features), and
+        replica r's batch goes through replica r's parameters. A stacked matmul
+        makes, for each replica, the call an unreplicated pass makes, and every
+        reduction runs over the same axis in the same order, so each replica's
+        output and gradients are bitwise those of an unreplicated model holding
+        its parameters. Replicated passes run in eval mode only.
+        """
         cfg = self.cfg
-        if x.ndim != 3 or x.shape[1] != cfg.channels or x.shape[2] != cfg.samples:
-            raise ContractError(
-                f"expected input (B, {cfg.channels}, {cfg.samples}), got {x.shape}"
-            )
-        b, ch, hid, d = x.shape[0], cfg.channels, cfg.hidden, cfg.features
-        k = cfg.samples // WINDOW
         conv_w, bn1, mix_w, pos, bn2 = self.conv.w, self.bn1, self.mix.w, self.pos, self.bn2
+        lead = conv_w.shape[:-2]  # () or (S,)
+        if x.ndim != len(lead) + 3 or x.shape[:len(lead)] != lead or x.shape[-2:] != (cfg.channels, cfg.samples):
+            raise ContractError(
+                f"expected input {(*lead, 'B', cfg.channels, cfg.samples)}, got {x.shape}"
+            )
+        if lead and train:
+            raise ContractError("a replicated model runs in eval mode only")
+        b, ch, hid, d = x.shape[-3], cfg.channels, cfg.hidden, cfg.features
+        k = cfg.samples // WINDOW
         wc, g1, wm, g2 = conv_w.data, bn1.gamma.data, mix_w.data, bn2.gamma.data
         # (B, C, K * W) reshapes to (B * C * K, W): each row is one run of consecutive samples
-        rows = x.data.reshape(b * ch * k, WINDOW)
+        rows = x.data.reshape(*lead, b * ch * k, WINDOW)
         a1, cache1 = bn1.normalize(rows @ wc, train, update_stats)
         np.maximum(a1, 0.0, out=a1)                                              # (B*C*K, H)
-        mixed_in = a1.reshape(b, ch, k, hid).transpose(0, 2, 1, 3).reshape(b * k, ch * hid)
-        h = (mixed_in @ wm).reshape(b, k, d) + pos.data                          # window-position term
-        a2, cache2 = bn2.normalize(h.reshape(b * k, d), train, update_stats)
+        mixed_in = a1.reshape(*lead, b, ch, k, hid).swapaxes(-3, -2).reshape(*lead, b * k, ch * hid)
+        h = (mixed_in @ wm).reshape(*lead, b, k, d) + pos.data[..., None, :, :]  # window-position term
+        a2, cache2 = bn2.normalize(h.reshape(*lead, b * k, d), train, update_stats)
         np.maximum(a2, 0.0, out=a2)                                              # (B*K, D)
-        out = a2.reshape(b, k, d).mean(axis=1)                                   # (B, D)
+        out = a2.reshape(*lead, b, k, d).mean(axis=-2)                           # (B, D)
         mask = dropout_mask(out.shape, cfg.dropout, dropout_rng) if train else None
         if mask is not None:
             out = out * mask
@@ -263,18 +282,19 @@ class Model:
             need = [t.requires_grad for t in inputs]
             if mask is not None:
                 g = g * mask
-            g = np.broadcast_to(np.expand_dims(g, 1) / k, (b, k, d)).copy().reshape(b * k, d)
+            g = np.broadcast_to(np.expand_dims(g, -2) / k, (*lead, b, k, d)).copy().reshape(*lead, b * k, d)
             g *= a2 > 0.0
             gh, gg2, gb2 = ad.bn_pull(g, g2, cache2, train, any(need[:6]), need[6], need[7])
-            gpos = gh.reshape(b, k, d).sum(axis=0) if need[5] else None
-            gwm = mixed_in.T @ gh if need[4] else None
+            gpos = gh.reshape(*lead, b, k, d).sum(axis=-3) if need[5] else None
+            gwm = mixed_in.swapaxes(-1, -2) @ gh if need[4] else None
             gx = gwc = gg1 = gb1 = None
             if any(need[:4]):
-                g = (gh @ wm.T).reshape(b, k, ch, hid).transpose(0, 2, 1, 3).reshape(b * ch * k, hid)
+                g = (gh @ wm.swapaxes(-1, -2)).reshape(*lead, b, k, ch, hid).swapaxes(-3, -2)
+                g = g.reshape(*lead, b * ch * k, hid)
                 g *= a1 > 0.0
                 g, gg1, gb1 = ad.bn_pull(g, g1, cache1, train, any(need[:2]), need[2], need[3])
-                gwc = rows.T @ g if need[1] else None
-                gx = (g @ wc.T).reshape(x.shape) if need[0] else None
+                gwc = rows.swapaxes(-1, -2) @ g if need[1] else None
+                gx = (g @ wc.swapaxes(-1, -2)).reshape(x.shape) if need[0] else None
             return gx, gwc, gg1, gb1, gwm, gpos, gg2, gb2
 
         return ad.record(Tensor(out), inputs, pull)
@@ -302,9 +322,10 @@ class Model:
         return self.main_logits(self.features(x, train, dropout_rng, update_stats))
 
     def predict_proba(self, data: np.ndarray) -> np.ndarray:
-        """Eval-mode class probabilities for a (B, C, T) array; no state is touched."""
+        """Eval-mode class probabilities for a (B, C, T) array, (S, B, C, T) inside
+        :func:`replicas`; no state is touched."""
         with ad.no_grad(), ad.fresh_tape():
-            return ad.softmax(self.forward_main(Tensor(data), train=False), axis=1).data
+            return ad.softmax(self.forward_main(Tensor(data), train=False), axis=-1).data
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +362,31 @@ def clone_model(model: Model) -> Model:
     fresh = Model(model.cfg)
     restore(fresh, Snapshot(model.layout, model.param_arena, model.buffer_arena))  # a view, not a copy
     return fresh
+
+
+@contextmanager
+def replicas(model: Model, params: np.ndarray, grads: np.ndarray):
+    """Bind ``model``'s parameters to S replicas for the length of the block.
+
+    ``params`` and ``grads`` are (S, P) arenas laid out as ``model.layout``, one
+    row per replica. Inside the block they are the model's arenas, every
+    parameter is an (S, ...) view into them, passes take a leading replica axis
+    (see :meth:`Model.features`) and an optimizer over the model steps every
+    replica at once. The buffers stay shared. On exit the model's own arenas and
+    views are bound again.
+    """
+    named = model.named_parameters()
+    saved = model.param_arena, model.grad_arena, [(t.data, t.grad) for _, t in named]
+    n = params.shape[0]
+    for (_, t), (_, shape), s in zip(named, model.layout, arena_slices(model.layout)):
+        t.data, t.grad = params[:, s].reshape(n, *shape), grads[:, s].reshape(n, *shape)
+    model.param_arena, model.grad_arena = params, grads
+    try:
+        yield
+    finally:
+        model.param_arena, model.grad_arena, views = saved
+        for (_, t), (data, grad) in zip(named, views):
+            t.data, t.grad = data, grad
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Self-supervised pretext views and the per-task pretext wiring.
 
 :func:`make_view` applies one pretext task to a whole (batch, channels, 200)
-array: it draws one label per epoch and returns the transformed views with
-those labels. Two pretext tasks are active per main task: stopped-band
+array: it draws one label per epoch and returns the transformed views
+(:func:`apply_view`) with those labels. Two pretext tasks are active per main task: stopped-band
 prediction (shared by all tasks, with a task-specific frequency-band table)
 paired with one domain task:
 
@@ -105,6 +105,17 @@ def _flip_orders(channels: int) -> np.ndarray:
     return _readonly(orders)
 
 
+def view_classes(name: str, spec: TaskSpec) -> int:
+    """How many labels the named pretext task draws from; ConfigError for an unknown task."""
+    if name == "stopped_band":
+        if not spec.band_table:
+            raise ConfigError("stopped_band needs a non-empty band table")
+        return len(spec.band_table)
+    if name in DOMAIN_DIMS:
+        return DOMAIN_DIMS[name]
+    raise ConfigError(f"unknown pretext task '{name}'")
+
+
 def make_view(
     name: str, data: np.ndarray, rng: np.random.Generator, spec: TaskSpec
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -113,30 +124,31 @@ def make_view(
     Each epoch's label is one scalar ``rng.integers`` draw, in batch order, so
     the stream does not rest on how numpy fills an array draw: a batch gets the
     views, labels and generator state of its epochs drawn one at a time.
-    ``stopped_band`` zeroes the label's band with raised-cosine edges
-    (:func:`signals.bandstop_mask`), ``amp_scale`` multiplies by
-    ``AMP_FACTORS[label]``, ``ap_flip`` swaps the anterior-posterior pairs when
-    the label is 1, and ``jigsaw`` reorders three time chunks.
     """
     if data.ndim != 3:
         raise ContractError(f"make_view expects a (B, C, T) batch, got shape {data.shape}")
-    if name == "stopped_band":
-        if not spec.band_table:
-            raise ConfigError("stopped_band needs a non-empty band table")
-        n_classes = len(spec.band_table)
-    elif name in DOMAIN_DIMS:
-        n_classes = DOMAIN_DIMS[name]
-    else:
-        raise ConfigError(f"unknown pretext task '{name}'")
+    n_classes = view_classes(name, spec)
     labels = np.array([rng.integers(n_classes) for _ in range(data.shape[0])], dtype=np.int64)
+    return apply_view(name, data, labels, spec), labels
+
+
+def apply_view(name: str, data: np.ndarray, labels: np.ndarray, spec: TaskSpec) -> np.ndarray:
+    """The named task's views of a (B, C, T) batch, epoch i transformed by ``labels[i]``.
+
+    ``stopped_band`` zeroes the label's band with raised-cosine edges
+    (:func:`signals.bandstop_mask`), ``amp_scale`` multiplies by
+    ``AMP_FACTORS[label]``, ``ap_flip`` swaps the anterior-posterior pairs when
+    the label is 1, and ``jigsaw`` reorders three time chunks. Every transform
+    acts on each epoch alone, so a batch's views are bitwise its epochs' views.
+    """
     if name == "stopped_band":
         n = data.shape[-1]
         masks = _band_masks(spec.band_table, n)[labels][:, None, :]
-        views = np.fft.irfft(np.fft.rfft(data, axis=-1) * masks, n=n, axis=-1)
-    elif name == "amp_scale":
-        views = np.array(AMP_FACTORS)[labels][:, None, None] * data
-    elif name == "ap_flip":
-        views = data[np.arange(data.shape[0])[:, None], _flip_orders(data.shape[1])[labels]]
-    else:
-        views = np.take_along_axis(data, _jigsaw_orders(data.shape[-1])[labels][:, None, :], axis=-1)
-    return views, labels
+        return np.fft.irfft(np.fft.rfft(data, axis=-1) * masks, n=n, axis=-1)
+    if name == "amp_scale":
+        return np.array(AMP_FACTORS)[labels][:, None, None] * data
+    if name == "ap_flip":
+        return data[np.arange(data.shape[0])[:, None], _flip_orders(data.shape[1])[labels]]
+    if name == "jigsaw":
+        return np.take_along_axis(data, _jigsaw_orders(data.shape[-1])[labels][:, None, :], axis=-1)
+    raise ConfigError(f"unknown pretext task '{name}'")

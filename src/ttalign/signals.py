@@ -17,6 +17,7 @@ preserved exactly and stopbands are zeroed exactly at the bin level.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -235,24 +236,24 @@ def generate_recording(
 
 def generate_dataset(
     task: str,
-    n_subjects: int,
+    subjects: Sequence[int],
     trials_per_subject: int,
     seed: int,
     shift: ShiftSpec = ShiftSpec(),
     duration: float = 1.0,
 ) -> list[Recording]:
-    """Balanced labelled recordings for ``n_subjects`` subjects (ids 1..n).
+    """Balanced labelled recordings for the subjects with ids ``subjects``, in that order.
 
     Each subject owns an independent RNG stream derived from the master seed, so a
-    subject's data does not depend on how many other subjects are generated.
+    subject's data does not depend on which other subjects are generated.
     """
     if task not in TASKS:
         raise ConfigError(f"unknown task '{task}' (expected one of {TASKS})")
-    if n_subjects < 1 or trials_per_subject < 1:
-        raise ConfigError("need at least one subject and one trial per subject")
+    if not subjects or min(subjects) < 1 or trials_per_subject < 1:
+        raise ConfigError("need at least one subject, ids >= 1, and one trial per subject")
     n_classes = N_CLASSES[task]
     out: list[Recording] = []
-    for subject in range(1, n_subjects + 1):
+    for subject in subjects:
         rng, gains, comp = _subject_profile(shift, seed, subject)
         labels = np.tile(np.arange(n_classes), trials_per_subject // n_classes + 1)[:trials_per_subject]
         labels = rng.permutation(labels)

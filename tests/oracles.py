@@ -4,6 +4,8 @@ The per-sample pretext transforms are the reference for the batched
 ``pretext.make_view``; each returns ``(view, label)``. ``bandpower`` and
 ``bandstop`` measure and apply the spectral surgery; ``mean`` and ``transpose``
 are the autodiff primitives the fused backbone pass replaces.
+``ttt_per_epoch`` is episodic test-time training one epoch at a time, the
+reference for the block adaptation of ``adapt.run_adaptation``.
 """
 
 import itertools
@@ -11,7 +13,10 @@ import itertools
 import numpy as np
 
 from ttalign import autodiff as ad
-from ttalign.pretext import AMP_FACTORS
+from ttalign.adapt import content_rng
+from ttalign.nn import arena_slices, clone_model, restore, snapshot
+from ttalign.optim import make_optimizer
+from ttalign.pretext import AMP_FACTORS, make_view
 from ttalign.signals import AP_PAIRS, TARGET_RATE, bandstop_mask
 
 # the jigsaw label indexes the lexicographic permutations of 3 chunks
@@ -95,3 +100,46 @@ def transpose(a, axes):
         return (np.transpose(g, inv),)
 
     return ad.record(out, (a,), pull)
+
+
+def ttt_per_epoch(model, spec, X, cfg):
+    """``run_adaptation("ttt_ssl", ...)`` one epoch at a time on one unreplicated clone.
+
+    Each epoch builds its views alone, takes its steps with a fresh optimizer
+    and predicts; the clone is restored from a snapshot between epochs unless
+    ``cfg.online``. Returns the probabilities and one record per epoch.
+    """
+    if cfg.ssl_mode == "first_only":
+        branches = [(0, spec.ssl_tasks[0], 1.0)]
+    else:
+        branches = [(j, name, w) for j, (name, w) in enumerate(zip(spec.ssl_tasks, spec.weights)) if w != 0.0]
+    work = clone_model(model)
+    base = snapshot(work)
+    probs = np.empty((X.shape[0], model.cfg.n_main))
+    records = []
+    for i, x in enumerate(X):
+        rng = content_rng(x, cfg.seed)
+        views = [make_view(name, x[None], rng, spec) for _, name, _ in branches]
+        before = work.param_arena.copy()
+        opt = make_optimizer(cfg.optimizer, [work], cfg.lr)
+        losses = []
+        for _ in range(cfg.steps):
+            with ad.fresh_tape():
+                loss = None
+                for (j, _, w), (view, label) in zip(branches, views):
+                    feats = work.features(ad.Tensor(view), train=False)
+                    term = ad.scale(ad.cross_entropy(work.ssl_logits(j, feats), label), w)
+                    loss = term if loss is None else ad.add(loss, term)
+                opt.zero_grad()
+                ad.backward(loss)
+                opt.step()
+            losses.append(loss.item())
+        probs[i] = work.predict_proba(x[None])[0]
+        d = work.param_arena - before
+        total = 0.0
+        for s in arena_slices(work.layout):
+            total += float(np.dot(d[s], d[s]))
+        records.append({"ssl_loss": losses, "param_delta": float(np.sqrt(total)), "index": i})
+        if not cfg.online:
+            restore(work, base)
+    return probs, records

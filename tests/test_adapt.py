@@ -7,15 +7,19 @@ diff proving entropy minimisation touches batch-norm affine terms and nothing
 else.
 """
 
+import json
 from dataclasses import replace
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ttalign.autodiff as ad
+from ttalign import optim
 from ttalign.adapt import (
+    TTT_BLOCK,
     TentConfig,
     TttConfig,
     _tent_batches,
@@ -247,6 +251,50 @@ def test_ttt_first_only_mode():
     p_first, r_first = ttt_ssl_adapt_predict(m2, x, spec, TttConfig(lr=1e-2, ssl_mode="first_only"))
     assert not np.array_equal(p_both, p_first)
     assert len(r_both["ssl_loss"]) == len(r_first["ssl_loss"]) == 1
+
+
+# every value of each knob appears at least once, and each case runs on every task
+BLOCK_CASES = [
+    dict(steps=1, optimizer="sgd", ssl_mode="both_weighted", online=False, head_layers=1),
+    dict(steps=3, optimizer="adam", ssl_mode="both_weighted", online=False, head_layers=2),
+    dict(steps=3, optimizer="sgd", ssl_mode="first_only", online=False, head_layers=1),
+    dict(steps=1, optimizer="adam", ssl_mode="first_only", online=True, head_layers=2),
+    dict(steps=3, optimizer="sgd", ssl_mode="both_weighted", online=True, head_layers=1),
+]
+
+
+@pytest.mark.parametrize("task", ["syn_mi", "syn_stress", "syn_speech"])
+@pytest.mark.parametrize("case", BLOCK_CASES, ids=lambda c: "-".join(str(v) for v in c.values()))
+def test_ttt_blocks_match_per_epoch_reference_bitwise(task, case):
+    """Block adaptation, with a partial last block, equals adapting one epoch at a time byte for byte."""
+    case = dict(case)
+    model, spec = tiny_model(task, seed=61, head_layers=case.pop("head_layers"))
+    X = make_epochs(2 * TTT_BLOCK + 3, seed=67)
+    cfg = TttConfig(lr=1e-2, **case)
+    probs, records = run_adaptation("ttt_ssl", model, spec, X, ttt=cfg)
+    want_probs, want_records = oracles.ttt_per_epoch(model, spec, X, cfg)
+    assert probs.tobytes() == want_probs.tobytes()
+    assert json.dumps(records) == json.dumps(want_records)
+    assert [len(r["ssl_loss"]) for r in records] == [cfg.steps] * len(X)
+
+
+def test_ttt_rejects_nonfinite_loss():
+    model, spec = tiny_model()
+    model.ssl_heads[0].b.data[0] = np.nan
+    with pytest.raises(ContractError, match="non-finite pretext loss"):
+        run_adaptation("ttt_ssl", model, spec, make_epochs(3))
+
+
+def test_ttt_rejects_nonfinite_gradient(monkeypatch):
+    """A finite loss whose gradient is not finite stops the optimizer step."""
+    def poisoned_zero_grad(self):
+        for _, _, grad in self.runs:
+            grad.fill(np.nan)
+
+    monkeypatch.setattr(optim._Optimizer, "zero_grad", poisoned_zero_grad)
+    model, spec = tiny_model()
+    with pytest.raises(ContractError, match="non-finite gradient"):
+        run_adaptation("ttt_ssl", model, spec, make_epochs(3))
 
 
 def test_ttt_all_zero_weights_rejected():

@@ -28,7 +28,7 @@ from ttalign.harness import (
     run_experiment,
     run_single,
 )
-from ttalign.signals import PASSBAND, TARGET_RATE, ShiftSpec, bandpass, generate_dataset, resample
+from ttalign.signals import PASSBAND, TARGET_RATE, ShiftSpec, bandpass, generate_dataset, preprocess, resample
 from ttalign.training import FinetuneConfig, PretrainConfig
 
 
@@ -105,6 +105,12 @@ def test_nan_fails_every_range_check(build, field):
         build(**field)
 
 
+def test_infinite_duration_is_a_config_error():
+    # without the check the config builds and generation dies converting inf to a sample count
+    with pytest.raises(ConfigError, match="duration"):
+        preset_experiment("syn_mi", duration=float("inf"))
+
+
 def test_config_hash_deterministic_and_sensitive():
     a = micro()
     b = micro()
@@ -173,7 +179,7 @@ def test_multi_epoch_recordings_stay_whole_and_in_order(task):
     cfg = micro(task, duration=2.5)
     cross = cfg.protocol == "cross_subject"
     n_subjects = max(*cfg.train_subjects, *cfg.val_subjects, *cfg.test_subjects) if cross else cfg.n_subjects
-    recs = generate_dataset(cfg.task, n_subjects, cfg.trials_per_subject, 1, cfg.shift, cfg.duration)
+    recs = generate_dataset(cfg.task, range(1, n_subjects + 1), cfg.trials_per_subject, 1, cfg.shift, cfg.duration)
     epochs = []
     for rec in recs:
         x = resample(bandpass(rec.data, rec.rate, *PASSBAND), rec.rate, TARGET_RATE)
@@ -195,6 +201,26 @@ def test_multi_epoch_recordings_stay_whole_and_in_order(task):
             assert {recs[i].subject for i in order} == set(getattr(cfg, f"{name}_subjects"))
         else:
             assert order == sorted(order, key=lambda i: (recs[i].subject, recs[i].label, i))
+
+
+def test_gapped_subject_sets_generate_only_listed_subjects(monkeypatch):
+    cfg = micro(train_subjects=(2, 5), val_subjects=(7,), test_subjects=(3, 9))
+    # reference: every subject up to the largest listed id, each split keeping its own
+    recs = generate_dataset(cfg.task, range(1, 10), cfg.trials_per_subject, 4, cfg.shift, cfg.duration)
+    generated = []
+
+    def spy(task, subjects, *args):
+        generated.append(list(subjects))
+        return generate_dataset(task, subjects, *args)
+
+    monkeypatch.setattr(harness, "generate_dataset", spy)
+    splits = build_splits(cfg, seed=4)
+    assert generated == [[2, 3, 5, 7, 9]]
+    for name in ("train", "val", "test"):
+        keep = set(getattr(cfg, f"{name}_subjects"))
+        want = preprocess([r for r in recs if r.subject in keep])
+        for got, ref in zip(splits[name], want):
+            assert got.tobytes() == ref.tobytes(), name
 
 
 def test_build_splits_deterministic():

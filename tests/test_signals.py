@@ -174,35 +174,35 @@ class TestPreprocess:
 
 class TestGenerators:
     def test_determinism_and_seed_sensitivity(self):
-        a = sig.generate_dataset("syn_mi", 2, 8, seed=3)
-        b = sig.generate_dataset("syn_mi", 2, 8, seed=3)
-        c = sig.generate_dataset("syn_mi", 2, 8, seed=4)
+        a = sig.generate_dataset("syn_mi", range(1, 3), 8, seed=3)
+        b = sig.generate_dataset("syn_mi", range(1, 3), 8, seed=3)
+        c = sig.generate_dataset("syn_mi", range(1, 3), 8, seed=4)
         assert all(np.array_equal(x.data, y.data) for x, y in zip(a, b))
         assert not np.array_equal(a[0].data, c[0].data)
 
     def test_subject_stream_independent_of_cohort_size(self):
-        few = sig.generate_dataset("syn_stress", 2, 6, seed=9)
-        many = sig.generate_dataset("syn_stress", 5, 6, seed=9)
+        few = sig.generate_dataset("syn_stress", range(1, 3), 6, seed=9)
+        many = sig.generate_dataset("syn_stress", range(1, 6), 6, seed=9)
         subj2_few = [r for r in few if r.subject == 2]
         subj2_many = [r for r in many if r.subject == 2]
         for x, y in zip(subj2_few, subj2_many):
             assert np.array_equal(x.data, y.data) and x.label == y.label
 
     def test_labels_are_balanced(self):
-        recs = sig.generate_dataset("syn_speech", 1, 50, seed=0)
+        recs = sig.generate_dataset("syn_speech", range(1, 2), 50, seed=0)
         counts = np.bincount([r.label for r in recs], minlength=5)
         assert counts.min() == 10 and counts.max() == 10
 
     def test_mi_pure_component_is_spectrally_concentrated(self):
         shift = sig.ShiftSpec(channel_gain=(1.0, 1.0), component_jitter=0.0, noise_scale=0.0)
-        rec = sig.generate_dataset("syn_mi", 1, 4, seed=5, shift=shift)[0]
+        rec = sig.generate_dataset("syn_mi", range(1, 2), 4, seed=5, shift=shift)[0]
         ch = 0 if 0 not in sig.MI_GROUPS[rec.label] else 2  # an unsuppressed channel
         total = bandpower(rec.data[ch], rec.rate, 0.0, rec.rate / 2)
         in_band = bandpower(rec.data[ch], rec.rate, 8.0, 13.0)
         assert total - in_band < 0.01 * total
 
     def test_stress_theta_ratio_separates_classes(self):
-        recs = sig.generate_dataset("syn_stress", 4, 120, seed=11)
+        recs = sig.generate_dataset("syn_stress", range(1, 5), 120, seed=11)
         ratios = {0: [], 1: []}
         for r in recs:
             ant = bandpower(r.data[list(sig.ANTERIOR)], r.rate, 4.0, 8.0)
@@ -213,7 +213,7 @@ class TestGenerators:
 
     @pytest.mark.parametrize("task", sig.TASKS)
     def test_band_power_probe_separability(self, task):
-        recs = sig.generate_dataset(task, 2, 60, seed=21, shift=sig.UNSHIFTED)
+        recs = sig.generate_dataset(task, range(1, 3), 60, seed=21, shift=sig.UNSHIFTED)
         X, y, _ = sig.preprocess(recs)
         F = band_features(X)
         n = len(y)
@@ -226,14 +226,14 @@ class TestGenerators:
 
     def test_unknown_task_rejected(self):
         with pytest.raises(ConfigError):
-            sig.generate_dataset("syn_sleep", 1, 4, seed=0)
+            sig.generate_dataset("syn_sleep", range(1, 2), 4, seed=0)
         with pytest.raises(ConfigError):
             sig.ShiftSpec(channel_gain=(0.0, 1.0))
 
 
 class TestDatasetFiles:
     def test_roundtrip(self, tmp_path):
-        recs = sig.generate_dataset("syn_mi", 1, 8, seed=7)
+        recs = sig.generate_dataset("syn_mi", range(1, 2), 8, seed=7)
         X, y, subj = sig.preprocess(recs)
         meta = {"task": "syn_mi", "seed": 7, "generator": {"n_subjects": 1, "trials": 8}}
         sig.save_split(tmp_path, "train", X, y, subj, meta)
