@@ -296,10 +296,10 @@ def run_adaptation(
     adapt at once, one parameter replica per epoch, every replica starting from the
     model's parameters, in two (S, P) arenas allocated once per call. Online, the
     clone adapts in place one epoch after another (:func:`ttt_ssl_adapt_predict`).
-    Returns per-sample probabilities plus a log with
-    one record per sample (ttt_ssl) or per batch (tent). Test epochs holding a NaN
-    or an infinity raise ContractError under every strategy, and so does an
-    adaptation that diverges: non-finite probabilities or parameter change.
+    Returns per-sample probabilities plus a log with one record per sample
+    (ttt_ssl) or per batch (tent). Test epochs holding a NaN or an infinity raise
+    ContractError under every strategy, and so does an adaptation that diverges:
+    non-finite probabilities or parameter change.
     """
     if not np.all(np.isfinite(X)):
         raise ContractError("test epochs hold non-finite values")

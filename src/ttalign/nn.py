@@ -252,7 +252,7 @@ class Model:
         lead = conv_w.shape[:-2]  # () or (S,)
         if x.ndim != len(lead) + 3 or x.shape[:len(lead)] != lead or x.shape[-2:] != (cfg.channels, cfg.samples):
             raise ContractError(
-                f"expected input {(*lead, 'B', cfg.channels, cfg.samples)}, got {x.shape}"
+                f"expected input ({'S, ' * len(lead)}B, {cfg.channels}, {cfg.samples}), got {x.shape}"
             )
         if lead and train:
             raise ContractError("a replicated model runs in eval mode only")

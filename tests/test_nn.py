@@ -306,6 +306,22 @@ class TestFusedBackbone:
             model.features(Tensor(RNG.normal(size=(4, 3, 200))), train=train, dropout_rng=np.random.default_rng(1))
             assert len(tape) == 1
 
+    def test_replicas_pass_each_row_and_unbind_on_exit(self):
+        """Replica r's logits are bitwise an unreplicated pass with row r's parameters."""
+        model = nn.Model(small_config(head_layers=2))
+        own = [(t.data, t.grad) for _, t in model.named_parameters()]
+        params = np.stack([model.param_arena, 1.5 * model.param_arena, -model.param_arena])
+        x = RNG.normal(size=(3, 2, 3, 200))
+        with nn.replicas(model, params, np.zeros_like(params)):
+            assert all(np.shares_memory(t.data, params) for _, t in model.named_parameters())
+            got = model.forward_main(Tensor(x), train=False).data
+            with pytest.raises(ContractError, match="eval mode"):
+                model.features(Tensor(x), train=True)
+        assert all(t.data is d and t.grad is g for (_, t), (d, g) in zip(model.named_parameters(), own))
+        for r in range(3):
+            np.copyto(model.param_arena, params[r])
+            assert got[r].tobytes() == model.forward_main(Tensor(x[r]), train=False).data.tobytes()
+
 
 class TestSnapshotRestore:
     def test_roundtrip_is_bitwise(self):
