@@ -215,7 +215,9 @@ def tent_adapt_predict(
 
     Each batch gets ``steps_per_batch`` plain gradient-descent updates of the BN
     gamma/beta only, with forwards in batch-statistics mode; a final read-out
-    forward (no stats update) produces the predictions. Adaptation carries across
+    forward (no stats update) produces the predictions. The batch's first layer
+    and bn1 statistics (:meth:`Model.stem`) are computed once and serve all of
+    these forwards, bit for bit as if each made its own. Adaptation carries across
     batches and mutates ``model`` in place (gamma/beta, plus running stats when
     ``update_running_stats``); every other parameter is left bit-for-bit intact.
     For the length of the call those parameters have ``requires_grad`` off, so the
@@ -242,12 +244,13 @@ def tent_adapt_predict(
     try:
         for k, idx in enumerate(_tent_batches(X.shape[0], cfg.batch_size)):
             batch = Tensor(X[idx])
+            stem = model.stem(batch)
             before = {n: p.data.copy() for n, p in named_affine}
             step_entropies = []
             for _ in range(cfg.steps_per_batch):
                 with ad.fresh_tape():
                     logits = model.forward_main(
-                        batch, train=True, update_stats=cfg.update_running_stats
+                        batch, train=True, update_stats=cfg.update_running_stats, stem=stem
                     )
                     objective = ad.mean_entropy(logits)
                     if not np.isfinite(objective.item()):
@@ -257,7 +260,7 @@ def tent_adapt_predict(
                     opt.step()
                 step_entropies.append(objective.item())
             with ad.no_grad(), ad.fresh_tape():
-                logits = model.forward_main(batch, train=True, update_stats=False)
+                logits = model.forward_main(batch, train=True, update_stats=False, stem=stem)
                 p = ad.softmax(logits, axis=1).data
             delta = _l2_norm(p.data - before[n] for n, p in named_affine)
             _raise_if_diverged("tent", p, delta)

@@ -12,7 +12,7 @@ Batch norm, softmax cross-entropy and the mean entropy are fused primitives: one
 record each, where a chain of general primitives would take up to nine. Layers
 elsewhere record their own fused ops through :func:`record`; ``nn.Model.features``
 records a whole backbone pass as one, with the batch-norm arithmetic of
-:func:`bn_forward` and :func:`bn_pull`.
+:func:`bn_stats`, :func:`bn_affine` and :func:`bn_pull`.
 
 Gradients accumulate across repeated ``backward`` calls; training loops are expected
 to zero parameter grads between steps. All computation is float64 and bitwise
@@ -280,15 +280,14 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 # fused layers: one tape record each, with a hand-written pull
 # ---------------------------------------------------------------------------
 
-def bn_forward(
-    xd: Array, gd: Array, bd: Array, eps: float, running: tuple[Array, Array] | None = None
-) -> tuple[Array, tuple[Array, Array, Array], Array, Array]:
-    """Forward of :func:`batch_norm` on arrays: ``(out, cache, mean, var)``.
+def bn_stats(
+    xd: Array, eps: float, running: tuple[Array, Array] | None = None
+) -> tuple[tuple[Array, Array, Array], Array, Array]:
+    """Forward of :func:`batch_norm` up to its affine step, on arrays: ``(cache, mean, var)``.
 
-    ``cache`` is what :func:`bn_pull` needs. The statistics are taken with
-    ``np.add.reduce(..) / n``, which is bitwise ``.mean(axis=0)``. With ``running``
-    given, ``xd`` may be a stack ``(..., n, features)`` whose ``gd`` and ``bd``
-    carry the same leading axes, one affine pair per stacked batch.
+    ``cache`` is ``(xhat, c, s)``, what :func:`bn_pull` needs. Batch statistics are
+    taken with ``np.add.reduce(..) / n``, which is bitwise ``.mean(axis=0)``. With
+    ``running`` given, ``xd`` may be a stack ``(..., n, features)``.
     """
     n = xd.shape[0]
     if running is None:
@@ -302,9 +301,14 @@ def bn_forward(
         xhat = np.empty_like(c)
     s = np.sqrt(var + eps)
     np.divide(c, s, out=xhat)
-    out = xhat * gd[..., None, :]  # a stacked affine pair broadcasts over its own batch
+    return (xhat, c, s), mu, var
+
+
+def bn_affine(xhat: Array, gd: Array, bd: Array) -> Array:
+    """``xhat * gamma + beta``; for a stacked ``xhat``, one affine pair per stacked batch."""
+    out = xhat * gd[..., None, :]
     out += bd[..., None, :]
-    return out, (xhat, c, s), mu, var
+    return out
 
 
 def bn_pull(
@@ -313,11 +317,13 @@ def bn_pull(
 ) -> tuple[Array | None, Array | None, Array | None]:
     """Contributions of :func:`batch_norm` for ``(x, gamma, beta)``; None where not needed.
 
-    Repeats, in order, the float operations of the backward through the chain the
-    fused op replaces (mean, sub, mul, mean, add, sqrt, div, mul, add), so gradients
-    are bitwise equal to that chain's and the golden file reproduces. One scratch
-    buffer holds each (n, features) temporary in turn. In eval mode ``g`` may be a
-    stack, as in :func:`bn_forward`.
+    Gives, bit for bit, the gradients of the backward through the chain the fused
+    op replaces (mean, sub, mul, mean, add, sqrt, div, mul, add), so the golden
+    file reproduces. The chain's two negations of (n, features) arrays move onto
+    (features,) vectors: exact, as rounding to nearest is symmetric in sign, and
+    ``0.0 - v`` adds +0 for a zero column sum wherever the chain's sign could show.
+    One scratch buffer holds each (n, features) temporary in turn. In eval mode
+    ``g`` may be a stack, as in :func:`bn_stats`.
     """
     xhat, c, s = cache
     gx = scratch = None
@@ -326,13 +332,13 @@ def bn_pull(
         gx = scratch / s
         if train:
             n = g.shape[0]
-            np.negative(scratch, out=scratch)
             scratch *= c
-            scratch /= s * s
+            scratch /= -(s * s)
             gv = (scratch.sum(axis=0) * 0.5 / s) / n
-            gx += np.multiply(gv, c, out=scratch)
-            gx += np.multiply(gv, c, out=scratch)  # c feeds the variance twice (c * c)
-            gx += np.negative(gx, out=scratch).sum(axis=0) / n
+            np.multiply(gv, c, out=scratch)
+            gx += scratch
+            gx += scratch  # c feeds the variance twice (c * c)
+            gx += (0.0 - gx.sum(axis=0)) / n
     ggamma = None
     if need_gamma:
         ggamma = (g * xhat if scratch is None else np.multiply(g, xhat, out=scratch)).sum(axis=-2)
@@ -349,8 +355,9 @@ def batch_norm(
     by the given constant ``(mean, var)``. Returns the output and the mean and
     variance it used.
     """
-    out, cache, mu, var = bn_forward(x.data, gamma.data, beta.data, eps, running)
+    cache, mu, var = bn_stats(x.data, eps, running)
     gd = gamma.data
+    out = bn_affine(cache[0], gd, beta.data)
 
     def pull(g: Array):
         return bn_pull(g, gd, cache, running is None, x.requires_grad, gamma.requires_grad, beta.requires_grad)

@@ -89,8 +89,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown strategies {sorted(unknown)}")
         if self.n_seeds < 1:
             raise ConfigError(f"n_seeds must be >= 1, got {self.n_seeds}")
-        if not self.test_gain > 0:
-            raise ConfigError(f"test_gain must be positive, got {self.test_gain}")
+        if not 0 < self.test_gain < math.inf:
+            raise ConfigError(f"test_gain must be positive and finite, got {self.test_gain}")
         if self.trials_per_subject < 1:
             raise ConfigError("trials_per_subject must be >= 1")
         if not EPOCH_SAMPLES / TARGET_RATE <= self.duration < math.inf:

@@ -8,8 +8,9 @@ and a temporal mean-pool down to one feature vector per input window sequence.
 One pass (:meth:`Model.features`) is one tape record. Its hand-written pull
 repeats, in order, the float operations of the backward through the chain of
 primitives it replaces, so gradients are bitwise those of that chain; the
-batch-norm arithmetic is ``autodiff.bn_forward``/``bn_pull``, shared with
-:class:`BatchNorm`.
+batch-norm arithmetic is ``autodiff.bn_stats``, ``bn_affine`` and ``bn_pull``,
+shared with :class:`BatchNorm`. With ``conv.w`` frozen, as in Tent, the part in
+front of bn1's affine step is computed once per batch (:meth:`Model.stem`).
 
 A :class:`Model` keeps its state in three flat float64 arenas: the parameters,
 their grads, and the batch-norm running statistics. Every parameter's ``data``
@@ -51,8 +52,9 @@ class Linear:
     (S, n, fan_in) and each replica's bias broadcasts over its own rows.
     """
 
-    def __init__(self, fan_in: int, fan_out: int, rng: np.random.Generator, bias: bool = True):
-        self.w = Tensor(rng.normal(size=(fan_in, fan_out)) / np.sqrt(fan_in), requires_grad=True)
+    def __init__(self, fan_in: int, fan_out: int, rng: np.random.Generator | None, bias: bool = True):
+        w = np.zeros((fan_in, fan_out)) if rng is None else rng.normal(size=(fan_in, fan_out)) / np.sqrt(fan_in)
+        self.w = Tensor(w, requires_grad=True)
         self.b = Tensor(np.zeros(fan_out), requires_grad=True) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -93,13 +95,18 @@ class BatchNorm:
             self._update_running(mu, var)
         return out
 
-    def normalize(self, xd: np.ndarray, train: bool, update_stats: bool = True):
-        """:meth:`__call__` on a bare array, for a fused pass: records nothing and
-        returns ``autodiff.bn_forward``'s output and cache."""
-        out, cache, mu, var = ad.bn_forward(xd, self.gamma.data, self.beta.data, self.eps, self._running(train))
+    def stats(self, xd: np.ndarray, train: bool):
+        """``autodiff.bn_stats`` of a bare array in this mode, for :meth:`normalize`."""
+        return ad.bn_stats(xd, self.eps, self._running(train))
+
+    def normalize(self, stats, train: bool, update_stats: bool = True):
+        """:meth:`__call__` on :meth:`stats`' result, for a fused pass: records nothing,
+        folds the batch statistics in as :meth:`__call__` does and returns the output
+        and ``autodiff.bn_pull``'s cache."""
+        cache, mu, var = stats
         if train and update_stats:
             self._update_running(mu, var)
-        return out, cache
+        return ad.bn_affine(cache[0], self.gamma.data, self.beta.data), cache
 
     def _running(self, train: bool) -> tuple[np.ndarray, np.ndarray] | None:
         return None if train else (self.running_mean, self.running_var)
@@ -170,8 +177,11 @@ class Model:
     """
 
     def __init__(self, cfg: ModelConfig):
+        self._build(cfg, np.random.default_rng(cfg.init_seed))
+
+    def _build(self, cfg: ModelConfig, rng: np.random.Generator | None) -> None:
+        """Make the layers, weights drawn from ``rng`` (zero without one), and their arenas."""
         self.cfg = cfg
-        rng = np.random.default_rng(cfg.init_seed)
         self.conv = Linear(WINDOW, cfg.hidden, rng, bias=False)
         self.bn1 = BatchNorm(cfg.hidden)
         self.mix = Linear(cfg.channels * cfg.hidden, cfg.features, rng, bias=False)
@@ -230,12 +240,30 @@ class Model:
 
     # -- forward passes --------------------------------------------------------
 
+    def _rows(self, x: Tensor) -> np.ndarray:
+        """The (B, C, K * W) input, (S, B, C, K * W) inside :func:`replicas`, as
+        (..., B * C * K, W) rows: each row is one run of consecutive samples."""
+        cfg, lead = self.cfg, self.conv.w.shape[:-2]  # () or (S,)
+        if x.ndim != len(lead) + 3 or x.shape[:len(lead)] != lead or x.shape[-2:] != (cfg.channels, cfg.samples):
+            raise ContractError(
+                f"expected input ({'S, ' * len(lead)}B, {cfg.channels}, {cfg.samples}), got {x.shape}"
+            )
+        return x.data.reshape(*lead, -1, WINDOW)
+
+    def stem(self, x: Tensor):
+        """bn1's train-mode ``autodiff.bn_stats`` of one unreplicated batch, for :meth:`features`:
+        all of the pass in front of bn1's affine step, a function of ``x`` and ``conv.w`` alone."""
+        if self.conv.w.ndim != 2:
+            raise ContractError("a stem is computed for one unreplicated batch")
+        return self.bn1.stats(self._rows(x) @ self.conv.w.data, train=True)
+
     def features(
         self,
         x: Tensor,
         train: bool,
         dropout_rng: np.random.Generator | None = None,
         update_stats: bool = True,
+        stem=None,
     ) -> Tensor:
         """The backbone pass, (B, C, T) -> (B, features), recorded as one tape entry.
 
@@ -246,26 +274,28 @@ class Model:
         reduction runs over the same axis in the same order, so each replica's
         output and gradients are bitwise those of an unreplicated model holding
         its parameters. Replicated passes run in eval mode only.
+
+        ``stem``, :meth:`stem` of this ``x``, stands in for that part of the pass,
+        bit for bit; only in train mode, unreplicated, with ``conv.w`` frozen.
         """
         cfg = self.cfg
         conv_w, bn1, mix_w, pos, bn2 = self.conv.w, self.bn1, self.mix.w, self.pos, self.bn2
-        lead = conv_w.shape[:-2]  # () or (S,)
-        if x.ndim != len(lead) + 3 or x.shape[:len(lead)] != lead or x.shape[-2:] != (cfg.channels, cfg.samples):
-            raise ContractError(
-                f"expected input ({'S, ' * len(lead)}B, {cfg.channels}, {cfg.samples}), got {x.shape}"
-            )
+        rows = self._rows(x)
+        lead = rows.shape[:-2]
         if lead and train:
             raise ContractError("a replicated model runs in eval mode only")
         b, ch, hid, d = x.shape[-3], cfg.channels, cfg.hidden, cfg.features
         k = cfg.samples // WINDOW
         wc, g1, wm, g2 = conv_w.data, bn1.gamma.data, mix_w.data, bn2.gamma.data
-        # (B, C, K * W) reshapes to (B * C * K, W): each row is one run of consecutive samples
-        rows = x.data.reshape(*lead, b * ch * k, WINDOW)
-        a1, cache1 = bn1.normalize(rows @ wc, train, update_stats)
+        if stem is None:
+            stem = bn1.stats(rows @ wc, train)
+        elif not train or conv_w.requires_grad or stem[0][0].shape != (*rows.shape[:-1], hid):
+            raise ContractError("a precomputed stem serves only a train-mode pass of its own batch with conv.w frozen")
+        a1, cache1 = bn1.normalize(stem, train, update_stats)
         np.maximum(a1, 0.0, out=a1)                                              # (B*C*K, H)
         mixed_in = a1.reshape(*lead, b, ch, k, hid).swapaxes(-3, -2).reshape(*lead, b * k, ch * hid)
         h = (mixed_in @ wm).reshape(*lead, b, k, d) + pos.data[..., None, :, :]  # window-position term
-        a2, cache2 = bn2.normalize(h.reshape(*lead, b * k, d), train, update_stats)
+        a2, cache2 = bn2.normalize(bn2.stats(h.reshape(*lead, b * k, d), train), train, update_stats)
         np.maximum(a2, 0.0, out=a2)                                              # (B*K, D)
         out = a2.reshape(*lead, b, k, d).mean(axis=-2)                           # (B, D)
         mask = dropout_mask(out.shape, cfg.dropout, dropout_rng) if train else None
@@ -318,8 +348,9 @@ class Model:
         train: bool,
         dropout_rng: np.random.Generator | None = None,
         update_stats: bool = True,
+        stem=None,
     ) -> Tensor:
-        return self.main_logits(self.features(x, train, dropout_rng, update_stats))
+        return self.main_logits(self.features(x, train, dropout_rng, update_stats, stem))
 
     def predict_proba(self, data: np.ndarray) -> np.ndarray:
         """Eval-mode class probabilities for a (B, C, T) array, (S, B, C, T) inside
@@ -358,8 +389,15 @@ def restore(model: Model, snap: Snapshot) -> None:
     np.copyto(model.buffer_arena, snap.buffer_arena)
 
 
+def _blank(cfg: ModelConfig) -> Model:
+    """A zero-weight model of ``cfg`` whose arenas are copied in next; draws no initial weight."""
+    model = Model.__new__(Model)
+    model._build(cfg, None)
+    return model
+
+
 def clone_model(model: Model) -> Model:
-    fresh = Model(model.cfg)
+    fresh = _blank(model.cfg)
     restore(fresh, Snapshot(model.layout, model.param_arena, model.buffer_arena))  # a view, not a copy
     return fresh
 
@@ -433,7 +471,7 @@ def load_checkpoint(path) -> Model:
     try:
         cfg_dict = dict(json.loads(blob.decode())["config"])
         cfg_dict["ssl_dims"] = tuple(cfg_dict["ssl_dims"])
-        model = Model(ModelConfig(**cfg_dict))
+        model = _blank(ModelConfig(**cfg_dict))
     except (ValueError, KeyError, TypeError) as exc:
         raise ContractError(f"{path}: malformed checkpoint header ({type(exc).__name__}: {exc})") from None
     if blob != _header_blob(model):

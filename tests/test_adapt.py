@@ -365,6 +365,20 @@ def test_tent_frozen_parameters_leave_affine_gradients_bitwise():
         assert not frozen[n].any(), n
 
 
+@pytest.mark.parametrize("update_running_stats", [True, False])
+def test_tent_stem_once_per_batch_matches_every_pass_bitwise(monkeypatch, update_running_stats):
+    """Tent's one stem per batch gives the bits of recomputing it in every pass."""
+    X = make_epochs(13, seed=137)
+    cfg = TentConfig(lr=1e-2, batch_size=4, update_running_stats=update_running_stats)
+    runs = []
+    for stem in (Model.stem, lambda self, x: None):  # None: each pass makes its own
+        monkeypatch.setattr(Model, "stem", stem)
+        model, _ = tiny_model(seed=139, head_layers=2)
+        probs, recs = tent_adapt_predict(model, X, cfg)
+        runs.append((probs.tobytes(), json.dumps(recs), model.param_arena.tobytes(), model.buffer_arena.tobytes()))
+    assert runs[0] == runs[1]
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the NaN is the point
 def test_tent_restores_requires_grad_flags():
     model, _ = tiny_model(seed=127)

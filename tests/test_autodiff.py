@@ -175,6 +175,33 @@ class TestFusedLayers:
         got = analytic_grad(build, vals[wrt])
         assert rel_err(got, fd_grad(build_np, vals[wrt].copy())) < 1e-5
 
+    @pytest.mark.parametrize("n, f", [(512, 32), (64, 64), (7, 3)])
+    def test_batch_norm_train_pull_is_bitwise_the_negating_chain(self, n, f):
+        """``bn_pull`` against the chain's own float operations, negations included,
+        down to the sign of each zero: with dead columns (all-zero ``g`` of either
+        sign, as behind a ReLU), constant columns and zero gammas."""
+
+        def chain_pull(g, gd, cache):
+            xhat, c, s = cache
+            scratch = -(g * gd)
+            gx = (g * gd) / s
+            gv = ((scratch * c / (s * s)).sum(axis=0) * 0.5 / s) / n
+            gx += gv * c
+            gx += gv * c
+            return gx + (-gx).sum(axis=0) / n
+
+        rng = np.random.default_rng(n * f)
+        for _ in range(10):
+            x = rng.normal(size=(n, f)) * rng.uniform(0.01, 100)
+            x[:, rng.random(f) < 0.1] = 1.5
+            g = rng.normal(size=(n, f)) * (rng.random((n, f)) > rng.choice([0.0, 0.5, 1.0], size=f))
+            g[:, rng.random(f) < 0.2] = rng.choice([0.0, -0.0])
+            gd = rng.normal(size=f)
+            gd[rng.random(f) < 0.1] = 0.0
+            cache, _, _ = ad.bn_stats(x, 1e-5)
+            gx, _, _ = ad.bn_pull(g, gd, cache, True, True, False, False)
+            assert gx.tobytes() == chain_pull(g, gd, cache).tobytes()
+
     def test_cross_entropy_rejects_bad_labels(self):
         z = ad.Tensor(np.zeros((3, 4)))
         with pytest.raises(ContractError, match="out of range"):

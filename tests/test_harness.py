@@ -111,6 +111,13 @@ def test_infinite_duration_is_a_config_error():
         preset_experiment("syn_mi", duration=float("inf"))
 
 
+def test_infinite_test_gain_is_a_config_error():
+    # without the check the run generates, pretrains and fine-tunes before the
+    # infinite test epochs stop it
+    with pytest.raises(ConfigError, match="test_gain"):
+        preset_experiment("syn_mi", test_gain=float("inf"))
+
+
 def test_config_hash_deterministic_and_sensitive():
     a = micro()
     b = micro()

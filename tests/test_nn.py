@@ -323,6 +323,60 @@ class TestFusedBackbone:
             assert got[r].tobytes() == model.forward_main(Tensor(x[r]), train=False).data.tobytes()
 
 
+class TestStem:
+    """A precomputed ``Model.stem`` serves Tent's passes with the bits of computing it each time."""
+
+    @staticmethod
+    def tent_frozen(model):
+        affine = set(model.param_groups()["bn_affine"])
+        for n, p in model.named_parameters():
+            p.requires_grad = n in affine
+        return SGD([(n, p) for n, p in model.named_parameters() if n in affine], lr=0.05)
+
+    @pytest.mark.parametrize("update_stats", [True, False])
+    def test_stem_serves_three_sgd_steps_bitwise(self, update_stats):
+        model = nn.Model(small_config(head_layers=2))
+        model.param_arena[:] = RNG.normal(size=model.param_arena.size) * 0.5
+        twin = nn.clone_model(model)
+        x = Tensor(RNG.normal(size=(5, 3, 200)))
+        weights = Tensor(RNG.normal(size=(5, 8)))
+        opts = [self.tent_frozen(m) for m in (model, twin)]
+        stem = model.stem(x)
+        for _ in range(3):
+            runs = []
+            for m, opt, kw in ((model, opts[0], {"stem": stem}), (twin, opts[1], {})):
+                m.zero_grad()
+                with ad.fresh_tape():
+                    feats = m.features(x, train=True, update_stats=update_stats, **kw)
+                    ad.backward(ad.sum_(ad.mul(feats, weights)))
+                runs.append((feats.data.tobytes(), m.grad_arena.tobytes(), m.buffer_arena.tobytes()))
+                opt.step()
+            assert runs[0] == runs[1]
+            assert model.bn1.gamma.grad.any() and model.bn2.beta.grad.any()
+        assert model.param_arena.tobytes() == twin.param_arena.tobytes()
+
+    def test_stem_refused_where_it_would_not_hold(self):
+        model = nn.Model(small_config())
+        x = Tensor(RNG.normal(size=(4, 3, 200)))
+        stem = model.stem(x)
+        with pytest.raises(ContractError, match="conv.w frozen"):  # a step would move conv.w
+            model.features(x, train=True, stem=stem)
+        model.conv.w.requires_grad = False
+        model.features(x, train=True, stem=stem)
+        with pytest.raises(ContractError, match="train-mode"):
+            model.features(x, train=False, stem=stem)
+        with pytest.raises(ContractError, match="its own batch"):
+            model.features(Tensor(RNG.normal(size=(5, 3, 200))), train=True, stem=stem)
+        params = np.stack([model.param_arena, model.param_arena])
+        xs = Tensor(np.stack([x.data, x.data]))
+        with nn.replicas(model, params, np.zeros_like(params)):
+            with pytest.raises(ContractError, match="unreplicated"):
+                model.stem(xs)
+            for train in (True, False):
+                with pytest.raises(ContractError):
+                    model.features(xs, train=train, stem=stem)
+
+
 class TestSnapshotRestore:
     def test_roundtrip_is_bitwise(self):
         model = nn.Model(small_config())
@@ -403,6 +457,21 @@ class TestArena:
         assert np.array_equal(twin.buffer_arena, model.buffer_arena)
         assert not twin.grad_arena.any()
         assert not np.shares_memory(twin.param_arena, model.param_arena)
+
+
+    def test_clone_and_load_draw_no_initial_weights(self, monkeypatch, tmp_path):
+        model = nn.Model(small_config(head_layers=2))
+        model.buffer_arena[:] = RNG.uniform(0.5, 1.5, size=model.buffer_arena.size)
+        nn.save_checkpoint(model, tmp_path / "m.ckpt")
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("initial weights drawn for a model whose arenas are copied in")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        for twin in (nn.clone_model(model), nn.load_checkpoint(tmp_path / "m.ckpt")):
+            assert twin.param_arena.tobytes() == model.param_arena.tobytes()
+            assert twin.buffer_arena.tobytes() == model.buffer_arena.tobytes()
+            assert twin.layout == model.layout and not twin.grad_arena.any()
 
 
 class TestCheckpointFile:
