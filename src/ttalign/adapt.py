@@ -30,7 +30,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ContractError
 from .nn import Model, arena_slices, clone_model, replicas
-from .optim import SGD, check_optimizer, make_optimizer
+from .optim import SGD, check_lr, check_optimizer, make_optimizer
 from .pretext import TaskSpec, apply_view, view_classes
 
 ADAPT_METHODS = ("none", "ttt_ssl", "tent")
@@ -91,8 +91,7 @@ class TttConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
-        if not self.lr > 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        check_lr(self.lr, "lr")
         if self.ssl_mode not in ("both_weighted", "first_only"):
             raise ConfigError(f"unknown ssl_mode '{self.ssl_mode}'")
         check_optimizer(self.optimizer)
@@ -189,8 +188,7 @@ class TentConfig:
     update_running_stats: bool = True
 
     def __post_init__(self):
-        if not self.lr > 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        check_lr(self.lr, "lr")
         if self.steps_per_batch < 1:
             raise ConfigError(f"steps_per_batch must be >= 1, got {self.steps_per_batch}")
         if self.batch_size < 2:

@@ -12,7 +12,8 @@ Batch norm, softmax cross-entropy and the mean entropy are fused primitives: one
 record each, where a chain of general primitives would take up to nine. Layers
 elsewhere record their own fused ops through :func:`record`; ``nn.Model.features``
 records a whole backbone pass as one, with the batch-norm arithmetic of
-:func:`bn_stats`, :func:`bn_affine` and :func:`bn_pull`.
+:func:`bn_stats`, :func:`bn_affine` and :func:`bn_pull`. Their column sums are
+:func:`colsum`: ``np.einsum`` over the rows in order, bitwise ``np.add.reduce``.
 
 Gradients accumulate across repeated ``backward`` calls; training loops are expected
 to zero parameter grads between steps. All computation is float64 and bitwise
@@ -280,28 +281,39 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 # fused layers: one tape record each, with a hand-written pull
 # ---------------------------------------------------------------------------
 
+def colsum(x: Array, y: Array | None = None) -> Array:
+    """The sum over axis -2 of ``x``, or of ``x * y``: bitwise ``np.add.reduce(.., axis=-2)``.
+
+    On C-ordered input with two or more columns, ``np.einsum``'s strided loop adds
+    the rows in order, as ``add.reduce`` does, about three times faster at
+    (2048, 16); the product form rounds each product before adding it and builds
+    no product array. A single column or other layout goes to ``add.reduce``,
+    because einsum's contiguous loop there adds in another order.
+    """
+    if x.shape[-1] > 1 and x.flags.c_contiguous and (y is None or y.flags.c_contiguous):
+        return np.einsum("...ij->...j", x) if y is None else np.einsum("...ij,...ij->...j", x, y)
+    return np.add.reduce(x if y is None else x * y, axis=-2)
+
+
 def bn_stats(
     xd: Array, eps: float, running: tuple[Array, Array] | None = None
 ) -> tuple[tuple[Array, Array, Array], Array, Array]:
     """Forward of :func:`batch_norm` up to its affine step, on arrays: ``(cache, mean, var)``.
 
     ``cache`` is ``(xhat, c, s)``, what :func:`bn_pull` needs. Batch statistics are
-    taken with ``np.add.reduce(..) / n``, which is bitwise ``.mean(axis=0)``. With
+    :func:`colsum` over n, divided by n, which is bitwise ``.mean(axis=0)``. With
     ``running`` given, ``xd`` may be a stack ``(..., n, features)``.
     """
-    n = xd.shape[0]
     if running is None:
-        mu = np.add.reduce(xd, axis=0) / n
+        n = xd.shape[0]
+        mu = colsum(xd) / n
         c = xd - mu
-        xhat = np.multiply(c, c)
-        var = np.add.reduce(xhat, axis=0) / n
+        var = colsum(c, c) / n
     else:
         mu, var = running
         c = xd - mu
-        xhat = np.empty_like(c)
     s = np.sqrt(var + eps)
-    np.divide(c, s, out=xhat)
-    return (xhat, c, s), mu, var
+    return (c / s, c, s), mu, var
 
 
 def bn_affine(xhat: Array, gd: Array, bd: Array) -> Array:
@@ -322,11 +334,11 @@ def bn_pull(
     file reproduces. The chain's two negations of (n, features) arrays move onto
     (features,) vectors: exact, as rounding to nearest is symmetric in sign, and
     ``0.0 - v`` adds +0 for a zero column sum wherever the chain's sign could show.
-    One scratch buffer holds each (n, features) temporary in turn. In eval mode
-    ``g`` may be a stack, as in :func:`bn_stats`.
+    One scratch buffer holds each (n, features) temporary in turn, and every column
+    sum is a :func:`colsum`. In eval mode ``g`` may be a stack, as in :func:`bn_stats`.
     """
     xhat, c, s = cache
-    gx = scratch = None
+    gx = None
     if need_x:
         scratch = g * gd[..., None, :]
         gx = scratch / s
@@ -334,15 +346,13 @@ def bn_pull(
             n = g.shape[0]
             scratch *= c
             scratch /= -(s * s)
-            gv = (scratch.sum(axis=0) * 0.5 / s) / n
+            gv = (colsum(scratch) * 0.5 / s) / n
             np.multiply(gv, c, out=scratch)
             gx += scratch
             gx += scratch  # c feeds the variance twice (c * c)
-            gx += (0.0 - gx.sum(axis=0)) / n
-    ggamma = None
-    if need_gamma:
-        ggamma = (g * xhat if scratch is None else np.multiply(g, xhat, out=scratch)).sum(axis=-2)
-    return gx, ggamma, g.sum(axis=-2) if need_beta else None
+            gx += (0.0 - colsum(gx)) / n
+    ggamma = colsum(g, xhat) if need_gamma else None
+    return gx, ggamma, colsum(g) if need_beta else None
 
 
 def batch_norm(

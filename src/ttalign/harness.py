@@ -26,7 +26,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -344,6 +343,8 @@ def _run_jobs(fn, cfg: ExperimentConfig, seeds: list[int]) -> list:
     workers = _worker_count()
     if workers == 1 or len(seeds) <= 1:
         return [fn(cfg, seed) for seed in seeds]
+    from concurrent.futures import ProcessPoolExecutor  # only here: it imports multiprocessing
+
     with ProcessPoolExecutor(max_workers=min(workers, len(seeds))) as pool:
         return list(pool.map(fn, [cfg] * len(seeds), seeds))
 

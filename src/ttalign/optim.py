@@ -13,6 +13,8 @@ the step with a diagnostic naming the offending parameter.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .autodiff import Tensor
@@ -39,10 +41,15 @@ def _check_finite(runs: list[Run]) -> None:
             raise ContractError(f"non-finite gradient in parameter '{name}'")
 
 
+def check_lr(lr: float, what: str = "learning rate") -> None:
+    """Reject a rate that is not a positive finite number (NaN included)."""
+    if not 0.0 < lr < math.inf:
+        raise ConfigError(f"{what} must be positive and finite, got {lr}")
+
+
 class _Optimizer:
     def __init__(self, params: list[Model | tuple[str, Tensor]], lr: float):
-        if lr <= 0:
-            raise ConfigError(f"learning rate must be positive, got {lr}")
+        check_lr(lr)
         self.runs = [_run(item) for item in params]
         self.lr = lr
 

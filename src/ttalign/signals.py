@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -121,7 +122,8 @@ def bandpass(data: np.ndarray, rate: float, low: float, high: float) -> np.ndarr
     n = data.shape[-1]
     freqs = np.fft.rfftfreq(n, d=1.0 / rate)
     m = 1.0 - _stop_mask(freqs, low, high)
-    spec = np.fft.rfft(data, axis=-1) * m
+    spec = np.fft.rfft(data, axis=-1)
+    spec *= m
     return np.fft.irfft(spec, n=n, axis=-1)
 
 
@@ -144,7 +146,9 @@ def resample(data: np.ndarray, rate_in: float, rate_out: float) -> np.ndarray:
         out_spec = np.pad(spec, pad)
     if n_out % 2 == 0:
         out_spec[..., -1] = out_spec[..., -1].real
-    return np.fft.irfft(out_spec, n=n_out, axis=-1) * (n_out / n)
+    out = np.fft.irfft(out_spec, n=n_out, axis=-1)
+    out *= n_out / n
+    return out
 
 
 def pink_noise(rng: np.random.Generator, channels: int, n: int, rate: float, rms: float) -> np.ndarray:
@@ -272,18 +276,23 @@ def preprocess(recordings: list[Recording]) -> tuple[np.ndarray, np.ndarray, np.
     """One split's ``(X, labels, subjects)`` arrays from its recordings, in order.
 
     Each recording is band-passed to ``PASSBAND``, resampled to ``TARGET_RATE`` and
-    cut into non-overlapping ``EPOCH_SAMPLES`` epochs, one recording at a time; a
-    recording shorter than one epoch contributes none.
+    cut into non-overlapping ``EPOCH_SAMPLES`` epochs; a recording shorter than one
+    epoch contributes none. Each run of consecutive recordings with the same
+    subject, rate and shape (one subject's trials, as :func:`generate_dataset`
+    emits them) goes through the FFTs as one stack, which transforms each
+    recording exactly as it would alone.
     """
     epochs, labels, subjects = [], [], []
-    for rec in recordings:
-        if rec.data.ndim != 2:
-            raise ContractError(f"recording data must be 2-D, got shape {rec.data.shape}")
-        x = resample(bandpass(rec.data, rec.rate, *PASSBAND), rec.rate, TARGET_RATE)
+    for (subject, rate, shape), run in groupby(recordings, key=lambda r: (r.subject, r.rate, r.data.shape)):
+        if len(shape) != 2:
+            raise ContractError(f"recording data must be 2-D, got shape {shape}")
+        run = list(run)
+        x = resample(bandpass(np.stack([rec.data for rec in run]), rate, *PASSBAND), rate, TARGET_RATE)
         n_epochs = x.shape[-1] // EPOCH_SAMPLES
-        epochs += [x[:, i * EPOCH_SAMPLES: (i + 1) * EPOCH_SAMPLES] for i in range(n_epochs)]
-        labels += [rec.label] * n_epochs
-        subjects += [rec.subject] * n_epochs
+        for rec, xr in zip(run, x):
+            epochs += [xr[:, i * EPOCH_SAMPLES: (i + 1) * EPOCH_SAMPLES] for i in range(n_epochs)]
+            labels += [rec.label] * n_epochs
+        subjects += [subject] * (n_epochs * len(run))
     if not epochs:
         raise ContractError(f"no epochs in {len(recordings)} recordings")
     return np.stack(epochs), np.array(labels, dtype=np.int64), np.array(subjects, dtype=np.int64)

@@ -21,7 +21,7 @@ from .autodiff import Tensor, cross_entropy
 from .errors import ConfigError, ContractError
 from .metrics import auroc, cohens_kappa, monitoring_metric
 from .nn import Linear, Model, restore, snapshot
-from .optim import check_optimizer, make_optimizer
+from .optim import check_lr, check_optimizer, make_optimizer
 from .pretext import TaskSpec, make_view
 
 
@@ -73,8 +73,7 @@ class PretrainConfig:
             raise ConfigError("epochs and batch_size must be positive")
         if self.patch < 1:
             raise ConfigError(f"patch must be >= 1, got {self.patch}")
-        if not self.lr > 0:
-            raise ConfigError(f"pretrain lr must be positive, got {self.lr}")
+        check_lr(self.lr, "pretrain lr")
         check_optimizer(self.optimizer)
 
 
@@ -149,8 +148,7 @@ class FinetuneConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be positive")
-        if not self.lr > 0:
-            raise ConfigError(f"finetune lr must be positive, got {self.lr}")
+        check_lr(self.lr, "finetune lr")
         check_optimizer(self.optimizer)
         if self.monitor is not None and self.monitor not in MONITORS:
             raise ConfigError(f"unknown monitor '{self.monitor}' (expected one of {MONITORS} or null)")

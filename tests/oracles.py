@@ -6,6 +6,8 @@ The per-sample pretext transforms are the reference for the batched
 are the autodiff primitives the fused backbone pass replaces.
 ``ttt_per_epoch`` is episodic test-time training one epoch at a time, the
 reference for the block adaptation of ``adapt.run_adaptation``.
+``preprocess_per_recording`` filters one recording at a time, the reference for
+the stacked runs of ``signals.preprocess``.
 """
 
 import itertools
@@ -17,7 +19,9 @@ from ttalign.adapt import content_rng
 from ttalign.nn import arena_slices, clone_model, restore, snapshot
 from ttalign.optim import make_optimizer
 from ttalign.pretext import AMP_FACTORS, make_view
-from ttalign.signals import AP_PAIRS, TARGET_RATE, bandstop_mask
+from ttalign.signals import (
+    AP_PAIRS, EPOCH_SAMPLES, PASSBAND, TARGET_RATE, bandpass, bandstop_mask, resample,
+)
 
 # the jigsaw label indexes the lexicographic permutations of 3 chunks
 JIGSAW_PERMS = list(itertools.permutations(range(3)))
@@ -45,6 +49,18 @@ def bandstop(data, rate, low, high):
     """Zero the [low, high] Hz band of each channel by ``bandstop_mask``."""
     n = data.shape[-1]
     return np.fft.irfft(np.fft.rfft(data, axis=-1) * bandstop_mask(n, rate, low, high), n=n, axis=-1)
+
+
+def preprocess_per_recording(recordings):
+    """``signals.preprocess`` with each recording band-passed and resampled alone."""
+    epochs, labels, subjects = [], [], []
+    for rec in recordings:
+        x = resample(bandpass(rec.data, rec.rate, *PASSBAND), rec.rate, TARGET_RATE)
+        n_epochs = x.shape[-1] // EPOCH_SAMPLES
+        epochs += [x[:, i * EPOCH_SAMPLES: (i + 1) * EPOCH_SAMPLES] for i in range(n_epochs)]
+        labels += [rec.label] * n_epochs
+        subjects += [rec.subject] * n_epochs
+    return np.stack(epochs), np.array(labels, dtype=np.int64), np.array(subjects, dtype=np.int64)
 
 
 def stopped_band(data, rng, table):

@@ -202,6 +202,41 @@ class TestFusedLayers:
             gx, _, _ = ad.bn_pull(g, gd, cache, True, True, False, False)
             assert gx.tobytes() == chain_pull(g, gd, cache).tobytes()
 
+    @pytest.mark.parametrize("f", [1, 2, 3, 16, 17, 32, 64])
+    def test_colsum_is_bitwise_add_reduce_and_a_sequential_loop(self, f):
+        """Both forms of ``colsum`` give the bytes of ``np.add.reduce`` over axis -2 and
+        of a row-by-row loop, for 2-D and stacked input, F-ordered and column-sliced
+        input, mixed magnitudes and zeros of either sign. If a numpy release changes
+        the order of einsum's strided loop, this fails."""
+
+        def draw(shape):
+            x = rng.normal(size=shape) * 10.0 ** rng.integers(-12, 13, size=shape)
+            x[rng.random(shape) < 0.1] = 0.0
+            x[rng.random(shape) < 0.1] = -0.0
+            x[..., -1] = -0.0  # a column of negative zeros sums to +0.0
+            return x
+
+        def in_order(x, y=None):
+            acc = np.zeros(x.shape[:-2] + x.shape[-1:])
+            for i in range(x.shape[-2]):
+                acc += x[..., i, :] if y is None else x[..., i, :] * y[..., i, :]
+            return acc
+
+        rng = np.random.default_rng(f)
+        for n in (2, 3, 5, 8, 16, 17, 63, 64, 65, 255, 256, 512, 1000, 2048, 4095, 4096):
+            for shape in ((n, f), (3, n, f)):
+                x, y = draw(shape), draw(shape)
+                layouts = [(x, y), (np.asfortranarray(x), np.asfortranarray(y))]
+                if f > 1:
+                    wide = draw((*shape[:-1], f + 1))
+                    layouts.append((wide[..., 1:], wide[..., :-1]))
+                for a, b in layouts:
+                    assert ad.colsum(a).tobytes() == np.add.reduce(a, axis=-2).tobytes()
+                    assert ad.colsum(a, b).tobytes() == np.add.reduce(a * b, axis=-2).tobytes()
+                if n <= 256 or n == 4096:
+                    assert ad.colsum(x).tobytes() == in_order(x).tobytes()
+                    assert ad.colsum(x, y).tobytes() == in_order(x, y).tobytes()
+
     def test_cross_entropy_rejects_bad_labels(self):
         z = ad.Tensor(np.zeros((3, 4)))
         with pytest.raises(ContractError, match="out of range"):

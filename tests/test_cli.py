@@ -126,6 +126,7 @@ def test_config_out_of_range_rejected(tmp_path, capsys, override, key):
     ({"dropout": 1.5}, "dropout"),
     ({"dropout": -0.1}, "dropout"),
     ({"pretrain": {"epochs": 1, "patch": 7}}, "patch"),
+    ({"finetune": {"lr": float("inf")}}, "finetune lr"),
 ])
 def test_config_rejected_before_any_data_is_generated(tmp_path, monkeypatch, override, key):
     import ttalign.harness
@@ -135,7 +136,9 @@ def test_config_rejected_before_any_data_is_generated(tmp_path, monkeypatch, ove
 
     monkeypatch.setattr(ttalign.harness, "generate_dataset", never)
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({**MICRO, **override}))
+    # json writes inf as the literal Infinity, which the loader rejects by name;
+    # 1e999 is a number that json reads back as inf
+    path.write_text(json.dumps({**MICRO, **override}).replace("Infinity", "1e999"))
     with pytest.raises(ConfigError, match=key):
         build_config(build_parser().parse_args(["evaluate", "--config", str(path)]))
 

@@ -15,6 +15,7 @@ import pytest
 
 from ttalign import harness
 from ttalign.adapt import ADAPT_METHODS, TentConfig, TttConfig
+from ttalign.autodiff import Tensor
 from ttalign.errors import ConfigError
 from ttalign.harness import (
     STRATEGY_CELLS,
@@ -28,6 +29,7 @@ from ttalign.harness import (
     run_experiment,
     run_single,
 )
+from ttalign.optim import SGD
 from ttalign.signals import PASSBAND, TARGET_RATE, ShiftSpec, bandpass, generate_dataset, preprocess, resample
 from ttalign.training import FinetuneConfig, PretrainConfig
 
@@ -89,11 +91,16 @@ def test_config_validation():
 NAN = float("nan")
 
 
+def sgd(**kwargs):
+    return SGD([("w", Tensor(np.zeros(2), requires_grad=True))], **kwargs)
+
+
 @pytest.mark.parametrize("build, field", [
     (FinetuneConfig, {"lr": NAN}),
     (PretrainConfig, {"lr": NAN}),
     (TttConfig, {"lr": NAN}),
     (TentConfig, {"lr": NAN}),
+    (sgd, {"lr": NAN}),
     (ShiftSpec, {"noise_scale": NAN}),
     (micro, {"dropout": NAN}),
     (micro, {"test_gain": NAN}),
@@ -116,6 +123,15 @@ def test_infinite_test_gain_is_a_config_error():
     # infinite test epochs stop it
     with pytest.raises(ConfigError, match="test_gain"):
         preset_experiment("syn_mi", test_gain=float("inf"))
+
+
+@pytest.mark.parametrize("build", [FinetuneConfig, PretrainConfig, TttConfig, TentConfig],
+                         ids=lambda build: build.__name__)
+def test_infinite_lr_is_a_config_error(build):
+    # without the check the run generates data and pretrains before the first
+    # non-finite loss stops it
+    with pytest.raises(ConfigError, match="lr"):
+        build(lr=float("inf"))
 
 
 def test_config_hash_deterministic_and_sensitive():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bandpower, bandstop
+from oracles import bandpower, bandstop, preprocess_per_recording
 from ttalign import signals as sig
 from ttalign.errors import ConfigError, ContractError
 
@@ -161,6 +161,24 @@ class TestPreprocess:
         assert X.shape == (1, 8, 200) and y.tolist() == [3] and subj.tolist() == [2]
         with pytest.raises(ContractError):
             sig.preprocess([short])
+
+    def test_stacked_runs_equal_one_recording_at_a_time(self):
+        # two subjects, two rates and two durations, one shorter than an epoch; runs
+        # of one, two and three recordings, and one subject returning after another
+        rng = np.random.default_rng(7)
+
+        def rec(subject, rate, n, label):
+            return sig.Recording(rng.normal(size=(8, n)) * 10.0, rate, subject=subject, label=label)
+
+        recs = [rec(1, 250.0, 500, 0), rec(1, 250.0, 500, 1), rec(1, 250.0, 500, 2),
+                rec(1, 250.0, 150, 3), rec(1, 500.0, 1000, 1), rec(1, 500.0, 1000, 0),
+                rec(2, 500.0, 1000, 3), rec(2, 250.0, 500, 2), rec(2, 250.0, 150, 1),
+                rec(2, 250.0, 150, 0), rec(1, 250.0, 500, 3)]
+        got = sig.preprocess(recs)
+        want = preprocess_per_recording(recs)
+        assert got[0].flags.c_contiguous and got[0].shape == (16, 8, 200)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def test_bandpass_removes_out_of_band_content(self):
         x = tone(0.5, rate=500.0, n=5000, amp=5.0)[None, :] * np.ones((8, 1))
