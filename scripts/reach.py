@@ -31,12 +31,11 @@ PACKAGE = SRC / "ttalign"
 # (qualified-name prefix, reason) of every function allowed to stay unreached
 EXCEPTIONS = (
     ("pilot.", "run by scripts/pilot_directional.py and acceptance criterion 09"),
-    ("nn.load_checkpoint", "ROADMAP item 5 decides between chaining stage commands and deleting it"),
-    ("signals.load_split", "ROADMAP item 5 decides between chaining stage commands and deleting it"),
-    ("signals._sidecar_ints", "ROADMAP item 5 decides between chaining stage commands and deleting it"),
+    ("nn.load_checkpoint", "ROADMAP item 8 decides between chaining stage commands and deleting it"),
+    ("signals.load_split", "ROADMAP item 8 decides between chaining stage commands and deleting it"),
+    ("signals._sidecar_ints", "ROADMAP item 8 decides between chaining stage commands and deleting it"),
     ("nn.Snapshot.params", "read by perfbench/workloads.py"),
     ("autodiff.Tape.__len__", "read by perfbench/tracing.py"),
-    ("autodiff.softmax.pull", "both callers run softmax under no_grad; the pull is the primitive's tested contract"),
 )
 
 MICRO = {

@@ -29,7 +29,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ContractError
-from .nn import Model, arena_slices, clone_model, replicas
+from .nn import Model, arena_slices, clone_model, replicas, softmax
 from .optim import SGD, check_lr, check_optimizer, make_optimizer
 from .pretext import TaskSpec, apply_view, view_classes
 
@@ -259,7 +259,7 @@ def tent_adapt_predict(
                 step_entropies.append(objective.item())
             with ad.no_grad(), ad.fresh_tape():
                 logits = model.forward_main(batch, train=True, update_stats=False, stem=stem)
-                p = ad.softmax(logits, axis=1).data
+            p = softmax(logits.data)
             delta = _l2_norm(p.data - before[n] for n, p in named_affine)
             _raise_if_diverged("tent", p, delta)
             probs[idx] = p

@@ -8,12 +8,13 @@ accumulates adjoints into the ``grad`` buffers of the leaves: tensors created wi
 ``grad=None``; their adjoints live only inside ``backward``. A pull-back skips the
 contribution of any input that does not require grad.
 
-Batch norm, softmax cross-entropy and the mean entropy are fused primitives: one
-record each, where a chain of general primitives would take up to nine. Layers
-elsewhere record their own fused ops through :func:`record`; ``nn.Model.features``
-records a whole backbone pass as one, with the batch-norm arithmetic of
-:func:`bn_stats`, :func:`bn_affine` and :func:`bn_pull`. Their column sums are
-:func:`colsum`: ``np.einsum`` over the rows in order, bitwise ``np.add.reduce``.
+Softmax cross-entropy and the mean entropy are fused primitives: one record each,
+where a chain of general primitives would take up to nine. Layers elsewhere record
+their own fused ops through :func:`record`; ``nn.Model.features`` records a whole
+backbone pass as one, with the batch-norm arithmetic of :func:`bn_stats`,
+:func:`bn_affine` and :func:`bn_pull`. Their column sums are :func:`colsum`:
+``np.einsum`` over the rows in order, bitwise ``np.add.reduce``. :func:`grad_check`
+compares tape gradients with central differences.
 
 Gradients accumulate across repeated ``backward`` calls; training loops are expected
 to zero parameter grads between steps. All computation is float64 and bitwise
@@ -254,19 +255,6 @@ def sum_(a: Tensor) -> Tensor:
     return record(out, (a,), pull)
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(p)
-
-    def pull(g: Array):
-        inner = (g * p).sum(axis=axis, keepdims=True)
-        return (p * (g - inner),)
-
-    return record(out, (a,), pull)
-
-
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     out = Tensor(a.data.reshape(shape))
     orig = a.data.shape
@@ -298,9 +286,11 @@ def colsum(x: Array, y: Array | None = None) -> Array:
 def bn_stats(
     xd: Array, eps: float, running: tuple[Array, Array] | None = None
 ) -> tuple[tuple[Array, Array, Array], Array, Array]:
-    """Forward of :func:`batch_norm` up to its affine step, on arrays: ``(cache, mean, var)``.
+    """Batch norm's forward up to its affine step, on arrays: ``(cache, mean, var)``.
 
-    ``cache`` is ``(xhat, c, s)``, what :func:`bn_pull` needs. Batch statistics are
+    Train mode (``running=None``) normalizes by the batch mean and biased variance,
+    otherwise by the constant ``running = (mean, var)``. ``cache`` is
+    ``(xhat, c, s)``, what :func:`bn_pull` needs. Batch statistics are
     :func:`colsum` over n, divided by n, which is bitwise ``.mean(axis=0)``. With
     ``running`` given, ``xd`` may be a stack ``(..., n, features)``.
     """
@@ -327,7 +317,7 @@ def bn_pull(
     g: Array, gd: Array, cache: tuple[Array, Array, Array], train: bool,
     need_x: bool, need_gamma: bool, need_beta: bool,
 ) -> tuple[Array | None, Array | None, Array | None]:
-    """Contributions of :func:`batch_norm` for ``(x, gamma, beta)``; None where not needed.
+    """Batch norm's backward: the contributions for ``(x, gamma, beta)``; None where not needed.
 
     Gives, bit for bit, the gradients of the backward through the chain the fused
     op replaces (mean, sub, mul, mean, add, sqrt, div, mul, add), so the golden
@@ -353,26 +343,6 @@ def bn_pull(
             gx += (0.0 - colsum(gx)) / n
     ggamma = colsum(g, xhat) if need_gamma else None
     return gx, ggamma, colsum(g) if need_beta else None
-
-
-def batch_norm(
-    x: Tensor, gamma: Tensor, beta: Tensor, eps: float, running: tuple[Array, Array] | None = None
-) -> tuple[Tensor, Array, Array]:
-    """Per-feature normalization of a (batch, features) tensor, then ``* gamma + beta``.
-
-    With ``running=None`` (train mode) it normalizes by the batch mean and biased
-    batch variance, and the gradient flows through both. Otherwise it normalizes
-    by the given constant ``(mean, var)``. Returns the output and the mean and
-    variance it used.
-    """
-    cache, mu, var = bn_stats(x.data, eps, running)
-    gd = gamma.data
-    out = bn_affine(cache[0], gd, beta.data)
-
-    def pull(g: Array):
-        return bn_pull(g, gd, cache, running is None, x.requires_grad, gamma.requires_grad, beta.requires_grad)
-
-    return record(Tensor(out), (x, gamma, beta), pull), mu, var
 
 
 def _log_softmax(z: Array) -> tuple[Array, Array]:
@@ -450,9 +420,16 @@ def grad_check(
 
     ``fragment(x)`` must build a scalar loss from the current values of ``params``.
     The fragment is evaluated twice up front; any bitwise difference means it is not
-    deterministic and the check refuses to run. Relative error per parameter entry is
-    |a - n| / max(|a|, |n|, 1e-12).
+    deterministic and the check refuses to run. It refuses as well a parameter whose
+    ``data`` does not flatten to a view (a strided one, such as a parameter inside
+    ``nn.replicas``), since a perturbation of the flat copy would never reach the
+    fragment. Relative error per parameter entry is |a - n| / max(|a|, |n|, 1e-12).
     """
+    flats = [p.data.reshape(-1) for p in params]
+    for i, (p, flat) in enumerate(zip(params, flats)):
+        if not np.shares_memory(flat, p.data):
+            raise ContractError(f"grad_check cannot perturb params[{i}] of shape {p.shape}: "
+                                "its data does not flatten to a view")
     with no_grad():
         probe_a = fragment(x).data.copy()
         probe_b = fragment(x).data.copy()
@@ -470,8 +447,7 @@ def grad_check(
 
     worst = 0.0
     with no_grad():
-        for p, ga in zip(params, analytic):
-            flat = p.data.reshape(-1)
+        for flat, ga in zip(flats, analytic):
             gflat = ga.reshape(-1)
             for i in range(flat.size):
                 keep = flat[i]

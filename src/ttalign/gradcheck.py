@@ -1,17 +1,13 @@
-"""Finite-difference audit of every reverse-mode gradient path.
+"""Finite-difference audit of the layers and of every pass the CLI differentiates.
 
 Each check builds a deterministic scalar loss and hands it, once per named
-tensor (parameters, and the input where the input path is the interesting
-one), to :func:`ttalign.autodiff.grad_check`. That checker refuses a loss that
-is not a deterministic scalar, then compares the tape gradient with central
-differences component by component; each tensor is summarized by its maximum
-elementwise relative error |a - n| / max(|a|, |n|, 1e-12).
-
-Stochastic pieces (dropout) are made repeatable by reseeding the mask
-generator inside the loss closure, so the analytic pass and all numeric
-evaluations see the same mask.  Batch-norm forwards run in train mode with
-``update_stats=False``: the batch-statistics gradient path is exercised while
-the closure stays side-effect free.
+tensor, to :func:`ttalign.autodiff.grad_check`, which compares the tape gradient
+with central differences; each tensor is summarized by its maximum elementwise
+relative error |a - n| / max(|a|, |n|, 1e-12). The passes are stage-I
+fine-tuning, TTT's eval-mode pass alone and inside :func:`ttalign.nn.replicas`,
+Tent's entropy step and the pretraining loss. Dropout is made repeatable by
+reseeding the mask generator inside the loss closure, and train-mode passes run
+with ``update_stats=False``, so the closure stays side-effect free.
 """
 
 from __future__ import annotations
@@ -20,9 +16,15 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .nn import BatchNorm, Linear, Model, ModelConfig, dropout
+from .nn import Linear, Model, ModelConfig, replicas
 
 TOLERANCE = 1e-5
+
+# the audited model: two windows, a two-layer main head and two pretext heads
+STACK = ModelConfig(
+    channels=3, samples=50, hidden=4, features=6, n_main=3,
+    ssl_dims=(4, 3), head_layers=2, dropout=0.3, init_seed=21,
+)
 
 
 def _check(tensors: dict[str, Tensor], loss_fn) -> dict[str, float]:
@@ -30,57 +32,28 @@ def _check(tensors: dict[str, Tensor], loss_fn) -> dict[str, float]:
     return {name: ad.grad_check(lambda _: loss_fn(), t, [t]) for name, t in tensors.items()}
 
 
+def _named(prefix: str, model: Model) -> dict[str, Tensor]:
+    return {f"{prefix}.{name}": t for name, t in model.named_parameters()}
+
+
+def _warmed_model(rng: np.random.Generator) -> Model:
+    """The audited model with running statistics of one train-mode pass, so eval mode is not trivial."""
+    model = Model(STACK)
+    with ad.no_grad():
+        model.features(Tensor(rng.standard_normal((16, STACK.channels, STACK.samples))), train=True)
+    return model
+
+
 # ---------------------------------------------------------------------------
 # individual layer types
 # ---------------------------------------------------------------------------
 
-def _check_linear() -> dict[str, float]:
-    rng = np.random.default_rng(11)
-    layer = Linear(7, 5, rng)
-    x = Tensor(rng.standard_normal((4, 7)), requires_grad=True)
-    labels = np.array([0, 1, 2, 4])
-    tensors = {name: t for name, t in layer.named_parameters("linear")}
-    tensors["linear.input"] = x
+def _check_linear(prefix: str, seed: int, shape: tuple[int, int], labels, bias: bool) -> dict[str, float]:
+    rng = np.random.default_rng(seed)
+    layer = Linear(*shape, rng, bias=bias)
+    x = Tensor(rng.standard_normal((len(labels), shape[0])), requires_grad=True)
+    tensors = dict(layer.named_parameters(prefix), **{f"{prefix}.input": x})
     return _check(tensors, lambda: ad.cross_entropy(layer(x), labels))
-
-
-def _check_linear_no_bias() -> dict[str, float]:
-    rng = np.random.default_rng(12)
-    layer = Linear(6, 3, rng, bias=False)
-    x = Tensor(rng.standard_normal((5, 6)), requires_grad=True)
-    labels = np.array([0, 1, 2, 0, 1])
-    tensors = {name: t for name, t in layer.named_parameters("linear_nb")}
-    tensors["linear_nb.input"] = x
-    return _check(tensors, lambda: ad.cross_entropy(layer(x), labels))
-
-
-def _check_batchnorm(train: bool) -> dict[str, float]:
-    rng = np.random.default_rng(13)
-    bn = BatchNorm(6)
-    bn.gamma.data[:] = rng.uniform(0.5, 1.5, 6)
-    bn.beta.data[:] = rng.standard_normal(6)
-    bn.running_mean[:] = rng.standard_normal(6)
-    bn.running_var[:] = rng.uniform(0.5, 2.0, 6)
-    x = Tensor(rng.standard_normal((8, 6)), requires_grad=True)
-    labels = rng.integers(0, 6, 8)
-    prefix = "bn_train" if train else "bn_eval"
-    tensors = {f"{prefix}.gamma": bn.gamma, f"{prefix}.beta": bn.beta, f"{prefix}.input": x}
-    return _check(
-        tensors,
-        lambda: ad.cross_entropy(bn(x, train=train, update_stats=False), labels),
-    )
-
-
-def _check_dropout() -> dict[str, float]:
-    rng = np.random.default_rng(14)
-    x = Tensor(rng.standard_normal((6, 9)), requires_grad=True)
-    labels = rng.integers(0, 9, 6)
-
-    def loss():
-        mask_rng = np.random.default_rng(99)
-        return ad.cross_entropy(dropout(x, 0.4, mask_rng), labels)
-
-    return _check({"dropout.input": x}, loss)
 
 
 def _check_relu() -> dict[str, float]:
@@ -94,22 +67,12 @@ def _check_relu() -> dict[str, float]:
 
 
 # ---------------------------------------------------------------------------
-# full backbone + heads
+# the passes the pipeline differentiates
 # ---------------------------------------------------------------------------
 
 def _check_full_stack() -> dict[str, float]:
-    cfg = ModelConfig(
-        channels=3,
-        samples=50,
-        hidden=4,
-        features=6,
-        n_main=3,
-        ssl_dims=(4, 3),
-        head_layers=2,
-        dropout=0.3,
-        init_seed=21,
-    )
-    model = Model(cfg)
+    """Stage-I fine-tuning: train mode with dropout, main loss plus weighted pretext losses."""
+    model = Model(STACK)
     rng = np.random.default_rng(22)
     x = Tensor(rng.standard_normal((4, 3, 50)), requires_grad=True)
     y_main = np.array([0, 1, 2, 1])
@@ -124,21 +87,92 @@ def _check_full_stack() -> dict[str, float]:
             total = ad.add(total, ad.scale(ad.cross_entropy(model.ssl_logits(j, feats), y_ssl[j]), w))
         return total
 
-    tensors = {f"stack.{name}": t for name, t in model.named_parameters()}
-    tensors["stack.input"] = x
-    return _check(tensors, loss)
+    return _check(dict(_named("stack", model), **{"stack.input": x}), loss)
+
+
+def _check_stack_eval() -> dict[str, float]:
+    """TTT's pass: eval mode with warmed running statistics, through a pretext head."""
+    rng = np.random.default_rng(23)
+    model = _warmed_model(rng)
+    x = Tensor(rng.standard_normal((4, 3, 50)), requires_grad=True)
+    labels = np.array([0, 3, 1, 2])
+    tensors = dict(_named("stack_eval", model), **{"stack_eval.input": x})
+    return _check(tensors, lambda: ad.cross_entropy(model.ssl_logits(0, model.features(x, train=False)), labels))
+
+
+def _check_stack_replicas() -> dict[str, float]:
+    """Block TTT's step: eval-mode passes inside :func:`replicas` over S = 3 distinct
+    parameter rows, one view per pretext branch, every replica's weighted losses summed.
+
+    A parameter inside ``replicas`` is a strided view that ``grad_check`` cannot
+    perturb in place, so the check runs over the whole (S, P) arena at once.
+    """
+    rng = np.random.default_rng(24)
+    model = _warmed_model(rng)
+    params = model.param_arena * np.array([[1.0], [0.8], [1.25]])
+    arena = Tensor(params)
+    arena.grad = np.zeros_like(params)
+    views = [Tensor(rng.standard_normal((3, 2, 3, 50))) for _ in STACK.ssl_dims]
+    labels = [rng.integers(0, d, (3, 2)) for d in STACK.ssl_dims]
+    weights = (0.6, 0.4)
+
+    def loss():
+        total = None
+        for j, w in enumerate(weights):
+            term = ad.scale(ad.cross_entropy(model.ssl_logits(j, model.features(views[j], train=False)), labels[j]), w)
+            total = term if total is None else ad.add(total, term)
+        return ad.sum_(total)  # replica r's losses reach only replica r's parameters
+
+    with replicas(model, arena.data, arena.grad):
+        return _check({"stack_replicas.params": arena}, loss)
+
+
+def _check_tent() -> dict[str, float]:
+    """Tent's step: mean entropy of a train-mode pass from the batch's stem, with
+    every parameter but the batch-norm affine ones frozen."""
+    rng = np.random.default_rng(25)
+    model = _warmed_model(rng)
+    affine = set(model.param_groups()["bn_affine"])
+    x = Tensor(rng.standard_normal((6, 3, 50)))
+    for name, t in model.named_parameters():
+        t.requires_grad = name in affine
+    stem = model.stem(x)
+    tensors = {f"tent.{name}": t for name, t in model.named_parameters() if name in affine}
+    return _check(tensors, lambda: ad.mean_entropy(model.forward_main(x, train=True, update_stats=False, stem=stem)))
+
+
+def _check_pretrain() -> dict[str, float]:
+    """Stage-0 pretraining: the masked-reconstruction loss through a linear decoder."""
+    rng = np.random.default_rng(26)
+    model = Model(STACK)
+    b, c, t = 3, STACK.channels, STACK.samples
+    decoder = Linear(STACK.features, c * t, rng)
+    batch = rng.standard_normal((b, c, t))
+    mask = np.zeros((b, 1, t))
+    mask[[0, 2], :, :25] = mask[1, :, 25:] = 1.0  # one 25-sample patch per epoch
+    x = Tensor(batch * (1.0 - mask))
+    denom = float(mask.sum() * c)
+
+    def loss():
+        feats = model.features(x, train=True, update_stats=False)
+        recon = ad.reshape(decoder(feats), (b, c, t))
+        diff = ad.mul(ad.sub(recon, Tensor(batch)), Tensor(mask))
+        return ad.scale(ad.sum_(ad.mul(diff, diff)), 1.0 / denom)
+
+    return _check(dict(_named("pretrain", model), **dict(decoder.named_parameters("pretrain.decoder"))), loss)
 
 
 def run_gradcheck() -> dict[str, float]:
-    """Max elementwise relative error per checked tensor, over every layer type and the stack."""
+    """Max elementwise relative error per checked tensor, over the layer types and every differentiated pass."""
     results: dict[str, float] = {}
-    results.update(_check_linear())
-    results.update(_check_linear_no_bias())
-    results.update(_check_batchnorm(train=True))
-    results.update(_check_batchnorm(train=False))
-    results.update(_check_dropout())
+    results.update(_check_linear("linear", 11, (7, 5), np.array([0, 1, 2, 4]), bias=True))
+    results.update(_check_linear("linear_nb", 12, (6, 3), np.array([0, 1, 2, 0, 1]), bias=False))
     results.update(_check_relu())
     results.update(_check_full_stack())
+    results.update(_check_stack_eval())
+    results.update(_check_stack_replicas())
+    results.update(_check_tent())
+    results.update(_check_pretrain())
     return results
 
 

@@ -110,8 +110,9 @@ class ExperimentConfig:
             if any(not g for g in groups):
                 raise ConfigError("cross_subject needs non-empty train/val/test subject sets")
             for key in ("train_subjects", "val_subjects", "test_subjects"):
-                if min(getattr(self, key)) < 1:
-                    raise ConfigError(f"{key}: subject ids must be >= 1, got {list(getattr(self, key))}")
+                ids = getattr(self, key)
+                if min(ids) < 1 or max(ids) > np.iinfo(np.int64).max:
+                    raise ConfigError(f"{key}: subject ids must lie in [1, 2**63 - 1], got {list(ids)}")
             if groups[0] & groups[1] or groups[0] & groups[2] or groups[1] & groups[2]:
                 raise ConfigError("cross_subject train/val/test subject sets must be disjoint")
         else:

@@ -1,5 +1,5 @@
-"""Model components: linear layers, batch norm, dropout, and the shared-backbone
-classifier with one main head and a list of pretext heads.
+"""Model components: linear layers, batch-norm state, the dropout mask, and the
+shared-backbone classifier with one main head and a list of pretext heads.
 
 The backbone cuts each channel into consecutive, non-overlapping windows of
 ``WINDOW`` samples (one reshape) and runs a per-window linear map over them,
@@ -9,8 +9,9 @@ One pass (:meth:`Model.features`) is one tape record. Its hand-written pull
 repeats, in order, the float operations of the backward through the chain of
 primitives it replaces, so gradients are bitwise those of that chain; the
 batch-norm arithmetic is ``autodiff.bn_stats``, ``bn_affine`` and ``bn_pull``,
-shared with :class:`BatchNorm`. With ``conv.w`` frozen, as in Tent, the part in
-front of bn1's affine step is computed once per batch (:meth:`Model.stem`).
+through :class:`BatchNorm`'s ``stats`` and ``normalize``. With ``conv.w`` frozen,
+as in Tent, the part in front of bn1's affine step is computed once per batch
+(:meth:`Model.stem`).
 
 A :class:`Model` keeps its state in three flat float64 arenas: the parameters,
 their grads, and the batch-norm running statistics. Every parameter's ``data``
@@ -72,7 +73,7 @@ class Linear:
 
 
 class BatchNorm:
-    """Per-feature batch normalization over 2-D (batch, features) inputs.
+    """Per-feature batch normalization state and its forward, for a fused pass.
 
     Train mode normalizes by the batch mean and biased batch variance and, unless
     suppressed, folds them into the running statistics with
@@ -89,20 +90,14 @@ class BatchNorm:
         self.running_mean = np.zeros(features)
         self.running_var = np.ones(features)
 
-    def __call__(self, x: Tensor, train: bool, update_stats: bool = True) -> Tensor:
-        out, mu, var = ad.batch_norm(x, self.gamma, self.beta, self.eps, self._running(train))
-        if train and update_stats:
-            self._update_running(mu, var)
-        return out
-
     def stats(self, xd: np.ndarray, train: bool):
         """``autodiff.bn_stats`` of a bare array in this mode, for :meth:`normalize`."""
         return ad.bn_stats(xd, self.eps, self._running(train))
 
     def normalize(self, stats, train: bool, update_stats: bool = True):
-        """:meth:`__call__` on :meth:`stats`' result, for a fused pass: records nothing,
-        folds the batch statistics in as :meth:`__call__` does and returns the output
-        and ``autodiff.bn_pull``'s cache."""
+        """The output for :meth:`stats`' result and ``autodiff.bn_pull``'s cache; records
+        nothing. In train mode the batch statistics are folded in unless ``update_stats``
+        is off."""
         cache, mu, var = stats
         if train and update_stats:
             self._update_running(mu, var)
@@ -125,12 +120,6 @@ def dropout_mask(shape: tuple[int, ...], p: float, rng: np.random.Generator | No
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout rate must lie in [0, 1), got {p}")
     return (rng.random(shape) >= p) / (1.0 - p)
-
-
-def dropout(x: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
-    """Inverted dropout; identity when no generator is supplied or p == 0."""
-    mask = dropout_mask(x.shape, p, rng)
-    return x if mask is None else ad.mul(x, Tensor(mask))
 
 
 @dataclass(frozen=True)
@@ -356,7 +345,13 @@ class Model:
         """Eval-mode class probabilities for a (B, C, T) array, (S, B, C, T) inside
         :func:`replicas`; no state is touched."""
         with ad.no_grad(), ad.fresh_tape():
-            return ad.softmax(self.forward_main(Tensor(data), train=False), axis=-1).data
+            return softmax(self.forward_main(Tensor(data), train=False).data)
+
+
+def softmax(z: np.ndarray) -> np.ndarray:
+    """Probabilities over the last axis of logits: shift by the row max, exp, divide by the sum."""
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------

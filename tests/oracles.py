@@ -2,8 +2,9 @@
 
 The per-sample pretext transforms are the reference for the batched
 ``pretext.make_view``; each returns ``(view, label)``. ``bandpower`` and
-``bandstop`` measure and apply the spectral surgery; ``mean`` and ``transpose``
-are the autodiff primitives the fused backbone pass replaces.
+``bandstop`` measure and apply the spectral surgery; ``mean``, ``transpose`` and
+``batch_norm`` are the autodiff primitives the fused backbone pass replaces, and
+``softmax`` is the recorded primitive of the plain ``nn.softmax``.
 ``ttt_per_epoch`` is episodic test-time training one epoch at a time, the
 reference for the block adaptation of ``adapt.run_adaptation``.
 ``preprocess_per_recording`` filters one recording at a time, the reference for
@@ -116,6 +117,30 @@ def transpose(a, axes):
         return (np.transpose(g, inv),)
 
     return ad.record(out, (a,), pull)
+
+
+def batch_norm(x, gamma, beta, eps, running=None):
+    """Batch norm of a (batch, features) tensor as one tape record: ``autodiff.bn_stats``,
+    ``bn_affine`` and ``bn_pull``. Returns the output and the mean and variance it used."""
+    cache, mu, var = ad.bn_stats(x.data, eps, running)
+    gd = gamma.data
+
+    def pull(g):
+        return ad.bn_pull(g, gd, cache, running is None, x.requires_grad, gamma.requires_grad, beta.requires_grad)
+
+    return ad.record(ad.Tensor(ad.bn_affine(cache[0], gd, beta.data)), (x, gamma, beta), pull), mu, var
+
+
+def softmax(a, axis=-1):
+    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    p = e / e.sum(axis=axis, keepdims=True)
+
+    def pull(g):
+        inner = (g * p).sum(axis=axis, keepdims=True)
+        return (p * (g - inner),)
+
+    return ad.record(ad.Tensor(p), (a,), pull)
 
 
 def ttt_per_epoch(model, spec, X, cfg):

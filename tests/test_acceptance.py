@@ -90,7 +90,7 @@ def test_criterion_01_gradient_fidelity():
     worst = max_relative_error(results)
 
     prefixes = {name.split(".")[0] for name in results}
-    covered = {"linear", "linear_nb", "bn_train", "bn_eval", "dropout", "relu", "stack"}
+    covered = {"linear", "linear_nb", "relu", "stack", "stack_eval", "stack_replicas", "tent", "pretrain"}
     stack_params = {n for n in results if n.startswith("stack.")}
 
     ok = (

@@ -5,6 +5,7 @@ proves the module entry point works end to end.  Every failure path must
 print a single JSON error record to stderr and return a nonzero code.
 """
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -15,8 +16,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ttalign import autodiff as ad
 from ttalign.cli import build_config, build_parser, main
 from ttalign.errors import ConfigError
+from ttalign.gradcheck import run_gradcheck
 from ttalign.harness import run_single
 from ttalign.nn import load_checkpoint
 from ttalign.signals import load_split
@@ -127,6 +130,7 @@ def test_config_out_of_range_rejected(tmp_path, capsys, override, key):
     ({"dropout": -0.1}, "dropout"),
     ({"pretrain": {"epochs": 1, "patch": 7}}, "patch"),
     ({"finetune": {"lr": float("inf")}}, "finetune lr"),
+    ({"test_subjects": [2**70]}, "test_subjects"),
 ])
 def test_config_rejected_before_any_data_is_generated(tmp_path, monkeypatch, override, key):
     import ttalign.harness
@@ -426,6 +430,38 @@ def test_every_function_is_reached_by_a_command():
     script = Path(__file__).resolve().parents[1] / "scripts" / "reach.py"
     proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_every_pull_in_src_runs_in_the_gradient_audit(monkeypatch):
+    """A recorded primitive cannot land in ``src/ttalign`` without an entry in ``run_gradcheck``.
+
+    Pulls run only in ``grad_check``'s tape backward (its central differences run
+    under ``no_grad``), so the audit runs here with that backward alone.
+    """
+    spec = importlib.util.spec_from_file_location("reach", Path(__file__).resolve().parents[1] / "scripts" / "reach.py")
+    reach = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reach)
+    pulls = {(Path(file).resolve(), line): name for path in sorted(reach.PACKAGE.glob("*.py"))
+             for (file, line), name in reach.functions(path, path.stem).items() if name.endswith(".pull")}
+    ran = set()
+    record = ad.record
+
+    def traced(out, inputs, pull):
+        def seen(g):
+            ran.add((Path(pull.__code__.co_filename).resolve(), pull.__code__.co_firstlineno))
+            return pull(g)
+        return record(out, inputs, seen)
+
+    def backward_only(fragment, x, params):
+        with ad.fresh_tape():
+            ad.backward(fragment(x))
+        return 0.0
+
+    monkeypatch.setattr(ad, "record", traced)
+    monkeypatch.setattr(ad, "grad_check", backward_only)
+    run_gradcheck()
+    assert len(pulls) >= 10
+    assert sorted(name for key, name in pulls.items() if key not in ran) == []
 
 
 def test_module_entry_point_subprocess(tmp_path, micro_cfg):

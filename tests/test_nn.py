@@ -35,13 +35,17 @@ def small_config(**kw):
     return nn.ModelConfig(**base)
 
 
+def bn_forward(bn, x, train, update_stats=True):
+    """A batch norm's output for a bare array, through ``stats`` and ``normalize`` as ``Model.features`` runs it."""
+    return bn.normalize(bn.stats(x, train), train, update_stats)[0]
+
+
 class TestBatchNorm:
     def test_running_stat_update_matches_hand_computation(self):
         # batch [[1,2],[3,6]]: mean [2,4], biased var [1,4]; momentum 0.1 from (0,1)
         bn = nn.BatchNorm(2)
         assert bn.momentum == 0.1
-        with ad.fresh_tape():
-            bn(Tensor(np.array([[1.0, 2.0], [3.0, 6.0]])), train=True)
+        bn_forward(bn, np.array([[1.0, 2.0], [3.0, 6.0]]), train=True)
         np.testing.assert_allclose(bn.running_mean, [0.2, 0.4], atol=1e-15)
         np.testing.assert_allclose(bn.running_var, [1.0, 1.3], atol=1e-15)
 
@@ -50,8 +54,7 @@ class TestBatchNorm:
         bn.gamma.data[:] = RNG.uniform(0.5, 2.0, size=5)
         bn.beta.data[:] = RNG.normal(size=5)
         x = RNG.normal(loc=3.0, scale=2.5, size=(64, 5))
-        with ad.fresh_tape():
-            out = bn(Tensor(x), train=True).data
+        out = bn_forward(bn, x, train=True)
         var = x.var(axis=0)
         np.testing.assert_allclose(out.mean(axis=0), bn.beta.data, atol=1e-9)
         want_var = bn.gamma.data ** 2 * var / (var + bn.eps)
@@ -59,45 +62,29 @@ class TestBatchNorm:
 
     def test_eval_mode_is_pure(self):
         bn = nn.BatchNorm(3)
-        with ad.fresh_tape():
-            bn(Tensor(RNG.normal(size=(10, 3))), train=True)
+        bn_forward(bn, RNG.normal(size=(10, 3)), train=True)
         rm, rv = bn.running_mean.copy(), bn.running_var.copy()
-        x = Tensor(RNG.normal(size=(4, 3)))
-        with ad.fresh_tape():
-            a = bn(x, train=False).data
-            b = bn(x, train=False).data
+        x = RNG.normal(size=(4, 3))
+        a = bn_forward(bn, x, train=False)
+        b = bn_forward(bn, x, train=False)
         assert np.array_equal(a, b)
         assert np.array_equal(bn.running_mean, rm) and np.array_equal(bn.running_var, rv)
 
     def test_update_stats_flag_suppresses_mutation(self):
         bn = nn.BatchNorm(3)
         rm, rv = bn.running_mean.copy(), bn.running_var.copy()
-        with ad.fresh_tape():
-            bn(Tensor(RNG.normal(size=(8, 3))), train=True, update_stats=False)
+        bn_forward(bn, RNG.normal(size=(8, 3)), train=True, update_stats=False)
         assert np.array_equal(bn.running_mean, rm) and np.array_equal(bn.running_var, rv)
 
     def test_single_row_batch_eps_guard(self):
-        bn = nn.BatchNorm(4)
-        with ad.fresh_tape():
-            out = bn(Tensor(np.full((1, 4), 7.0)), train=True).data
+        out = bn_forward(nn.BatchNorm(4), np.full((1, 4), 7.0), train=True)
         np.testing.assert_allclose(out, np.zeros((1, 4)), atol=1e-12)  # beta = 0
-
-    def test_train_mode_gradcheck(self):
-        bn = nn.BatchNorm(4)
-        bn.gamma.data[:] = RNG.uniform(0.5, 1.5, size=4)
-        bn.beta.data[:] = RNG.normal(size=4) * 0.3
-        x = Tensor(RNG.normal(size=(6, 4)))
-        w = Tensor(RNG.normal(size=(6, 4)))
-
-        def fragment(inp):
-            return oracles.mean(ad.mul(bn(inp, train=True, update_stats=False), w))
-
-        assert ad.grad_check(fragment, x, [bn.gamma, bn.beta]) < 1e-5
 
     def test_train_forward_and_each_loss_record_one_entry(self):
         bn = nn.BatchNorm(4)
         with ad.fresh_tape() as tape:
-            out = bn(Tensor(np.arange(24.0).reshape(6, 4), requires_grad=True), train=True)
+            x = Tensor(np.arange(24.0).reshape(6, 4), requires_grad=True)
+            out, _, _ = oracles.batch_norm(x, bn.gamma, bn.beta, bn.eps)
             assert len(tape) == 1
             cross_entropy(out, [0, 1, 2, 3, 0, 1])
             assert len(tape) == 2
@@ -107,23 +94,21 @@ class TestBatchNorm:
 
 class TestDropout:
     def test_train_only_and_inverted_scaling(self):
-        x = Tensor(np.ones((200, 50)))
-        out = nn.dropout(x, 0.1, np.random.default_rng(3))
-        kept = out.data[out.data != 0]
+        mask = nn.dropout_mask((200, 50), 0.1, np.random.default_rng(3))
+        kept = mask[mask != 0]
         np.testing.assert_allclose(kept, 1.0 / 0.9, atol=1e-12)
-        assert 0.85 < (out.data != 0).mean() < 0.95
-        assert nn.dropout(x, 0.1, None) is x
-        assert nn.dropout(x, 0.0, np.random.default_rng(3)) is x
+        assert 0.85 < (mask != 0).mean() < 0.95
+        assert nn.dropout_mask((200, 50), 0.1, None) is None
+        assert nn.dropout_mask((200, 50), 0.0, np.random.default_rng(3)) is None
 
     def test_seeded_mask_reproducible(self):
-        x = Tensor(RNG.normal(size=(30, 8)))
-        a = nn.dropout(x, 0.5, np.random.default_rng(9)).data
-        b = nn.dropout(x, 0.5, np.random.default_rng(9)).data
+        a = nn.dropout_mask((30, 8), 0.5, np.random.default_rng(9))
+        b = nn.dropout_mask((30, 8), 0.5, np.random.default_rng(9))
         assert np.array_equal(a, b)
 
     def test_invalid_rate(self):
         with pytest.raises(ConfigError):
-            nn.dropout(Tensor(np.ones(3)), 1.0, np.random.default_rng(0))
+            nn.dropout_mask((3,), 1.0, np.random.default_rng(0))
 
 
 class TestModel:
@@ -200,33 +185,10 @@ class TestModel:
             got = model.features(Tensor(x), train=False).data
         np.testing.assert_allclose(got, h.mean(axis=1), rtol=1e-12, atol=1e-12)
 
-    def test_full_stack_gradcheck_train_mode(self):
-        model = nn.Model(small_config())
-        x = Tensor(RNG.normal(size=(4, 3, 200)))
-        y = RNG.integers(0, 3, size=4)
-        params = [p for _, p in model.named_parameters()]
-
-        def fragment(inp):
-            rng = np.random.default_rng(77)  # fixed mask per evaluation
-            feats = model.features(inp, train=True, dropout_rng=rng, update_stats=False)
-            logits = model.main_logits(feats)
-            return ad.cross_entropy(logits, y)
-
-        assert ad.grad_check(fragment, x, params) < 1e-5
-
-    def test_full_stack_gradcheck_eval_mode(self):
-        model = nn.Model(small_config())
-        with ad.fresh_tape():  # warm the running stats so eval mode is non-trivial
-            model.features(Tensor(RNG.normal(size=(16, 3, 200))), train=True)
-        x = Tensor(RNG.normal(size=(4, 3, 200)))
-        y = RNG.integers(0, 4, size=4)
-
-        def fragment(inp):
-            feats = model.features(inp, train=False)
-            logits = model.ssl_logits(0, feats)
-            return ad.cross_entropy(logits, y)
-
-        assert ad.grad_check(fragment, x, [p for _, p in model.named_parameters()]) < 1e-5
+    @pytest.mark.parametrize("shape", [(5, 3), (3, 5, 4)])
+    def test_softmax_is_bitwise_the_recorded_primitive(self, shape):
+        z = RNG.normal(size=shape) * 5
+        assert nn.softmax(z).tobytes() == oracles.softmax(Tensor(z)).data.tobytes()
 
 
 def chain_features(model, x, train, dropout_rng=None, update_stats=True):
@@ -236,7 +198,7 @@ def chain_features(model, x, train, dropout_rng=None, update_stats=True):
 
     def bn_relu(h, layer):
         running = None if train else (layer.running_mean, layer.running_var)
-        out, mu, var = ad.batch_norm(h, layer.gamma, layer.beta, layer.eps, running)
+        out, mu, var = oracles.batch_norm(h, layer.gamma, layer.beta, layer.eps, running)
         if train and update_stats:
             m = layer.momentum
             layer.running_mean[...] = (1.0 - m) * layer.running_mean + m * mu
