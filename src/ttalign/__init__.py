@@ -18,7 +18,7 @@ from .harness import (
     run_ablation,
     run_experiment,
 )
-from .nn import Model, ModelConfig, load_checkpoint, save_checkpoint
+from .nn import Model, ModelConfig, save_checkpoint
 from .pretext import TaskSpec, task_spec_for
 from .signals import ShiftSpec, generate_dataset
 from .training import FinetuneConfig, PretrainConfig, finetune_stage1, masked_pretrain
@@ -42,7 +42,6 @@ __all__ = [
     "emit_report",
     "finetune_stage1",
     "generate_dataset",
-    "load_checkpoint",
     "masked_pretrain",
     "preset_experiment",
     "run_ablation",

@@ -384,15 +384,9 @@ def restore(model: Model, snap: Snapshot) -> None:
     np.copyto(model.buffer_arena, snap.buffer_arena)
 
 
-def _blank(cfg: ModelConfig) -> Model:
-    """A zero-weight model of ``cfg`` whose arenas are copied in next; draws no initial weight."""
-    model = Model.__new__(Model)
-    model._build(cfg, None)
-    return model
-
-
 def clone_model(model: Model) -> Model:
-    fresh = _blank(model.cfg)
+    fresh = Model.__new__(Model)
+    fresh._build(model.cfg, None)  # zero weights, copied over next; draws no initial weight
     restore(fresh, Snapshot(model.layout, model.param_arena, model.buffer_arena))  # a view, not a copy
     return fresh
 
@@ -426,60 +420,16 @@ def replicas(model: Model, params: np.ndarray, grads: np.ndarray):
 # checkpoint file format: magic, version, JSON header, float64 little-endian blobs
 # ---------------------------------------------------------------------------
 
-def _header_blob(model: Model) -> bytes:
+def save_checkpoint(model: Model, path) -> None:
     header = {
         "config": asdict(model.cfg),
         "params": [[n, list(t.shape)] for n, t in model.named_parameters()],
         "buffers": [[n, list(b.shape)] for n, b in model.named_buffers()],
     }
-    return json.dumps(header, sort_keys=True).encode()
-
-
-def save_checkpoint(model: Model, path) -> None:
-    blob = _header_blob(model)
+    blob = json.dumps(header, sort_keys=True).encode()
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(blob)))
         fh.write(blob)
         for arena in (model.param_arena, model.buffer_arena):  # every tensor's blob, in header order
             fh.write(arena.astype("<f8").tobytes())
-
-
-def load_checkpoint(path) -> Model:
-    """Read a checkpoint written by :func:`save_checkpoint`.
-
-    The file must be exactly such a checkpoint: a header that rebuilds to itself
-    from its own config, then one float64 blob per tensor and nothing after. Any
-    other file (bad magic, short or malformed header, truncated blob, trailing
-    bytes, non-finite values) raises ContractError.
-    """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != MAGIC:
-        raise ContractError(f"{path}: not a model checkpoint (bad magic)")
-    if len(raw) < 12:
-        raise ContractError(f"{path}: truncated checkpoint header")
-    version, hlen = struct.unpack_from("<II", raw, 4)
-    if version != CHECKPOINT_VERSION:
-        raise ContractError(f"{path}: unsupported checkpoint version {version}")
-    blob = raw[12:12 + hlen]
-    try:
-        cfg_dict = dict(json.loads(blob.decode())["config"])
-        cfg_dict["ssl_dims"] = tuple(cfg_dict["ssl_dims"])
-        model = _blank(ModelConfig(**cfg_dict))
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ContractError(f"{path}: malformed checkpoint header ({type(exc).__name__}: {exc})") from None
-    if blob != _header_blob(model):
-        raise ContractError(f"{path}: checkpoint header does not match the model its config builds")
-    arenas = (model.param_arena, model.buffer_arena)
-    offset = 12 + hlen
-    size = offset + 8 * sum(a.size for a in arenas)
-    if len(raw) != size:
-        what = "truncated" if len(raw) < size else "has trailing bytes"
-        raise ContractError(f"{path}: checkpoint {what} ({len(raw)} bytes, expected {size})")
-    for arena in arenas:
-        np.copyto(arena, np.frombuffer(raw, dtype="<f8", count=arena.size, offset=offset))
-        offset += 8 * arena.size
-        if not np.all(np.isfinite(arena)):
-            raise ContractError(f"{path}: checkpoint holds non-finite values")
-    return model

@@ -37,7 +37,9 @@ NATIVE_RATE = {"syn_mi": 250.0, "syn_stress": 500.0, "syn_speech": 256.0}
 TARGET_RATE = 200.0
 EPOCH_SAMPLES = 200
 TRANSITION = 1.0  # Hz, width of each raised-cosine filter edge
-PASSBAND = (0.3, 75.0)  # Hz, kept by preprocess
+# Hz, kept by preprocess. The low edge's 1 Hz skirt reaches below 0 Hz, so a DC
+# offset passes at gain 0.79; moving the stop region changes rounding (a refreeze).
+PASSBAND = (0.3, 75.0)
 
 # class -> suppressed channel group for syn_mi
 MI_GROUPS = ((2, 4), (3, 5), (0, 1), (6, 7))  # left, right, frontal, occipital
@@ -76,9 +78,6 @@ class ShiftSpec:
             raise ConfigError(f"component jitter must lie in [0, 1), got {self.component_jitter}")
         if not self.noise_scale >= 0:
             raise ConfigError(f"noise scale must be non-negative, got {self.noise_scale}")
-
-
-UNSHIFTED = ShiftSpec(channel_gain=(1.0, 1.0), component_jitter=0.0)
 
 
 def subject_seed(master_seed: int, subject: int) -> int:
@@ -318,47 +317,3 @@ def save_split(directory, name: str, X: np.ndarray, labels: np.ndarray, subjects
         **meta,
     }
     (directory / f"{name}.json").write_text(json.dumps(sidecar, indent=1, sort_keys=True))
-
-
-def _sidecar_ints(sidecar: dict, key: str, n: int, name: str) -> np.ndarray:
-    values = sidecar[key]
-    if not isinstance(values, list) or len(values) != n or not all(type(v) is int for v in values):
-        raise ContractError(f"{name}.json '{key}' must list {n} integers, one per epoch")
-    return np.array(values, dtype=np.int64)
-
-
-def load_split(directory, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
-    """Read a split written by :func:`save_split`; a corrupt pair raises ``ContractError``.
-
-    Rejected: a sidecar that is not a JSON object with ``shape`` (three
-    non-negative ints), ``dtype`` ``"<f4"``, ``labels`` and ``subjects`` (one int
-    per epoch); a ``.f32`` file whose size does not match that shape; and
-    non-finite samples.
-    """
-    directory = Path(directory)
-    try:
-        sidecar = json.loads((directory / f"{name}.json").read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ContractError(f"{name}.json is not a valid JSON sidecar: {exc}") from None
-    if not isinstance(sidecar, dict):
-        raise ContractError(f"{name}.json must hold a JSON object")
-    missing = {"shape", "dtype", "labels", "subjects"} - set(sidecar)
-    if missing:
-        raise ContractError(f"{name}.json sidecar lacks {sorted(missing)}")
-    shape = sidecar["shape"]
-    if not (isinstance(shape, list) and len(shape) == 3 and all(type(v) is int and v >= 0 for v in shape)):
-        raise ContractError(f"{name}.json shape must be three non-negative integers, got {shape!r}")
-    if sidecar["dtype"] != "<f4":
-        raise ContractError(f"{name}.json dtype must be '<f4', got {sidecar['dtype']!r}")
-    blob = (directory / f"{name}.f32").read_bytes()
-    if len(blob) % 4:
-        raise ContractError(f"{name}.f32 holds {len(blob)} bytes, not a whole number of float32 values")
-    raw = np.frombuffer(blob, dtype="<f4")
-    if raw.size != int(np.prod(shape)):
-        raise ContractError(f"{name}.f32 holds {raw.size} values, sidecar says {tuple(shape)}")
-    labels = _sidecar_ints(sidecar, "labels", shape[0], name)
-    subjects = _sidecar_ints(sidecar, "subjects", shape[0], name)
-    X = raw.reshape(shape).astype(np.float64)
-    if not np.all(np.isfinite(X)):
-        raise ContractError(f"{name}.f32 holds non-finite samples")
-    return X, labels, subjects, sidecar

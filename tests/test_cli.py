@@ -20,9 +20,7 @@ from ttalign import autodiff as ad
 from ttalign.cli import build_config, build_parser, main
 from ttalign.errors import ConfigError
 from ttalign.gradcheck import run_gradcheck
-from ttalign.harness import run_single
-from ttalign.nn import load_checkpoint
-from ttalign.signals import load_split
+from ttalign.harness import build_splits, finetuned_rows, run_single
 
 MICRO = {
     "task": "syn_mi",
@@ -224,9 +222,13 @@ def test_generate_writes_splits_and_manifest(tmp_path, micro_cfg, capsys):
     assert summary["splits"]["test"]["epochs"] == 16
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest == summary
-    X, y, subj, meta = load_split(out, "test")
+    cfg = build_config(build_parser().parse_args(["generate", "--config", str(micro_cfg)]))
+    X, y, subj = build_splits(cfg, 3)["test"]
     assert X.shape == (16, 8, 200)
+    assert (out / "test.f32").read_bytes() == X.astype("<f4").tobytes()
+    meta = json.loads((out / "test.json").read_text())
     assert meta["task"] == "syn_mi" and meta["seed"] == 3
+    assert meta["labels"] == y.tolist() and meta["subjects"] == subj.tolist()
     assert sorted(set(subj)) == [8, 9]
     assert np.bincount(y).tolist() == [4, 4, 4, 4]
 
@@ -255,9 +257,10 @@ def test_finetune_checkpoint_roundtrips(tmp_path, micro_cfg, capsys):
     summary = json.loads(stdout)
     assert summary["strategy"] == "supervised_only"
     assert summary["monitor"] == "cohens_kappa"
-    model = load_checkpoint(out / "checkpoint_supervised_only.ckpt")
-    probs = model.predict_proba(np.zeros((2, 8, 200)))
-    assert probs.shape == (2, 4)
+    cfg = build_config(build_parser().parse_args(["finetune", "--config", str(micro_cfg)]))
+    _, model, _ = finetuned_rows(cfg, 1, ["no_ssl"])[2]["no_ssl"]
+    arenas = model.param_arena.astype("<f8").tobytes() + model.buffer_arena.astype("<f8").tobytes()
+    assert (out / "checkpoint_supervised_only.ckpt").read_bytes().endswith(arenas)
     history = json.loads((out / "finetune_history_supervised_only.json").read_text())
     assert len(history) == 2
     assert summary["val_best"] == max(h["val_score"] for h in history)

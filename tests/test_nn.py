@@ -1,11 +1,10 @@
 """Model layer tests: batch norm statistics, backbone wiring, snapshots, checkpoints."""
 
+import json
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import oracles
 from ttalign import autodiff as ad
@@ -421,115 +420,42 @@ class TestArena:
         assert not np.shares_memory(twin.param_arena, model.param_arena)
 
 
-    def test_clone_and_load_draw_no_initial_weights(self, monkeypatch, tmp_path):
+    def test_clone_draws_no_initial_weights(self, monkeypatch):
         model = nn.Model(small_config(head_layers=2))
         model.buffer_arena[:] = RNG.uniform(0.5, 1.5, size=model.buffer_arena.size)
-        nn.save_checkpoint(model, tmp_path / "m.ckpt")
 
         def no_draws(*args, **kwargs):
             raise AssertionError("initial weights drawn for a model whose arenas are copied in")
 
         monkeypatch.setattr(np.random, "default_rng", no_draws)
-        for twin in (nn.clone_model(model), nn.load_checkpoint(tmp_path / "m.ckpt")):
-            assert twin.param_arena.tobytes() == model.param_arena.tobytes()
-            assert twin.buffer_arena.tobytes() == model.buffer_arena.tobytes()
-            assert twin.layout == model.layout and not twin.grad_arena.any()
+        twin = nn.clone_model(model)
+        assert twin.param_arena.tobytes() == model.param_arena.tobytes()
+        assert twin.buffer_arena.tobytes() == model.buffer_arena.tobytes()
+        assert twin.layout == model.layout and not twin.grad_arena.any()
 
 
 class TestCheckpointFile:
-    def test_roundtrip(self, tmp_path):
+    def test_file_layout(self, tmp_path):
+        """Magic, version, header length, a JSON header naming every tensor, then both arenas and nothing after."""
         model = nn.Model(small_config(head_layers=2))
         with ad.fresh_tape():
             model.features(Tensor(RNG.normal(size=(8, 3, 200))), train=True)
         path = tmp_path / "model.ckpt"
         nn.save_checkpoint(model, path)
-        loaded = nn.load_checkpoint(path)
-        assert loaded.cfg == model.cfg
-        for (n1, p1), (n2, p2) in zip(model.named_parameters(), loaded.named_parameters()):
-            assert n1 == n2 and np.array_equal(p1.data, p2.data)
-        for (n1, b1), (n2, b2) in zip(model.named_buffers(), loaded.named_buffers()):
-            assert n1 == n2 and np.array_equal(b1, b2)
-        x = RNG.normal(size=(4, 3, 200))
-        assert np.array_equal(model.predict_proba(x), loaded.predict_proba(x))
-
-    def test_version_1_checkpoint_rejected(self, tmp_path):
-        raw, path = self._saved(tmp_path)
-        assert struct.unpack_from("<I", raw, 4) == (nn.CHECKPOINT_VERSION,) == (2,)
-        path.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])
-        with pytest.raises(ContractError, match="unsupported checkpoint version 1"):
-            nn.load_checkpoint(path)
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.ckpt"
-        path.write_bytes(b"NOPE" + b"\x00" * 64)
-        with pytest.raises(ContractError, match="magic"):
-            nn.load_checkpoint(path)
-
-    @staticmethod
-    def _saved(tmp_path):
-        path = tmp_path / "model.ckpt"
-        nn.save_checkpoint(nn.Model(small_config()), path)
-        return path.read_bytes(), path
-
-    def test_truncated_blob_rejected(self, tmp_path):
-        raw, path = self._saved(tmp_path)
-        path.write_bytes(raw[:-12])
-        with pytest.raises(ContractError, match="truncated"):
-            nn.load_checkpoint(path)
-
-    def test_short_header_rejected(self, tmp_path):
-        raw, path = self._saved(tmp_path)
-        path.write_bytes(raw[:9])
-        with pytest.raises(ContractError, match="truncated checkpoint header"):
-            nn.load_checkpoint(path)
-
-    def test_trailing_bytes_rejected(self, tmp_path):
-        raw, path = self._saved(tmp_path)
-        path.write_bytes(raw + b"\x00")
-        with pytest.raises(ContractError, match="trailing bytes"):
-            nn.load_checkpoint(path)
-
-    def test_nonfinite_values_rejected(self, tmp_path):
-        raw, path = self._saved(tmp_path)
-        path.write_bytes(raw[:-8] + np.array([np.nan], dtype="<f8").tobytes())
-        with pytest.raises(ContractError, match="non-finite"):
-            nn.load_checkpoint(path)
-
-    def test_header_naming_other_tensors_rejected(self, tmp_path):
-        raw, path = self._saved(tmp_path)
-        path.write_bytes(raw.replace(b'"bn1.gamma"', b'"bn1.gammb"'))
-        with pytest.raises(ContractError, match="does not match"):
-            nn.load_checkpoint(path)
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        edit=st.sampled_from(["truncate", "extend", "flip"]),
-        where=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
-        extra=st.binary(min_size=1, max_size=16),
-        bit=st.integers(min_value=0, max_value=7),
-    )
-    def test_corrupt_files_raise_only_contract_error(self, tmp_path_factory, edit, where, extra, bit):
-        raw, path = self._saved(tmp_path_factory.mktemp("fuzz"))
-        at = int(where * len(raw))
-        if edit == "truncate":
-            path.write_bytes(raw[:at])
-        elif edit == "extend":
-            path.write_bytes(raw + extra)
-        else:
-            path.write_bytes(raw[:at] + bytes([raw[at] ^ (1 << bit)]) + raw[at + 1:])
-        if edit != "flip":
-            with pytest.raises(ContractError):
-                nn.load_checkpoint(path)
-            return
-        try:
-            loaded = nn.load_checkpoint(path)
-        except ContractError:
-            return
-        # a flip in a float blob or a config digit is undetectable without a
-        # checksum; what loads must then be a well-formed checkpoint in its own right
-        again = tmp_path_factory.mktemp("again") / "model.ckpt"
-        nn.save_checkpoint(loaded, again)
-        assert again.read_bytes() == path.read_bytes()
+        raw = path.read_bytes()
+        assert raw[:4] == nn.MAGIC == b"TTA1"
+        version, hlen = struct.unpack_from("<II", raw, 4)
+        assert version == nn.CHECKPOINT_VERSION == 2
+        header = json.loads(raw[12:12 + hlen])
+        assert nn.ModelConfig(**{**header["config"], "ssl_dims": tuple(header["config"]["ssl_dims"])}) == model.cfg
+        assert header["params"] == [[n, list(t.shape)] for n, t in model.named_parameters()]
+        assert header["buffers"] == [[n, list(b.shape)] for n, b in model.named_buffers()]
+        assert model.buffer_arena.any()  # bn running stats moved by the train-mode pass
+        offset = 12 + hlen
+        for arena in (model.param_arena, model.buffer_arena):
+            assert raw[offset:offset + 8 * arena.size] == arena.astype("<f8").tobytes()
+            offset += 8 * arena.size
+        assert len(raw) == offset
 
 
 class TestOptimizers:
