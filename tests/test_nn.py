@@ -450,7 +450,6 @@ class TestCheckpointFile:
         assert nn.ModelConfig(**{**header["config"], "ssl_dims": tuple(header["config"]["ssl_dims"])}) == model.cfg
         assert header["params"] == [[n, list(t.shape)] for n, t in model.named_parameters()]
         assert header["buffers"] == [[n, list(b.shape)] for n, b in model.named_buffers()]
-        assert model.buffer_arena.any()  # bn running stats moved by the train-mode pass
         offset = 12 + hlen
         for arena in (model.param_arena, model.buffer_arena):
             assert raw[offset:offset + 8 * arena.size] == arena.astype("<f8").tobytes()
