@@ -10,10 +10,10 @@ config, a diverging TTT). ``gradcheck`` runs with each tensor's
 central-difference loop cut to its first entry: the loop only reruns, under
 ``no_grad``, what the tape pass already reached. Functions are read from the
 source, nested ones (autodiff pulls) included. Each known exception is printed
-with its reason.
+with its reason, and each run that exits otherwise than planned with its argv.
 
     python3 scripts/reach.py    # exit 1 if a function outside the exceptions is unreached,
-                                # or an exception is stale
+                                # an exception is stale, or a run exits otherwise than planned
 
 Stdlib only; runs in a few seconds on one core.
 """
@@ -47,6 +47,8 @@ MICRO = {
     "finetune": {"epochs": 2, "batch_size": 16, "lr": 1e-3},
     "pretrain": {"epochs": 1},
 }
+# syn_speech splits each subject's recordings per class: 5 classes x 5 trials fill all three splits
+TRIALS = {"syn_speech": 25}
 
 # configs beyond the three task presets: every optimizer switched, deeper head,
 # no pretraining, online and first_only TTT
@@ -94,8 +96,8 @@ def first_entry_only(grad_check):
     return check
 
 
-def commands(tmp: Path) -> list[list[str]]:
-    """The argv of every traced ``ttalign`` call, writing configs and outputs under ``tmp``."""
+def commands(tmp: Path) -> list[tuple[list[str], int]]:
+    """The argv and planned exit code of every traced ``ttalign`` call, writing configs and outputs under ``tmp``."""
     def config(name, payload):
         path = tmp / f"{name}.json"
         path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
@@ -103,7 +105,8 @@ def commands(tmp: Path) -> list[list[str]]:
 
     runs = []
     for task in ("syn_mi", "syn_stress", "syn_speech"):
-        cfg = config(task, {**MICRO, "task": task})
+        cfg = config(task, {**MICRO, "task": task,
+                            "trials_per_subject": TRIALS.get(task, MICRO["trials_per_subject"])})
         runs += [["generate", "--config", cfg, "--out", str(tmp / task / "data")],
                  ["pretrain", "--config", cfg, "--out", str(tmp / task / "pretrain")]]
         runs += [["finetune", "--config", cfg, "--strategy", s, "--out", str(tmp / task / "finetune")]
@@ -116,11 +119,14 @@ def commands(tmp: Path) -> list[list[str]]:
     for name, payload in VARIANTS.items():
         runs.append(["evaluate", "--config", config(name, payload), "--out", str(tmp / name)])
     runs.append(["gradcheck", "--out", str(tmp / "gradcheck")])
-    failing = {"nan": '{"duration": NaN}', "diverge": {**MICRO, "ttt": {"lr": 1e300}, "strategies": ["ttt_ssl"]}}
-    runs += [["evaluate", "--config", config(name, payload), "--out", str(tmp / name)]
-             for name, payload in failing.items()]
-    runs.append(["evaluate", "--config", str(tmp / "missing.json")])
-    return runs
+    planned = [(argv, 0) for argv in runs]
+    # the failing runs: a NaN in a config (2), a diverging TTT (3), a missing config (2)
+    failing = {"nan": ('{"duration": NaN}', 2),
+               "diverge": ({**MICRO, "ttt": {"lr": 1e300}, "strategies": ["ttt_ssl"]}, 3)}
+    planned += [(["evaluate", "--config", config(name, payload), "--out", str(tmp / name)], code)
+                for name, (payload, code) in failing.items()]
+    planned.append((["evaluate", "--config", str(tmp / "missing.json")], 2))
+    return planned
 
 
 def main() -> int:
@@ -141,16 +147,19 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         runs = commands(Path(tmp))
         codes = []
-        for argv in runs:
+        for argv, _ in runs:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 sys.setprofile(profile)
                 try:
-                    codes.append(str(cli.main(argv)))
+                    codes.append(cli.main(argv))
                 except Exception as exc:  # an escaped error is reported, not fatal to the trace
                     codes.append(type(exc).__name__)
                 finally:
                     sys.setprofile(None)
-    print(f"traced {len(runs)} ttalign commands; exit codes {' '.join(sorted(set(codes)))}")
+    print(f"traced {len(runs)} ttalign commands; exit codes {' '.join(sorted({str(c) for c in codes}))}")
+    unplanned = [(argv, planned, code) for (argv, planned), code in zip(runs, codes) if code != planned]
+    for argv, planned, code in unplanned:
+        print(f"  ttalign {' '.join(argv)}: exit {code}, planned {planned}")
 
     unreached = sorted(name for key, name in defined.items() if key not in seen)
     reached = {name for key, name in defined.items() if key in seen}
@@ -165,8 +174,9 @@ def main() -> int:
              or not any(name.startswith(prefix) for name in unreached)]
     for prefix in stale:
         print(f"  exception {prefix!r} names a reached function or none at all; drop it")
-    print("PASS" if not (bad or stale) else "FAIL")
-    return 1 if bad or stale else 0
+    failed = bad or stale or unplanned
+    print("FAIL" if failed else "PASS")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -44,7 +44,6 @@ from .harness import (
     finetuned_rows,
     preset_experiment,
     pretrained_base,
-    report_aggregates,
     report_cells,
     run_ablation,
     run_cells,
@@ -271,24 +270,17 @@ def cmd_adapt(args) -> None:
     )
 
 
-def cmd_evaluate(args) -> None:
-    cfg = build_config(args)
-    if args.strategy is not None:
-        cfg = replace(cfg, strategies=(args.strategy,))
-    out = _out_dir(args)
-    report = run_experiment(cfg)
-    paths = emit_report(report, out)
-    _print_aggregate_table(report)
-    for path in paths:
-        print(f"wrote {path}")
-
-
-def cmd_ablate(args) -> None:
+def cmd_run(args) -> None:
+    """``evaluate`` (the strategies' cells) or ``ablate`` (the whole grid) over every seed, then the report."""
     cfg = build_config(args)
     out = _out_dir(args)
-    report = run_ablation(cfg)
+    if args.command == "ablate":
+        report = run_ablation(cfg)
+    else:
+        report = run_experiment(cfg if args.strategy is None else replace(cfg, strategies=(args.strategy,)))
     paths = emit_report(report, out)
-    _print_aggregate_table(report)
+    print(f"{report.kind} {report.task}  config={report.config_hash}  seeds={report.seeds}")
+    print("\n".join(_table_lines(report.to_dict())))
     for path in paths:
         print(f"wrote {path}")
 
@@ -348,7 +340,7 @@ def _verify_aggregates(data: dict) -> None:
     rows: dict[str, list[dict]] = {}
     for label, _, values in report_cells(data):
         rows.setdefault(label, []).append(values)
-    for label, metrics in report_aggregates(data).items():
+    for label, metrics in data["aggregates"].items():
         for metric, stats in metrics.items():
             vals = [values[metric] for values in rows.get(label, [])]
             if not vals:
@@ -360,7 +352,7 @@ def _verify_aggregates(data: dict) -> None:
 
 
 def _table_lines(data: dict) -> list[str]:
-    rows = [(label, metric, stats) for label, metrics in report_aggregates(data).items()
+    rows = [(label, metric, stats) for label, metrics in data["aggregates"].items()
             for metric, stats in metrics.items()]
     if not rows:
         return ["(empty report)"]
@@ -368,11 +360,6 @@ def _table_lines(data: dict) -> list[str]:
     mwidth = max(len(metric) for _, metric, _ in rows)
     return [f"{label:<{width}}  {metric:<{mwidth}}  {stats['mean']:.4f} +/- {stats['std']:.4f}"
             for label, metric, stats in rows]
-
-
-def _print_aggregate_table(report) -> None:
-    print(f"{report.kind} {report.task}  config={report.config_hash}  seeds={report.seeds}")
-    print("\n".join(_table_lines(report.to_dict())))
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +371,8 @@ _HANDLERS = {
     "pretrain": cmd_pretrain,
     "finetune": cmd_finetune,
     "adapt": cmd_adapt,
-    "evaluate": cmd_evaluate,
-    "ablate": cmd_ablate,
+    "evaluate": cmd_run,
+    "ablate": cmd_run,
     "gradcheck": cmd_gradcheck,
     "report": cmd_report,
 }

@@ -14,8 +14,13 @@ Every run is a set of ``(row, column)`` cells of one grid, and runs the same sta
 :func:`run_cells` adds stage 4. A compared *strategy* is one cell (``STRATEGY_CELLS``):
 ``supervised_only`` is ``no_ssl``/``none``; ``stage1_ssl``, ``ttt_ssl`` and ``tent``
 are the ``both`` row (the task's pretext weights) under ``none``, per-sample
-pretext adaptation and batch entropy minimisation. Only this module knows the
-report layout; :func:`report_cells` and :func:`report_aggregates` read it. Seeds
+pretext adaptation and batch entropy minimisation.
+
+Every report is a set of labelled cells: :func:`run_experiment` labels each
+strategy's cell by the strategy, :func:`run_ablation` labels every cell of the grid
+``row/column``. One job per seed (:func:`run_single`) records each label's cell,
+and the aggregates are ``{label: {metric: {"mean", "std"}}}`` in ``columns`` order.
+Only this module knows the per-seed layout; :func:`report_cells` reads it. Seeds
 are independent jobs; TTALIGN_WORKERS bounds the process pool (default 1 = in-process).
 """
 
@@ -27,6 +32,7 @@ import math
 import os
 import time
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -295,13 +301,21 @@ def _adapt_summary(records: list[dict]) -> dict:
     return {"records": len(records), "mean_param_delta": float(np.mean(deltas))}
 
 
-def run_single(cfg: ExperimentConfig, seed: int) -> dict:
-    """Run every configured strategy's cell for one seed; returns a plain-dict record."""
-    cells = run_cells(cfg, seed, [STRATEGY_CELLS[s] for s in cfg.strategies])
+def run_single(cfg: ExperimentConfig, seed: int, labels: dict[str, tuple[str, str]] | None = None) -> dict:
+    """Run labelled ``(row, column)`` cells for one seed; returns a plain-dict record.
+
+    ``labels`` maps each label to its cell; by default the configured strategies'
+    cells (``STRATEGY_CELLS``). The record is ``{"seed", "strategies": {label: cell
+    record}}``, each cell record holding ``metrics``, ``val_best``, ``adaptation``
+    and ``wall_time`` (stage II only).
+    """
+    if labels is None:
+        labels = {strategy: STRATEGY_CELLS[strategy] for strategy in cfg.strategies}
+    cells = run_cells(cfg, seed, list(labels.values()))
     record = {"seed": seed, "strategies": {}}
-    for strategy in cfg.strategies:
-        result, logs, history, wall_time = cells[STRATEGY_CELLS[strategy]]
-        record["strategies"][strategy] = {
+    for label, cell in labels.items():
+        result, logs, history, wall_time = cells[cell]
+        record["strategies"][label] = {
             "metrics": result.as_dict(),
             "val_best": float(max(h["val_score"] for h in history)),
             "adaptation": _adapt_summary(logs),
@@ -311,7 +325,7 @@ def run_single(cfg: ExperimentConfig, seed: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# multi-seed experiment
+# multi-seed reports
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -362,17 +376,16 @@ def _aggregate(results: list[dict]) -> dict:
     }
 
 
-def run_experiment(cfg: ExperimentConfig) -> RunReport:
-    """Full strategy comparison over ``cfg.n_seeds`` seeds."""
+def _run_report(kind: str, cfg: ExperimentConfig, labels: dict[str, tuple[str, str]]) -> RunReport:
+    """The labelled cells over ``cfg.n_seeds`` seeds, one :func:`run_single` job per seed."""
     t0 = time.perf_counter()
     seeds = [cfg.base_seed + s for s in range(cfg.n_seeds)]
-    per_seed = _run_jobs(run_single, cfg, seeds)
+    per_seed = _run_jobs(partial(run_single, labels=labels), cfg, seeds)
     aggregates = {
-        strategy: _aggregate([rec["strategies"][strategy]["metrics"] for rec in per_seed])
-        for strategy in cfg.strategies
+        label: _aggregate([rec["strategies"][label]["metrics"] for rec in per_seed]) for label in labels
     }
     return RunReport(
-        kind="experiment",
+        kind=kind,
         task=cfg.task,
         protocol=cfg.protocol,
         config_hash=config_hash(cfg),
@@ -380,50 +393,19 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         per_seed=per_seed,
         aggregates=aggregates,
         wall_time=time.perf_counter() - t0,
-        columns=list(cfg.strategies),
+        columns=list(labels),
     )
 
 
-# ---------------------------------------------------------------------------
-# ablation grid
-# ---------------------------------------------------------------------------
-
-def _ablation_job(cfg: ExperimentConfig, seed: int) -> list[dict]:
-    """Every cell of the grid for one seed; one record per row."""
-    rows = ablation_rows(task_spec_for(cfg.task))
-    cells = run_cells(cfg, seed, [(row, column) for row in rows for column in ADAPT_METHODS])
-    return [
-        {"row": row, "seed": seed, "cells": {column: cells[row, column][0].as_dict() for column in ADAPT_METHODS}}
-        for row in rows
-    ]
+def run_experiment(cfg: ExperimentConfig) -> RunReport:
+    """Full strategy comparison over ``cfg.n_seeds`` seeds; labels are the strategies."""
+    return _run_report("experiment", cfg, {strategy: STRATEGY_CELLS[strategy] for strategy in cfg.strategies})
 
 
 def run_ablation(cfg: ExperimentConfig) -> RunReport:
-    """Pretext-weight masks x adaptation strategies; one job per seed runs every row."""
-    t0 = time.perf_counter()
-    seeds = [cfg.base_seed + s for s in range(cfg.n_seeds)]
-    # one tuple per row, holding that row's record from every seed
-    by_row = list(zip(*_run_jobs(_ablation_job, cfg, seeds)))
-    # row-major: every seed of the first row, then every seed of the next
-    per_seed = [record for records in by_row for record in records]
-    aggregates = {
-        records[0]["row"]: {
-            column: _aggregate([record["cells"][column] for record in records])
-            for column in ADAPT_METHODS
-        }
-        for records in by_row
-    }
-    return RunReport(
-        kind="ablation",
-        task=cfg.task,
-        protocol=cfg.protocol,
-        config_hash=config_hash(cfg),
-        seeds=seeds,
-        per_seed=per_seed,
-        aggregates=aggregates,
-        wall_time=time.perf_counter() - t0,
-        columns=list(ADAPT_METHODS),
-    )
+    """Pretext-weight rows x adaptation columns over ``cfg.n_seeds`` seeds; labels are ``row/column``."""
+    rows = ablation_rows(task_spec_for(cfg.task))
+    return _run_report("ablation", cfg, {f"{row}/{column}": (row, column) for row in rows for column in ADAPT_METHODS})
 
 
 # ---------------------------------------------------------------------------
@@ -431,27 +413,13 @@ def run_ablation(cfg: ExperimentConfig) -> RunReport:
 # ---------------------------------------------------------------------------
 
 def report_cells(data: dict):
-    """Yield ``(label, seed, {metric: value})`` for every per-seed result of a report dict.
+    """Yield ``(label, seed, {metric: value})`` for every per-seed cell of a report dict.
 
-    Labels are strategies (experiment) or ``row/column`` (ablation); the order is
-    the CSV's: strategy-major for experiments, record order for ablations.
+    The order is the CSV's: label-major, each label's seeds in ``per_seed`` order.
     """
-    if data["kind"] == "experiment":
-        for strategy in data["columns"]:
-            for rec in data["per_seed"]:
-                yield strategy, rec["seed"], rec["strategies"][strategy]["metrics"]["values"]
-    else:
+    for label in data["columns"]:
         for rec in data["per_seed"]:
-            for column in data["columns"]:
-                yield f"{rec['row']}/{column}", rec["seed"], rec["cells"][column]["values"]
-
-
-def report_aggregates(data: dict) -> dict[str, dict]:
-    """A report dict's aggregates as ``{label: {metric: {"mean", "std"}}}``; labels as in :func:`report_cells`."""
-    if data["kind"] == "experiment":
-        return data["aggregates"]
-    return {f"{row}/{column}": metrics
-            for row, columns in data["aggregates"].items() for column, metrics in columns.items()}
+            yield label, rec["seed"], rec["strategies"][label]["metrics"]["values"]
 
 
 def _fmt(v: float) -> str:
@@ -461,9 +429,9 @@ def _fmt(v: float) -> str:
 def emit_report(report: RunReport, out_dir) -> list[Path]:
     """Write the report deterministically as CSV and JSON; returns ``[csv_path, json_path]``.
 
-    CSV rows are ``strategy,seed,metric,value`` (ablation: ``row/column`` as the
-    strategy key) with 17-significant-digit decimal values, followed by mean/std
-    aggregate rows keyed ``mean``/``std`` in the seed column.
+    CSV rows are ``strategy,seed,metric,value``, the label in the strategy column,
+    with 17-significant-digit decimal values in :func:`report_cells` order, followed
+    by mean/std aggregate rows keyed ``mean``/``std`` in the seed column.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -471,7 +439,7 @@ def emit_report(report: RunReport, out_dir) -> list[Path]:
     lines = ["strategy,seed,metric,value"]
     for label, seed, values in report_cells(data):
         lines.extend(f"{label},{seed},{metric},{_fmt(value)}" for metric, value in values.items())
-    for label, metrics in report_aggregates(data).items():
+    for label, metrics in data["aggregates"].items():
         for metric, stats in metrics.items():
             lines.append(f"{label},mean,{metric},{_fmt(stats['mean'])}")
             lines.append(f"{label},std,{metric},{_fmt(stats['std'])}")

@@ -17,6 +17,7 @@ preserved exactly and stopbands are zeroed exactly at the bin level.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import groupby
@@ -72,12 +73,12 @@ class ShiftSpec:
 
     def __post_init__(self):
         lo, hi = self.channel_gain
-        if not 0 < lo <= hi:
-            raise ConfigError(f"channel gain range must satisfy 0 < lo <= hi, got {self.channel_gain}")
+        if not 0 < lo <= hi < math.inf:
+            raise ConfigError(f"channel gain range must satisfy 0 < lo <= hi < inf, got {self.channel_gain}")
         if not 0 <= self.component_jitter < 1:
             raise ConfigError(f"component jitter must lie in [0, 1), got {self.component_jitter}")
-        if not self.noise_scale >= 0:
-            raise ConfigError(f"noise scale must be non-negative, got {self.noise_scale}")
+        if not 0 <= self.noise_scale < math.inf:
+            raise ConfigError(f"noise scale must be non-negative and finite, got {self.noise_scale}")
 
 
 def subject_seed(master_seed: int, subject: int) -> int:

@@ -129,6 +129,8 @@ def test_config_out_of_range_rejected(tmp_path, capsys, override, key):
     ({"pretrain": {"epochs": 1, "patch": 7}}, "patch"),
     ({"finetune": {"lr": float("inf")}}, "finetune lr"),
     ({"test_subjects": [2**70]}, "test_subjects"),
+    ({"shift": {"channel_gain": [0.5, float("inf")]}}, "channel gain"),
+    ({"shift": {"noise_scale": float("inf")}}, "noise scale"),
 ])
 def test_config_rejected_before_any_data_is_generated(tmp_path, monkeypatch, override, key):
     import ttalign.harness
@@ -369,16 +371,12 @@ def test_report_rejects_aggregates_without_rows(tmp_path, micro_cfg, capsys):
 
 def _ablation_report(per_seed: list[dict]) -> dict:
     """A minimal ablation report dict whose aggregates are recomputed from ``per_seed``."""
-    columns = ["none", "ttt_ssl", "tent"]
+    columns = ["both/none", "both/ttt_ssl", "both/tent"]
     aggregates = {}
-    for rec in per_seed:
-        for column, cell in rec["cells"].items():
-            aggregates.setdefault(rec["row"], {}).setdefault(column, []).append(cell["values"]["accuracy"])
-    aggregates = {
-        row: {column: {"accuracy": {"mean": float(np.mean(v)), "std": float(np.std(v))}}
-              for column, v in by_column.items()}
-        for row, by_column in aggregates.items()
-    }
+    for label in columns:
+        v = [rec["strategies"][label]["metrics"]["values"]["accuracy"]
+             for rec in per_seed if label in rec["strategies"]]
+        aggregates[label] = {"accuracy": {"mean": float(np.mean(v)), "std": float(np.std(v))}}
     return {"kind": "ablation", "task": "syn_mi", "protocol": "cross_subject", "config_hash": "0" * 16,
             "seeds": [0, 1], "columns": columns, "per_seed": per_seed, "aggregates": aggregates,
             "wall_time": 0.0}
@@ -389,19 +387,29 @@ def test_report_rejects_ablation_record_missing_a_cell(tmp_path, capsys):
     out.mkdir()
     path = out / "ablation_syn_mi.json"
     per_seed = [
-        {"row": "both", "seed": seed, "cells": {column: {"values": {"accuracy": 0.25 * (seed + 1) + 0.125 * k}}
-                                                for k, column in enumerate(("none", "ttt_ssl", "tent"))}}
+        {"seed": seed, "strategies": {
+            f"both/{column}": {"metrics": {"values": {"accuracy": 0.25 * (seed + 1) + 0.125 * k}}}
+            for k, column in enumerate(("none", "ttt_ssl", "tent"))}}
         for seed in (0, 1)
     ]
     path.write_text(json.dumps(_ablation_report(per_seed)))
     assert run_cli("report", "--out", out, capsys=capsys)[0] == 0
-    del per_seed[1]["cells"]["tent"]
+    del per_seed[1]["strategies"]["both/tent"]
     # the aggregate is recomputed over the seeds left, so only the missing cell gives it away
     path.write_text(json.dumps(_ablation_report(per_seed)))
     code, stdout, err = run_cli("report", "--out", out, capsys=capsys)
     assert code == 3 and stdout == ""
     record = json.loads(err)
-    assert record["error"] == "ContractError" and "'tent'" in record["message"]
+    assert record["error"] == "ContractError" and "'both/tent'" in record["message"]
+
+
+def test_ablate_report_verifies(tmp_path, micro_cfg, capsys):
+    out = tmp_path / "abl"
+    assert run_cli("ablate", "--config", micro_cfg, "--out", out, capsys=capsys)[0] == 0
+    code, stdout, _ = run_cli("report", "--out", out, capsys=capsys)
+    assert code == 0
+    assert "aggregates verified" in stdout
+    assert "both/tent" in stdout
 
 
 @pytest.mark.parametrize("content", [b"{broken", b"\xff\xfe{}", b'{"kind": "experiment"}', b"[]"])

@@ -305,12 +305,14 @@ def test_run_experiment_aggregates_recompute():
 
 
 def test_worker_pool_result_independent_of_pool_size(monkeypatch):
-    cfg = micro(strategies=("supervised_only",), n_seeds=2)
-    monkeypatch.setenv("TTALIGN_WORKERS", "1")
-    serial = strip_wall(run_experiment(cfg).to_dict())
-    monkeypatch.setenv("TTALIGN_WORKERS", "2")
-    parallel = strip_wall(run_experiment(cfg).to_dict())
-    assert serial == parallel
+    # the ablation reaches the pool through a partial of run_single
+    for run, cfg in ((run_experiment, micro(strategies=("supervised_only",), n_seeds=2)),
+                     (run_ablation, micro(n_seeds=2))):
+        monkeypatch.setenv("TTALIGN_WORKERS", "1")
+        serial = strip_wall(run(cfg).to_dict())
+        monkeypatch.setenv("TTALIGN_WORKERS", "2")
+        parallel = strip_wall(run(cfg).to_dict())
+        assert serial == parallel, run.__name__
 
 
 def test_worker_env_var_validated(monkeypatch):
@@ -323,15 +325,19 @@ def test_worker_env_var_validated(monkeypatch):
 # ablation grid
 # ---------------------------------------------------------------------------
 
+ABLATION_ROWS = ("no_ssl", "stopped_band", "jigsaw", "both")
+
+
 def test_ablation_grid_shape():
     report = run_ablation(micro(n_seeds=1))
-    rows = {r["row"] for r in report.per_seed}
-    assert rows == {"no_ssl", "stopped_band", "jigsaw", "both"}
-    assert len(report.per_seed) == 4
-    for rec in report.per_seed:
-        assert set(rec["cells"]) == set(ADAPT_METHODS)
-    # 4 x 3 = 12 aggregate cells
-    assert sum(len(cols) for cols in report.aggregates.values()) == 12
+    labels = [f"{row}/{column}" for row in ABLATION_ROWS for column in ADAPT_METHODS]
+    assert len(labels) == 12  # 4 x 3 cells
+    assert report.columns == labels
+    assert len(report.per_seed) == 1
+    assert list(report.per_seed[0]["strategies"]) == labels
+    for cell in report.per_seed[0]["strategies"].values():
+        assert set(cell) == {"metrics", "val_best", "adaptation", "wall_time"}
+    assert list(report.aggregates) == labels
 
 
 def test_ablation_builds_splits_and_base_once_per_seed(monkeypatch):
@@ -344,9 +350,10 @@ def test_ablation_builds_splits_and_base_once_per_seed(monkeypatch):
     report = run_ablation(micro(n_seeds=2))
     # per seed: one split, one base, one fine-tune per row
     assert [calls.count(name) for name in stages] == [2, 2, 8]
-    # rows stay row-major: every seed of one row before the next row
-    assert [(r["row"], r["seed"]) for r in report.per_seed] == [
-        (row, seed) for row in ("no_ssl", "stopped_band", "jigsaw", "both") for seed in (0, 1)
+    # one record per seed; cells are label-major: every seed of one cell before the next cell
+    assert [r["seed"] for r in report.per_seed] == [0, 1]
+    assert [(label, seed) for label, seed, _ in harness.report_cells(report.to_dict())] == [
+        (f"{row}/{column}", seed) for row in ABLATION_ROWS for column in ADAPT_METHODS for seed in (0, 1)
     ]
     # the four strategies are cells of two rows: two fine-tunes per seed
     calls.clear()
@@ -359,9 +366,9 @@ def test_ablation_both_no_ttt_cell_matches_stage1_ssl_run():
     experiment = run_experiment(cfg)
     ablation = run_ablation(cfg)
     for strategy, (row, column) in STRATEGY_CELLS.items():
-        expected = experiment.per_seed[0]["strategies"][strategy]["metrics"]["values"]
-        record = next(r for r in ablation.per_seed if r["row"] == row and r["seed"] == 0)
-        assert record["cells"][column]["values"] == expected, strategy
+        # the whole cell record: metrics, val_best and the adaptation summary
+        expected = strip_wall(experiment.per_seed[0]["strategies"][strategy])
+        assert strip_wall(ablation.per_seed[0]["strategies"][f"{row}/{column}"]) == expected, strategy
 
 
 # ---------------------------------------------------------------------------
