@@ -308,15 +308,17 @@ def cmd_gradcheck(args) -> None:
 
 
 def cmd_report(args) -> None:
-    out = Path(args.out) if args.out is not None else Path("runs") / "evaluate"
-    candidates = sorted(out.glob("experiment_*.json")) + sorted(out.glob("ablation_*.json"))
+    # without --out, where evaluate and ablate write by default
+    dirs = [Path(args.out)] if args.out is not None else [Path("runs") / "evaluate", Path("runs") / "ablate"]
+    candidates = [p for d in dirs for kind in ("experiment", "ablation") for p in sorted(d.glob(f"{kind}_*.json"))]
     if args.task:
         candidates = [p for p in candidates if p.stem.endswith(args.task)]
+    where = " or ".join(map(str, dirs))
     if not candidates:
-        raise ConfigError(f"no report JSON found under {out}")
+        raise ConfigError(f"no report JSON found under {where}")
     if len(candidates) > 1:
-        names = ", ".join(p.name for p in candidates)
-        raise ConfigError(f"multiple reports under {out} ({names}); pick one with --task")
+        names = ", ".join(map(str, candidates))
+        raise ConfigError(f"multiple reports under {where} ({names}); pick one with --task or --out")
     path = candidates[0]
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
@@ -409,7 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
     add("evaluate", "multi-seed strategy comparison; emits CSV + JSON reports", STRATEGIES)
     add("ablate", "pretext-weight x adaptation grid; emits a matrix report")
     add("gradcheck", "finite-difference audit of every gradient path")
-    add("report", "render a persisted report and verify its aggregates")
+    add("report", "render a persisted report and verify its aggregates "
+                  "(default: the one report under runs/evaluate or runs/ablate)")
     return parser
 
 

@@ -490,3 +490,15 @@ def test_module_entry_point_subprocess(tmp_path, micro_cfg):
     )
     assert proc.returncode == 2
     assert json.loads(proc.stderr)["error"] == "ConfigError"
+
+
+def test_bare_report_finds_an_ablation(tmp_path, micro_cfg, capsys, monkeypatch):
+    """``ablate`` then ``report`` with no ``--out``: the report is read from runs/ablate."""
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("ablate", "--config", micro_cfg, capsys=capsys)[0] == 0
+    code, stdout, _ = run_cli("report", capsys=capsys)
+    assert code == 0
+    assert "runs/ablate/ablation_syn_mi.json" in stdout and "aggregates verified" in stdout
+    assert run_cli("evaluate", "--config", micro_cfg, capsys=capsys)[0] == 0
+    code, _, err = run_cli("report", capsys=capsys)  # now one under each default directory
+    assert code == 2 and "multiple reports" in json.loads(err)["message"]
