@@ -9,7 +9,8 @@ Usage:
 ``golden/directional_margins.json``. The acceptance suite reruns the same
 pinned configs (everything is seeded) and compares against that file, so
 freeze only when a deliberate config or model change invalidates the old
-numbers — and commit the result.
+numbers — and commit the result. Before writing, it prints every value that
+differs from the file on disk (per-seed values, means, deltas), old -> new.
 """
 
 from __future__ import annotations
@@ -66,6 +67,16 @@ def print_table(payload: dict) -> None:
     print(f"  wall time: {payload['wall_time']:.1f} s")
 
 
+def golden_changes(old, new, path: str = "") -> list[str]:
+    """``path: old -> new`` for every leaf value of two payloads that differs, in key order."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        return [line for key in sorted(old.keys() | new.keys())
+                for line in golden_changes(old.get(key), new.get(key), f"{path}/{key}" if path else key)]
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        return [line for i, (a, b) in enumerate(zip(old, new)) for line in golden_changes(a, b, f"{path}[{i}]")]
+    return [] if old == new else [f"{path}: {old!r} -> {new!r}"]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -85,6 +96,11 @@ def main(argv=None) -> int:
             return 1
         GOLDEN.parent.mkdir(parents=True, exist_ok=True)
         frozen = {k: v for k, v in payload.items() if k != "wall_time"}
+        old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+        changes = golden_changes(old, frozen)
+        print(f"changes to {GOLDEN.name} (old -> new):" if changes else f"{GOLDEN.name} unchanged")
+        for line in changes:
+            print(f"  {line}")
         GOLDEN.write_text(json.dumps(frozen, indent=2, sort_keys=True) + "\n")
         print(f"froze margins and observed deltas -> {GOLDEN}")
     return 0 if all(verdicts.values()) else 1
