@@ -318,7 +318,7 @@ def run_adaptation(
                 probs[i], rec = ttt_ssl_adapt_predict(work, x, spec, cfg)
                 records.append({**rec, "index": i})
         else:  # blocks of replicas, each replica starting from the model
-            params = np.empty((min(TTT_BLOCK, len(X)), model.param_arena.size))
+            params = np.empty((min(TTT_BLOCK, len(X)), model.param_arena.size), model.param_arena.dtype)
             grads = np.empty_like(params)
             for lo in range(0, len(X), TTT_BLOCK):
                 block = X[lo:lo + TTT_BLOCK]

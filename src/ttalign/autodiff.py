@@ -1,4 +1,4 @@
-"""Minimal reverse-mode automatic differentiation on float64 numpy arrays.
+"""Minimal reverse-mode automatic differentiation on float32 or float64 numpy arrays.
 
 Every primitive records a pull-back closure on the active :class:`Tape`. Calling
 :func:`backward` on a scalar loss walks the tape in reverse execution order (a valid
@@ -17,8 +17,8 @@ backbone pass as one, with the batch-norm arithmetic of :func:`bn_stats`,
 compares tape gradients with central differences.
 
 Gradients accumulate across repeated ``backward`` calls; training loops are expected
-to zero parameter grads between steps. All computation is float64 and bitwise
-deterministic for a fixed sequence of operations.
+to zero parameter grads between steps. Every primitive computes in the dtype of
+its inputs and is bitwise deterministic for a fixed sequence of operations.
 """
 
 from __future__ import annotations
@@ -34,12 +34,14 @@ Array = np.ndarray
 
 
 class Tensor:
-    """A float64 array plus an optional gradient buffer."""
+    """A float32 or float64 array (anything else becomes float64) plus an optional
+    gradient buffer of the same dtype."""
 
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype in (np.float32, np.float64) else data.astype(np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: Array | None = np.zeros_like(self.data) if self.requires_grad else None
 
@@ -383,7 +385,7 @@ def cross_entropy_picked(logits: Tensor, labels) -> tuple[Tensor, Array]:
     # replaces (log_softmax, take_per_row, sum, scale), so gradients are bitwise equal.
     def pull(g: Array):
         v = g * (-1.0 / n)
-        onehot = np.zeros(z.shape)
+        onehot = np.zeros(z.shape, z.dtype)
         onehot.reshape(-1, classes)[cells] = np.repeat(v, n)
         return (onehot - p * v[..., None, None],)
 

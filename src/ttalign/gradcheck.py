@@ -20,10 +20,11 @@ from .nn import Linear, Model, ModelConfig, replicas
 
 TOLERANCE = 1e-5
 
-# the audited model: two windows, a two-layer main head and two pretext heads
+# the audited model: two windows, a two-layer main head and two pretext heads, in
+# float64, where central differences can resolve the tolerance
 STACK = ModelConfig(
     channels=3, samples=50, hidden=4, features=6, n_main=3,
-    ssl_dims=(4, 3), head_layers=2, dropout=0.3, init_seed=21,
+    ssl_dims=(4, 3), head_layers=2, dropout=0.3, init_seed=21, dtype="float64",
 )
 
 

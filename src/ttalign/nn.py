@@ -13,8 +13,10 @@ through :class:`BatchNorm`'s ``stats`` and ``normalize``. With ``conv.w`` frozen
 as in Tent, the part in front of bn1's affine step is computed once per batch
 (:meth:`Model.stem`).
 
-A :class:`Model` keeps its state in three flat float64 arenas: the parameters,
-their grads, and the batch-norm running statistics. Every parameter's ``data``
+A :class:`Model` keeps its state in three flat arenas of its ``ModelConfig.dtype``
+(float32 unless a check asks for float64): the parameters, their grads, and the
+batch-norm running statistics. Input data is cast to that dtype where it enters
+the pass; probabilities come out as float64. Every parameter's ``data``
 and ``grad`` and every running-stat buffer is a view into one of them, so
 snapshot, restore, clone and zero-grad are each one array operation, and an
 optimizer can step over the whole model at once. Inside :func:`replicas` the
@@ -53,10 +55,11 @@ class Linear:
     (S, n, fan_in) and each replica's bias broadcasts over its own rows.
     """
 
-    def __init__(self, fan_in: int, fan_out: int, rng: np.random.Generator | None, bias: bool = True):
+    def __init__(self, fan_in: int, fan_out: int, rng: np.random.Generator | None, bias: bool = True,
+                 dtype: str = "float64"):
         w = np.zeros((fan_in, fan_out)) if rng is None else rng.normal(size=(fan_in, fan_out)) / np.sqrt(fan_in)
-        self.w = Tensor(w, requires_grad=True)
-        self.b = Tensor(np.zeros(fan_out), requires_grad=True) if bias else None
+        self.w = Tensor(w.astype(dtype), requires_grad=True)
+        self.b = Tensor(np.zeros(fan_out, dtype), requires_grad=True) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
         h = ad.matmul(x, self.w)
@@ -84,11 +87,11 @@ class BatchNorm:
     momentum = 0.1
     eps = 1e-5
 
-    def __init__(self, features: int):
-        self.gamma = Tensor(np.ones(features), requires_grad=True)
-        self.beta = Tensor(np.zeros(features), requires_grad=True)
-        self.running_mean = np.zeros(features)
-        self.running_var = np.ones(features)
+    def __init__(self, features: int, dtype: str = "float64"):
+        self.gamma = Tensor(np.ones(features, dtype), requires_grad=True)
+        self.beta = Tensor(np.zeros(features, dtype), requires_grad=True)
+        self.running_mean = np.zeros(features, dtype)
+        self.running_var = np.ones(features, dtype)
 
     def stats(self, xd: np.ndarray, train: bool):
         """``autodiff.bn_stats`` of a bare array in this mode, for :meth:`normalize`."""
@@ -113,13 +116,16 @@ class BatchNorm:
         self.running_var[...] = (1.0 - m) * self.running_var + m * var
 
 
-def dropout_mask(shape: tuple[int, ...], p: float, rng: np.random.Generator | None) -> np.ndarray | None:
-    """Inverted-dropout multiplier of ``shape``; None (identity) without a generator or when p == 0."""
+def dropout_mask(
+    shape: tuple[int, ...], p: float, rng: np.random.Generator | None, dtype: str = "float64"
+) -> np.ndarray | None:
+    """Inverted-dropout multiplier of ``shape`` in ``dtype``; None (identity) without a
+    generator or when p == 0."""
     if rng is None or p == 0.0:
         return None
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout rate must lie in [0, 1), got {p}")
-    return (rng.random(shape) >= p) / (1.0 - p)
+    return ((rng.random(shape) >= p) / (1.0 - p)).astype(dtype, copy=False)
 
 
 @dataclass(frozen=True)
@@ -133,8 +139,11 @@ class ModelConfig:
     head_layers: int = 1
     dropout: float = 0.1
     init_seed: int = 0
+    dtype: str = "float32"  # of the arenas and the arithmetic; checks that need float64 ask for it
 
     def __post_init__(self):
+        if self.dtype not in ("float32", "float64"):
+            raise ConfigError(f"dtype must be 'float32' or 'float64', got {self.dtype!r}")
         if self.head_layers not in (1, 2, 3):
             raise ConfigError(f"head_layers must be 1, 2, or 3, got {self.head_layers}")
         if self.samples <= 0 or self.samples % WINDOW != 0:
@@ -171,18 +180,19 @@ class Model:
     def _build(self, cfg: ModelConfig, rng: np.random.Generator | None) -> None:
         """Make the layers, weights drawn from ``rng`` (zero without one), and their arenas."""
         self.cfg = cfg
-        self.conv = Linear(WINDOW, cfg.hidden, rng, bias=False)
-        self.bn1 = BatchNorm(cfg.hidden)
-        self.mix = Linear(cfg.channels * cfg.hidden, cfg.features, rng, bias=False)
+        dt = cfg.dtype
+        self.conv = Linear(WINDOW, cfg.hidden, rng, bias=False, dtype=dt)
+        self.bn1 = BatchNorm(cfg.hidden, dt)
+        self.mix = Linear(cfg.channels * cfg.hidden, cfg.features, rng, bias=False, dtype=dt)
         # learned window-position term; zero-initialized so a fresh model's
         # features are position-uniform until training moves it
-        self.pos = Tensor(np.zeros((cfg.samples // WINDOW, cfg.features)), requires_grad=True)
-        self.bn2 = BatchNorm(cfg.features)
+        self.pos = Tensor(np.zeros((cfg.samples // WINDOW, cfg.features), dt), requires_grad=True)
+        self.bn2 = BatchNorm(cfg.features, dt)
         self.head: list[Linear] = []
         for i in range(cfg.head_layers):
             fan_out = cfg.n_main if i == cfg.head_layers - 1 else cfg.features
-            self.head.append(Linear(cfg.features, fan_out, rng))
-        self.ssl_heads = [Linear(cfg.features, d, rng) for d in cfg.ssl_dims]
+            self.head.append(Linear(cfg.features, fan_out, rng, dtype=dt))
+        self.ssl_heads = [Linear(cfg.features, d, rng, dtype=dt) for d in cfg.ssl_dims]
 
         named = self.named_parameters()
         self.layout = tuple((n, t.shape) for n, t in named)
@@ -231,13 +241,13 @@ class Model:
 
     def _rows(self, x: Tensor) -> np.ndarray:
         """The (B, C, K * W) input, (S, B, C, K * W) inside :func:`replicas`, as
-        (..., B * C * K, W) rows: each row is one run of consecutive samples."""
+        (..., B * C * K, W) rows in the model's dtype: each row is one run of consecutive samples."""
         cfg, lead = self.cfg, self.conv.w.shape[:-2]  # () or (S,)
         if x.ndim != len(lead) + 3 or x.shape[:len(lead)] != lead or x.shape[-2:] != (cfg.channels, cfg.samples):
             raise ContractError(
                 f"expected input ({'S, ' * len(lead)}B, {cfg.channels}, {cfg.samples}), got {x.shape}"
             )
-        return x.data.reshape(*lead, -1, WINDOW)
+        return x.data.reshape(*lead, -1, WINDOW).astype(cfg.dtype, copy=False)
 
     def stem(self, x: Tensor):
         """bn1's train-mode ``autodiff.bn_stats`` of one unreplicated batch, for :meth:`features`:
@@ -287,7 +297,7 @@ class Model:
         a2, cache2 = bn2.normalize(bn2.stats(h.reshape(*lead, b * k, d), train), train, update_stats)
         np.maximum(a2, 0.0, out=a2)                                              # (B*K, D)
         out = a2.reshape(*lead, b, k, d).mean(axis=-2)                           # (B, D)
-        mask = dropout_mask(out.shape, cfg.dropout, dropout_rng) if train else None
+        mask = dropout_mask(out.shape, cfg.dropout, dropout_rng, cfg.dtype) if train else None
         if mask is not None:
             out = out * mask
         inputs = (x, conv_w, bn1.gamma, bn1.beta, mix_w, pos, bn2.gamma, bn2.beta)
@@ -349,7 +359,9 @@ class Model:
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    """Probabilities over the last axis of logits: shift by the row max, exp, divide by the sum."""
+    """Float64 probabilities over the last axis of logits: shift by the row max, exp,
+    divide by the sum. The logits are cast first, so rows sum to 1 within float64 rounding."""
+    z = z.astype(np.float64, copy=False)
     e = np.exp(z - z.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
@@ -418,6 +430,7 @@ def replicas(model: Model, params: np.ndarray, grads: np.ndarray):
 
 # ---------------------------------------------------------------------------
 # checkpoint file format: magic, version, JSON header, float64 little-endian blobs
+# (a float32 model's values, widened exactly; the header's config names the dtype)
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(model: Model, path) -> None:

@@ -93,7 +93,8 @@ def masked_pretrain(model: Model, X: np.ndarray, cfg: PretrainConfig) -> tuple[M
     n_masked = min(max(n_masked, 1), n_patches - 1)
 
     rng = np.random.default_rng([cfg.seed, 0xA5])
-    decoder = Linear(model.cfg.features, c * t, np.random.default_rng([cfg.seed, 0xDE]))
+    dtype = model.cfg.dtype  # the decoder, target and mask follow the model
+    decoder = Linear(model.cfg.features, c * t, np.random.default_rng([cfg.seed, 0xDE]), dtype=dtype)
     opt = make_optimizer(cfg.optimizer, [model, *decoder.named_parameters("decoder")], cfg.lr)
 
     history = []
@@ -105,7 +106,7 @@ def masked_pretrain(model: Model, X: np.ndarray, cfg: PretrainConfig) -> tuple[M
             idx = order[start: start + cfg.batch_size]
             batch = X[idx]
             b = batch.shape[0]
-            mask = np.zeros((b, 1, t))
+            mask = np.zeros((b, 1, t), dtype)
             masked_input = batch.copy()
             for i in range(b):
                 patches = rng.choice(n_patches, size=n_masked, replace=False)
@@ -115,7 +116,7 @@ def masked_pretrain(model: Model, X: np.ndarray, cfg: PretrainConfig) -> tuple[M
             with ad.fresh_tape():
                 feats = model.features(Tensor(masked_input), train=True)
                 recon = ad.reshape(decoder(feats), (b, c, t))
-                diff = ad.mul(ad.sub(recon, Tensor(batch)), Tensor(mask))
+                diff = ad.mul(ad.sub(recon, Tensor(batch.astype(dtype))), Tensor(mask))
                 denom = float(mask.sum() * c)
                 loss = ad.scale(ad.sum_(ad.mul(diff, diff)), 1.0 / denom)
                 if not np.isfinite(loss.item()):

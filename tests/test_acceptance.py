@@ -406,7 +406,7 @@ def test_criterion_08_degeneracy_and_linearity():
     )
 
     # (b) pretext-head gradients scale linearly in their weight
-    lin_model, lin_spec = _tiny("syn_mi", seed=88)
+    lin_model, lin_spec = _tiny("syn_mi", seed=88, dtype="float64")  # a float64 tolerance
     rng = np.random.default_rng(6)
     xb = rng.normal(size=(4, 8, 200))
     yb = np.array([0, 1, 2, 3])

@@ -124,7 +124,7 @@ def test_mean_entropy_graph_gradient_matches_finite_differences():
 
 def test_ttt_single_sgd_step_is_exact_gradient_descent():
     """One sgd step must change every parameter by exactly -lr * grad(pretext loss)."""
-    model, spec = tiny_model()
+    model, spec = tiny_model(dtype="float64")  # the 1e-12 tolerance is a float64 one
     x = make_epochs(1, seed=11)[0]
     cfg = TttConfig(steps=1, lr=1e-3, optimizer="sgd")
 
@@ -249,8 +249,18 @@ BLOCK_CASES = [
 @pytest.mark.parametrize("case", BLOCK_CASES, ids=lambda c: "-".join(str(v) for v in c.values()))
 def test_ttt_blocks_match_per_epoch_reference_bitwise(task, case):
     """Block adaptation, with a partial last block, equals adapting one epoch at a time byte for byte."""
+    blocks_against_per_epoch(task, case, "float64")
+
+
+@pytest.mark.parametrize("task", ["syn_mi", "syn_stress", "syn_speech"])
+@pytest.mark.parametrize("case", BLOCK_CASES, ids=lambda c: "-".join(str(v) for v in c.values()))
+def test_ttt_blocks_match_per_epoch_reference_bitwise_float32(task, case):
+    blocks_against_per_epoch(task, case, "float32")
+
+
+def blocks_against_per_epoch(task, case, dtype):
     case = dict(case)
-    model, spec = tiny_model(task, seed=61, head_layers=case.pop("head_layers"))
+    model, spec = tiny_model(task, seed=61, head_layers=case.pop("head_layers"), dtype=dtype)
     X = make_epochs(2 * TTT_BLOCK + 3, seed=67)
     cfg = TttConfig(lr=1e-2, **case)
     probs, records = run_adaptation("ttt_ssl", model, spec, X, ttt=cfg)
@@ -325,26 +335,27 @@ def test_tent_updates_only_bn_affine_parameters():
 def test_tent_frozen_parameters_leave_affine_gradients_bitwise():
     """Freezing the non-affine parameters as Tent does drops their gradients and
     changes no bit of the BN-affine ones."""
-    model, _ = tiny_model(seed=109, head_layers=2)
-    batch = Tensor(make_epochs(6, seed=113))
-    affine = set(model.param_groups()["bn_affine"])
+    for dtype in ("float64", "float32"):
+        model, _ = tiny_model(seed=109, head_layers=2, dtype=dtype)
+        batch = Tensor(make_epochs(6, seed=113))
+        affine = set(model.param_groups()["bn_affine"])
 
-    def grads():
-        model.zero_grad()
-        with fresh_tape():
-            backward(ad.mean_entropy(model.forward_main(batch, train=True, update_stats=False)))
-        return {n: p.grad.copy() for n, p in model.named_parameters()}
+        def grads():
+            model.zero_grad()
+            with fresh_tape():
+                backward(ad.mean_entropy(model.forward_main(batch, train=True, update_stats=False)))
+            return {n: p.grad.copy() for n, p in model.named_parameters()}
 
-    full = grads()
-    for n, p in model.named_parameters():
-        p.requires_grad = n in affine
-    frozen = grads()
-    for n in affine:
-        assert full[n].any() and np.array_equal(frozen[n], full[n]), n
-    others = full.keys() - affine
-    assert any(full[n].any() for n in others)  # the trainable backward did compute them
-    for n in others:
-        assert not frozen[n].any(), n
+        full = grads()
+        for n, p in model.named_parameters():
+            p.requires_grad = n in affine
+        frozen = grads()
+        for n in affine:
+            assert full[n].any() and np.array_equal(frozen[n], full[n]), n
+        others = full.keys() - affine
+        assert any(full[n].any() for n in others)  # the trainable backward did compute them
+        for n in others:
+            assert not frozen[n].any(), n
 
 
 @pytest.mark.parametrize("update_running_stats", [True, False])
@@ -352,13 +363,14 @@ def test_tent_stem_once_per_batch_matches_every_pass_bitwise(monkeypatch, update
     """Tent's one stem per batch gives the bits of recomputing it in every pass."""
     X = make_epochs(13, seed=137)
     cfg = TentConfig(lr=1e-2, batch_size=4, update_running_stats=update_running_stats)
-    runs = []
-    for stem in (Model.stem, lambda self, x: None):  # None: each pass makes its own
-        monkeypatch.setattr(Model, "stem", stem)
-        model, _ = tiny_model(seed=139, head_layers=2)
-        probs, recs = tent_adapt_predict(model, X, cfg)
-        runs.append((probs.tobytes(), json.dumps(recs), model.param_arena.tobytes(), model.buffer_arena.tobytes()))
-    assert runs[0] == runs[1]
+    for dtype in ("float64", "float32"):
+        runs = []
+        for stem in (Model.stem, lambda self, x: None):  # None: each pass makes its own
+            monkeypatch.setattr(Model, "stem", stem)
+            model, _ = tiny_model(seed=139, head_layers=2, dtype=dtype)
+            probs, recs = tent_adapt_predict(model, X, cfg)
+            runs.append((probs.tobytes(), json.dumps(recs), model.param_arena.tobytes(), model.buffer_arena.tobytes()))
+        assert runs[0] == runs[1]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the NaN is the point
@@ -485,7 +497,7 @@ def test_run_adaptation_rejects_nonfinite_epochs(strategy, bad):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
 @pytest.mark.parametrize("strategy", ["ttt_ssl", "tent"])
 def test_run_adaptation_rejects_diverging_adaptation(strategy):
-    model, spec = tiny_model()
+    model, spec = tiny_model(dtype="float64")
     cfgs = {"ttt": TttConfig(lr=1e300), "tent": TentConfig(lr=1e300, batch_size=4)}
     with pytest.raises(ContractError, match="diverged"):
         run_adaptation(strategy, model, spec, make_epochs(8), **cfgs)
@@ -494,9 +506,19 @@ def test_run_adaptation_rejects_diverging_adaptation(strategy):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
 @pytest.mark.parametrize("strategy", ["ttt_ssl", "tent"])
 def test_direct_adaptation_call_rejects_divergence(strategy):
-    model, spec = tiny_model()
+    model, spec = tiny_model(dtype="float64")
     with pytest.raises(ContractError, match="diverged"):
         if strategy == "ttt_ssl":
             ttt_ssl_adapt_predict(model, make_epochs(1)[0], spec, TttConfig(lr=1e300))
         else:
             tent_adapt_predict(model, make_epochs(8), TentConfig(lr=1e300, batch_size=4))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+def test_float32_tent_overflow_stops_at_the_next_entropy_objective():
+    """In float32, lr 1e300 is infinite: the first step overflows, and the next
+    objective of batch 0 is non-finite, still a ContractError."""
+    model, spec = tiny_model()
+    assert model.param_arena.dtype == np.float32
+    with pytest.raises(ContractError, match="non-finite entropy objective on batch 0"):
+        run_adaptation("tent", model, spec, make_epochs(8), tent=TentConfig(lr=1e300, batch_size=4))

@@ -151,7 +151,14 @@ class TestFusedLayers:
         """``bn_pull`` against the chain's own float operations, negations included,
         down to the sign of each zero: with dead columns (all-zero ``g`` of either
         sign, as behind a ReLU), constant columns and zero gammas."""
+        self.bn_pull_against_chain(n, f, np.float64)
 
+    @pytest.mark.parametrize("n, f", [(512, 32), (64, 64), (7, 3)])
+    def test_batch_norm_train_pull_is_bitwise_the_negating_chain_float32(self, n, f):
+        self.bn_pull_against_chain(n, f, np.float32)
+
+    @staticmethod
+    def bn_pull_against_chain(n, f, dtype):
         def chain_pull(g, gd, cache):
             xhat, c, s = cache
             scratch = -(g * gd)
@@ -169,9 +176,10 @@ class TestFusedLayers:
             g[:, rng.random(f) < 0.2] = rng.choice([0.0, -0.0])
             gd = rng.normal(size=f)
             gd[rng.random(f) < 0.1] = 0.0
+            x, g, gd = x.astype(dtype), g.astype(dtype), gd.astype(dtype)
             cache, _, _ = ad.bn_stats(x, 1e-5)
             gx, _, _ = ad.bn_pull(g, gd, cache, True, True, False, False)
-            assert gx.tobytes() == chain_pull(g, gd, cache).tobytes()
+            assert gx.dtype == dtype and gx.tobytes() == chain_pull(g, gd, cache).tobytes()
 
     @pytest.mark.parametrize("f", [1, 2, 3, 16, 17, 32, 64])
     def test_colsum_is_bitwise_add_reduce_and_a_sequential_loop(self, f):
@@ -179,9 +187,16 @@ class TestFusedLayers:
         2-D and stacked input, F-ordered and column-sliced input, mixed magnitudes and
         zeros of either sign, and where einsum runs, the bytes of a row-by-row loop.
         If a numpy release changes the order of einsum's strided loop, this fails."""
+        self.colsum_cases(f, np.float64)
 
+    @pytest.mark.parametrize("f", [1, 2, 3, 16, 17, 32, 64])
+    def test_colsum_is_bitwise_add_reduce_and_a_sequential_loop_float32(self, f):
+        self.colsum_cases(f, np.float32)
+
+    @staticmethod
+    def colsum_cases(f, dtype):
         def draw(shape):
-            x = rng.normal(size=shape) * 10.0 ** rng.integers(-12, 13, size=shape)
+            x = (rng.normal(size=shape) * 10.0 ** rng.integers(-12, 13, size=shape)).astype(dtype)
             x[rng.random(shape) < 0.1] = 0.0
             x[rng.random(shape) < 0.1] = -0.0
             if shape[-1] > 1:
@@ -189,7 +204,7 @@ class TestFusedLayers:
             return x
 
         def in_order(x, y=None):
-            acc = np.zeros(x.shape[:-2] + x.shape[-1:])
+            acc = np.zeros(x.shape[:-2] + x.shape[-1:], dtype)
             for i in range(x.shape[-2]):
                 acc += x[..., i, :] if y is None else x[..., i, :] * y[..., i, :]
             return acc
@@ -203,6 +218,7 @@ class TestFusedLayers:
                     wide = draw((*shape[:-1], f + 1))
                     layouts.append((wide[..., 1:], wide[..., :-1]))
                 for a, b in layouts:
+                    assert ad.colsum(a).dtype == ad.colsum(a, b).dtype == dtype
                     assert ad.colsum(a).tobytes() == np.add.reduce(a, axis=-2).tobytes()
                     assert ad.colsum(a, b).tobytes() == np.add.reduce(a * b, axis=-2).tobytes()
                 if f > 1 and (n <= 256 or n == 4096):  # one column: add.reduce sums pairwise

@@ -162,7 +162,7 @@ class TestModel:
         assert nn.Model(small_config(samples=50)).pos.shape == (2, 8)
 
     def test_features_match_numpy_oracle_over_consecutive_windows(self):
-        model = nn.Model(small_config())
+        model = nn.Model(small_config(dtype="float64"))
         for bn in (model.bn1, model.bn2):
             bn.gamma.data[:] = RNG.uniform(0.5, 1.5, size=bn.gamma.shape)
             bn.beta.data[:] = RNG.normal(size=bn.beta.shape)
@@ -216,12 +216,13 @@ def chain_features(model, x, train, dropout_rng=None, update_stats=True):
     return h
 
 
+# float64: the chain's dropout multiplies by a float64 mask
 BACKBONE_CONFIGS = {
-    "default": nn.ModelConfig(),
+    "default": nn.ModelConfig(dtype="float64"),
     "gradcheck": nn.ModelConfig(channels=3, samples=50, hidden=4, features=6, n_main=3,
-                                ssl_dims=(4, 3), head_layers=2, dropout=0.3, init_seed=21),
+                                ssl_dims=(4, 3), head_layers=2, dropout=0.3, init_seed=21, dtype="float64"),
     # three windows: dividing by k and multiplying by 1/k round differently
-    "three_windows": nn.ModelConfig(channels=2, samples=75, hidden=5, features=7, dropout=0.2),
+    "three_windows": nn.ModelConfig(channels=2, samples=75, hidden=5, features=7, dropout=0.2, dtype="float64"),
 }
 
 
@@ -296,25 +297,26 @@ class TestStem:
 
     @pytest.mark.parametrize("update_stats", [True, False])
     def test_stem_serves_three_sgd_steps_bitwise(self, update_stats):
-        model = nn.Model(small_config(head_layers=2))
-        model.param_arena[:] = RNG.normal(size=model.param_arena.size) * 0.5
-        twin = nn.clone_model(model)
-        x = Tensor(RNG.normal(size=(5, 3, 200)))
-        weights = Tensor(RNG.normal(size=(5, 8)))
-        opts = [self.tent_frozen(m) for m in (model, twin)]
-        stem = model.stem(x)
-        for _ in range(3):
-            runs = []
-            for m, opt, kw in ((model, opts[0], {"stem": stem}), (twin, opts[1], {})):
-                m.zero_grad()
-                with ad.fresh_tape():
-                    feats = m.features(x, train=True, update_stats=update_stats, **kw)
-                    ad.backward(ad.sum_(ad.mul(feats, weights)))
-                runs.append((feats.data.tobytes(), m.grad_arena.tobytes(), m.buffer_arena.tobytes()))
-                opt.step()
-            assert runs[0] == runs[1]
-            assert model.bn1.gamma.grad.any() and model.bn2.beta.grad.any()
-        assert model.param_arena.tobytes() == twin.param_arena.tobytes()
+        for dtype in ("float64", "float32"):
+            model = nn.Model(small_config(head_layers=2, dtype=dtype))
+            model.param_arena[:] = RNG.normal(size=model.param_arena.size) * 0.5
+            twin = nn.clone_model(model)
+            x = Tensor(RNG.normal(size=(5, 3, 200)))
+            weights = Tensor(RNG.normal(size=(5, 8)))
+            opts = [self.tent_frozen(m) for m in (model, twin)]
+            stem = model.stem(x)
+            for _ in range(3):
+                runs = []
+                for m, opt, kw in ((model, opts[0], {"stem": stem}), (twin, opts[1], {})):
+                    m.zero_grad()
+                    with ad.fresh_tape():
+                        feats = m.features(x, train=True, update_stats=update_stats, **kw)
+                        ad.backward(ad.sum_(ad.mul(feats, weights)))
+                    runs.append((feats.data.tobytes(), m.grad_arena.tobytes(), m.buffer_arena.tobytes()))
+                    opt.step()
+                assert runs[0] == runs[1]
+                assert model.bn1.gamma.grad.any() and model.bn2.beta.grad.any()
+            assert model.param_arena.tobytes() == twin.param_arena.tobytes()
 
     def test_stem_refused_where_it_would_not_hold(self):
         model = nn.Model(small_config())
@@ -475,19 +477,27 @@ class TestOptimizers:
         Adam([("p", p)], lr=1e-3).step()
         np.testing.assert_allclose(np.abs(p.data - before), 1e-3, rtol=1e-4)
 
-    def test_adam_replays_reference_update_bitwise(self):
-        model = nn.Model(small_config())
+    @staticmethod
+    def adam_replay(dtype):
+        model = nn.Model(small_config(dtype=dtype))
         opt = Adam([model], lr=1e-2)
         theta = model.param_arena.copy()
         m, v = np.zeros_like(theta), np.zeros_like(theta)
         for t in range(1, 4):
-            g = RNG.normal(size=theta.shape)
+            g = RNG.normal(size=theta.shape).astype(dtype)
             model.grad_arena[...] = g
             opt.step()
             m = 0.9 * m + (1.0 - 0.9) * g
             v = 0.999 * v + (1.0 - 0.999) * g * g
             theta = theta - 1e-2 * (m / (1.0 - 0.9 ** t)) / (np.sqrt(v / (1.0 - 0.999 ** t)) + 1e-8)
             assert np.array_equal(model.param_arena, theta)
+        assert all(a.dtype == dtype for a in (theta, *opt.m, *opt.v))
+
+    def test_adam_replays_reference_update_bitwise(self):
+        self.adam_replay("float64")
+
+    def test_adam_replays_reference_update_bitwise_float32(self):
+        self.adam_replay("float32")
 
     def test_zero_grad_then_step_is_noop_for_sgd(self):
         p = self._grad_step_setup()

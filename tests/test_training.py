@@ -129,7 +129,7 @@ def test_combined_loss_value_linear_in_weights():
 
 def test_combined_loss_gradient_linear_in_weights():
     """Doubling a pretext weight doubles that branch's gradient contribution."""
-    model, spec = tiny_model("syn_mi")
+    model, spec = tiny_model("syn_mi", dtype="float64")  # the 1e-12 tolerance is a float64 one
     rng = np.random.default_rng(6)
     xb = rng.normal(size=(4, 8, 200))
     yb = np.array([0, 1, 2, 3])
@@ -240,37 +240,38 @@ def test_finetune_zero_weights_matches_handwritten_supervised_loop():
     xva, yva = class_coded_data(12, 4, seed=8)
     cfg = FinetuneConfig(epochs=3, batch_size=8, lr=1e-3, weights=(0.0, 0.0), seed=21)
 
-    model, spec = tiny_model("syn_mi", seed=9)
-    got, hist = finetune_stage1(model, spec, xtr, ytr, xva, yva, cfg)
+    for dtype in ("float64", "float32"):
+        model, spec = tiny_model("syn_mi", seed=9, dtype=dtype)
+        got, hist = finetune_stage1(model, spec, xtr, ytr, xva, yva, cfg)
 
-    # independent re-implementation of the supervised-only trajectory
-    oracle, _ = tiny_model("syn_mi", seed=9)
-    shuffle_rng = np.random.default_rng([cfg.seed, 1])
-    dropout_rng = np.random.default_rng([cfg.seed, 3])
-    opt = make_optimizer("adam", oracle.named_parameters(), cfg.lr)
-    best, best_snap = -np.inf, None
-    for _ in range(cfg.epochs):
-        order = shuffle_rng.permutation(len(xtr))
-        for s in range(0, len(xtr), cfg.batch_size):
-            idx = order[s: s + cfg.batch_size]
-            with fresh_tape():
-                logits = oracle.forward_main(Tensor(xtr[idx]), train=True, dropout_rng=dropout_rng)
-                loss = cross_entropy(logits, ytr[idx])
-                opt.zero_grad()
-                backward(loss)
-                opt.step()
-        score = cohens_kappa(yva, oracle.predict_proba(xva).argmax(axis=1))
-        if score > best:
-            best, best_snap = score, snapshot(oracle)
-    restore(oracle, best_snap)
+        # independent re-implementation of the supervised-only trajectory
+        oracle, _ = tiny_model("syn_mi", seed=9, dtype=dtype)
+        shuffle_rng = np.random.default_rng([cfg.seed, 1])
+        dropout_rng = np.random.default_rng([cfg.seed, 3])
+        opt = make_optimizer("adam", oracle.named_parameters(), cfg.lr)
+        best, best_snap = -np.inf, None
+        for _ in range(cfg.epochs):
+            order = shuffle_rng.permutation(len(xtr))
+            for s in range(0, len(xtr), cfg.batch_size):
+                idx = order[s: s + cfg.batch_size]
+                with fresh_tape():
+                    logits = oracle.forward_main(Tensor(xtr[idx]), train=True, dropout_rng=dropout_rng)
+                    loss = cross_entropy(logits, ytr[idx])
+                    opt.zero_grad()
+                    backward(loss)
+                    opt.step()
+            score = cohens_kappa(yva, oracle.predict_proba(xva).argmax(axis=1))
+            if score > best:
+                best, best_snap = score, snapshot(oracle)
+        restore(oracle, best_snap)
 
-    for (n1, p1), (n2, p2) in zip(got.named_parameters(), oracle.named_parameters()):
-        assert n1 == n2
-        assert np.array_equal(p1.data, p2.data), f"trajectory diverged at {n1}"
-    for (n1, b1), (n2, b2) in zip(got.named_buffers(), oracle.named_buffers()):
-        assert n1 == n2
-        assert np.array_equal(b1, b2), f"running stats diverged at {n1}"
-    assert all(h["ssl_losses"] == {} for h in hist)
+        for (n1, p1), (n2, p2) in zip(got.named_parameters(), oracle.named_parameters()):
+            assert n1 == n2
+            assert np.array_equal(p1.data, p2.data), f"trajectory diverged at {n1}"
+        for (n1, b1), (n2, b2) in zip(got.named_buffers(), oracle.named_buffers()):
+            assert n1 == n2
+            assert np.array_equal(b1, b2), f"running stats diverged at {n1}"
+        assert all(h["ssl_losses"] == {} for h in hist)
 
 
 def test_finetune_restores_best_validation_checkpoint():
