@@ -6,7 +6,7 @@ import pytest
 from ttalign import adapt, autodiff as ad, training
 from ttalign.adapt import TentConfig, TttConfig, run_adaptation, tent_adapt_predict, ttt_ssl_adapt_predict
 from ttalign.errors import ConfigError
-from ttalign.nn import Model, ModelConfig, snapshot
+from ttalign.nn import Model, ModelConfig
 from ttalign.pretext import task_spec_for
 from ttalign.training import FinetuneConfig, PretrainConfig, finetune_stage1, masked_pretrain
 
@@ -78,7 +78,7 @@ def test_no_float64_leaks_through_training_or_adaptation(monkeypatch):
     assert seen == {np.dtype(np.float32)}
     # pretraining, fine-tuning, TTT with Adam, block TTT with SGD (no moments)
     assert [type(opt).__name__ for opt in optimizers] == ["Adam", "Adam", "Adam", "SGD"]
-    arrays = [model.param_arena, model.grad_arena, model.buffer_arena, *snapshot(model).params.values()]
+    arrays = [model.param_arena, model.grad_arena, model.buffer_arena]
     for opt in optimizers[:3]:
         arrays += [*opt.m, *opt.v]
     assert all(a.dtype == np.float32 for a in arrays)
