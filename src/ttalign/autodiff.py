@@ -13,8 +13,10 @@ where a chain of general primitives would take up to nine. Layers elsewhere reco
 their own fused ops through :func:`record`; ``nn.Model.features`` records a whole
 backbone pass as one, with the batch-norm arithmetic of :func:`bn_stats`,
 :func:`bn_affine` and :func:`bn_pull`. Their column sums are :func:`colsum`:
-``np.einsum`` over the rows in order, bitwise ``np.add.reduce``. :func:`grad_check`
-compares tape gradients with central differences.
+``np.einsum`` over the rows in order, bitwise ``np.add.reduce``. In train mode
+the batch-norm functions take a leading group axis with per-group statistics, and
+:func:`unstack` hands each group of a grouped pass to its own consumer.
+:func:`grad_check` compares tape gradients with central differences.
 
 Gradients accumulate across repeated ``backward`` calls; training loops are expected
 to zero parameter grads between steps. Every primitive computes in the dtype of
@@ -267,6 +269,25 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return record(out, (a,), pull)
 
 
+def unstack(a: Tensor) -> list[Tensor]:
+    """``a[0], a[1], ...`` along the leading axis, one record each.
+
+    Each slice's pull places its adjoint in a zero array of ``a``'s shape, so
+    ``backward`` sums exact zeros into every other slice.
+    """
+    shape = a.data.shape
+
+    def part(i: int) -> Tensor:
+        def pull(g: Array):
+            full = np.zeros(shape, g.dtype)
+            full[i] = g
+            return (full,)
+
+        return record(Tensor(a.data[i]), (a,), pull)
+
+    return [part(i) for i in range(shape[0])]
+
+
 # ---------------------------------------------------------------------------
 # fused layers: one tape record each, with a hand-written pull
 # ---------------------------------------------------------------------------
@@ -294,13 +315,21 @@ def bn_stats(
     otherwise by the constant ``running = (mean, var)``. ``cache`` is
     ``(xhat, c, s)``, what :func:`bn_pull` needs. Batch statistics are
     :func:`colsum` over n, divided by n, which is bitwise ``.mean(axis=0)``. With
-    ``running`` given, ``xd`` may be a stack ``(..., n, features)``.
+    ``running`` given, ``xd`` may be a stack ``(..., n, features)``. In train mode
+    ``xd`` may be a group stack ``(G, n, features)``: each group is normalized by
+    its own statistics, returned as ``(G, 1, features)``, bit for bit those of a
+    separate call on that group.
     """
     if running is None:
-        n = xd.shape[0]
+        grouped = xd.ndim == 3
+        n = xd.shape[-2]
         mu = colsum(xd) / n
+        if grouped:
+            mu = mu[:, None]
         c = xd - mu
         var = colsum(c, c) / n
+        if grouped:
+            var = var[:, None]
     else:
         mu, var = running
         c = xd - mu
@@ -327,7 +356,9 @@ def bn_pull(
     (features,) vectors: exact, as rounding to nearest is symmetric in sign, and
     ``0.0 - v`` adds +0 for a zero column sum wherever the chain's sign could show.
     One scratch buffer holds each (n, features) temporary in turn, and every column
-    sum is a :func:`colsum`. In eval mode ``g`` may be a stack, as in :func:`bn_stats`.
+    sum is a :func:`colsum`. ``g`` may be a stack, as in :func:`bn_stats`; in
+    train mode its leading axis holds groups, and the gamma and beta
+    contributions come per group, (G, features), for the caller to fold.
     """
     xhat, c, s = cache
     gx = None
@@ -335,14 +366,21 @@ def bn_pull(
         scratch = g * gd[..., None, :]
         gx = scratch / s
         if train:
-            n = g.shape[0]
+            grouped = g.ndim == 3
+            n = g.shape[-2]
             scratch *= c
             scratch /= -(s * s)
-            gv = (colsum(scratch) * 0.5 / s) / n
+            gv = colsum(scratch)
+            if grouped:
+                gv = gv[:, None]
+            gv = (gv * 0.5 / s) / n
             np.multiply(gv, c, out=scratch)
             gx += scratch
             gx += scratch  # c feeds the variance twice (c * c)
-            gx += (0.0 - colsum(gx)) / n
+            gm = colsum(gx)
+            if grouped:
+                gm = gm[:, None]
+            gx += (0.0 - gm) / n
     ggamma = colsum(g, xhat) if need_gamma else None
     return gx, ggamma, colsum(g) if need_beta else None
 

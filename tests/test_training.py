@@ -9,6 +9,7 @@ zero-weight path may not touch the pretext RNG or add any computation.
 import numpy as np
 import pytest
 
+import oracles
 import ttalign.autodiff as ad
 from ttalign.autodiff import Tensor, backward, fresh_tape
 from ttalign.errors import ConfigError, ContractError
@@ -272,6 +273,29 @@ def test_finetune_zero_weights_matches_handwritten_supervised_loop():
             assert n1 == n2
             assert np.array_equal(b1, b2), f"running stats diverged at {n1}"
         assert all(h["ssl_losses"] == {} for h in hist)
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.1])
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("task, weights", [
+    ("syn_mi", None), ("syn_stress", None), ("syn_speech", None), ("syn_mi", (0.0, 0.8)),
+])
+def test_grouped_step_matches_per_branch_reference_bitwise(task, weights, dtype, dropout):
+    """One grouped pass per step gives the per-branch loop's arenas and history bit for bit,
+    for every pretext transform, G = 3 and G = 2, and a trailing batch of 4 after two of 8."""
+    spec = task_spec_for(task)
+    xtr, ytr = class_coded_data(20, spec.n_main, seed=81)
+    xva, yva = class_coded_data(10, spec.n_main, seed=82)
+    cfg = FinetuneConfig(epochs=2, batch_size=8, lr=3e-3, weights=weights, seed=83)
+    got, got_hist = finetune_stage1(tiny_model(task, seed=84, dtype=dtype, dropout=dropout)[0],
+                                    spec, xtr, ytr, xva, yva, cfg)
+    want, want_hist = oracles.finetune_per_branch(tiny_model(task, seed=84, dtype=dtype, dropout=dropout)[0],
+                                                  spec, xtr, ytr, xva, yva, cfg)
+    assert got.param_arena.dtype == np.dtype(dtype)
+    assert got.param_arena.tobytes() == want.param_arena.tobytes()
+    assert got.buffer_arena.tobytes() == want.buffer_arena.tobytes()
+    assert [{k: v for k, v in h.items() if k != "wall_time"} for h in got_hist] == want_hist
+    assert all(len(h["ssl_losses"]) == (1 if weights else 2) for h in want_hist)
 
 
 def test_finetune_restores_best_validation_checkpoint():
