@@ -15,7 +15,8 @@ active branches, and hands each group's features to its head
 batch's fold into the running estimates, and each shared gradient is folded in
 the order of G separate passes, so the step is bit for bit the per-branch loop
 of one pass per branch that it replaces. A supervised-only step makes the
-plain (B, C, T) pass, which gives the numbers of G = 1 about 10% faster.
+plain (B, C, T) pass: the numbers of a G = 1 stack, which measured about 10%
+slower.
 """
 
 from __future__ import annotations
@@ -221,7 +222,7 @@ def finetune_stage1(
                     # in the model's dtype, the cast the pass would make
                     groups = Tensor(np.stack([xb, *(v for v, _ in views)], dtype=model.cfg.dtype))
                     feats = ad.unstack(model.features(groups, train=True, dropout_rng=dropout_rng))
-                else:  # the ungrouped pass: the same numbers with less per-call overhead than G = 1
+                else:  # the ungrouped pass: a G = 1 stack's numbers with less per-call overhead
                     feats = [model.features(Tensor(xb), train=True, dropout_rng=dropout_rng)]
                 ssl_logits = [model.ssl_logits(j, f) for (j, _, _), f in zip(active, feats[1:])]
                 loss, logged = combined_loss(model.main_logits(feats[0]), yb, ssl_logits,
