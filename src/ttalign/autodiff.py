@@ -12,7 +12,8 @@ Softmax cross-entropy and the mean entropy are fused primitives: one record each
 where a chain of general primitives would take up to nine. Layers elsewhere record
 their own fused ops through :func:`record`; ``nn.Model.features`` records a whole
 backbone pass as one, with the batch-norm arithmetic of :func:`bn_stats`,
-:func:`bn_affine` and :func:`bn_pull`. Their column sums are :func:`colsum`:
+:func:`bn_affine` and :func:`bn_pull`; the train-mode pull is the closed-form
+backward, not a replay of a primitive chain. Their column sums are :func:`colsum`:
 ``np.einsum`` over the rows in order, bitwise ``np.add.reduce``. In train mode
 the batch-norm functions take a leading group axis with per-group statistics, and
 :func:`unstack` hands each group of a grouped pass to its own consumer.
@@ -308,17 +309,18 @@ def colsum(x: Array, y: Array | None = None) -> Array:
 
 def bn_stats(
     xd: Array, eps: float, running: tuple[Array, Array] | None = None
-) -> tuple[tuple[Array, Array, Array], Array, Array]:
+) -> tuple[tuple[Array, Array], Array, Array]:
     """Batch norm's forward up to its affine step, on arrays: ``(cache, mean, var)``.
 
     Train mode (``running=None``) normalizes by the batch mean and biased variance,
     otherwise by the constant ``running = (mean, var)``. ``cache`` is
-    ``(xhat, c, s)``, what :func:`bn_pull` needs. Batch statistics are
-    :func:`colsum` over n, divided by n, which is bitwise ``.mean(axis=0)``. With
-    ``running`` given, ``xd`` may be a stack ``(..., n, features)``. In train mode
-    ``xd`` may be a group stack ``(G, n, features)``: each group is normalized by
-    its own statistics, returned as ``(G, 1, features)``, bit for bit those of a
-    separate call on that group.
+    ``(xhat, s)``, what :func:`bn_pull` needs, with ``s = sqrt(var + eps)``; the
+    centred input is divided by ``s`` in place, so no other (n, features) array
+    stays alive. Batch statistics are :func:`colsum` over n, divided by n, which
+    is bitwise ``.mean(axis=0)``. With ``running`` given, ``xd`` may be a stack
+    ``(..., n, features)``. In train mode ``xd`` may be a group stack ``(G, n,
+    features)``: each group is normalized by its own statistics, returned as
+    ``(G, 1, features)``, bit for bit those of a separate call on that group.
     """
     if running is None:
         grouped = xd.ndim == 3
@@ -334,7 +336,8 @@ def bn_stats(
         mu, var = running
         c = xd - mu
     s = np.sqrt(var + eps)
-    return (c / s, c, s), mu, var
+    c /= s
+    return (c, s), mu, var
 
 
 def bn_affine(xhat: Array, gd: Array, bd: Array) -> Array:
@@ -345,44 +348,36 @@ def bn_affine(xhat: Array, gd: Array, bd: Array) -> Array:
 
 
 def bn_pull(
-    g: Array, gd: Array, cache: tuple[Array, Array, Array], train: bool,
+    g: Array, gd: Array, cache: tuple[Array, Array], train: bool,
     need_x: bool, need_gamma: bool, need_beta: bool,
 ) -> tuple[Array | None, Array | None, Array | None]:
     """Batch norm's backward: the contributions for ``(x, gamma, beta)``; None where not needed.
 
-    Gives, bit for bit, the gradients of the backward through the chain the fused
-    op replaces (mean, sub, mul, mean, add, sqrt, div, mul, add), so the golden
-    file reproduces. The chain's two negations of (n, features) arrays move onto
-    (features,) vectors: exact, as rounding to nearest is symmetric in sign, and
-    ``0.0 - v`` adds +0 for a zero column sum wherever the chain's sign could show.
-    One scratch buffer holds each (n, features) temporary in turn, and every column
-    sum is a :func:`colsum`. ``g`` may be a stack, as in :func:`bn_stats`; in
-    train mode its leading axis holds groups, and the gamma and beta
-    contributions come per group, (G, features), for the caller to fold.
+    The beta and gamma contributions are the column sums ``colsum(g)`` and
+    ``colsum(g, xhat)``. In eval mode the statistics are constants and the x
+    contribution is ``(g * gamma) / s``. In train mode it is the closed form
+    (Ioffe & Szegedy, arXiv:1502.03167)
+    ``(g - xhat * colsum(g, xhat) / n - colsum(g) / n) * (gamma / s)``, which
+    reuses those two sums. ``g`` may be a stack, as in :func:`bn_stats`; in train
+    mode its leading axis holds groups, each pulled by its own sums bit for bit
+    as a separate call would, and the gamma and beta contributions come per
+    group, (G, features), for the caller to fold.
     """
-    xhat, c, s = cache
+    xhat, s = cache
+    sums = train and need_x
+    gb = colsum(g) if need_beta or sums else None
+    gg = colsum(g, xhat) if need_gamma or sums else None
     gx = None
-    if need_x:
-        scratch = g * gd[..., None, :]
-        gx = scratch / s
-        if train:
-            grouped = g.ndim == 3
-            n = g.shape[-2]
-            scratch *= c
-            scratch /= -(s * s)
-            gv = colsum(scratch)
-            if grouped:
-                gv = gv[:, None]
-            gv = (gv * 0.5 / s) / n
-            np.multiply(gv, c, out=scratch)
-            gx += scratch
-            gx += scratch  # c feeds the variance twice (c * c)
-            gm = colsum(gx)
-            if grouped:
-                gm = gm[:, None]
-            gx += (0.0 - gm) / n
-    ggamma = colsum(g, xhat) if need_gamma else None
-    return gx, ggamma, colsum(g) if need_beta else None
+    if need_x and not train:
+        gx = (g * gd[..., None, :]) / s
+    elif need_x:
+        n = g.shape[-2]
+        mb, mg = (gb / n, gg / n) if g.ndim == 2 else (gb[:, None] / n, gg[:, None] / n)
+        gx = xhat * mg
+        np.subtract(g, gx, out=gx)
+        gx -= mb
+        gx *= gd / s
+    return gx, gg if need_gamma else None, gb if need_beta else None
 
 
 def _log_softmax(z: Array) -> tuple[Array, Array]:

@@ -7,9 +7,10 @@ followed by batch norm, ReLU, a channel-mixing linear layer, a second norm/ReLU,
 and a temporal mean-pool down to one feature vector per input window sequence.
 One pass (:meth:`Model.features`) is one tape record. Its hand-written pull
 repeats, in order, the float operations of the backward through the chain of
-primitives it replaces, so gradients are bitwise those of that chain; the
-batch-norm arithmetic is ``autodiff.bn_stats``, ``bn_affine`` and ``bn_pull``,
-through :class:`BatchNorm`'s ``stats`` and ``normalize``. With ``conv.w`` frozen,
+primitives it replaces for the matmuls, ReLU masks, reshapes, mean-pool and
+dropout; the batch-norm arithmetic is ``autodiff.bn_stats``, ``bn_affine`` and
+``bn_pull`` (the closed-form backward in train mode), through
+:class:`BatchNorm`'s ``stats`` and ``normalize``. With ``conv.w`` frozen,
 as in Tent, the part in front of bn1's affine step is computed once per batch
 (:meth:`Model.stem`). A (G, B, C, T) input is G groups in one pass, as stage-I
 fine-tuning runs a batch and its pretext views: each group keeps its own batch
@@ -332,10 +333,11 @@ class Model:
         inputs = (x, conv_w, bn1.gamma, bn1.beta, mix_w, pos, bn2.gamma, bn2.beta)
 
         # Repeats, in order, the float operations of the backward through the chain
-        # of primitives this pass replaces (reshape, matmul, batch norm, relu,
-        # reshape, transpose, reshape, matmul, reshape, add, reshape, batch norm,
-        # relu, reshape, mean, dropout), so gradients are bitwise equal to it. A
-        # ReLU's mask is read from its output: max(v, 0) > 0 exactly when v > 0.
+        # of primitives this pass replaces (reshape, matmul, relu, reshape,
+        # transpose, reshape, matmul, reshape, add, reshape, relu, reshape, mean,
+        # dropout); each batch norm is one ad.bn_pull, bitwise the chain's in eval
+        # mode and the closed form in train mode. A ReLU's mask is read from its
+        # output: max(v, 0) > 0 exactly when v > 0.
         # bn1's ReLU mask is read from mixed_in, its output transposed, before the
         # transpose back: a copy between the multiplications changes no bit.
         def pull(g: np.ndarray):

@@ -15,8 +15,9 @@ active branches, and hands each group's features to its head
 batch's fold into the running estimates, and each shared gradient is folded in
 the order of G separate passes, so the step is bit for bit the per-branch loop
 of one pass per branch that it replaces. A supervised-only step makes the
-plain (B, C, T) pass: the numbers of a G = 1 stack, which measured about 10%
-slower.
+plain (B, C, T) pass: the numbers of a G = 1 stack, which measured 5-10%
+slower (median forward and backward at batch 8, hidden 32, features 64:
+395 against 416-435 us, one BLAS thread).
 """
 
 from __future__ import annotations

@@ -147,39 +147,65 @@ class TestFusedLayers:
         assert check_grad(build, build_np, vals[wrt]) < 1e-5
 
     @pytest.mark.parametrize("n, f", [(512, 32), (64, 64), (7, 3)])
-    def test_batch_norm_train_pull_is_bitwise_the_negating_chain(self, n, f):
-        """``bn_pull`` against the chain's own float operations, negations included,
-        down to the sign of each zero: with dead columns (all-zero ``g`` of either
-        sign, as behind a ReLU), constant columns and zero gammas."""
-        self.bn_pull_against_chain(n, f, np.float64)
+    def test_batch_norm_train_pull_matches_the_textbook_oracle(self, n, f):
+        """``bn_pull``'s closed form against the float64 textbook formula and the batch-norm
+        invariants, within 1e-14 of each column's scale, on draws with dead columns
+        (all-zero ``g`` of either sign, as behind a ReLU), constant columns and zero
+        gammas; dead columns and zero gammas pull exact zeros."""
+        self.bn_pull_against_oracle(n, f, np.float64, 1e-14)
 
     @pytest.mark.parametrize("n, f", [(512, 32), (64, 64), (7, 3)])
-    def test_batch_norm_train_pull_is_bitwise_the_negating_chain_float32(self, n, f):
-        self.bn_pull_against_chain(n, f, np.float32)
+    def test_batch_norm_train_pull_matches_the_textbook_oracle_float32(self, n, f):
+        """As in float64, within 1e-5 of each column's scale: the oracle starts from the
+        same float32 inputs, so the bound covers the float32 forward's rounding too."""
+        self.bn_pull_against_oracle(n, f, np.float32, 1e-5)
 
     @staticmethod
-    def bn_pull_against_chain(n, f, dtype):
-        def chain_pull(g, gd, cache):
-            xhat, c, s = cache
-            scratch = -(g * gd)
-            gx = (g * gd) / s
-            gv = ((scratch * c / (s * s)).sum(axis=0) * 0.5 / s) / n
-            gx += gv * c
-            gx += gv * c
-            return gx + (-gx).sum(axis=0) / n
+    def bn_pull_against_oracle(n, f, dtype, bound):
+        eps = 1e-5
+
+        def textbook(x, g, gd):  # Ioffe & Szegedy's backward, in float64
+            x, g, gd = (a.astype(np.float64) for a in (x, g, gd))
+            s = np.sqrt(x.var(axis=0) + eps)
+            xhat = (x - x.mean(axis=0)) / s
+            return gd / (n * s) * (n * g - g.sum(axis=0) - xhat * (g * xhat).sum(axis=0))
 
         rng = np.random.default_rng(n * f)
         for _ in range(10):
             x = rng.normal(size=(n, f)) * rng.uniform(0.01, 100)
             x[:, rng.random(f) < 0.1] = 1.5
             g = rng.normal(size=(n, f)) * (rng.random((n, f)) > rng.choice([0.0, 0.5, 1.0], size=f))
-            g[:, rng.random(f) < 0.2] = rng.choice([0.0, -0.0])
+            dead = rng.random(f) < 0.2
+            g[:, dead] = rng.choice([0.0, -0.0])
             gd = rng.normal(size=f)
             gd[rng.random(f) < 0.1] = 0.0
             x, g, gd = x.astype(dtype), g.astype(dtype), gd.astype(dtype)
-            cache, _, _ = ad.bn_stats(x, 1e-5)
-            gx, _, _ = ad.bn_pull(g, gd, cache, True, True, False, False)
-            assert gx.dtype == dtype and gx.tobytes() == chain_pull(g, gd, cache).tobytes()
+            cache, _, _ = ad.bn_stats(x, eps)
+            gx, gg, gb = ad.bn_pull(g, gd, cache, True, True, True, True)
+            assert gx.dtype == gg.dtype == gb.dtype == dtype
+            assert not gx[:, dead | (gd == 0)].any() and not gg[dead].any() and not gb[dead].any()
+            xhat, s = (a.astype(np.float64) for a in cache)
+            gx64, g64 = gx.astype(np.float64), g.astype(np.float64)
+            scale = np.abs(gd) / s * np.abs(g64).max(axis=0)
+            assert (np.abs(gx64 - textbook(x, g, gd)) <= bound * scale).all()
+            # the pull sums to zero down each column, and is orthogonal to xhat but
+            # for eps's share of the variance: sum(gx * xhat) = gamma * eps * sum(g * xhat) / s**3
+            assert (np.abs(gx64.sum(axis=0)) <= bound * np.abs(gx64).sum(axis=0)).all()
+            tilt = gd * eps * (g64 * xhat).sum(axis=0) / s ** 3
+            assert (np.abs((gx64 * xhat).sum(axis=0) - tilt) <= bound * np.abs(gx64 * xhat).sum(axis=0)).all()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_batch_norm_eval_pull_is_bitwise_g_times_gamma_over_s(self, dtype):
+        """With running statistics the x contribution is ``(g * gamma) / s`` to the byte,
+        for one batch and for a replica stack with one gamma per replica."""
+        rng = np.random.default_rng(11)
+        for lead in ((), (3,)):
+            x, g = (rng.normal(size=(*lead, 40, 6)).astype(dtype) for _ in range(2))
+            gd = rng.normal(size=(*lead, 6)).astype(dtype)
+            running = (rng.normal(size=6).astype(dtype), rng.uniform(0.5, 2.0, size=6).astype(dtype))
+            cache, _, _ = ad.bn_stats(x, 1e-5, running)
+            gx, _, _ = ad.bn_pull(g, gd, cache, False, True, False, False)
+            assert gx.tobytes() == ((g * gd[..., None, :]) / cache[1]).tobytes()
 
     @pytest.mark.parametrize("f", [1, 2, 3, 16, 17, 32, 64])
     def test_colsum_is_bitwise_add_reduce_and_a_sequential_loop(self, f):
