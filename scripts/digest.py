@@ -82,7 +82,7 @@ def machine_facts() -> dict:
     for lib in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*")):
         fn = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
         if fn is not None:
-            fn.restype = ctypes.c_char_p
+            fn.argtypes, fn.restype = [], ctypes.c_char_p
             core = fn().decode()
     return {"numpy": np.__version__, "openblas": f"{blas.get('name')} {blas.get('version')}",
             "openblas_core": core}
@@ -147,12 +147,12 @@ def compute() -> dict[str, str]:
     model = Model(ModelConfig(hidden=cfg.hidden, features=cfg.features, n_main=spec.n_main,
                               ssl_dims=spec.ssl_dims, dropout=cfg.dropout, init_seed=7))
     runs = {
-        "ttt_ssl": dict(ttt=TttConfig(lr=1e-2, steps=2)),
-        "ttt_ssl_online": dict(ttt=TttConfig(lr=1e-2, steps=2, online=True)),
-        "tent": dict(tent=TentConfig(lr=1e-2, batch_size=10)),
+        "ttt_ssl": ("ttt_ssl", dict(ttt=TttConfig(lr=1e-2, steps=2))),
+        "ttt_ssl_online": ("ttt_ssl", dict(ttt=TttConfig(lr=1e-2, steps=2, online=True))),
+        "tent": ("tent", dict(tent=TentConfig(lr=1e-2, batch_size=10))),
     }
-    for name, kwargs in runs.items():
-        out[f"adapt/syn_mi/{name}"] = digest(run_adaptation(name.split("_online")[0], model, spec, X_test, **kwargs))
+    for name, (strategy, kwargs) in runs.items():
+        out[f"adapt/syn_mi/{name}"] = digest(run_adaptation(strategy, model, spec, X_test, **kwargs))
     return out
 
 

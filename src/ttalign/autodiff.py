@@ -12,8 +12,8 @@ Softmax cross-entropy and the mean entropy are fused primitives: one record each
 where a chain of general primitives would take up to nine. Layers elsewhere record
 their own fused ops through :func:`record`; ``nn.Model.features`` records a whole
 backbone pass as one, with the batch-norm arithmetic of :func:`bn_stats`,
-:func:`bn_affine` and :func:`bn_pull`; the train-mode pull is the closed-form
-backward, not a replay of a primitive chain. Their column sums are :func:`colsum`:
+:func:`bn_affine` and :func:`bn_pull`, whose train-mode pull is the closed-form
+backward. Their column sums are :func:`colsum`:
 ``np.einsum`` over the rows in order, bitwise ``np.add.reduce``. In train mode
 the batch-norm functions take a leading group axis with per-group statistics, and
 :func:`unstack` hands each group of a grouped pass to its own consumer.
