@@ -168,6 +168,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     facts = machine_facts()
     golden = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {"machine": None, "digests": {}}
+    if golden["machine"] != facts and not args.freeze:
+        print(f"machine facts differ: frozen {golden['machine']}, here {facts}; digests not compared")
+        return 2
     digests = compute()
     moved = changes(golden["digests"], digests)
     for line in moved:
@@ -176,9 +179,6 @@ def main(argv=None) -> int:
         GOLDEN.write_text(json.dumps({"machine": facts, "digests": digests}, indent=2, sort_keys=True) + "\n")
         print(f"wrote {GOLDEN} ({len(moved)} of {len(digests)} digests moved)")
         return 0
-    if golden["machine"] != facts:
-        print(f"machine facts differ: frozen {golden['machine']}, here {facts}; digests not compared")
-        return 2
     print(f"{len(digests) - len(moved)} of {len(digests)} digests match")
     return 1 if moved else 0
 
