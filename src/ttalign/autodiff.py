@@ -9,14 +9,16 @@ accumulates adjoints into the ``grad`` buffers of the leaves: tensors created wi
 contribution of any input that does not require grad.
 
 Softmax cross-entropy and the mean entropy are fused primitives: one record each,
-where a chain of general primitives would take up to nine. Layers elsewhere record
+where a chain of general primitives would take up to nine. :func:`heads_cross_entropy`
+takes the features of a grouped pass, or of one batch, through each group's
+linear head to its cross-entropy and sums the weighted losses, in one record
+where the chain takes about fifteen. Layers elsewhere record
 their own fused ops through :func:`record`; ``nn.Model.features`` records a whole
 backbone pass as one, with the batch-norm arithmetic of :func:`bn_stats`,
 :func:`bn_affine` and :func:`bn_pull`, whose train-mode pull is the closed-form
 backward. Their column sums are :func:`colsum`:
 ``np.einsum`` over the rows in order, bitwise ``np.add.reduce``. In train mode
-the batch-norm functions take a leading group axis with per-group statistics, and
-:func:`unstack` hands each group of a grouped pass to its own consumer.
+the batch-norm functions take a leading group axis with per-group statistics.
 :func:`grad_check` compares tape gradients with central differences.
 
 Gradients accumulate across repeated ``backward`` calls; training loops are expected
@@ -270,25 +272,6 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return record(out, (a,), pull)
 
 
-def unstack(a: Tensor) -> list[Tensor]:
-    """``a[0], a[1], ...`` along the leading axis, one record each.
-
-    Each slice's pull places its adjoint in a zero array of ``a``'s shape, so
-    ``backward`` sums exact zeros into every other slice.
-    """
-    shape = a.data.shape
-
-    def part(i: int) -> Tensor:
-        def pull(g: Array):
-            full = np.zeros(shape, g.dtype)
-            full[i] = g
-            return (full,)
-
-        return record(Tensor(a.data[i]), (a,), pull)
-
-    return [part(i) for i in range(shape[0])]
-
-
 # ---------------------------------------------------------------------------
 # fused layers: one tape record each, with a hand-written pull
 # ---------------------------------------------------------------------------
@@ -387,42 +370,124 @@ def _log_softmax(z: Array) -> tuple[Array, Array]:
     return lsm, np.exp(lsm)
 
 
-def cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Softmax cross-entropy of (n, classes) logits, mean over the n rows.
-
-    A stack of (S, n, classes) logits with (S, n) labels gives the S losses.
-    """
-    return cross_entropy_picked(logits, labels)[0]
-
-
-def cross_entropy_picked(logits: Tensor, labels) -> tuple[Tensor, Array]:
-    """:func:`cross_entropy`, and each row's log-probability of its label.
-
-    The loss is ``picked.sum(axis=-1) * (-1/n)``. A training log reads
-    ``-picked.mean()`` from the same log-softmax; the two agree bit for bit only
-    when n is a power of two.
-    """
+def _picked_log_softmax(z: Array, labels) -> tuple[Array, Array, tuple[Array, Array]]:
+    """``(picked, p, cells)`` for a cross-entropy and its pull: each row's
+    log-probability of its label, the softmax, and the flat (row, label) cells picked."""
     labels = np.asarray(labels, dtype=np.int64)
-    z = logits.data
     if z.ndim < 2 or labels.shape != z.shape[:-1]:
         raise ShapeError(f"cross_entropy: logits {z.shape} with labels {labels.shape}")
     if labels.min(initial=0) < 0 or (labels.size and labels.max() >= z.shape[-1]):
         raise ContractError("cross_entropy: label out of range")
     lsm, p = _log_softmax(z)
-    n, classes = labels.shape[-1], z.shape[-1]
     cells = (np.arange(labels.size), labels.reshape(-1))  # each row's label, rows flattened
-    picked = lsm.reshape(-1, classes)[cells].reshape(labels.shape)
-    out = Tensor(picked.sum(axis=-1) * (-1.0 / n))
+    picked = lsm.reshape(-1, z.shape[-1])[cells].reshape(labels.shape)
+    return picked, p, cells
 
-    # Repeats, in order, the float operations of the backward through the chain it
-    # replaces (log_softmax, take_per_row, sum, scale), so gradients are bitwise equal.
+
+def _cross_entropy_pull(g: Array, z: Array, p: Array, cells: tuple[Array, Array], n: int) -> Array:
+    """The logits' adjoint of ``picked.sum(axis=-1) * (-1/n)`` for the loss adjoint ``g``.
+
+    Repeats, in order, the float operations of the backward through the chain it
+    replaces (log_softmax, take_per_row, sum, scale), so gradients are bitwise equal.
+    """
+    v = g * (-1.0 / n)
+    onehot = np.zeros(z.shape, z.dtype)
+    onehot.reshape(-1, z.shape[-1])[cells] = np.repeat(v, n)
+    return onehot - p * v[..., None, None]
+
+
+def cross_entropy(logits: Tensor, labels) -> Tensor:
+    """Softmax cross-entropy of (n, classes) logits, mean over the n rows:
+    ``picked.sum(axis=-1) * (-1/n)`` of each row's log-probability of its label.
+
+    A stack of (S, n, classes) logits with (S, n) labels gives the S losses.
+    """
+    z = logits.data
+    picked, p, cells = _picked_log_softmax(z, labels)
+    n = picked.shape[-1]
+
     def pull(g: Array):
-        v = g * (-1.0 / n)
-        onehot = np.zeros(z.shape, z.dtype)
-        onehot.reshape(-1, classes)[cells] = np.repeat(v, n)
-        return (onehot - p * v[..., None, None],)
+        return (_cross_entropy_pull(g, z, p, cells, n),)
 
-    return record(out, (logits,), pull), picked
+    return record(Tensor(picked.sum(axis=-1) * (-1.0 / n)), (logits,), pull)
+
+
+def heads_cross_entropy(
+    feats: Tensor,
+    heads: Sequence[Sequence[tuple[Tensor, Tensor]]],
+    labels: Sequence,
+    weights: Sequence[float],
+) -> tuple[Tensor, list[float]]:
+    """Each group's head and softmax cross-entropy, ``CE0 + w1 * CE1 + ...``, as one record.
+
+    ``feats`` is a (G, B, features) group stack, or one (B, features) batch as
+    G = 1. Group i goes through ``heads[i]``, its linear layers as ``(w, b)``
+    pairs with a ReLU between consecutive ones, and is scored against
+    ``labels[i]``; ``weights`` holds one weight per group after the first.
+    Returns the loss and each group's unweighted cross-entropy as logged,
+    ``-picked.mean()`` from the loss's own log-softmax; it agrees bit for bit
+    with the group's :func:`cross_entropy` only when B is a power of two.
+
+    The record stands for a chain of ``matmul``, ``add``, ``relu``,
+    ``cross_entropy``, ``scale`` and ``add`` records over per-group slices of
+    ``feats``, and gives its value and gradients bit for bit.
+    """
+    grouped = feats.ndim == 3
+    n_groups = feats.shape[0] if grouped else 1
+    if feats.ndim not in (2, 3) or not (len(heads) == len(labels) == n_groups == 1 + len(weights)):
+        raise ContractError(
+            f"heads_cross_entropy: features {feats.shape} with {len(heads)} heads, "
+            f"{len(labels)} label sets and {len(weights)} weights"
+        )
+    weights = [float(w) for w in weights]
+    inputs = [feats]
+    groups = []  # per group: (layer inputs, ReLU masks, logits, softmax, picked cells)
+    loss = None
+    logged = []
+    for i, layers in enumerate(heads):
+        h = feats.data[i] if grouped else feats.data
+        acts, masks = [], []
+        for k, (w, b) in enumerate(layers):
+            if k:
+                masks.append(h > 0.0)
+                h = np.maximum(h, 0.0)
+            acts.append(h)
+            h = h @ w.data + b.data
+            inputs += [w, b]
+        picked, p, cells = _picked_log_softmax(h, labels[i])
+        term = picked.sum(axis=-1) * (-1.0 / len(picked))
+        loss = term if loss is None else loss + term * weights[i - 1]
+        logged.append(float(-picked.mean()))
+        groups.append((acts, masks, h, p, cells))
+    out = Tensor(loss)
+
+    # Repeats, in order, the float operations of the chain's pulls: scale's
+    # ``g * w``, the cross-entropy's, and per layer add's bias ``sum(axis=0)``,
+    # matmul's two products and relu's mask. Each group's feature adjoint is
+    # added into zeros, as the chain's backward sums its zero-filled slices, so a
+    # -0.0 comes out +0.0 there too.
+    def pull(g: Array):
+        gfeats = np.zeros(feats.shape, feats.data.dtype) if grouped and feats.requires_grad else None
+        contribs = []
+        for i, (layers, (acts, masks, z, p, cells)) in enumerate(zip(heads, groups)):
+            gz = _cross_entropy_pull(g if i == 0 else g * weights[i - 1], z, p, cells, len(z))
+            parts = []
+            for k in range(len(layers) - 1, -1, -1):
+                w, b = layers[k]
+                parts += [gz.sum(axis=0) if b.requires_grad else None,
+                          acts[k].swapaxes(-1, -2) @ gz if w.requires_grad else None]
+                if k or feats.requires_grad:
+                    gz = gz @ w.data.swapaxes(-1, -2)
+                if k:
+                    gz = gz * masks[k - 1]
+            contribs += parts[::-1]
+            if gfeats is not None:
+                gfeats[i] += gz
+            elif feats.requires_grad:
+                gfeats = gz
+        return (gfeats, *contribs)
+
+    return record(out, tuple(inputs), pull), logged
 
 
 def mean_entropy(logits: Tensor) -> Tensor:

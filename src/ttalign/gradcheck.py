@@ -4,7 +4,8 @@ Each check builds a deterministic scalar loss and hands it, once per named
 tensor, to :func:`ttalign.autodiff.grad_check`, which compares the tape gradient
 with central differences; each tensor is summarized by its maximum elementwise
 relative error |a - n| / max(|a|, |n|, 1e-12). The passes are stage-I
-fine-tuning's grouped pass (the batch and its views as groups), TTT's eval-mode
+fine-tuning's step (the grouped pass over the batch and its views, then the
+fused heads-and-loss record), TTT's eval-mode
 pass alone and inside :func:`ttalign.nn.replicas`, Tent's entropy step and the
 pretraining loss. Dropout is made repeatable by
 reseeding the mask generator inside the loss closure, and train-mode passes run
@@ -73,9 +74,10 @@ def _check_relu() -> dict[str, float]:
 # ---------------------------------------------------------------------------
 
 def _check_full_stack() -> dict[str, float]:
-    """Stage-I fine-tuning's step: one grouped train-mode pass with dropout over a batch
-    and its two views, the main loss on group 0 plus the weighted pretext losses on
-    groups 1 and 2."""
+    """Stage-I fine-tuning's step, its two records: one grouped train-mode pass with
+    dropout over a batch and its two views, then one ``autodiff.heads_cross_entropy``
+    record with the main loss on group 0 and the weighted pretext losses on groups 1
+    and 2, through the two-layer main head and both pretext heads."""
     model = Model(STACK)
     rng = np.random.default_rng(22)
     x = Tensor(rng.standard_normal((1 + len(STACK.ssl_dims), 4, 3, 50)), requires_grad=True)
@@ -85,11 +87,8 @@ def _check_full_stack() -> dict[str, float]:
 
     def loss():
         mask_rng = np.random.default_rng(77)
-        feats = ad.unstack(model.features(x, train=True, dropout_rng=mask_rng, update_stats=False))
-        total = ad.cross_entropy(model.main_logits(feats[0]), y_main)
-        for j, w in enumerate(weights):
-            total = ad.add(total, ad.scale(ad.cross_entropy(model.ssl_logits(j, feats[1 + j]), y_ssl[j]), w))
-        return total
+        feats = model.features(x, train=True, dropout_rng=mask_rng, update_stats=False)
+        return ad.heads_cross_entropy(feats, model.heads([0, 1]), [y_main, *y_ssl], weights)[0]
 
     # The input is checked on group 0, the batch itself. The views' input gradients
     # have entries near 1e-7, where the central difference's rounding, about 1e-11,

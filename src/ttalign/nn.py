@@ -281,8 +281,8 @@ class Model:
         """The backbone pass, (B, C, T) -> (B, features), recorded as one tape entry.
 
         On an unreplicated model a (G, B, C, T) input is G groups, (G, B,
-        features) out; :func:`ttalign.autodiff.unstack` hands each group's
-        features on. Each group is normalized by its own batch statistics
+        features) out; :func:`ttalign.autodiff.heads_cross_entropy` takes each
+        group's features to its head. Each group is normalized by its own batch statistics
         ("ghost" batch norm), only group 0's fold into the running estimates,
         and one dropout draw of (G, B, features) is G draws of (B, features) in
         turn. Each shared parameter's gradient is the per-group contributions
@@ -371,6 +371,11 @@ class Model:
             if i < len(self.head) - 1:
                 h = ad.relu(h)
         return h
+
+    def heads(self, ssl: list[int]) -> list[list[tuple[Tensor, Tensor]]]:
+        """The main head, then the pretext heads ``ssl``, each as its layers' ``(w, b)``
+        pairs: the ``heads`` of :func:`ttalign.autodiff.heads_cross_entropy`."""
+        return [[(layer.w, layer.b) for layer in head] for head in [self.head, *([self.ssl_heads[j]] for j in ssl)]]
 
     def ssl_logits(self, index: int, feats: Tensor) -> Tensor:
         if not 0 <= index < len(self.ssl_heads):

@@ -2,7 +2,10 @@
 
 :func:`make_view` applies one pretext task to a whole (batch, channels, 200)
 array: it draws one label per epoch and returns the transformed views
-(:func:`apply_view`) with those labels. Two pretext tasks are active per main task: stopped-band
+(:func:`apply_view`) with those labels. Stage-I fine-tuning draws its batches'
+views from a :class:`ViewSource` of the training set instead: every epoch's
+stopped-band views are computed once (:func:`stopped_band_table`) and gathered
+per batch, bit for bit the views ``apply_view`` would make. Two pretext tasks are active per main task: stopped-band
 prediction (shared by all tasks, with a task-specific frequency-band table)
 paired with one domain task:
 
@@ -116,20 +119,74 @@ def view_classes(name: str, spec: TaskSpec) -> int:
     raise ConfigError(f"unknown pretext task '{name}'")
 
 
+@dataclass(frozen=True)
+class ViewSource:
+    """A training set's epochs, prepared once for gathering its views batch by batch.
+
+    ``data`` is the (N, C, T) array as given, ``cast`` the same in the model's
+    dtype, and ``stopped`` the :func:`stopped_band_table` of ``data`` (None when
+    no stopped-band view is drawn).
+    """
+
+    data: np.ndarray
+    cast: np.ndarray
+    stopped: np.ndarray | None
+
+
+def view_source(data: np.ndarray, spec: TaskSpec, dtype: str, stopped: bool, chunk: int) -> ViewSource:
+    """The :class:`ViewSource` of a (N, C, T) array; the stopped-band table only if ``stopped``."""
+    table = stopped_band_table(data, spec, dtype, chunk) if stopped else None
+    return ViewSource(data, data.astype(dtype, copy=False), table)
+
+
+def stopped_band_table(data: np.ndarray, spec: TaskSpec, dtype: str, chunk: int) -> np.ndarray:
+    """(N, bands, C, T) in ``dtype``: epoch i with band b stopped at ``[i, b]``.
+
+    Each entry is ``apply_view("stopped_band", ...)`` of that epoch cast to
+    ``dtype``, bit for bit, since the FFT of an epoch does not depend on its
+    batch. The views are made ``chunk`` epochs at a time, so no temporary holds
+    more than one chunk's spectra.
+    """
+    bands = view_classes("stopped_band", spec)
+    table = np.empty((data.shape[0], bands, *data.shape[1:]), dtype)
+    for lo in range(0, data.shape[0], chunk):
+        part = data[lo:lo + chunk]
+        for b in range(bands):
+            table[lo:lo + chunk, b] = apply_view("stopped_band", part, np.full(len(part), b), spec)
+    return table
+
+
 def make_view(
-    name: str, data: np.ndarray, rng: np.random.Generator, spec: TaskSpec
+    name: str,
+    data: np.ndarray | ViewSource,
+    rng: np.random.Generator,
+    spec: TaskSpec,
+    rows: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw one view of the named task per epoch of a (B, C, T) batch; returns (views, labels).
 
     Each epoch's label is one scalar ``rng.integers`` draw, in batch order, so
     the stream does not rest on how numpy fills an array draw: a batch gets the
     views, labels and generator state of its epochs drawn one at a time.
+
+    With ``rows``, ``data`` is a :class:`ViewSource` and the batch is its epochs
+    ``rows``. The views are gathered into ``out``, (B, C, T) in the source's
+    dtype, which is returned as the views: bit for bit :func:`apply_view` of
+    those epochs, cast to that dtype.
     """
-    if data.ndim != 3:
+    if rows is None and data.ndim != 3:
         raise ContractError(f"make_view expects a (B, C, T) batch, got shape {data.shape}")
     n_classes = view_classes(name, spec)
-    labels = np.array([rng.integers(n_classes) for _ in range(data.shape[0])], dtype=np.int64)
-    return apply_view(name, data, labels, spec), labels
+    n = data.shape[0] if rows is None else len(rows)
+    labels = np.array([rng.integers(n_classes) for _ in range(n)], dtype=np.int64)
+    if rows is None:
+        return apply_view(name, data, labels, spec), labels
+    if name == "stopped_band":
+        out[...] = data.stopped[rows, labels]
+    else:  # amp_scale multiplies the given epochs, cast on assignment; the others only reorder
+        out[...] = apply_view(name, (data.data if name == "amp_scale" else data.cast)[rows], labels, spec)
+    return out, labels
 
 
 def apply_view(name: str, data: np.ndarray, labels: np.ndarray, spec: TaskSpec) -> np.ndarray:

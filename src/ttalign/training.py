@@ -8,16 +8,22 @@ cross-entropies, all heads reading one shared backbone:
 Zero-weight pretext branches are skipped entirely (no view generation, no forward,
 no RNG draws), so a run with all weights zero is bit-for-bit a supervised-only run.
 
-Each fine-tuning step draws the active branches' views, then makes one grouped
-backbone pass (``nn.Model.features``) over the batch and its views, G = 1 + the
-active branches, and hands each group's features to its head
-(``autodiff.unstack``). The groups keep their own batch statistics, only the
+A fine-tuning step is two tape records. The active branches' views are drawn
+into one (G, B, C, T) stack, G = 1 + the active branches, behind the batch;
+one grouped backbone pass (``nn.Model.features``) takes the stack, and one
+``autodiff.heads_cross_entropy`` record takes each group's features through its
+head to the weighted loss. The groups keep their own batch statistics, only the
 batch's fold into the running estimates, and each shared gradient is folded in
 the order of G separate passes, so the step is bit for bit the per-branch loop
-of one pass per branch that it replaces. A supervised-only step makes the
-plain (B, C, T) pass: the numbers of a G = 1 stack, which measured 5-10%
-slower (median forward and backward at batch 8, hidden 32, features 64:
-395 against 416-435 us, one BLAS thread).
+of one pass per branch, a chain of head and loss records, that it replaces. A
+supervised-only step makes the plain (B, C, T) pass: the numbers of a G = 1
+stack, which measured 5-10% slower (median forward and backward at batch 8,
+hidden 32, features 64: 395 against 416-435 us, one BLAS thread).
+
+The views come from a ``pretext.ViewSource`` made once per call: the training
+set in the model's dtype and, when the stopped-band branch is active, every
+epoch's view under every band, which an epoch's draws would otherwise recompute
+each time they land on it. Labels are the same scalar draws in the same order.
 """
 
 from __future__ import annotations
@@ -33,34 +39,7 @@ from .errors import ConfigError, ContractError
 from .metrics import auroc, cohens_kappa, monitoring_metric
 from .nn import Linear, Model, restore, snapshot
 from .optim import check_lr, check_optimizer, make_optimizer
-from .pretext import TaskSpec, make_view
-
-
-def combined_loss(
-    main_logits: Tensor,
-    y,
-    ssl_logits: list[Tensor],
-    ssl_labels: list,
-    weights,
-) -> tuple[Tensor, list[float]]:
-    """CE(main) + sum_j weights[j] * CE(ssl_j), and each branch's unweighted CE as logged.
-
-    Branch lists must align. The logged values list the main branch first, then the
-    pretext branches in order. Each is ``-mean`` of the picked log-probabilities of
-    the loss's own log-softmax (see :func:`autodiff.cross_entropy_picked`).
-    """
-    if not (len(ssl_logits) == len(ssl_labels) == len(weights)):
-        raise ContractError(
-            f"misaligned pretext branches: {len(ssl_logits)} logits, "
-            f"{len(ssl_labels)} label sets, {len(weights)} weights"
-        )
-    loss, picked = ad.cross_entropy_picked(main_logits, y)
-    logged = [float(-picked.mean())]
-    for w, logits, labels in zip(weights, ssl_logits, ssl_labels):
-        term, picked = ad.cross_entropy_picked(logits, labels)
-        loss = ad.add(loss, ad.scale(term, float(w)))
-        logged.append(float(-picked.mean()))
-    return loss, logged
+from .pretext import TaskSpec, make_view, view_source
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +163,7 @@ def finetune_stage1(
 ) -> tuple[Model, list[dict]]:
     """Joint supervised + pretext fine-tuning with best-checkpoint selection.
 
-    Pretext views are drawn fresh for every batch. After the last epoch the model is
+    Pretext labels are drawn fresh for every batch. After the last epoch the model is
     restored to the snapshot with the best validation monitoring metric (earliest on
     ties). History records per-epoch losses, the validation score, and wall time.
     """
@@ -202,6 +181,11 @@ def finetune_stage1(
     pretext_rng = np.random.default_rng([cfg.seed, 2])
     dropout_rng = np.random.default_rng([cfg.seed, 3])
     opt = make_optimizer(cfg.optimizer, [model], cfg.lr)
+    dtype = model.cfg.dtype
+    source = view_source(X_train, spec, dtype, any(name == "stopped_band" for _, name, _ in active), cfg.batch_size)
+    heads = model.heads([j for j, _, _ in active])
+    ssl_weights = [w for _, _, w in active]
+    stacks: dict[int, np.ndarray] = {}  # the group stack per batch size, filled anew each step
 
     history: list[dict] = []
     best_score = -np.inf
@@ -213,21 +197,23 @@ def finetune_stage1(
         main_losses, ssl_sums = [], {name: [] for _, name, _ in active}
         for start in range(0, n, cfg.batch_size):
             idx = order[start: start + cfg.batch_size]
-            xb, yb = X_train[idx], y_train[idx]
+            yb = y_train[idx]
             with ad.fresh_tape():
-                views = [make_view(name, xb, pretext_rng, spec) for _, name, _ in active]
-                if views:
+                if active:
                     # one pass over the batch and its views as groups: each group
                     # normalizes with its own batch statistics, and only the batch
-                    # (group 0) feeds the running estimates used at eval; stacked
-                    # in the model's dtype, the cast the pass would make
-                    groups = Tensor(np.stack([xb, *(v for v, _ in views)], dtype=model.cfg.dtype))
-                    feats = ad.unstack(model.features(groups, train=True, dropout_rng=dropout_rng))
+                    # (group 0) feeds the running estimates used at eval
+                    if len(idx) not in stacks:
+                        stacks[len(idx)] = np.empty((1 + len(active), len(idx), *X_train.shape[1:]), dtype)
+                    groups = stacks[len(idx)]
+                    groups[0] = source.cast[idx]
+                    labels = [make_view(name, source, pretext_rng, spec, rows=idx, out=groups[1 + k])[1]
+                              for k, (_, name, _) in enumerate(active)]
+                    feats = model.features(Tensor(groups), train=True, dropout_rng=dropout_rng)
                 else:  # the ungrouped pass: a G = 1 stack's numbers with less per-call overhead
-                    feats = [model.features(Tensor(xb), train=True, dropout_rng=dropout_rng)]
-                ssl_logits = [model.ssl_logits(j, f) for (j, _, _), f in zip(active, feats[1:])]
-                loss, logged = combined_loss(model.main_logits(feats[0]), yb, ssl_logits,
-                                             [labels for _, labels in views], [w for _, _, w in active])
+                    labels = []
+                    feats = model.features(Tensor(source.cast[idx]), train=True, dropout_rng=dropout_rng)
+                loss, logged = ad.heads_cross_entropy(feats, heads, [yb, *labels], ssl_weights)
                 if not np.isfinite(loss.item()):
                     raise ContractError(f"non-finite fine-tuning loss at epoch {epoch}")
                 opt.zero_grad()

@@ -8,7 +8,10 @@ The per-sample pretext transforms are the reference for the batched
 ``ttt_per_epoch`` is episodic test-time training one epoch at a time, the
 reference for the block adaptation of ``adapt.run_adaptation``.
 ``finetune_per_branch`` is stage-I fine-tuning with one backbone pass per
-branch, the reference for the grouped pass of ``training.finetune_stage1``.
+branch, the reference for the grouped pass of ``training.finetune_stage1``;
+its loss is ``combined_loss``, the chain of head and loss records that
+``autodiff.heads_cross_entropy`` replaces, and ``unstack`` hands each group of
+a grouped pass to such a chain.
 ``preprocess_per_recording`` filters one recording at a time, the reference for
 the stacked runs of ``signals.preprocess``.
 """
@@ -19,11 +22,12 @@ import numpy as np
 
 from ttalign import autodiff as ad
 from ttalign.adapt import content_rng
+from ttalign.errors import ContractError
 from ttalign.metrics import monitoring_metric
 from ttalign.nn import arena_slices, clone_model, restore, snapshot
 from ttalign.optim import make_optimizer
 from ttalign.pretext import AMP_FACTORS, make_view
-from ttalign.training import _validation_score, combined_loss
+from ttalign.training import _validation_score
 from ttalign.signals import (
     AP_PAIRS, EPOCH_SAMPLES, PASSBAND, TARGET_RATE, bandpass, bandstop_mask, resample,
 )
@@ -98,6 +102,51 @@ def jigsaw_order(n, label):
 def jigsaw(data, rng):
     label = int(rng.integers(len(JIGSAW_PERMS)))
     return data[..., jigsaw_order(data.shape[-1], label)], label
+
+
+def unstack(a):
+    """``a[0], a[1], ...`` along the leading axis, one record each.
+
+    Each slice's pull places its adjoint in a zero array of ``a``'s shape, so
+    ``backward`` sums exact zeros into every other slice.
+    """
+    shape = a.data.shape
+
+    def part(i):
+        def pull(g):
+            full = np.zeros(shape, g.dtype)
+            full[i] = g
+            return (full,)
+
+        return ad.record(ad.Tensor(a.data[i]), (a,), pull)
+
+    return [part(i) for i in range(shape[0])]
+
+
+def combined_loss(main_logits, y, ssl_logits, ssl_labels, weights):
+    """CE(main) + sum_j weights[j] * CE(ssl_j), and each branch's unweighted CE as logged.
+
+    Branch lists must align. The logged values list the main branch first, then the
+    pretext branches in order. Each is ``-mean`` of the picked log-probabilities of
+    a log-softmax made with the loss's arithmetic.
+    """
+    if not (len(ssl_logits) == len(ssl_labels) == len(weights)):
+        raise ContractError(
+            f"misaligned pretext branches: {len(ssl_logits)} logits, "
+            f"{len(ssl_labels)} label sets, {len(weights)} weights"
+        )
+    loss = ad.cross_entropy(main_logits, y)
+    logged = [_logged_cross_entropy(main_logits.data, y)]
+    for w, logits, labels in zip(weights, ssl_logits, ssl_labels):
+        loss = ad.add(loss, ad.scale(ad.cross_entropy(logits, labels), float(w)))
+        logged.append(_logged_cross_entropy(logits.data, labels))
+    return loss, logged
+
+
+def _logged_cross_entropy(z, labels):
+    shifted = z - z.max(axis=-1, keepdims=True)
+    lsm = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return float(-lsm[np.arange(len(z)), labels].mean())
 
 
 def mean(a, axis=None):

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 import test_metrics as metric_oracles
-from oracles import bandpower, jigsaw_order
+from oracles import bandpower, combined_loss, jigsaw_order
 from ttalign import autodiff as ad
 from ttalign.adapt import (
     TentConfig,
@@ -49,7 +49,6 @@ from ttalign.pretext import AMP_FACTORS, band_table_for, make_view, task_spec_fo
 from ttalign.signals import AP_PAIRS, TARGET_RATE
 from ttalign.training import (
     FinetuneConfig,
-    combined_loss,
     cross_entropy,
     finetune_stage1,
 )

@@ -290,7 +290,7 @@ class TestFusedBackbone:
             return [separate.features(x, train, rng, update_stats and i == 0) for i, x in enumerate(xs)]
 
         def grouped_pass(rng):
-            return ad.unstack(grouped.features(xg, train, rng, update_stats))
+            return oracles.unstack(grouped.features(xg, train, rng, update_stats))
 
         def run(model, passes):
             with ad.fresh_tape():
@@ -313,7 +313,7 @@ class TestFusedBackbone:
         model = nn.Model(small_config())
         x = RNG.normal(size=(2, 4, 3, 200))
         with ad.fresh_tape() as tape:
-            ad.unstack(model.features(Tensor(x), train=True))
+            oracles.unstack(model.features(Tensor(x), train=True))
             assert len(tape) == 3  # one pass, one record per group's slice
         with pytest.raises(ContractError, match="at least one group"):
             model.features(Tensor(np.zeros((0, 4, 3, 200))), train=True)

@@ -207,6 +207,38 @@ def test_batched_views_equal_stacked_per_sample_draws(task, name, batch):
     assert state == ref_rng.bit_generator.state == one_rng.bit_generator.state
 
 
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_stopped_band_table_rows_are_each_epochs_views_bitwise(dtype):
+    """Each row of the table, built in chunks of 3 over 7 epochs, is ``apply_view`` of that
+    epoch alone under that band, cast to the dtype, byte for byte."""
+    spec = px.task_spec_for("syn_speech")
+    X = np.stack([noisy_epoch(200 + i) for i in range(7)])
+    table = px.stopped_band_table(X, spec, dtype, chunk=3)
+    assert table.shape == (7, 4, 8, 200) and table.dtype == np.dtype(dtype)
+    for i in range(7):
+        for b in range(4):
+            want = px.apply_view("stopped_band", X[i:i + 1], np.array([b]), spec)[0].astype(dtype)
+            assert table[i, b].tobytes() == want.tobytes(), (i, b)
+
+
+@pytest.mark.parametrize("task", ["syn_mi", "syn_stress", "syn_speech"])
+def test_views_gathered_from_a_source_are_the_batchs_views_cast(task):
+    """``make_view`` on a ``ViewSource`` draws the labels and generator state of the batch
+    it names and writes that batch's views, cast to the source's dtype, into ``out``."""
+    spec = px.task_spec_for(task)
+    X = np.stack([noisy_epoch(300 + i) for i in range(9)])
+    source = px.view_source(X, spec, "float32", stopped=True, chunk=4)
+    rows = np.array([7, 2, 2, 5, 0])
+    for name in spec.ssl_tasks:
+        out = np.empty((5, 8, 200), np.float32)
+        rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+        views, labels = px.make_view(name, source, rng, spec, rows=rows, out=out)
+        want, want_labels = px.make_view(name, X[rows], ref_rng, spec)
+        assert views is out and np.array_equal(labels, want_labels)
+        assert out.tobytes() == want.astype(np.float32).tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**31 - 1),

@@ -11,6 +11,7 @@ import pytest
 
 import oracles
 import ttalign.autodiff as ad
+from oracles import combined_loss
 from ttalign.autodiff import Tensor, backward, fresh_tape
 from ttalign.errors import ConfigError, ContractError
 from ttalign.metrics import auroc, cohens_kappa
@@ -20,7 +21,6 @@ from ttalign.pretext import task_spec_for
 from ttalign.training import (
     FinetuneConfig,
     PretrainConfig,
-    combined_loss,
     cross_entropy,
     finetune_stage1,
     masked_pretrain,
@@ -241,12 +241,12 @@ def test_finetune_zero_weights_matches_handwritten_supervised_loop():
     xva, yva = class_coded_data(12, 4, seed=8)
     cfg = FinetuneConfig(epochs=3, batch_size=8, lr=1e-3, weights=(0.0, 0.0), seed=21)
 
-    for dtype in ("float64", "float32"):
-        model, spec = tiny_model("syn_mi", seed=9, dtype=dtype)
+    for dtype, head_layers in (("float64", 1), ("float32", 1), ("float32", 2)):
+        model, spec = tiny_model("syn_mi", seed=9, dtype=dtype, head_layers=head_layers)
         got, hist = finetune_stage1(model, spec, xtr, ytr, xva, yva, cfg)
 
         # independent re-implementation of the supervised-only trajectory
-        oracle, _ = tiny_model("syn_mi", seed=9, dtype=dtype)
+        oracle, _ = tiny_model("syn_mi", seed=9, dtype=dtype, head_layers=head_layers)
         shuffle_rng = np.random.default_rng([cfg.seed, 1])
         dropout_rng = np.random.default_rng([cfg.seed, 3])
         opt = make_optimizer("adam", oracle.named_parameters(), cfg.lr)
@@ -277,25 +277,48 @@ def test_finetune_zero_weights_matches_handwritten_supervised_loop():
 
 @pytest.mark.parametrize("dropout", [0.0, 0.1])
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
-@pytest.mark.parametrize("task, weights", [
-    ("syn_mi", None), ("syn_stress", None), ("syn_speech", None), ("syn_mi", (0.0, 0.8)),
+@pytest.mark.parametrize("task, weights, head_layers", [
+    pytest.param("syn_mi", None, 1, id="syn_mi-None"),
+    pytest.param("syn_stress", None, 1, id="syn_stress-None"),
+    pytest.param("syn_speech", None, 1, id="syn_speech-None"),
+    pytest.param("syn_mi", (0.0, 0.8), 1, id="syn_mi-weights3"),
+    pytest.param("syn_speech", None, 2, id="syn_speech-None-head_layers2"),
 ])
-def test_grouped_step_matches_per_branch_reference_bitwise(task, weights, dtype, dropout):
-    """One grouped pass per step gives the per-branch loop's arenas and history bit for bit,
-    for every pretext transform, G = 3 and G = 2, and a trailing batch of 4 after two of 8."""
+def test_grouped_step_matches_per_branch_reference_bitwise(task, weights, head_layers, dtype, dropout):
+    """One grouped pass and one heads-and-loss record per step give the per-branch loop's
+    arenas and history bit for bit, for every pretext transform, G = 3 and G = 2, a
+    two-layer main head, and a trailing batch of 4 after two of 8."""
     spec = task_spec_for(task)
     xtr, ytr = class_coded_data(20, spec.n_main, seed=81)
     xva, yva = class_coded_data(10, spec.n_main, seed=82)
     cfg = FinetuneConfig(epochs=2, batch_size=8, lr=3e-3, weights=weights, seed=83)
-    got, got_hist = finetune_stage1(tiny_model(task, seed=84, dtype=dtype, dropout=dropout)[0],
-                                    spec, xtr, ytr, xva, yva, cfg)
-    want, want_hist = oracles.finetune_per_branch(tiny_model(task, seed=84, dtype=dtype, dropout=dropout)[0],
-                                                  spec, xtr, ytr, xva, yva, cfg)
+    model = dict(seed=84, dtype=dtype, dropout=dropout, head_layers=head_layers)
+    got, got_hist = finetune_stage1(tiny_model(task, **model)[0], spec, xtr, ytr, xva, yva, cfg)
+    want, want_hist = oracles.finetune_per_branch(tiny_model(task, **model)[0], spec, xtr, ytr, xva, yva, cfg)
     assert got.param_arena.dtype == np.dtype(dtype)
     assert got.param_arena.tobytes() == want.param_arena.tobytes()
     assert got.buffer_arena.tobytes() == want.buffer_arena.tobytes()
     assert [{k: v for k, v in h.items() if k != "wall_time"} for h in got_hist] == want_hist
     assert all(len(h["ssl_losses"]) == (1 if weights else 2) for h in want_hist)
+
+
+@pytest.mark.parametrize("weights", [None, (0.0, 0.0)])
+def test_a_step_records_two_tape_entries(weights, monkeypatch):
+    """A grouped step and a plain step each put the backbone pass and the heads-and-loss
+    record on the tape, and nothing else."""
+    xtr, ytr = class_coded_data(16, 4, seed=91)
+    xva, yva = class_coded_data(8, 4, seed=92)
+    model, spec = tiny_model("syn_mi", seed=93, head_layers=2, dropout=0.1)
+    sizes = []
+    backward = ad.backward
+
+    def counted(loss):
+        sizes.append(len(ad.active_tape()))
+        backward(loss)
+
+    monkeypatch.setattr(ad, "backward", counted)
+    finetune_stage1(model, spec, xtr, ytr, xva, yva, FinetuneConfig(epochs=1, batch_size=8, weights=weights, seed=94))
+    assert sizes == [2, 2]
 
 
 def test_finetune_restores_best_validation_checkpoint():
