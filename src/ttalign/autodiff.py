@@ -12,7 +12,7 @@ Softmax cross-entropy and the mean entropy are fused primitives: one record each
 where a chain of general primitives would take up to nine. :func:`heads_cross_entropy`
 takes the features of a grouped pass, or of one batch, through each group's
 linear head to its cross-entropy and sums the weighted losses, in one record
-where the chain takes about fifteen. Layers elsewhere record
+where a chain takes sixteen for three one-layer heads. Layers elsewhere record
 their own fused ops through :func:`record`; ``nn.Model.features`` records a whole
 backbone pass as one, with the batch-norm arithmetic of :func:`bn_stats`,
 :func:`bn_affine` and :func:`bn_pull`, whose train-mode pull is the closed-form
@@ -465,25 +465,24 @@ def heads_cross_entropy(
     # ``g * w``, the cross-entropy's, and per layer add's bias ``sum(axis=0)``,
     # matmul's two products and relu's mask. Each group's feature adjoint is
     # added into zeros, as the chain's backward sums its zero-filled slices, so a
-    # -0.0 comes out +0.0 there too.
+    # -0.0 comes out +0.0 there too. Every input gets a contribution; backward
+    # drops those of inputs that need none.
     def pull(g: Array):
-        gfeats = np.zeros(feats.shape, feats.data.dtype) if grouped and feats.requires_grad else None
+        gfeats = np.zeros(feats.shape, feats.data.dtype) if grouped else None
         contribs = []
         for i, (layers, (acts, masks, z, p, cells)) in enumerate(zip(heads, groups)):
             gz = _cross_entropy_pull(g if i == 0 else g * weights[i - 1], z, p, cells, len(z))
             parts = []
             for k in range(len(layers) - 1, -1, -1):
-                w, b = layers[k]
-                parts += [gz.sum(axis=0) if b.requires_grad else None,
-                          acts[k].swapaxes(-1, -2) @ gz if w.requires_grad else None]
-                if k or feats.requires_grad:
-                    gz = gz @ w.data.swapaxes(-1, -2)
+                w = layers[k][0].data
+                parts += [gz.sum(axis=0), acts[k].swapaxes(-1, -2) @ gz]
+                gz = gz @ w.swapaxes(-1, -2)
                 if k:
                     gz = gz * masks[k - 1]
             contribs += parts[::-1]
-            if gfeats is not None:
+            if grouped:
                 gfeats[i] += gz
-            elif feats.requires_grad:
+            else:
                 gfeats = gz
         return (gfeats, *contribs)
 

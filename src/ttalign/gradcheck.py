@@ -5,9 +5,9 @@ tensor, to :func:`ttalign.autodiff.grad_check`, which compares the tape gradient
 with central differences; each tensor is summarized by its maximum elementwise
 relative error |a - n| / max(|a|, |n|, 1e-12). The passes are stage-I
 fine-tuning's step (the grouped pass over the batch and its views, then the
-fused heads-and-loss record), TTT's eval-mode
-pass alone and inside :func:`ttalign.nn.replicas`, Tent's entropy step and the
-pretraining loss. Dropout is made repeatable by
+fused heads-and-loss record), TTT's eval-mode pass alone and inside
+:func:`ttalign.nn.replicas`, Tent's entropy step and the pretraining loss.
+Dropout is made repeatable by
 reseeding the mask generator inside the loss closure, and train-mode passes run
 with ``update_stats=False``, so the closure stays side-effect free.
 """

@@ -282,10 +282,10 @@ class Model:
 
         On an unreplicated model a (G, B, C, T) input is G groups, (G, B,
         features) out; :func:`ttalign.autodiff.heads_cross_entropy` takes each
-        group's features to its head. Each group is normalized by its own batch statistics
-        ("ghost" batch norm), only group 0's fold into the running estimates,
-        and one dropout draw of (G, B, features) is G draws of (B, features) in
-        turn. Each shared parameter's gradient is the per-group contributions
+        group's features to its head. Each group is normalized by its own batch
+        statistics ("ghost" batch norm), only group 0's fold into the running
+        estimates, and one dropout draw of (G, B, features) is G draws of (B,
+        features) in turn. Each shared parameter's gradient is the per-group contributions
         folded last group first, ``((g[G-1] + g[G-2]) + ...) + g[0]``, the order
         in which ``backward`` adds G passes recorded in group order; so the
         grouped pass gives those passes' outputs, gradients and running
@@ -375,7 +375,8 @@ class Model:
     def heads(self, ssl: list[int]) -> list[list[tuple[Tensor, Tensor]]]:
         """The main head, then the pretext heads ``ssl``, each as its layers' ``(w, b)``
         pairs: the ``heads`` of :func:`ttalign.autodiff.heads_cross_entropy`."""
-        return [[(layer.w, layer.b) for layer in head] for head in [self.head, *([self.ssl_heads[j]] for j in ssl)]]
+        heads = [self.head, *([self.ssl_heads[j]] for j in ssl)]
+        return [[(layer.w, layer.b) for layer in head] for head in heads]
 
     def ssl_logits(self, index: int, feats: Tensor) -> Tensor:
         if not 0 <= index < len(self.ssl_heads):

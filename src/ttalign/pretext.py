@@ -5,9 +5,11 @@ array: it draws one label per epoch and returns the transformed views
 (:func:`apply_view`) with those labels. Stage-I fine-tuning draws its batches'
 views from a :class:`ViewSource` of the training set instead: every epoch's
 stopped-band views are computed once (:func:`stopped_band_table`) and gathered
-per batch, bit for bit the views ``apply_view`` would make. Two pretext tasks are active per main task: stopped-band
-prediction (shared by all tasks, with a task-specific frequency-band table)
-paired with one domain task:
+per batch, bit for bit the views ``apply_view`` would make.
+
+Two pretext tasks are active per main task: stopped-band prediction (shared by
+all tasks, with a task-specific frequency-band table) paired with one domain
+task:
 
 * syn_speech -> amplitude scaling (16 factors evenly spaced on [-2, 2])
 * syn_stress -> anterior-posterior channel flip (binary)
