@@ -12,9 +12,9 @@ stage's outputs on micro configs:
 - ``splits/...``: ``harness.build_splits`` of the three presets, and of the
   test-gain shift, at two seeds;
 - ``rows/...``: ablation rows of each task fine-tuned from one pretrained
-  base (``harness.finetuned_rows``), so every pretext view, the plain pass
-  and grouped passes of two and three groups: each row's parameter and
-  buffer arenas and its history without ``wall_time``;
+  base (``harness.finetuned_rows``), so every pretext view and grouped
+  passes of G = 1, 2 and 3 groups: each row's parameter and buffer arenas
+  and its history without ``wall_time``;
 - ``cells/...``: the results and adaptation logs of ``harness.run_cells``;
 - ``adapt/...``: the probabilities and logs of episodic ``ttt_ssl``, online
   ``ttt_ssl`` and ``tent`` on a stream of 24 test epochs (two TTT blocks,
@@ -58,7 +58,7 @@ from ttalign.training import FinetuneConfig, PretrainConfig  # noqa: E402
 
 GOLDEN = Path(__file__).resolve().parents[1] / "golden" / "digests.json"
 SEEDS = (0, 1)
-ROWS = ("no_ssl", "stopped_band", "both")  # the plain pass, and grouped passes of G = 2 and 3
+ROWS = ("no_ssl", "stopped_band", "both")  # grouped passes of G = 1, 2 and 3
 CELLS = (("no_ssl", "none"), ("both", "none"), ("both", "ttt_ssl"), ("both", "tent"))
 
 

@@ -10,15 +10,17 @@ contribution of any input that does not require grad.
 
 Softmax cross-entropy and the mean entropy are fused primitives: one record each,
 where a chain of general primitives would take up to nine. :func:`heads_cross_entropy`
-takes the features of a grouped pass, or of one batch, through each group's
-linear head to its cross-entropy and sums the weighted losses, in one record
-where a chain takes sixteen for three one-layer heads. Layers elsewhere record
-their own fused ops through :func:`record`; ``nn.Model.features`` records a whole
-backbone pass as one, with the batch-norm arithmetic of :func:`bn_stats`,
-:func:`bn_affine` and :func:`bn_pull`, whose train-mode pull is the closed-form
-backward. Their column sums are :func:`colsum`:
-``np.einsum`` over the rows in order, bitwise ``np.add.reduce``. In train mode
-the batch-norm functions take a leading group axis with per-group statistics.
+takes the (G, B, features) features of a grouped pass, G = 1 for a batch alone,
+through each group's linear head to its cross-entropy and sums the weighted
+losses, in one record where a chain takes sixteen for three one-layer heads.
+Layers elsewhere record their own fused ops through :func:`record`;
+``nn.Model.features`` records a whole backbone pass as one, with the batch-norm
+arithmetic of :func:`bn_stats`, :func:`bn_affine` and :func:`bn_pull`, whose
+train-mode pull is the closed-form backward. Their column sums are
+:func:`colsum`: ``np.einsum`` over the rows in order, bitwise
+``np.add.reduce``. Train-mode batch statistics keep their row axis, (1,
+features) for a batch and (G, 1, features) for a group stack, each group with
+its own.
 :func:`grad_check` compares tape gradients with central differences.
 
 Gradients accumulate across repeated ``backward`` calls; training loops are expected
@@ -299,22 +301,17 @@ def bn_stats(
     otherwise by the constant ``running = (mean, var)``. ``cache`` is
     ``(xhat, s)``, what :func:`bn_pull` needs, with ``s = sqrt(var + eps)``; the
     centred input is divided by ``s`` in place, so no other (n, features) array
-    stays alive. Batch statistics are :func:`colsum` over n, divided by n, which
-    is bitwise ``.mean(axis=0)``. With ``running`` given, ``xd`` may be a stack
-    ``(..., n, features)``. In train mode ``xd`` may be a group stack ``(G, n,
-    features)``: each group is normalized by its own statistics, returned as
-    ``(G, 1, features)``, bit for bit those of a separate call on that group.
+    stays alive. ``xd`` is ``(..., n, features)``: with ``running`` given, a
+    stack of batches; in train mode a batch, or a group stack each normalized by
+    its own statistics, bit for bit those of a separate call on that group.
+    Batch statistics are :func:`colsum` over n, divided by n, which is bitwise
+    ``.mean(axis=0)``, and keep the row axis: ``(..., 1, features)``.
     """
     if running is None:
-        grouped = xd.ndim == 3
         n = xd.shape[-2]
-        mu = colsum(xd) / n
-        if grouped:
-            mu = mu[:, None]
+        mu = (colsum(xd) / n)[..., None, :]
         c = xd - mu
-        var = colsum(c, c) / n
-        if grouped:
-            var = var[:, None]
+        var = (colsum(c, c) / n)[..., None, :]
     else:
         mu, var = running
         c = xd - mu
@@ -341,10 +338,10 @@ def bn_pull(
     contribution is ``(g * gamma) / s``. In train mode it is the closed form
     (Ioffe & Szegedy, arXiv:1502.03167)
     ``(g - xhat * colsum(g, xhat) / n - colsum(g) / n) * (gamma / s)``, which
-    reuses those two sums. ``g`` may be a stack, as in :func:`bn_stats`; in train
-    mode its leading axis holds groups, each pulled by its own sums bit for bit
-    as a separate call would, and the gamma and beta contributions come per
-    group, (G, features), for the caller to fold.
+    reuses those two sums. ``g`` is ``(..., n, features)``, as in :func:`bn_stats`;
+    in train mode a group stack's groups are each pulled by their own sums bit
+    for bit as a separate call would, and the gamma and beta contributions come
+    per group, (G, features), for the caller to fold.
     """
     xhat, s = cache
     sums = train and need_x
@@ -355,10 +352,9 @@ def bn_pull(
         gx = (g * gd[..., None, :]) / s
     elif need_x:
         n = g.shape[-2]
-        mb, mg = (gb / n, gg / n) if g.ndim == 2 else (gb[:, None] / n, gg[:, None] / n)
-        gx = xhat * mg
+        gx = xhat * (gg[..., None, :] / n)
         np.subtract(g, gx, out=gx)
-        gx -= mb
+        gx -= gb[..., None, :] / n
         gx *= gd / s
     return gx, gg if need_gamma else None, gb if need_beta else None
 
@@ -420,10 +416,9 @@ def heads_cross_entropy(
 ) -> tuple[Tensor, list[float]]:
     """Each group's head and softmax cross-entropy, ``CE0 + w1 * CE1 + ...``, as one record.
 
-    ``feats`` is a (G, B, features) group stack, or one (B, features) batch as
-    G = 1. Group i goes through ``heads[i]``, its linear layers as ``(w, b)``
-    pairs with a ReLU between consecutive ones, and is scored against
-    ``labels[i]``; ``weights`` holds one weight per group after the first.
+    ``feats`` is a (G, B, features) group stack, G = 1 for a batch alone. Group
+    i goes through ``heads[i]``, its linear layers as ``(w, b)`` pairs with a
+    ReLU between consecutive ones, and is scored against ``labels[i]``; ``weights`` holds one weight per group after the first.
     Returns the loss and each group's unweighted cross-entropy as logged,
     ``-picked.mean()`` from the loss's own log-softmax; it agrees bit for bit
     with the group's :func:`cross_entropy` only when B is a power of two.
@@ -432,9 +427,7 @@ def heads_cross_entropy(
     ``cross_entropy``, ``scale`` and ``add`` records over per-group slices of
     ``feats``, and gives its value and gradients bit for bit.
     """
-    grouped = feats.ndim == 3
-    n_groups = feats.shape[0] if grouped else 1
-    if feats.ndim not in (2, 3) or not (len(heads) == len(labels) == n_groups == 1 + len(weights)):
+    if feats.ndim != 3 or not (len(heads) == len(labels) == feats.shape[0] == 1 + len(weights)):
         raise ContractError(
             f"heads_cross_entropy: features {feats.shape} with {len(heads)} heads, "
             f"{len(labels)} label sets and {len(weights)} weights"
@@ -445,7 +438,7 @@ def heads_cross_entropy(
     loss = None
     logged = []
     for i, layers in enumerate(heads):
-        h = feats.data[i] if grouped else feats.data
+        h = feats.data[i]
         acts, masks = [], []
         for k, (w, b) in enumerate(layers):
             if k:
@@ -463,12 +456,13 @@ def heads_cross_entropy(
 
     # Repeats, in order, the float operations of the chain's pulls: scale's
     # ``g * w``, the cross-entropy's, and per layer add's bias ``sum(axis=0)``,
-    # matmul's two products and relu's mask. Each group's feature adjoint is
-    # added into zeros, as the chain's backward sums its zero-filled slices, so a
-    # -0.0 comes out +0.0 there too. Every input gets a contribution; backward
-    # drops those of inputs that need none.
+    # matmul's two products and relu's mask. Each group's feature adjoint fills
+    # its slice, where the chain adds it into zeros: only the sign of a zero can
+    # differ, and backward adds every leaf's adjoint into a buffer of +0.0, so no
+    # -0.0 reaches a grad. Every input gets a contribution; backward drops those
+    # of inputs that need none.
     def pull(g: Array):
-        gfeats = np.zeros(feats.shape, feats.data.dtype) if grouped else None
+        gfeats = np.empty(feats.shape, feats.data.dtype)
         contribs = []
         for i, (layers, (acts, masks, z, p, cells)) in enumerate(zip(heads, groups)):
             gz = _cross_entropy_pull(g if i == 0 else g * weights[i - 1], z, p, cells, len(z))
@@ -480,10 +474,7 @@ def heads_cross_entropy(
                 if k:
                     gz = gz * masks[k - 1]
             contribs += parts[::-1]
-            if grouped:
-                gfeats[i] += gz
-            else:
-                gfeats = gz
+            gfeats[i] = gz
         return (gfeats, *contribs)
 
     return record(out, tuple(inputs), pull), logged

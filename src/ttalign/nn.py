@@ -107,10 +107,8 @@ class BatchNorm:
         nothing. In train mode the batch statistics are folded in unless ``update_stats``
         is off."""
         cache, mu, var = stats
-        if train and update_stats:
-            if mu.ndim > 1:  # a group stack's (G, 1, features) statistics: group 0's fold in
-                mu, var = mu[0, 0], var[0, 0]
-            self._update_running(mu, var)
+        if train and update_stats:  # group 0's of a batch's (1, features) or a stack's (G, 1, features);
+            self._update_running(mu[0], var[0])  # the in-place update drops the leading unit axis
         return ad.bn_affine(cache[0], self.gamma.data, self.beta.data), cache
 
     def _running(self, train: bool) -> tuple[np.ndarray, np.ndarray] | None:

@@ -16,9 +16,7 @@ head to the weighted loss. The groups keep their own batch statistics, only the
 batch's fold into the running estimates, and each shared gradient is folded in
 the order of G separate passes, so the step is bit for bit the per-branch loop
 of one pass per branch, a chain of head and loss records, that it replaces. A
-supervised-only step makes the plain (B, C, T) pass: the numbers of a G = 1
-stack, which measured 5-10% slower (median forward and backward at batch 8,
-hidden 32, features 64: 395 against 416-435 us, one BLAS thread).
+supervised-only step is the G = 1 stack of the batch alone.
 
 The views come from a ``pretext.ViewSource`` made once per call: the training
 set in the model's dtype and, when the stopped-band branch is active, every
@@ -199,20 +197,16 @@ def finetune_stage1(
             idx = order[start: start + cfg.batch_size]
             yb = y_train[idx]
             with ad.fresh_tape():
-                if active:
-                    # one pass over the batch and its views as groups: each group
-                    # normalizes with its own batch statistics, and only the batch
-                    # (group 0) feeds the running estimates used at eval
-                    if len(idx) not in stacks:
-                        stacks[len(idx)] = np.empty((1 + len(active), len(idx), *X_train.shape[1:]), dtype)
-                    groups = stacks[len(idx)]
-                    groups[0] = source.cast[idx]
-                    labels = [make_view(name, source, pretext_rng, spec, rows=idx, out=groups[1 + k])[1]
-                              for k, (_, name, _) in enumerate(active)]
-                    feats = model.features(Tensor(groups), train=True, dropout_rng=dropout_rng)
-                else:  # the ungrouped pass: a G = 1 stack's numbers with less per-call overhead
-                    labels = []
-                    feats = model.features(Tensor(source.cast[idx]), train=True, dropout_rng=dropout_rng)
+                # one pass over the batch and its views as groups: each group
+                # normalizes with its own batch statistics, and only the batch
+                # (group 0) feeds the running estimates used at eval
+                if len(idx) not in stacks:
+                    stacks[len(idx)] = np.empty((1 + len(active), len(idx), *X_train.shape[1:]), dtype)
+                groups = stacks[len(idx)]
+                groups[0] = source.cast[idx]
+                labels = [make_view(name, source, pretext_rng, spec, rows=idx, out=groups[1 + k])[1]
+                          for k, (_, name, _) in enumerate(active)]
+                feats = model.features(Tensor(groups), train=True, dropout_rng=dropout_rng)
                 loss, logged = ad.heads_cross_entropy(feats, heads, [yb, *labels], ssl_weights)
                 if not np.isfinite(loss.item()):
                     raise ContractError(f"non-finite fine-tuning loss at epoch {epoch}")

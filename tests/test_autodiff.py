@@ -265,8 +265,8 @@ class TestFusedLayers:
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_heads_cross_entropy_is_bitwise_the_chain_it_replaces(self, groups, head_layers, dtype):
         """One record gives the loss, logged values and every gradient of the unstacked chain
-        of head and loss records (``oracles.unstack``, ``oracles.combined_loss``) bit for bit;
-        G = 1 is the plain (B, features) input, which takes its adjoint without a slice."""
+        of head and loss records (``oracles.unstack``, ``oracles.combined_loss``) bit for bit,
+        G = 1 included."""
         model = nn.Model(nn.ModelConfig(channels=3, samples=50, hidden=4, features=6, n_main=3,
                                         ssl_dims=(4, 5), head_layers=head_layers, dtype=dtype))
         model.param_arena[:] = RNG.normal(size=model.param_arena.size)
@@ -277,13 +277,13 @@ class TestFusedLayers:
 
         def run(fused):
             model.zero_grad()
-            feats = ad.Tensor(data if groups > 1 else data[0], requires_grad=True)
+            feats = ad.Tensor(data, requires_grad=True)
             with ad.fresh_tape() as tape:
                 if fused:
                     loss, logged = ad.heads_cross_entropy(feats, model.heads(ssl), labels, weights)
                     assert len(tape) == 1
                 else:
-                    parts = oracles.unstack(feats) if groups > 1 else [feats]
+                    parts = oracles.unstack(feats)
                     logits = [model.ssl_logits(j, f) for j, f in zip(ssl, parts[1:])]
                     loss, logged = oracles.combined_loss(model.main_logits(parts[0]), labels[0], logits,
                                                          labels[1:], weights)
@@ -301,6 +301,8 @@ class TestFusedLayers:
             ad.heads_cross_entropy(feats, model.heads([]), [np.zeros(5, int)], [])
         with pytest.raises(ContractError, match="out of range"):
             ad.heads_cross_entropy(feats, model.heads([0]), [np.zeros(5, int), np.full(5, 4)], [0.5])
+        with pytest.raises(ContractError, match=r"features \(5, 6\)"):  # a batch alone is a G = 1 stack
+            ad.heads_cross_entropy(ad.Tensor(feats.data[0]), model.heads([]), [np.zeros(5, int)], [])
 
 
 class TestTapeSemantics:
@@ -319,6 +321,15 @@ class TestTapeSemantics:
             assert w.grad[0] == pytest.approx(12.0)
         w.zero_grad()
         assert w.grad[0] == 0.0
+
+    def test_a_negative_zero_adjoint_leaves_a_positive_zero_grad(self):
+        """``backward`` adds each leaf's adjoint into a grad buffer of +0.0, and
+        +0.0 + -0.0 = +0.0: no -0.0 reaches a grad arena, so a fused pull may hand
+        on a -0.0 it computed."""
+        w = ad.Tensor(np.array([2.0, -3.0]), requires_grad=True)
+        with ad.fresh_tape():
+            ad.backward(ad.sum_(ad.scale(w, -0.0)))  # the only adjoint: 1 * -0.0
+        assert w.grad.tobytes() == np.zeros(2).tobytes()
 
     def test_grad_used_twice_in_graph(self):
         # y = w*w + 3w => dy/dw = 2w + 3

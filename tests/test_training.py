@@ -304,8 +304,8 @@ def test_grouped_step_matches_per_branch_reference_bitwise(task, weights, head_l
 
 @pytest.mark.parametrize("weights", [None, (0.0, 0.0)])
 def test_a_step_records_two_tape_entries(weights, monkeypatch):
-    """A grouped step and a plain step each put the backbone pass and the heads-and-loss
-    record on the tape, and nothing else."""
+    """A step with pretext branches and a supervised-only step each put the backbone pass
+    and the heads-and-loss record on the tape, and nothing else."""
     xtr, ytr = class_coded_data(16, 4, seed=91)
     xva, yva = class_coded_data(8, 4, seed=92)
     model, spec = tiny_model("syn_mi", seed=93, head_layers=2, dropout=0.1)
@@ -319,6 +319,27 @@ def test_a_step_records_two_tape_entries(weights, monkeypatch):
     monkeypatch.setattr(ad, "backward", counted)
     finetune_stage1(model, spec, xtr, ytr, xva, yva, FinetuneConfig(epochs=1, batch_size=8, weights=weights, seed=94))
     assert sizes == [2, 2]
+
+
+def test_every_step_passes_a_group_stack(monkeypatch):
+    """Every step runs the backbone on a (G, B, C, T) stack, the supervised-only step as
+    G = 1: fine-tuning has one step path, whatever the weights."""
+    xtr, ytr = class_coded_data(20, 4, seed=95)
+    xva, yva = class_coded_data(8, 4, seed=96)
+    shapes = []
+    features = Model.features
+
+    def spy(self, x, train, *args, **kwargs):
+        if train:
+            shapes.append(x.shape)
+        return features(self, x, train, *args, **kwargs)
+
+    monkeypatch.setattr(Model, "features", spy)
+    for weights, groups in ((None, 3), ((0.0, 0.8), 2), ((0.0, 0.0), 1)):
+        shapes.clear()
+        model, spec = tiny_model("syn_mi", seed=97)
+        finetune_stage1(model, spec, xtr, ytr, xva, yva, FinetuneConfig(epochs=2, batch_size=8, weights=weights, seed=98))
+        assert shapes == [(groups, 8, 8, 200), (groups, 8, 8, 200), (groups, 4, 8, 200)] * 2
 
 
 def test_finetune_restores_best_validation_checkpoint():
