@@ -8,8 +8,9 @@ Two adaptation routes over a fine-tuned model, plus a no-op baseline:
   then predict. Episodic by default: every epoch adapts from the same weights, so
   predictions are independent of test-set order. Episodes never interact (batch
   norm runs in eval mode), so they run in blocks of up to ``TTT_BLOCK`` epochs, one
-  parameter replica per epoch (:func:`nn.replicas`), through one stacked pass per
-  step; each epoch's numbers are bitwise those of adapting it alone. Online mode
+  parameter replica per epoch (:func:`nn.replicas`), the pretext branches as the
+  groups of one stacked pass per step; each epoch's numbers are bitwise those of
+  adapting it alone, one pass per branch. Online mode
   carries one model from epoch to epoch. Pretext randomness is seeded from a
   content hash of the sample, so the same epoch always gets the same views.
 
@@ -116,9 +117,11 @@ def _ttt_block(
     (:func:`nn.replicas`); each starts from the parameters ``start``. Epoch i's
     labels come from its own :func:`content_rng`, drawn in ``make_view``'s
     order, and each pretext branch builds the block's views in one transform.
-    Every step is one stacked pass, backward and optimizer step over all
-    replicas. Replicas never interact, so each epoch's probabilities and record
-    are bitwise those of adapting it alone.
+    The branches are the groups of one (G, s, 1, C, T) stack, so a step records
+    one pass, one ``autodiff.heads_cross_entropy`` and the replicas' sum, then
+    steps all replicas. Replicas never interact and the groups fold in branch
+    order, so each epoch's probabilities and record are bitwise those of
+    adapting it alone, one pass per branch.
     """
     branches = _ttt_branches(spec, cfg)
     if not branches:
@@ -126,17 +129,16 @@ def _ttt_block(
     classes = [view_classes(name, spec) for _, name, _ in branches]
     rngs = (content_rng(x, cfg.seed) for x in X)
     labels = np.array([[rng.integers(c) for c in classes] for rng in rngs], dtype=np.int64)
-    views = [Tensor(apply_view(name, X, labels[:, b], spec)[:, None]) for b, (_, name, _) in enumerate(branches)]
+    views = Tensor(np.stack([apply_view(name, X, y, spec) for (_, name, _), y in zip(branches, labels.T)])[:, :, None])
+    heads = work.heads([j for j, _, _ in branches])[1:]  # the pretext heads, without the main head
+    weights = [w for _, _, w in branches]
     np.copyto(work.param_arena, start)
     opt = make_optimizer(cfg.optimizer, [work], cfg.lr)
     losses = np.empty((len(X), cfg.steps))
     for step in range(cfg.steps):
         with ad.fresh_tape():
-            loss = None
-            for b, (j, _, w) in enumerate(branches):
-                feats = work.features(views[b], train=False)
-                term = ad.scale(ad.cross_entropy(work.ssl_logits(j, feats), labels[:, b:b + 1]), w)
-                loss = term if loss is None else ad.add(loss, term)
+            feats = work.features(views, train=False)
+            loss, _ = ad.heads_cross_entropy(feats, heads, labels.T[..., None], weights)  # (G, s, 1)
             if not np.isfinite(loss.data).all():
                 raise ContractError("non-finite pretext loss during adaptation")
             opt.zero_grad()

@@ -10,9 +10,9 @@ contribution of any input that does not require grad.
 
 Softmax cross-entropy and the mean entropy are fused primitives: one record each,
 where a chain of general primitives would take up to nine. :func:`heads_cross_entropy`
-takes the (G, B, features) features of a grouped pass, G = 1 for a batch alone,
-through each group's linear head to its cross-entropy and sums the weighted
-losses, in one record where a chain takes sixteen for three one-layer heads.
+takes a grouped pass's (G, B, features) features, (G, S, B, features) if
+replicated, through each group's linear head to its cross-entropy and sums the
+weighted losses, in one record where a chain takes sixteen for three heads.
 Layers elsewhere record their own fused ops through :func:`record`;
 ``nn.Model.features`` records a whole backbone pass as one, with the batch-norm
 arithmetic of :func:`bn_stats`, :func:`bn_affine` and :func:`bn_pull`, whose
@@ -414,20 +414,22 @@ def heads_cross_entropy(
     labels: Sequence,
     weights: Sequence[float],
 ) -> tuple[Tensor, list[float]]:
-    """Each group's head and softmax cross-entropy, ``CE0 + w1 * CE1 + ...``, as one record.
+    """Each group's head and softmax cross-entropy, ``w0 * CE0 + w1 * CE1 + ...``, as one record.
 
-    ``feats`` is a (G, B, features) group stack, G = 1 for a batch alone. Group
-    i goes through ``heads[i]``, its linear layers as ``(w, b)`` pairs with a
-    ReLU between consecutive ones, and is scored against ``labels[i]``; ``weights`` holds one weight per group after the first.
-    Returns the loss and each group's unweighted cross-entropy as logged,
+    ``feats`` is a (G, B, features) group stack, G = 1 for a batch alone, or
+    (G, S, B, features) inside ``nn.replicas``, which gives the S replicas'
+    losses. Group i goes through ``heads[i]``, its linear layers as ``(w, b)``
+    pairs with a ReLU between consecutive ones, is scored against ``labels[i]``
+    and weighted by ``weights[i]`` (a weight of 1.0 moves no bit). Returns the
+    loss and each group's unweighted cross-entropy as logged,
     ``-picked.mean()`` from the loss's own log-softmax; it agrees bit for bit
     with the group's :func:`cross_entropy` only when B is a power of two.
 
-    The record stands for a chain of ``matmul``, ``add``, ``relu``,
-    ``cross_entropy``, ``scale`` and ``add`` records over per-group slices of
-    ``feats``, and gives its value and gradients bit for bit.
+    The record stands for a chain of ``matmul``, ``add``, ``relu``, ``cross_entropy``,
+    ``scale`` and ``add`` records over per-group slices of ``feats``, bit for bit.
     """
-    if feats.ndim != 3 or not (len(heads) == len(labels) == feats.shape[0] == 1 + len(weights)):
+    if not (1 <= len(heads) == len(labels) == len(weights) == len(feats.data)
+            and feats.ndim == heads[0][0][0].ndim + 1):
         raise ContractError(
             f"heads_cross_entropy: features {feats.shape} with {len(heads)} heads, "
             f"{len(labels)} label sets and {len(weights)} weights"
@@ -445,17 +447,18 @@ def heads_cross_entropy(
                 masks.append(h > 0.0)
                 h = np.maximum(h, 0.0)
             acts.append(h)
-            h = h @ w.data + b.data
+            h = h @ w.data + b.data[..., None, :]
             inputs += [w, b]
         picked, p, cells = _picked_log_softmax(h, labels[i])
-        term = picked.sum(axis=-1) * (-1.0 / len(picked))
-        loss = term if loss is None else loss + term * weights[i - 1]
+        n = picked.shape[-1]
+        term = picked.sum(axis=-1) * (-1.0 / n) * weights[i]
+        loss = term if loss is None else loss + term
         logged.append(float(-picked.mean()))
         groups.append((acts, masks, h, p, cells))
     out = Tensor(loss)
 
     # Repeats, in order, the float operations of the chain's pulls: scale's
-    # ``g * w``, the cross-entropy's, and per layer add's bias ``sum(axis=0)``,
+    # ``g * w``, the cross-entropy's, and per layer add's bias sum over the rows,
     # matmul's two products and relu's mask. Each group's feature adjoint fills
     # its slice, where the chain adds it into zeros: only the sign of a zero can
     # differ, and backward adds every leaf's adjoint into a buffer of +0.0, so no
@@ -465,11 +468,11 @@ def heads_cross_entropy(
         gfeats = np.empty(feats.shape, feats.data.dtype)
         contribs = []
         for i, (layers, (acts, masks, z, p, cells)) in enumerate(zip(heads, groups)):
-            gz = _cross_entropy_pull(g if i == 0 else g * weights[i - 1], z, p, cells, len(z))
+            gz = _cross_entropy_pull(g * weights[i], z, p, cells, n)
             parts = []
             for k in range(len(layers) - 1, -1, -1):
                 w = layers[k][0].data
-                parts += [gz.sum(axis=0), acts[k].swapaxes(-1, -2) @ gz]
+                parts += [gz.sum(axis=-2), acts[k].swapaxes(-1, -2) @ gz]
                 gz = gz @ w.swapaxes(-1, -2)
                 if k:
                     gz = gz * masks[k - 1]

@@ -338,16 +338,21 @@ def cmd_report(args) -> None:
 # ---------------------------------------------------------------------------
 
 def _verify_aggregates(data: dict) -> None:
-    """Recompute every aggregate from its per-seed rows with numpy, independently of ``harness``."""
+    """Recompute every aggregate from its per-seed rows with numpy, independently of ``harness``;
+    refuse a non-finite row or aggregate, which no run writes."""
     rows: dict[str, list[dict]] = {}
-    for label, _, values in report_cells(data):
+    for label, seed, values in report_cells(data):
+        if not np.isfinite(list(values.values())).all():
+            raise ContractError(f"per-seed row {label}/{seed} holds a non-finite value")
         rows.setdefault(label, []).append(values)
     for label, metrics in data["aggregates"].items():
         for metric, stats in metrics.items():
             vals = [values[metric] for values in rows.get(label, [])]
             if not vals:
                 raise ContractError(f"aggregate for {label}/{metric} has no per-seed rows")
-            if abs(stats["mean"] - np.mean(vals)) > 1e-12 or abs(stats["std"] - np.std(vals)) > 1e-12:
+            if not np.isfinite([stats["mean"], stats["std"]]).all():
+                raise ContractError(f"aggregate for {label}/{metric} holds a non-finite value")
+            if not (abs(stats["mean"] - np.mean(vals)) <= 1e-12 and abs(stats["std"] - np.std(vals)) <= 1e-12):
                 raise ContractError(
                     f"aggregate for {label}/{metric} does not match its per-seed rows"
                 )

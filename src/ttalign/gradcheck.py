@@ -5,8 +5,9 @@ tensor, to :func:`ttalign.autodiff.grad_check`, which compares the tape gradient
 with central differences; each tensor is summarized by its maximum elementwise
 relative error |a - n| / max(|a|, |n|, 1e-12). The passes are stage-I
 fine-tuning's step (the grouped pass over the batch and its views, then the
-fused heads-and-loss record), TTT's eval-mode pass alone and inside
-:func:`ttalign.nn.replicas`, Tent's entropy step and the pretraining loss.
+fused heads-and-loss record), TTT's eval-mode pass alone, block TTT's step (the
+same two records over the pretext branches' groups inside
+:func:`ttalign.nn.replicas`), Tent's entropy step and the pretraining loss.
 Dropout is made repeatable by
 reseeding the mask generator inside the loss closure, and train-mode passes run
 with ``update_stats=False``, so the closure stays side-effect free.
@@ -83,7 +84,7 @@ def _check_full_stack() -> dict[str, float]:
     x = Tensor(rng.standard_normal((1 + len(STACK.ssl_dims), 4, 3, 50)), requires_grad=True)
     y_main = np.array([0, 1, 2, 1])
     y_ssl = [np.array([0, 3, 1, 2]), np.array([2, 0, 1, 2])]
-    weights = (0.6, 0.4)
+    weights = (1.0, 0.6, 0.4)
 
     def loss():
         mask_rng = np.random.default_rng(77)
@@ -105,12 +106,13 @@ def _check_stack_eval() -> dict[str, float]:
     x = Tensor(rng.standard_normal((4, 3, 50)), requires_grad=True)
     labels = np.array([0, 3, 1, 2])
     tensors = dict(_named("stack_eval", model), **{"stack_eval.input": x})
-    return _check(tensors, lambda: ad.cross_entropy(model.ssl_logits(0, model.features(x, train=False)), labels))
+    return _check(tensors, lambda: ad.cross_entropy(model.ssl_heads[0](model.features(x, train=False)), labels))
 
 
 def _check_stack_replicas() -> dict[str, float]:
-    """Block TTT's step: eval-mode passes inside :func:`replicas` over S = 3 distinct
-    parameter rows, one view per pretext branch, every replica's weighted losses summed.
+    """Block TTT's step, its three records: one eval-mode pass inside :func:`replicas` over
+    S = 3 parameter rows with one group per pretext branch, one ``heads_cross_entropy``
+    record of each replica's weighted pretext losses, and their sum.
 
     A parameter inside ``replicas`` is a strided view that ``grad_check`` cannot
     perturb in place, so the check runs over the whole (S, P) arena at once.
@@ -120,16 +122,12 @@ def _check_stack_replicas() -> dict[str, float]:
     params = model.param_arena * np.array([[1.0], [0.8], [1.25]])
     arena = Tensor(params)
     arena.grad = np.zeros_like(params)
-    views = [Tensor(rng.standard_normal((3, 2, 3, 50))) for _ in STACK.ssl_dims]
+    views = Tensor(rng.standard_normal((len(STACK.ssl_dims), 3, 2, 3, 50)))
     labels = [rng.integers(0, d, (3, 2)) for d in STACK.ssl_dims]
-    weights = (0.6, 0.4)
+    heads = model.heads([0, 1])[1:]
 
-    def loss():
-        total = None
-        for j, w in enumerate(weights):
-            term = ad.scale(ad.cross_entropy(model.ssl_logits(j, model.features(views[j], train=False)), labels[j]), w)
-            total = term if total is None else ad.add(total, term)
-        return ad.sum_(total)  # replica r's losses reach only replica r's parameters
+    def loss():  # replica r's losses reach only replica r's parameters
+        return ad.sum_(ad.heads_cross_entropy(model.features(views, train=False), heads, labels, (0.6, 0.4))[0])
 
     with replicas(model, arena.data, arena.grad):
         return _check({"stack_replicas.params": arena}, loss)

@@ -12,11 +12,11 @@ dropout; the batch-norm arithmetic is ``autodiff.bn_stats``, ``bn_affine`` and
 ``bn_pull`` (the closed-form backward in train mode), through
 :class:`BatchNorm`'s ``stats`` and ``normalize``. With ``conv.w`` frozen,
 as in Tent, the part in front of bn1's affine step is computed once per batch
-(:meth:`Model.stem`). A (G, B, C, T) input is G groups in one pass, as stage-I
-fine-tuning runs a batch and its pretext views: each group keeps its own batch
-statistics, only group 0's fold into the running estimates, and each shared
-parameter's gradient is the groups' contributions folded last group first, so
-the pass is bit for bit G passes recorded in group order.
+(:meth:`Model.stem`). A (G, B, C, T) input is G groups in one pass, as stage I
+runs a batch and its pretext views, and block TTT its pretext branches: each
+group keeps its own batch statistics, only group 0's fold into the running
+estimates, and each shared parameter's gradient is the groups' contributions
+folded last group first, so the pass is bit for bit G passes in group order.
 
 A :class:`Model` keeps its state in three flat arenas of its ``ModelConfig.dtype``
 (float32 unless a check asks for float64): the parameters, their grads, and the
@@ -26,7 +26,7 @@ and ``grad`` and every running-stat buffer is a view into one of them, so
 snapshot, restore, clone and zero-grad are each one array operation, and an
 optimizer can step over the whole model at once. Inside :func:`replicas` the
 parameters view (S, P) arenas instead, one row per replica, and a pass through
-the model adapts S independent copies of it at once.
+the model, (G, S, B, C, T) or (S, B, C, T), adapts S copies of it at once.
 """
 
 from __future__ import annotations
@@ -245,19 +245,15 @@ class Model:
     # -- forward passes --------------------------------------------------------
 
     def _rows(self, x: Tensor) -> np.ndarray:
-        """The (B, C, K * W) input, (G, B, C, K * W) as G groups or (S, B, C, K * W) inside
-        :func:`replicas`, as (..., B * C * K, W) rows in the model's dtype: each row is one
-        run of consecutive samples."""
-        cfg, lead, axis = self.cfg, self.conv.w.shape[:-2], "S, "  # lead () or (S,)
-        if lead and x.ndim == 5:
-            raise ContractError(f"a model inside nn.replicas takes no group axis, got input {x.shape}")
-        if not lead and x.ndim == 4:
-            if x.shape[0] == 0:
-                raise ContractError(f"a grouped input needs at least one group, got input {x.shape}")
-            lead, axis = x.shape[:1], "G, "
-        if x.ndim != len(lead) + 3 or x.shape[:len(lead)] != lead or x.shape[-2:] != (cfg.channels, cfg.samples):
+        """The (B, C, K * W) input, with an optional group axis G in front and, inside
+        :func:`replicas`, the replica axis S after it, as (..., B * C * K, W) rows in the
+        model's dtype: each row is one run of consecutive samples."""
+        cfg, rep, lead = self.cfg, self.conv.w.shape[:-2], x.shape[:-3]  # rep () or (S,)
+        if (len(lead) - len(rep) not in (0, 1) or lead[len(lead) - len(rep):] != rep or not all(lead)
+                or x.ndim < 3 or x.shape[-2:] != (cfg.channels, cfg.samples)):
             raise ContractError(
-                f"expected input ({axis * len(lead)}B, {cfg.channels}, {cfg.samples}), got {x.shape}"
+                f"expected input ([G, ]{'S, ' * len(rep)}B, {cfg.channels}, {cfg.samples}) with at least "
+                f"one group, got {x.shape}"
             )
         return x.data.reshape(*lead, -1, WINDOW).astype(cfg.dtype, copy=False)
 
@@ -278,24 +274,25 @@ class Model:
     ) -> Tensor:
         """The backbone pass, (B, C, T) -> (B, features), recorded as one tape entry.
 
-        On an unreplicated model a (G, B, C, T) input is G groups, (G, B,
-        features) out; :func:`ttalign.autodiff.heads_cross_entropy` takes each
-        group's features to its head. Each group is normalized by its own batch
-        statistics ("ghost" batch norm), only group 0's fold into the running
-        estimates, and one dropout draw of (G, B, features) is G draws of (B,
-        features) in turn. Each shared parameter's gradient is the per-group contributions
+        A (G, B, C, T) input is G groups, (G, B, features) out;
+        :func:`ttalign.autodiff.heads_cross_entropy` takes each group's features
+        to its head. Each group is normalized by its own batch statistics
+        ("ghost" batch norm), only group 0's fold into the running estimates,
+        and one dropout draw of (G, B, features) is G draws of (B, features) in
+        turn. Each shared parameter's gradient is the per-group contributions
         folded last group first, ``((g[G-1] + g[G-2]) + ...) + g[0]``, the order
         in which ``backward`` adds G passes recorded in group order; so the
         grouped pass gives those passes' outputs, gradients and running
         statistics bit for bit.
 
-        Inside :func:`replicas` every array carries a leading
-        replica axis: ``x`` is (S, B, C, T), the output (S, B, features), and
-        replica r's batch goes through replica r's parameters. A stacked matmul
-        makes, for each replica, the call an unreplicated pass makes, and every
-        reduction runs over the same axis in the same order, so each replica's
-        output and gradients are bitwise those of an unreplicated model holding
-        its parameters. Replicated passes run in eval mode only.
+        Inside :func:`replicas` every array carries a replica axis after any
+        group axis: ``x`` is (S, B, C, T) or (G, S, B, C, T), the output (S, B,
+        features) or (G, S, B, features), and replica r's batches go through
+        replica r's parameters. A stacked matmul makes, for each replica, the
+        call an unreplicated pass makes, and every reduction runs over the same
+        axis in the same order, so each replica's output and gradients are
+        bitwise those of an unreplicated model holding its parameters.
+        Replicated passes run in eval mode only.
 
         ``stem``, :meth:`stem` of this ``x``, stands in for that part of the pass,
         bit for bit; only in train mode, unreplicated and ungrouped, with ``conv.w``
@@ -305,10 +302,9 @@ class Model:
         conv_w, bn1, mix_w, pos, bn2 = self.conv.w, self.bn1, self.mix.w, self.pos, self.bn2
         rows = self._rows(x)
         lead = rows.shape[:-2]
-        replicated = conv_w.ndim > 2
-        if replicated and train:
+        if conv_w.ndim > 2 and train:
             raise ContractError("a replicated model runs in eval mode only")
-        grouped = bool(lead) and not replicated
+        grouped = len(lead) > conv_w.ndim - 2
         b, ch, hid, d = x.shape[-3], cfg.channels, cfg.hidden, cfg.features
         k = cfg.samples // WINDOW
         wc, g1, wm, g2 = conv_w.data, bn1.gamma.data, mix_w.data, bn2.gamma.data
@@ -375,11 +371,6 @@ class Model:
         pairs: the ``heads`` of :func:`ttalign.autodiff.heads_cross_entropy`."""
         heads = [self.head, *([self.ssl_heads[j]] for j in ssl)]
         return [[(layer.w, layer.b) for layer in head] for head in heads]
-
-    def ssl_logits(self, index: int, feats: Tensor) -> Tensor:
-        if not 0 <= index < len(self.ssl_heads):
-            raise ContractError(f"no pretext head at index {index}")
-        return self.ssl_heads[index](feats)
 
     def forward_main(
         self,

@@ -182,7 +182,7 @@ def finetune_stage1(
     dtype = model.cfg.dtype
     source = view_source(X_train, spec, dtype, any(name == "stopped_band" for _, name, _ in active), cfg.batch_size)
     heads = model.heads([j for j, _, _ in active])
-    ssl_weights = [w for _, _, w in active]
+    group_weights = [1.0, *(w for _, _, w in active)]
     stacks: dict[int, np.ndarray] = {}  # the group stack per batch size, filled anew each step
 
     history: list[dict] = []
@@ -207,7 +207,7 @@ def finetune_stage1(
                 labels = [make_view(name, source, pretext_rng, spec, rows=idx, out=groups[1 + k])[1]
                           for k, (_, name, _) in enumerate(active)]
                 feats = model.features(Tensor(groups), train=True, dropout_rng=dropout_rng)
-                loss, logged = ad.heads_cross_entropy(feats, heads, [yb, *labels], ssl_weights)
+                loss, logged = ad.heads_cross_entropy(feats, heads, [yb, *labels], group_weights)
                 if not np.isfinite(loss.item()):
                     raise ContractError(f"non-finite fine-tuning loss at epoch {epoch}")
                 opt.zero_grad()

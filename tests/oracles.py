@@ -146,7 +146,7 @@ def combined_loss(main_logits, y, ssl_logits, ssl_labels, weights):
 def _logged_cross_entropy(z, labels):
     shifted = z - z.max(axis=-1, keepdims=True)
     lsm = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    return float(-lsm[np.arange(len(z)), labels].mean())
+    return float(-np.take_along_axis(lsm, np.asarray(labels)[..., None], -1)[..., 0].mean())
 
 
 def mean(a, axis=None):
@@ -222,7 +222,7 @@ def ttt_per_epoch(model, spec, X, cfg):
                 loss = None
                 for (j, _, w), (view, label) in zip(branches, views):
                     feats = work.features(ad.Tensor(view), train=False)
-                    term = ad.scale(ad.cross_entropy(work.ssl_logits(j, feats), label), w)
+                    term = ad.scale(ad.cross_entropy(work.ssl_heads[j](feats), label), w)
                     loss = term if loss is None else ad.add(loss, term)
                 opt.zero_grad()
                 ad.backward(loss)
@@ -268,7 +268,7 @@ def finetune_per_branch(model, spec, X_train, y_train, X_val, y_val, cfg):
                 for j, name, w in active:
                     views, labels = make_view(name, xb, pretext_rng, spec)
                     feats = model.features(ad.Tensor(views), train=True, dropout_rng=dropout_rng, update_stats=False)
-                    ssl_logits.append(model.ssl_logits(j, feats))
+                    ssl_logits.append(model.ssl_heads[j](feats))
                     ssl_labels.append(labels)
                     ssl_w.append(w)
                 loss, logged = combined_loss(main_logits, yb, ssl_logits, ssl_labels, ssl_w)

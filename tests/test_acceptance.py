@@ -129,7 +129,7 @@ def test_criterion_02_single_step_exactness():
         loss = None
         for (j, _, w), (view, label) in zip(branches, views):
             feats = reference.features(Tensor(view), train=False)
-            term = ad.scale(cross_entropy(reference.ssl_logits(j, feats), label), w)
+            term = ad.scale(cross_entropy(reference.ssl_heads[j](feats), label), w)
             loss = term if loss is None else ad.add(loss, term)
         reference.zero_grad()
         ad.backward(loss)
@@ -418,7 +418,7 @@ def test_criterion_08_degeneracy_and_linearity():
             feats = lin_model.features(Tensor(xb), train=False)
             main = lin_model.main_logits(feats)
             slog = [
-                lin_model.ssl_logits(j, lin_model.features(Tensor(views[j]), train=False))
+                lin_model.ssl_heads[j](lin_model.features(Tensor(views[j]), train=False))
                 for j in range(2)
             ]
             ad.backward(combined_loss(main, yb, slog, vlabs, weights)[0])

@@ -140,7 +140,7 @@ def test_ttt_single_sgd_step_is_exact_gradient_descent():
         loss = None
         for (j, _, w), (view, label) in zip(branches, views):
             feats = ref.features(Tensor(view), train=False)
-            term = ad.scale(cross_entropy(ref.ssl_logits(j, feats), label), w)
+            term = ad.scale(cross_entropy(ref.ssl_heads[j](feats), label), w)
             loss = term if loss is None else ad.add(loss, term)
         backward(loss)
     moved = 0
@@ -268,6 +268,22 @@ def blocks_against_per_epoch(task, case, dtype):
     assert probs.tobytes() == want_probs.tobytes()
     assert json.dumps(records) == json.dumps(want_records)
     assert [len(r["ssl_loss"]) for r in records] == [cfg.steps] * len(X)
+
+
+def test_a_ttt_block_step_records_three_tape_entries(monkeypatch):
+    """Each step of a block puts the grouped, replicated pass over the pretext branches, the
+    heads-and-loss record and the replicas' sum on the tape, and nothing else."""
+    model, spec = tiny_model(head_layers=2)
+    sizes = []
+    backward = ad.backward
+
+    def counted(loss):
+        sizes.append(len(ad.active_tape()))
+        backward(loss)
+
+    monkeypatch.setattr(ad, "backward", counted)
+    run_adaptation("ttt_ssl", model, spec, make_epochs(3, seed=71), ttt=TttConfig(steps=2))
+    assert sizes == [3, 3]
 
 
 def test_ttt_rejects_nonfinite_loss():

@@ -260,49 +260,59 @@ class TestFusedLayers:
         with pytest.raises(ShapeError, match="cross_entropy"):
             ad.cross_entropy(z, [0, 1])
 
+    @pytest.mark.parametrize("replicas", [None, 3])
     @pytest.mark.parametrize("groups", [1, 3])
     @pytest.mark.parametrize("head_layers", [1, 2])
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    def test_heads_cross_entropy_is_bitwise_the_chain_it_replaces(self, groups, head_layers, dtype):
+    def test_heads_cross_entropy_is_bitwise_the_chain_it_replaces(self, groups, head_layers, dtype, replicas):
         """One record gives the loss, logged values and every gradient of the unstacked chain
         of head and loss records (``oracles.unstack``, ``oracles.combined_loss``) bit for bit,
-        G = 1 included."""
+        G = 1 included; inside ``nn.replicas`` over S = 3 parameter rows, the S per-replica
+        losses and every replica's gradients."""
         model = nn.Model(nn.ModelConfig(channels=3, samples=50, hidden=4, features=6, n_main=3,
                                         ssl_dims=(4, 5), head_layers=head_layers, dtype=dtype))
         model.param_arena[:] = RNG.normal(size=model.param_arena.size)
-        data = RNG.normal(size=(groups, 7, 6)).astype(dtype)
-        labels = [RNG.integers(0, d, 7) for d in (3, 5, 4)[:groups]]
+        rows = () if replicas is None else (replicas,)
+        data = RNG.normal(size=(groups, *rows, 7, 6)).astype(dtype)
+        labels = [RNG.integers(0, d, (*rows, 7)) for d in (3, 5, 4)[:groups]]
         weights = (0.6, 0.35)[:groups - 1]
         ssl = [1, 0][:groups - 1]  # the pretext heads in another order than the model's
+        params = np.stack([model.param_arena, 0.5 * model.param_arena, -1.5 * model.param_arena])
 
         def run(fused):
             model.zero_grad()
             feats = ad.Tensor(data, requires_grad=True)
             with ad.fresh_tape() as tape:
                 if fused:
-                    loss, logged = ad.heads_cross_entropy(feats, model.heads(ssl), labels, weights)
+                    loss, logged = ad.heads_cross_entropy(feats, model.heads(ssl), labels, (1.0, *weights))
                     assert len(tape) == 1
                 else:
                     parts = oracles.unstack(feats)
-                    logits = [model.ssl_logits(j, f) for j, f in zip(ssl, parts[1:])]
+                    logits = [model.ssl_heads[j](f) for j, f in zip(ssl, parts[1:])]
                     loss, logged = oracles.combined_loss(model.main_logits(parts[0]), labels[0], logits,
                                                          labels[1:], weights)
-                ad.backward(loss)
+                ad.backward(loss if replicas is None else ad.sum_(loss))
             return loss.data.tobytes(), logged, feats.grad.tobytes(), model.grad_arena.tobytes()
 
-        assert run(True) == run(False)
+        if replicas is None:
+            assert run(True) == run(False)
+        else:
+            with nn.replicas(model, params, np.zeros_like(params)):
+                assert run(True) == run(False)
 
     def test_heads_cross_entropy_contracts(self):
         model = nn.Model(nn.ModelConfig(channels=3, samples=50, hidden=4, features=6, n_main=3, ssl_dims=(4,)))
         feats = ad.Tensor(np.zeros((2, 5, 6), np.float32))
         with pytest.raises(ContractError, match="2 heads, 1 label sets"):
-            ad.heads_cross_entropy(feats, model.heads([0]), [np.zeros(5, int)], [0.5])
+            ad.heads_cross_entropy(feats, model.heads([0]), [np.zeros(5, int)], [1.0, 0.5])
         with pytest.raises(ContractError, match="1 heads"):
-            ad.heads_cross_entropy(feats, model.heads([]), [np.zeros(5, int)], [])
+            ad.heads_cross_entropy(feats, model.heads([]), [np.zeros(5, int)], [1.0])
+        with pytest.raises(ContractError, match="2 label sets and 1 weights"):  # one weight per group
+            ad.heads_cross_entropy(feats, model.heads([0]), [np.zeros(5, int), np.zeros(5, int)], [0.5])
         with pytest.raises(ContractError, match="out of range"):
-            ad.heads_cross_entropy(feats, model.heads([0]), [np.zeros(5, int), np.full(5, 4)], [0.5])
+            ad.heads_cross_entropy(feats, model.heads([0]), [np.zeros(5, int), np.full(5, 4)], [1.0, 0.5])
         with pytest.raises(ContractError, match=r"features \(5, 6\)"):  # a batch alone is a G = 1 stack
-            ad.heads_cross_entropy(ad.Tensor(feats.data[0]), model.heads([]), [np.zeros(5, int)], [])
+            ad.heads_cross_entropy(ad.Tensor(feats.data[0]), model.heads([]), [np.zeros(5, int)], [1.0])
 
 
 class TestTapeSemantics:

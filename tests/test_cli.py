@@ -355,6 +355,26 @@ def test_report_detects_tampered_aggregates(tmp_path, micro_cfg, capsys):
     assert json.loads(err)["error"] == "ContractError"
 
 
+def test_report_rejects_non_finite_values(tmp_path, micro_cfg, capsys):
+    """A NaN aggregate, and a NaN per-seed row under a finite aggregate, are contract violations."""
+    out = tmp_path / "ev"
+    assert run_cli("evaluate", "--config", micro_cfg, "--out", out,
+                   "--strategy", "supervised_only", capsys=capsys)[0] == 0
+    path = out / "experiment_syn_mi.json"
+    original = path.read_text()
+    for where in ("aggregate", "row"):
+        data = json.loads(original)
+        if where == "aggregate":
+            data["aggregates"]["supervised_only"]["balanced_accuracy"]["mean"] = float("nan")
+        else:
+            data["per_seed"][0]["strategies"]["supervised_only"]["metrics"]["values"]["balanced_accuracy"] = float("nan")
+        path.write_text(json.dumps(data))
+        code, _, err = run_cli("report", "--out", out, capsys=capsys)
+        assert code == 3, where
+        record = json.loads(err)
+        assert record["error"] == "ContractError" and "non-finite" in record["message"], where
+
+
 def test_report_rejects_aggregates_without_rows(tmp_path, micro_cfg, capsys):
     out = tmp_path / "ev"
     assert run_cli("evaluate", "--config", micro_cfg, "--out", out,

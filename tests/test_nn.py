@@ -323,10 +323,39 @@ class TestFusedBackbone:
             model.features(Tensor(x), train=True, stem=stem)
         with pytest.raises(ContractError, match="without a group axis"):
             model.stem(Tensor(x))
+        with pytest.raises(ContractError, match=r"\(\[G, \]B, 3, 200\)"):  # a second extra leading axis
+            model.features(Tensor(x[None]), train=True)
         params = np.stack([model.param_arena, model.param_arena])
         with nn.replicas(model, params, np.zeros_like(params)):
-            with pytest.raises(ContractError, match="no group axis"):
-                model.features(Tensor(x[None].repeat(2, axis=0)), train=False)
+            with pytest.raises(ContractError, match=r"\(\[G, \]S, B, 3, 200\)"):
+                model.features(Tensor(x[None, None]), train=False)
+            with pytest.raises(ContractError, match="at least one group"):
+                model.features(Tensor(np.zeros((0, 2, 4, 3, 200))), train=False)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_grouped_replicated_pass_is_separate_passes_in_group_order(self, dtype):
+        """A (G, S, B, C, T) eval pass inside ``replicas`` gives, byte for byte, the outputs
+        and arena gradients of G separate (S, B, C, T) passes recorded in group order."""
+        model = nn.Model(small_config(dtype=dtype))
+        params = np.stack([model.param_arena, 1.5 * model.param_arena, -model.param_arena])
+        x_data = RNG.normal(size=(2, 3, 2, 3, 200))
+        weights = [Tensor(RNG.normal(size=(3, 2, 3)).astype(dtype)) for _ in x_data]
+
+        def run(passes):
+            grads = np.zeros_like(params)
+            with nn.replicas(model, params, grads), ad.fresh_tape():
+                feats = passes()
+                loss = None
+                for f, w in zip(feats, weights):
+                    term = ad.sum_(ad.mul(model.main_logits(f), w))
+                    loss = term if loss is None else ad.add(loss, term)
+                ad.backward(loss)
+            return [f.data.tobytes() for f in feats], grads
+
+        outs, grads = run(lambda: [model.features(Tensor(x), train=False) for x in x_data])
+        parts, grouped_grads = run(lambda: oracles.unstack(model.features(Tensor(x_data), train=False)))
+        assert parts == outs
+        assert grads.any() and grouped_grads.tobytes() == grads.tobytes()
 
     def test_replicas_pass_each_row_and_unbind_on_exit(self):
         """Replica r's logits are bitwise an unreplicated pass with row r's parameters."""

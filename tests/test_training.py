@@ -143,7 +143,7 @@ def test_combined_loss_gradient_linear_in_weights():
             feats = model.features(Tensor(xb), train=False)
             main = model.main_logits(feats)
             sfeats = model.features(Tensor(views), train=False)
-            slog = model.ssl_logits(0, sfeats)
+            slog = model.ssl_heads[0](sfeats)
             loss, _ = combined_loss(main, yb, [slog], [vlab], (w,))
             backward(loss)
         return {n: p.grad.copy() for n, p in model.named_parameters()}
