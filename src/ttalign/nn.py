@@ -17,6 +17,13 @@ runs a batch and its pretext views, and block TTT its pretext branches: each
 group keeps its own batch statistics, only group 0's fold into the running
 estimates, and each shared parameter's gradient is the groups' contributions
 folded last group first, so the pass is bit for bit G passes in group order.
+The products with ``mix.w``, which every group shares, are each one 2-D gemm
+over all the groups' rows, forward and in the pull; that holds only while the
+BLAS rounds a row of a 2-D call as it does in a stacked one, which
+``tests/test_nn.py::TestFusedBackbone::test_grouped_pass_is_separate_passes_in_group_order_bitwise``
+checks at G = 3 in float64 and float32 (the golden digests only compare on
+the machine class that froze them). The first layer's product, and every
+product with per-replica weights, stay stacked.
 
 A :class:`Model` keeps its state in three flat arenas of its ``ModelConfig.dtype``
 (float32 unless a check asks for float64): the parameters, their grads, and the
@@ -107,8 +114,8 @@ class BatchNorm:
         nothing. In train mode the batch statistics are folded in unless ``update_stats``
         is off."""
         cache, mu, var = stats
-        if train and update_stats:  # group 0's of a batch's (1, features) or a stack's (G, 1, features);
-            self._update_running(mu[0], var[0])  # the in-place update drops the leading unit axis
+        if train and update_stats:  # group 0's of a batch's (1, features) or a stack's (G, 1, features)
+            self._update_running(mu[0].reshape(-1), var[0].reshape(-1))
         return ad.bn_affine(cache[0], self.gamma.data, self.beta.data), cache
 
     def _running(self, train: bool) -> tuple[np.ndarray, np.ndarray] | None:
@@ -117,8 +124,10 @@ class BatchNorm:
     def _update_running(self, mu: np.ndarray, var: np.ndarray) -> None:
         m = self.momentum
         # in place: inside a Model these buffers are views into its arena
-        self.running_mean[...] = (1.0 - m) * self.running_mean + m * mu
-        self.running_var[...] = (1.0 - m) * self.running_var + m * var
+        self.running_mean *= 1.0 - m
+        self.running_mean += m * mu
+        self.running_var *= 1.0 - m
+        self.running_var += m * var
 
 
 def dropout_mask(
@@ -317,10 +326,12 @@ class Model:
         a1, cache1 = bn1.normalize(stem, train, update_stats)
         np.maximum(a1, 0.0, out=a1)                                              # (B*C*K, H)
         mixed_in = a1.reshape(*lead, b, ch, k, hid).swapaxes(-3, -2).reshape(*lead, b * k, ch * hid)
+        if wm.ndim == 2:  # mix.w is shared by every group: one 2-D gemm over all their rows
+            mixed_in = mixed_in.reshape(-1, ch * hid)
         h = (mixed_in @ wm).reshape(*lead, b, k, d) + pos.data[..., None, :, :]  # window-position term
         a2, cache2 = bn2.normalize(bn2.stats(h.reshape(*lead, b * k, d), train), train, update_stats)
         np.maximum(a2, 0.0, out=a2)                                              # (B*K, D)
-        out = a2.reshape(*lead, b, k, d).mean(axis=-2)                           # (B, D)
+        out = np.add.reduce(a2.reshape(*lead, b, k, d), axis=-2) / k            # (B, D), as .mean
         mask = dropout_mask(out.shape, cfg.dropout, dropout_rng, cfg.dtype) if train else None
         if mask is not None:
             out = out * mask
@@ -338,14 +349,14 @@ class Model:
             need = [t.requires_grad for t in inputs]
             if mask is not None:
                 g = g * mask
-            g = np.broadcast_to(np.expand_dims(g, -2) / k, (*lead, b, k, d)).copy().reshape(*lead, b * k, d)
+            g = np.repeat(np.expand_dims(g / k, -2), k, axis=-2).reshape(*lead, b * k, d)
             g *= a2 > 0.0
             gh, gg2, gb2 = ad.bn_pull(g, g2, cache2, train, any(need[:6]), need[6], need[7])
             gpos = gh.reshape(*lead, b, k, d).sum(axis=-3) if need[5] else None
-            gwm = mixed_in.swapaxes(-1, -2) @ gh if need[4] else None
+            gwm = mixed_in.reshape(*lead, b * k, ch * hid).swapaxes(-1, -2) @ gh if need[4] else None
             gx = gwc = gg1 = gb1 = None
             if any(need[:4]):
-                g = gh @ wm.swapaxes(-1, -2)
+                g = gh.reshape(mixed_in.shape[:-1] + (d,)) @ wm.swapaxes(-1, -2)
                 g *= mixed_in > 0.0
                 g = g.reshape(*lead, b, k, ch, hid).swapaxes(-3, -2).reshape(*lead, b * ch * k, hid)
                 g, gg1, gb1 = ad.bn_pull(g, g1, cache1, train, any(need[:2]), need[2], need[3])

@@ -3,9 +3,11 @@
 :func:`make_view` applies one pretext task to a whole (batch, channels, 200)
 array: it draws one label per epoch and returns the transformed views
 (:func:`apply_view`) with those labels. Stage-I fine-tuning draws its batches'
-views from a :class:`ViewSource` of the training set instead: every epoch's
-stopped-band views are computed once (:func:`stopped_band_table`) and gathered
-per batch, bit for bit the views ``apply_view`` would make.
+views from a :class:`ViewSource` of the training set instead, written straight
+into the caller's stack from the batch's rows: every epoch's stopped-band views
+are computed once (:func:`stopped_band_table`) and gathered per batch, a jigsaw
+view is three slice copies per epoch and an amplitude-scaled one is one
+multiply, cast as it is stored; bit for bit the views ``apply_view`` would make.
 
 Two pretext tasks are active per main task: stopped-band prediction (shared by
 all tasks, with a task-specific frequency-band table) paired with one domain
@@ -93,12 +95,31 @@ def _band_masks(table: tuple[tuple[float, float], ...], n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _jigsaw_orders(n: int) -> np.ndarray:
-    """(6, n): per label, the time index that puts 3 near-equal contiguous chunks in
-    that label's lexicographic permutation order."""
-    chunks = np.array_split(np.arange(n), 3)
-    return _readonly(np.array([np.concatenate([chunks[i] for i in perm])
-                               for perm in itertools.permutations(range(3))]))
+def _jigsaw_slices(n: int) -> tuple[tuple[tuple[slice, slice], ...], ...]:
+    """Per label, the (destination, source) time slices that put 3 near-equal contiguous
+    chunks of an n-sample epoch, the larger ones first, in that label's lexicographic
+    permutation order: one basic-slice copy per chunk."""
+    base, extra = divmod(n, 3)
+    sizes = [base + (i < extra) for i in range(3)]
+    starts = [0, sizes[0], sizes[0] + sizes[1]]
+    table = []
+    for perm in itertools.permutations(range(3)):
+        at, pairs = 0, []
+        for i in perm:
+            pairs.append((slice(at, at + sizes[i]), slice(starts[i], starts[i] + sizes[i])))
+            at += sizes[i]
+        table.append(tuple(pairs))
+    return tuple(table)
+
+
+def _jigsaw_into(out: np.ndarray, data: np.ndarray, rows, labels: np.ndarray) -> np.ndarray:
+    """Write the jigsaw view of epoch ``data[rows[i]]`` under ``labels[i]`` into ``out[i]``,
+    three slice copies per epoch; returns ``out``."""
+    table = _jigsaw_slices(data.shape[-1])
+    for i, (row, label) in enumerate(zip(rows, labels.tolist())):
+        for dst, src in table[label]:
+            out[i, :, dst] = data[row, :, src]
+    return out
 
 
 @functools.lru_cache(maxsize=16)
@@ -146,15 +167,17 @@ def stopped_band_table(data: np.ndarray, spec: TaskSpec, dtype: str, chunk: int)
 
     Each entry is ``apply_view("stopped_band", ...)`` of that epoch cast to
     ``dtype``, bit for bit, since the FFT of an epoch does not depend on its
-    batch. The views are made ``chunk`` epochs at a time, so no temporary holds
-    more than one chunk's spectra.
+    batch. The views are made ``chunk`` epochs at a time, each chunk's rfft
+    taken once and masked per band, so no temporary holds more than one
+    chunk's spectra.
     """
-    bands = view_classes("stopped_band", spec)
+    bands, n = view_classes("stopped_band", spec), data.shape[-1]
+    masks = _band_masks(spec.band_table, n)
     table = np.empty((data.shape[0], bands, *data.shape[1:]), dtype)
     for lo in range(0, data.shape[0], chunk):
-        part = data[lo:lo + chunk]
+        spectra = np.fft.rfft(data[lo:lo + chunk], axis=-1)
         for b in range(bands):
-            table[lo:lo + chunk, b] = apply_view("stopped_band", part, np.full(len(part), b), spec)
+            table[lo:lo + chunk, b] = np.fft.irfft(spectra * masks[b], n=n, axis=-1)
     return table
 
 
@@ -173,7 +196,7 @@ def make_view(
     views, labels and generator state of its epochs drawn one at a time.
 
     With ``rows``, ``data`` is a :class:`ViewSource` and the batch is its epochs
-    ``rows``. The views are gathered into ``out``, (B, C, T) in the source's
+    ``rows``. The views are written into ``out``, (B, C, T) in the source's
     dtype, which is returned as the views: bit for bit :func:`apply_view` of
     those epochs, cast to that dtype.
     """
@@ -186,8 +209,12 @@ def make_view(
         return apply_view(name, data, labels, spec), labels
     if name == "stopped_band":
         out[...] = data.stopped[rows, labels]
-    else:  # amp_scale multiplies the given epochs, cast on assignment; the others only reorder
-        out[...] = apply_view(name, (data.data if name == "amp_scale" else data.cast)[rows], labels, spec)
+    elif name == "amp_scale":  # the given epochs' float64 products, cast as they are stored
+        np.multiply(np.array(AMP_FACTORS)[labels][:, None, None], data.data[rows], out=out)
+    elif name == "jigsaw":
+        _jigsaw_into(out, data.cast, rows.tolist(), labels)
+    else:
+        out[...] = apply_view(name, data.cast[rows], labels, spec)
     return out, labels
 
 
@@ -209,5 +236,5 @@ def apply_view(name: str, data: np.ndarray, labels: np.ndarray, spec: TaskSpec) 
     if name == "ap_flip":
         return data[np.arange(data.shape[0])[:, None], _flip_orders(data.shape[1])[labels]]
     if name == "jigsaw":
-        return np.take_along_axis(data, _jigsaw_orders(data.shape[-1])[labels][:, None, :], axis=-1)
+        return _jigsaw_into(np.empty(data.shape, data.dtype), data, range(len(data)), labels)
     raise ConfigError(f"unknown pretext task '{name}'")

@@ -136,9 +136,33 @@ class TestJigsaw:
             assert np.array_equal(view[:, np.argsort(jigsaw_order(200, label))], x)
 
     def test_chunks_are_near_equal_and_contiguous(self):
-        chunks = [np.arange(0, 67), np.arange(67, 134), np.arange(134, 200)]
-        for order, perm in zip(px._jigsaw_orders(200), JIGSAW_PERMS):
-            assert np.array_equal(order, np.concatenate([chunks[i] for i in perm]))
+        """Each label's slice pairs copy the 3 chunks in its permutation order onto
+        consecutive destinations that tile the epoch."""
+        chunks = [slice(0, 67), slice(67, 134), slice(134, 200)]
+        for pairs, perm in zip(px._jigsaw_slices(200), JIGSAW_PERMS):
+            assert [src for _, src in pairs] == [chunks[i] for i in perm]
+            cuts = [0]
+            for dst, src in pairs:
+                assert dst.start == cuts[-1] and dst.stop - dst.start == src.stop - src.start
+                cuts.append(dst.stop)
+            assert cuts[-1] == 200
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("samples", [200, 50])
+    def test_every_label_is_the_oracle_gather_bitwise(self, samples, dtype):
+        """All six labels, through ``apply_view`` and through ``make_view`` writing from a
+        source's rows, give the bytes of the ``jigsaw_order`` gather."""
+        spec = px.task_spec_for("syn_mi")
+        X = np.random.default_rng(samples).normal(size=(6, 8, samples)).astype(dtype)
+        views = px.apply_view("jigsaw", X, np.arange(6), spec)
+        want = np.stack([x[:, jigsaw_order(samples, label)] for label, x in enumerate(X)])
+        assert views.dtype == np.dtype(dtype) and views.tobytes() == want.tobytes()
+        source = px.view_source(X, spec, dtype, stopped=False, chunk=4)
+        rows = np.array([5, 0, 0, 3])
+        for label in range(6):
+            out = np.empty((4, 8, samples), dtype)
+            px.make_view("jigsaw", source, _Forced(label), spec, rows=rows, out=out)
+            assert out.tobytes() == X[rows][..., jigsaw_order(samples, label)].tobytes(), label
 
 
 class TestTaskSpec:
@@ -185,7 +209,7 @@ PER_SAMPLE = {
 }
 
 
-@pytest.mark.parametrize("batch", [1, 3, 8])
+@pytest.mark.parametrize("batch", [1, 3, 8, 16, 32])
 @pytest.mark.parametrize("task, name", [
     (task, name) for task in ("syn_mi", "syn_stress", "syn_speech") for name in px.task_spec_for(task).ssl_tasks
 ])
@@ -237,6 +261,19 @@ def test_views_gathered_from_a_source_are_the_batchs_views_cast(task):
         assert views is out and np.array_equal(labels, want_labels)
         assert out.tobytes() == want.astype(np.float32).tobytes()
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_amp_scale_written_from_a_source_is_the_float32_cast_of_its_views():
+    """At batch 32, the product stored straight into a float32 ``out`` is the float64
+    ``apply_view`` views cast to float32, byte for byte."""
+    spec = px.task_spec_for("syn_speech")
+    X = np.stack([noisy_epoch(400 + i) for i in range(40)])
+    source = px.view_source(X, spec, "float32", stopped=False, chunk=8)
+    rows = np.random.default_rng(3).integers(0, 40, 32)
+    out = np.empty((32, 8, 200), np.float32)
+    views, labels = px.make_view("amp_scale", source, np.random.default_rng(4), spec, rows=rows, out=out)
+    assert views is out and len(set(labels.tolist())) > 1
+    assert out.tobytes() == px.apply_view("amp_scale", X[rows], labels, spec).astype(np.float32).tobytes()
 
 
 @settings(max_examples=30, deadline=None)
