@@ -16,8 +16,9 @@ Two adaptation routes over a fine-tuned model, plus a no-op baseline:
 
 * ``tent`` — entropy minimisation on batches: forward in batch-statistics mode,
   minimise the mean prediction entropy (nats) by plain gradient descent on the
-  batch-norm affine parameters only. Everything else is frozen bit-for-bit and,
-  for the length of the call, carries no gradient: the backward skips it.
+  model's parameter arena, in which only the batch-norm affine parameters carry
+  a gradient: for the length of the call everything else has none (the backward
+  skips it), so its grad stays exactly zero and it is frozen bit for bit.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .autodiff import Tensor
 from .errors import ConfigError, ContractError
 from .nn import Model, arena_slices, clone_model, replicas, softmax
 from .optim import SGD, check_lr, check_optimizer, make_optimizer
-from .pretext import TaskSpec, apply_view, view_classes
+from .pretext import TaskSpec, active_branches, apply_view, view_classes
 
 ADAPT_METHODS = ("none", "ttt_ssl", "tent")
 
@@ -62,12 +63,13 @@ def content_rng(x: np.ndarray, seed: int) -> np.random.Generator:
     return np.random.default_rng([seed, int.from_bytes(digest[:16], "little")])
 
 
-def _l2_norm(parts) -> float:
-    """L2 norm over the arrays ``parts``: one dot per array, summed in order."""
-    total = 0.0
-    for d in parts:
-        total += float(np.dot(d.ravel(), d.ravel()))
-    return float(np.sqrt(total))
+def _delta_norms(d: np.ndarray, layout) -> np.ndarray:
+    """The L2 norm of each row of the (S, P) parameter changes ``d`` laid out as ``layout``,
+    its squares summed one parameter at a time, as the dots of a per-tensor norm."""
+    sq = np.zeros(len(d))
+    for s in arena_slices(layout):
+        sq += (d[:, None, s] @ d[:, s, None])[:, 0, 0]
+    return np.sqrt(sq)
 
 
 def _raise_if_diverged(strategy: str, probs: np.ndarray, delta: float) -> None:
@@ -98,16 +100,6 @@ class TttConfig:
         check_optimizer(self.optimizer)
 
 
-def _ttt_branches(spec: TaskSpec, cfg: TttConfig) -> list[tuple[int, str, float]]:
-    if cfg.ssl_mode == "first_only":
-        return [(0, spec.ssl_tasks[0], 1.0)]
-    return [
-        (j, name, float(w))
-        for j, (name, w) in enumerate(zip(spec.ssl_tasks, spec.weights))
-        if w != 0.0
-    ]
-
-
 def _ttt_block(
     work: Model, start: np.ndarray, X: np.ndarray, spec: TaskSpec, cfg: TttConfig
 ) -> tuple[np.ndarray, list[dict]]:
@@ -123,7 +115,8 @@ def _ttt_block(
     order, so each epoch's probabilities and record are bitwise those of
     adapting it alone, one pass per branch.
     """
-    branches = _ttt_branches(spec, cfg)
+    first_only = cfg.ssl_mode == "first_only"
+    branches = [(0, spec.ssl_tasks[0], 1.0)] if first_only else active_branches(spec, spec.weights)
     if not branches:
         raise ConfigError("no active pretext branch to adapt on (all weights zero)")
     classes = [view_classes(name, spec) for _, name, _ in branches]
@@ -146,13 +139,8 @@ def _ttt_block(
             opt.step()
         losses[:, step] = loss.data
     probs = work.predict_proba(X[:, None])[:, 0]
-    # the grads are spent: they take the parameter change, and each row's squared
-    # norm is summed one parameter at a time, as the dots of a per-tensor norm
-    d = np.subtract(work.param_arena, start, out=work.grad_arena)
-    sq = np.zeros(len(X))
-    for s in arena_slices(work.layout):
-        sq += (d[:, None, s] @ d[:, s, None])[:, 0, 0]
-    delta = np.sqrt(sq)
+    # the grads are spent: they take the parameter change
+    delta = _delta_norms(np.subtract(work.param_arena, start, out=work.grad_arena), work.layout)
     _raise_if_diverged("ttt_ssl", probs, delta)
     return probs, [{"ssl_loss": row, "param_delta": dr} for row, dr in zip(losses.tolist(), delta.tolist())]
 
@@ -213,16 +201,16 @@ def tent_adapt_predict(
 ) -> tuple[np.ndarray, list[dict]]:
     """Minimise mean prediction entropy over batch-norm affine parameters.
 
-    Each batch gets ``steps_per_batch`` plain gradient-descent updates of the BN
-    gamma/beta only, with forwards in batch-statistics mode; a final read-out
+    Each batch gets ``steps_per_batch`` plain gradient-descent steps of the model's
+    parameter arena, with forwards in batch-statistics mode; a final read-out
     forward (no stats update) produces the predictions. The batch's first layer
     and bn1 statistics (:meth:`Model.stem`) are computed once and serve all of
-    these forwards, bit for bit as if each made its own. Adaptation carries across
-    batches and mutates ``model`` in place (gamma/beta, plus running stats when
-    ``update_running_stats``); every other parameter is left bit-for-bit intact.
-    For the length of the call those parameters have ``requires_grad`` off, so the
-    backward computes no gradient for them; their flags are set back on return,
-    also when the call raises. A batch whose probabilities or parameter change
+    these forwards, bit for bit as if each made its own. For the length of the
+    call every parameter but the BN gamma/beta has ``requires_grad`` off: its grad
+    stays zero and the steps leave it bit for bit (``x - lr * 0.0`` is ``x``); the
+    flags are set back on return, also when the call raises. Adaptation carries
+    across batches and mutates ``model`` in place (gamma/beta, plus running stats
+    when ``update_running_stats``). A batch whose probabilities or parameter change
     are non-finite raises ContractError. Use :func:`run_adaptation` to keep the
     caller's model untouched.
     """
@@ -233,9 +221,8 @@ def tent_adapt_predict(
             f"entropy adaptation needs at least 2 test epochs, got {X.shape[0]}"
         )
     affine = set(model.param_groups()["bn_affine"])
-    named_affine = [(n, p) for n, p in model.named_parameters() if n in affine]
     frozen = [(t, t.requires_grad) for n, t in model.named_parameters() if n not in affine]
-    opt = SGD(named_affine, cfg.lr)
+    opt = SGD([model], cfg.lr)
 
     probs = np.empty((X.shape[0], model.cfg.n_main))
     records: list[dict] = []
@@ -245,7 +232,7 @@ def tent_adapt_predict(
         for k, idx in enumerate(_tent_batches(X.shape[0], cfg.batch_size)):
             batch = Tensor(X[idx])
             stem = model.stem(batch)
-            before = {n: p.data.copy() for n, p in named_affine}
+            before = model.param_arena.copy()
             step_entropies = []
             for _ in range(cfg.steps_per_batch):
                 with ad.fresh_tape():
@@ -262,7 +249,8 @@ def tent_adapt_predict(
             with ad.no_grad(), ad.fresh_tape():
                 logits = model.forward_main(batch, train=True, update_stats=False, stem=stem)
             p = softmax(logits.data)
-            delta = _l2_norm(p.data - before[n] for n, p in named_affine)
+            d = np.subtract(model.param_arena, before, out=before)  # the batch's parameter change
+            (delta,) = _delta_norms(d[None], model.layout).tolist()
             _raise_if_diverged("tent", p, delta)
             probs[idx] = p
             records.append(

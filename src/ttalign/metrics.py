@@ -92,19 +92,20 @@ def _check_binary(y_true, scores) -> tuple[np.ndarray, np.ndarray]:
     return yt, s
 
 
+def _tie_groups(sorted_scores: np.ndarray) -> list[tuple[int, int]]:
+    """(first, last) index of each run of equal values in a sorted score vector, in
+    order; a NaN equals nothing, so each NaN is a run of its own."""
+    firsts = [0, *(np.flatnonzero(sorted_scores[1:] != sorted_scores[:-1]) + 1).tolist()]
+    return list(zip(firsts, [f - 1 for f in firsts[1:]] + [sorted_scores.size - 1]))
+
+
 def auroc(y_true, scores) -> float:
     """Mann-Whitney AUROC via one sorted sweep; tied scores earn half credit."""
     yt, s = _check_binary(y_true, scores)
     order = np.argsort(s, kind="stable")
-    sorted_scores = s[order]
     ranks = np.empty(s.size, dtype=np.float64)
-    i = 0
-    while i < s.size:
-        j = i
-        while j + 1 < s.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
+    for i, j in _tie_groups(s[order]):
         ranks[order[i: j + 1]] = 0.5 * (i + j) + 1.0  # average 1-based rank of the tie group
-        i = j + 1
     n_pos = int(yt.sum())
     n_neg = yt.size - n_pos
     u = ranks[yt == 1].sum() - n_pos * (n_pos + 1) / 2.0
@@ -115,24 +116,19 @@ def auc_pr(y_true, scores) -> float:
     """Average precision: sum of (recall step) x (precision) over descending thresholds."""
     yt, s = _check_binary(y_true, scores)
     order = np.argsort(-s, kind="stable")
-    s_sorted = s[order]
     y_sorted = yt[order]
     n_pos = int(yt.sum())
     ap = 0.0
     tp = fp = 0
     prev_recall = 0.0
-    i = 0
-    while i < s.size:
-        j = i
-        while j + 1 < s.size and s_sorted[j + 1] == s_sorted[i]:
-            j += 1
-        tp += int(y_sorted[i: j + 1].sum())
-        fp += (j - i + 1) - int(y_sorted[i: j + 1].sum())
+    for i, j in _tie_groups(s[order]):
+        pos = int(y_sorted[i: j + 1].sum())
+        tp += pos
+        fp += (j - i + 1) - pos
         recall = tp / n_pos
         precision = tp / (tp + fp)
         ap += (recall - prev_recall) * precision
         prev_recall = recall
-        i = j + 1
     return float(ap)
 
 

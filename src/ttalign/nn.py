@@ -164,14 +164,12 @@ class ModelConfig:
             raise ConfigError(f"samples must be a positive multiple of {WINDOW}, got {self.samples}")
 
 
-def _arena(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Copy ``arrays`` back to back into one flat array; returns it and a view of it shaped like each."""
-    flat = np.concatenate([a.ravel() for a in arrays])
-    views, lo = [], 0
-    for a in arrays:
-        views.append(flat[lo:lo + a.size].reshape(a.shape))
-        lo += a.size
-    return flat, views
+def _arena(named: list[tuple[str, np.ndarray]]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Copy the ``named`` arrays back to back into one flat array; returns it and a view of it
+    shaped like each, taken through :func:`arena_slices`."""
+    flat = np.concatenate([a.ravel() for _, a in named])
+    layout = tuple((n, a.shape) for n, a in named)
+    return flat, [flat[s].reshape(shape) for (_, shape), s in zip(layout, arena_slices(layout))]
 
 
 @lru_cache(maxsize=16)
@@ -210,11 +208,11 @@ class Model:
 
         named = self.named_parameters()
         self.layout = tuple((n, t.shape) for n, t in named)
-        self.param_arena, datas = _arena([t.data for _, t in named])
-        self.grad_arena, grads = _arena([t.grad for _, t in named])
+        self.param_arena, datas = _arena([(n, t.data) for n, t in named])
+        self.grad_arena, grads = _arena([(n, t.grad) for n, t in named])
         for (_, t), data, grad in zip(named, datas, grads):
             t.data, t.grad = data, grad
-        self.buffer_arena, buffers = _arena([b for _, b in self.named_buffers()])
+        self.buffer_arena, buffers = _arena(self.named_buffers())
         self.bn1.running_mean, self.bn1.running_var, self.bn2.running_mean, self.bn2.running_var = buffers
 
     # -- parameter bookkeeping ------------------------------------------------

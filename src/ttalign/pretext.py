@@ -6,8 +6,9 @@ array: it draws one label per epoch and returns the transformed views
 views from a :class:`ViewSource` of the training set instead, written straight
 into the caller's stack from the batch's rows: every epoch's stopped-band views
 are computed once (:func:`stopped_band_table`) and gathered per batch, a jigsaw
-view is three slice copies per epoch and an amplitude-scaled one is one
-multiply, cast as it is stored; bit for bit the views ``apply_view`` would make.
+view is three slice copies per epoch, an amplitude-scaled one is one multiply,
+cast as it is stored, and an AP-flipped one is one gather; bit for bit the views
+``apply_view`` would make.
 
 Two pretext tasks are active per main task: stopped-band prediction (shared by
 all tasks, with a task-specific frequency-band table) paired with one domain
@@ -64,6 +65,11 @@ class TaskSpec:
     ssl_dims: tuple[int, int]
     weights: tuple[float, float]
     band_table: tuple[tuple[float, float], ...]
+
+
+def active_branches(spec: TaskSpec, weights) -> list[tuple[int, str, float]]:
+    """(index, task, weight) of each pretext task whose weight is not zero, in task order."""
+    return [(j, name, float(w)) for j, (name, w) in enumerate(zip(spec.ssl_tasks, weights)) if w != 0.0]
 
 
 def task_spec_for(task: str) -> TaskSpec:
@@ -213,8 +219,8 @@ def make_view(
         np.multiply(np.array(AMP_FACTORS)[labels][:, None, None], data.data[rows], out=out)
     elif name == "jigsaw":
         _jigsaw_into(out, data.cast, rows.tolist(), labels)
-    else:
-        out[...] = apply_view(name, data.cast[rows], labels, spec)
+    else:  # ap_flip: one gather from the source rows
+        out[...] = data.cast[rows[:, None], _flip_orders(out.shape[1])[labels]]
     return out, labels
 
 

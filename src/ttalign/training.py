@@ -32,12 +32,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, cross_entropy
+from .autodiff import Tensor
 from .errors import ConfigError, ContractError
 from .metrics import auroc, cohens_kappa, monitoring_metric
 from .nn import Linear, Model, restore, snapshot
 from .optim import check_lr, check_optimizer, make_optimizer
-from .pretext import TaskSpec, make_view, view_source
+from .pretext import TaskSpec, active_branches, make_view, view_source
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +172,7 @@ def finetune_stage1(
     weights = spec.weights if cfg.weights is None else cfg.weights
     if len(weights) != len(spec.ssl_tasks):
         raise ConfigError("one weight per pretext task required")
-    active = [(j, name, float(w)) for j, (name, w) in enumerate(zip(spec.ssl_tasks, weights)) if w != 0.0]
+    active = active_branches(spec, weights)
     monitor = cfg.monitor or monitoring_metric(spec.n_main)
 
     shuffle_rng = np.random.default_rng([cfg.seed, 1])

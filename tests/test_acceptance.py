@@ -17,6 +17,7 @@ import numpy as np
 
 import test_metrics as metric_oracles
 from oracles import bandpower, combined_loss, jigsaw_order
+from test_adapt import tiny_model
 from ttalign import autodiff as ad
 from ttalign.adapt import (
     TentConfig,
@@ -26,7 +27,7 @@ from ttalign.adapt import (
     tent_adapt_predict,
     ttt_ssl_adapt_predict,
 )
-from ttalign.autodiff import Tensor
+from ttalign.autodiff import Tensor, cross_entropy
 from ttalign.cli import main as cli_main
 from ttalign.gradcheck import TOLERANCE, max_relative_error, run_gradcheck
 from ttalign.harness import build_splits, preset_experiment
@@ -37,7 +38,7 @@ from ttalign.metrics import (
     cohens_kappa,
     weighted_f1,
 )
-from ttalign.nn import Model, ModelConfig, restore, snapshot
+from ttalign.nn import restore, snapshot
 from ttalign.optim import make_optimizer
 from ttalign.pilot import (
     MARGINS,
@@ -49,7 +50,6 @@ from ttalign.pretext import AMP_FACTORS, band_table_for, make_view, task_spec_fo
 from ttalign.signals import AP_PAIRS, TARGET_RATE
 from ttalign.training import (
     FinetuneConfig,
-    cross_entropy,
     finetune_stage1,
 )
 
@@ -65,17 +65,6 @@ def _verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
     VERDICT_LINES.append(line)
     print(line)
     assert ok, line
-
-
-def _tiny(task="syn_mi", seed=5, **overrides) -> tuple[Model, object]:
-    spec = task_spec_for(task)
-    kw = dict(
-        channels=8, samples=200,
-        hidden=6, features=12, n_main=spec.n_main, ssl_dims=spec.ssl_dims,
-        dropout=0.0, head_layers=1, init_seed=seed,
-    )
-    kw.update(overrides)
-    return Model(ModelConfig(**kw)), spec
 
 
 # ---------------------------------------------------------------------------
@@ -114,8 +103,8 @@ def test_criterion_02_single_step_exactness():
     cfg = TttConfig(steps=1, lr=lr, optimizer="sgd", seed=11)
     x = np.random.default_rng(42).standard_normal((8, 200))
 
-    model, _ = _tiny("syn_mi", seed=13)
-    reference, _ = _tiny("syn_mi", seed=13)  # same init -> bitwise-equal params
+    model, _ = tiny_model("syn_mi", seed=13)
+    reference, _ = tiny_model("syn_mi", seed=13)  # same init -> bitwise-equal params
 
     # independent gradient of the weighted pretext loss, same view draws
     branches = [
@@ -158,7 +147,7 @@ def test_criterion_03_tent_restriction():
     X = rng.standard_normal((16, 8, 200))
 
     def changed_bits(update_stats: bool) -> tuple[set, set]:
-        model, _ = _tiny("syn_mi", seed=3)
+        model, _ = tiny_model("syn_mi", seed=3)
         params_before = {n: p.data.tobytes() for n, p in model.named_parameters()}
         bufs_before = {n: b.tobytes() for n, b in model.named_buffers()}
         tent_adapt_predict(
@@ -175,7 +164,7 @@ def test_criterion_03_tent_restriction():
         }
         return changed_p, changed_b
 
-    model_probe, _ = _tiny("syn_mi", seed=3)
+    model_probe, _ = tiny_model("syn_mi", seed=3)
     affine = set(model_probe.param_groups()["bn_affine"])
 
     p_on, b_on = changed_bits(update_stats=True)
@@ -211,14 +200,14 @@ def test_criterion_04_entropy_descent():
     Xtr, ytr, _ = splits["train"]
     Xva, yva, _ = splits["val"]
     Xte, _, _ = splits["test"]
-    model, spec = _tiny("syn_mi", seed=29, hidden=8, features=16)
+    model, spec = tiny_model("syn_mi", seed=29, hidden=8, features=16)
     model, _ = finetune_stage1(model, spec, Xtr, ytr, Xva, yva, cfg.finetune)
 
     monotone = 0
     for trial in range(100):
         gains = np.random.default_rng(trial).uniform(0.5, 2.0, size=(Xte.shape[1],))
         shifted = Xte * gains[None, :, None]
-        work, _ = _tiny("syn_mi", seed=29, hidden=8, features=16)
+        work, _ = tiny_model("syn_mi", seed=29, hidden=8, features=16)
         restore(work, snapshot(model))
         _, records = tent_adapt_predict(
             work, shifted,
@@ -372,10 +361,10 @@ def test_criterion_08_degeneracy_and_linearity():
     xva, yva = _class_coded(12, 4, seed=102)
     cfg = FinetuneConfig(epochs=2, batch_size=8, lr=1e-3, weights=(0.0, 0.0), seed=55)
 
-    model, spec = _tiny("syn_mi", seed=77)
+    model, spec = tiny_model("syn_mi", seed=77)
     trained, _ = finetune_stage1(model, spec, xtr, ytr, xva, yva, cfg)
 
-    oracle, _ = _tiny("syn_mi", seed=77)
+    oracle, _ = tiny_model("syn_mi", seed=77)
     shuffle_rng = np.random.default_rng([cfg.seed, 1])
     dropout_rng = np.random.default_rng([cfg.seed, 3])
     opt = make_optimizer(cfg.optimizer, oracle.named_parameters(), cfg.lr)
@@ -405,7 +394,7 @@ def test_criterion_08_degeneracy_and_linearity():
     )
 
     # (b) pretext-head gradients scale linearly in their weight
-    lin_model, lin_spec = _tiny("syn_mi", seed=88, dtype="float64")  # a float64 tolerance
+    lin_model, lin_spec = tiny_model("syn_mi", seed=88, dtype="float64")  # a float64 tolerance
     rng = np.random.default_rng(6)
     xb = rng.normal(size=(4, 8, 200))
     yb = np.array([0, 1, 2, 3])

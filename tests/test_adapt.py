@@ -29,11 +29,10 @@ from ttalign.adapt import (
     tent_adapt_predict,
     ttt_ssl_adapt_predict,
 )
-from ttalign.autodiff import Tensor, backward, fresh_tape
+from ttalign.autodiff import Tensor, backward, cross_entropy, fresh_tape
 from ttalign.errors import ConfigError, ContractError
 from ttalign.nn import Model, ModelConfig, clone_model
 from ttalign.pretext import make_view, task_spec_for
-from ttalign.training import cross_entropy
 
 LN2 = 0.6931471805599453
 
@@ -346,6 +345,26 @@ def test_tent_updates_only_bn_affine_parameters():
     assert changed - affine == set(), f"non-BN parameters changed: {changed - affine}"
     for n, b in model.named_buffers():
         assert np.array_equal(b, buffers[n]), f"running stat {n} changed with updates off"
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_tent_param_delta_matches_per_tensor_reference(dtype):
+    """Each batch's arena delta keeps the per-tensor dots of the BN-affine changes and
+    their sum, so its bytes stay the same; the frozen parameters' grads stay zero."""
+    model, _ = tiny_model(seed=143, head_layers=2, dtype=dtype)
+    X = make_epochs(12, seed=149)
+    affine = model.param_groups()["bn_affine"]
+    params = dict(model.named_parameters())
+    for batch in (X[:6], X[6:]):  # one batch per call, adaptation carried between them
+        before = {n: params[n].data.copy() for n in affine}
+        _, (rec,) = tent_adapt_predict(model, batch, TentConfig(lr=1e-2, batch_size=6))
+        total = 0.0
+        for n in affine:
+            d = params[n].data - before[n]
+            total += float(np.dot(d.ravel(), d.ravel()))
+        assert total > 0.0
+        assert rec["param_delta"] == float(np.sqrt(total))
+        assert not any(p.grad.any() for n, p in params.items() if n not in affine)
 
 
 def test_tent_frozen_parameters_leave_affine_gradients_bitwise():

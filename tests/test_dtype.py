@@ -3,24 +3,18 @@
 import numpy as np
 import pytest
 
+from test_adapt import make_epochs, tiny_model
 from ttalign import adapt, autodiff as ad, training
 from ttalign.adapt import TentConfig, TttConfig, run_adaptation, tent_adapt_predict, ttt_ssl_adapt_predict
 from ttalign.errors import ConfigError
 from ttalign.nn import Model, ModelConfig
-from ttalign.pretext import task_spec_for
 from ttalign.training import FinetuneConfig, PretrainConfig, finetune_stage1, masked_pretrain
 
 
 def float32_model(task="syn_mi", seed=3, dropout=0.2):
-    spec = task_spec_for(task)
-    cfg = ModelConfig(channels=8, samples=200, hidden=6, features=12, n_main=spec.n_main,
-                      ssl_dims=spec.ssl_dims, head_layers=2, dropout=dropout, init_seed=seed)
-    assert cfg.dtype == "float32"  # the default
-    return Model(cfg), spec
-
-
-def epochs(n, seed):
-    return np.random.default_rng(seed).normal(size=(n, 8, 200))
+    model, spec = tiny_model(task, seed, head_layers=2, dropout=dropout)
+    assert model.cfg.dtype == "float32"  # the default
+    return model, spec
 
 
 def test_dtype_is_checked():
@@ -32,7 +26,7 @@ def test_dtype_is_checked():
 @pytest.mark.parametrize("strategy", ["predict_proba", "none", "ttt_ssl", "tent"])
 def test_probabilities_are_float64_rows_that_sum_to_one(strategy):
     model, spec = float32_model()
-    X = epochs(20, seed=5)
+    X = make_epochs(20, seed=5)
     p = model.predict_proba(X) if strategy == "predict_proba" else run_adaptation(strategy, model, spec, X)[0]
     assert p.dtype == np.float64 and p.shape == (20, spec.n_main)
     assert np.all(p >= 0.0) and np.abs(p.sum(axis=1) - 1.0).max() <= 1e-12
@@ -68,7 +62,7 @@ def test_no_float64_leaks_through_training_or_adaptation(monkeypatch):
     monkeypatch.setattr(training, "make_optimizer", keeping_make)
     monkeypatch.setattr(adapt, "make_optimizer", keeping_make)
     model, spec = float32_model()
-    X, y = epochs(16, seed=7), np.arange(16) % spec.n_main
+    X, y = make_epochs(16, seed=7), np.arange(16) % spec.n_main
     masked_pretrain(model, X, PretrainConfig(epochs=1, batch_size=8))
     finetune_stage1(model, spec, X, y, X[:8], y[:8], FinetuneConfig(epochs=1, batch_size=8, lr=1e-3))
     tent_adapt_predict(model, X[:8], TentConfig(lr=1e-3, batch_size=4))

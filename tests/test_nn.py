@@ -9,10 +9,9 @@ import pytest
 import oracles
 from ttalign import autodiff as ad
 from ttalign import nn
-from ttalign.autodiff import Tensor
+from ttalign.autodiff import Tensor, cross_entropy
 from ttalign.errors import ConfigError, ContractError
 from ttalign.optim import SGD, Adam, make_optimizer
-from ttalign.training import cross_entropy
 
 SEED = 42
 RNG = np.random.default_rng(SEED)

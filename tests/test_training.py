@@ -12,39 +12,22 @@ import pytest
 import oracles
 import ttalign.autodiff as ad
 from oracles import combined_loss
-from ttalign.autodiff import Tensor, backward, fresh_tape
+from test_adapt import tiny_model
+from ttalign.autodiff import Tensor, backward, cross_entropy, fresh_tape
 from ttalign.errors import ConfigError, ContractError
 from ttalign.metrics import auroc, cohens_kappa
-from ttalign.nn import Model, ModelConfig, restore, snapshot
+from ttalign.nn import Model, restore, snapshot
 from ttalign.optim import make_optimizer
 from ttalign.pretext import task_spec_for
 from ttalign.training import (
     FinetuneConfig,
     PretrainConfig,
-    cross_entropy,
     finetune_stage1,
     masked_pretrain,
 )
 
 LN2 = 0.6931471805599453
 LN4 = 1.3862943611198906
-
-
-def tiny_model(task="syn_mi", seed=5, **overrides):
-    spec = task_spec_for(task)
-    kw = dict(
-        channels=8,
-        samples=200,
-        hidden=6,
-        features=12,
-        n_main=spec.n_main,
-        ssl_dims=spec.ssl_dims,
-        dropout=0.0,
-        head_layers=1,
-        init_seed=seed,
-    )
-    kw.update(overrides)
-    return Model(ModelConfig(**kw)), spec
 
 
 # ---------------------------------------------------------------------------
