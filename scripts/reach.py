@@ -37,6 +37,7 @@ EXCEPTIONS = (
     ("pilot.", "run by scripts/pilot_directional.py and acceptance criterion 09"),
     ("nn.Snapshot.params", "read by perfbench/workloads.py"),
     ("autodiff.Tape.__len__", "read by perfbench/tracing.py"),
+    ("signals.pink_noise", "one trial's noise for tests, the generator's stacked _pink applied to one draw"),
 )
 
 MICRO = {

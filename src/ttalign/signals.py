@@ -12,6 +12,13 @@ Three task families are generated on a fixed 8-channel montage:
 All spectral surgery (band-pass, band-stop masks, resampling) works on the
 one-sided FFT with raised-cosine edges ``TRANSITION`` Hz wide, so passbands are
 preserved exactly and stopbands are zeroed exactly at the bin level.
+
+``generate_dataset`` builds each subject's trials as one (trials, channels,
+samples) stack, one inverse FFT and one pass of each task term for all of them.
+It draws as a one-trial-at-a-time loop would: per trial, the noise normals, the
+phases, then the ``syn_speech`` carrier's normals. All later arithmetic is
+elementwise, or an FFT or mean along each row, which numpy computes per row as
+for a lone trial, so each recording is bitwise the trial built alone.
 """
 
 from __future__ import annotations
@@ -151,17 +158,22 @@ def resample(data: np.ndarray, rate_in: float, rate_out: float) -> np.ndarray:
     return out
 
 
-def pink_noise(rng: np.random.Generator, channels: int, n: int, rate: float, rms: float) -> np.ndarray:
-    """1/f-spectrum noise per channel, scaled to the requested RMS."""
-    if rms == 0.0:
-        return np.zeros((channels, n))
+def _pink(normals: np.ndarray, n: int, rate: float, rms: float) -> np.ndarray:
+    """1/f-spectrum noise of ``n`` samples per channel, scaled to RMS ``rms``, from
+    (..., 2, channels, n // 2 + 1) normals: the real, then the imaginary parts of its spectrum."""
     freqs = np.fft.rfftfreq(n, d=1.0 / rate)
     amp = np.zeros_like(freqs)
     amp[1:] = 1.0 / np.sqrt(freqs[1:])
-    spec = amp * (rng.standard_normal((channels, freqs.size)) + 1j * rng.standard_normal((channels, freqs.size)))
-    x = np.fft.irfft(spec, n=n, axis=-1)
-    scale = rms / np.sqrt(np.mean(x ** 2, axis=-1, keepdims=True))
-    return x * scale
+    x = np.fft.irfft(amp * (normals[..., 0, :, :] + 1j * normals[..., 1, :, :]), n=n, axis=-1)
+    x *= rms / np.sqrt(np.mean(x ** 2, axis=-1, keepdims=True))
+    return x
+
+
+def pink_noise(rng: np.random.Generator, channels: int, n: int, rate: float, rms: float) -> np.ndarray:
+    """1/f-spectrum noise per channel, scaled to the requested RMS; at RMS 0, zeros and no draw."""
+    if rms == 0.0:
+        return np.zeros((channels, n))
+    return _pink(rng.standard_normal((2, channels, n // 2 + 1)), n, rate, rms)
 
 
 # ---------------------------------------------------------------------------
@@ -190,54 +202,6 @@ def _subject_profile(shift: ShiftSpec, master_seed: int, subject: int):
     return rng, gains, comp
 
 
-def generate_recording(
-    task: str,
-    label: int,
-    subject: int,
-    rng: np.random.Generator,
-    gains: np.ndarray,
-    comp: dict[str, float],
-    noise_scale: float,
-    duration: float = 1.0,
-) -> Recording:
-    rate = NATIVE_RATE[task]
-    n = int(round(duration * rate))
-    t = np.arange(n) / rate
-    c = len(MONTAGE)
-    x = pink_noise(rng, c, n, rate, rms=3.0 * noise_scale * comp["noise"])
-
-    if task == "syn_mi":
-        phase = rng.uniform(0, 2 * np.pi)
-        tone = np.sin(2 * np.pi * 10.0 * t + phase)
-        amp = np.full(c, 6.0 * comp["mu"])
-        erd = _raised_cosine_drop(t, onset=0.3, ramp=0.1, floor=0.25)
-        for ch in range(c):
-            env = erd if ch in MI_GROUPS[label] else 1.0
-            x[ch] += amp[ch] * env * tone
-    elif task == "syn_stress":
-        th_amp = (2.5, 6.0)[label] * comp["theta"]
-        al_amp = (6.0, 3.0)[label] * comp["alpha"]
-        theta = th_amp * np.sin(2 * np.pi * 6.0 * t + rng.uniform(0, 2 * np.pi))
-        alpha = al_amp * np.sin(2 * np.pi * 10.0 * t + rng.uniform(0, 2 * np.pi))
-        for ch in ANTERIOR:
-            x[ch] += theta
-        for ch in POSTERIOR:
-            x[ch] += alpha
-    elif task == "syn_speech":
-        f_env = SPEECH_ENV_HZ[label]
-        phi = rng.uniform(0, 2 * np.pi)
-        envelope = 1.0 + 0.8 * np.sin(2 * np.pi * f_env * t + phi)
-        carrier = pink_noise(rng, c, n, rate, rms=4.0 * comp["carrier"])
-        carrier = bandpass(carrier, rate, 20.0, min(60.0, rate / 2 - 2.0))
-        x += carrier * envelope
-        x += 3.0 * comp["envline"] * np.sin(2 * np.pi * f_env * t + phi)
-    else:
-        raise ConfigError(f"unknown task '{task}' (expected one of {TASKS})")
-
-    x *= gains[:, None]
-    return Recording(data=x, rate=rate, subject=subject, label=label)
-
-
 def generate_dataset(
     task: str,
     subjects: Sequence[int],
@@ -249,22 +213,57 @@ def generate_dataset(
     """Balanced labelled recordings for the subjects with ids ``subjects``, in that order.
 
     Each subject owns an independent RNG stream derived from the master seed, so a
-    subject's data does not depend on which other subjects are generated.
+    subject's data does not depend on which other subjects are generated. Each
+    recording's ``data`` is a row view of its subject's stack (module docstring); at
+    noise scale 0 no noise normals are drawn.
     """
     if task not in TASKS:
         raise ConfigError(f"unknown task '{task}' (expected one of {TASKS})")
     if not subjects or min(subjects) < 1 or trials_per_subject < 1:
         raise ConfigError("need at least one subject, ids >= 1, and one trial per subject")
-    n_classes = N_CLASSES[task]
+    rate = NATIVE_RATE[task]
+    n = int(round(duration * rate))
+    t = np.arange(n) / rate
+    c, r = len(MONTAGE), trials_per_subject
+    spectrum = (r, 2, c, n // 2 + 1)
+    n_phases = 2 if task == "syn_stress" else 1
+    erd = _raised_cosine_drop(t, onset=0.3, ramp=0.1, floor=0.25)
+    mi_groups = np.array([[ch in group for ch in range(c)] for group in MI_GROUPS])
     out: list[Recording] = []
     for subject in subjects:
         rng, gains, comp = _subject_profile(shift, seed, subject)
-        labels = np.tile(np.arange(n_classes), trials_per_subject // n_classes + 1)[:trials_per_subject]
+        labels = np.tile(np.arange(N_CLASSES[task]), r // N_CLASSES[task] + 1)[:r]
         labels = rng.permutation(labels)
-        for label in labels:
-            out.append(
-                generate_recording(task, int(label), subject, rng, gains, comp, shift.noise_scale, duration)
-            )
+        rms = 3.0 * shift.noise_scale * comp["noise"]
+        noise = np.empty(spectrum) if rms != 0.0 else None
+        carrier = np.empty(spectrum) if task == "syn_speech" else None
+        phases = np.empty((r, n_phases))
+        for i in range(r):
+            if noise is not None:
+                rng.standard_normal(out=noise[i])
+            phases[i] = rng.uniform(0, 2 * np.pi, size=n_phases)
+            if carrier is not None:
+                rng.standard_normal(out=carrier[i])
+        x = _pink(noise, n, rate, rms) if noise is not None else np.zeros((r, c, n))
+
+        if task == "syn_mi":
+            tone = np.sin(2 * np.pi * 10.0 * t + phases)
+            a = 6.0 * comp["mu"]
+            x += np.where(mi_groups[labels, :, None], a * erd, a) * tone[:, None]
+        elif task == "syn_stress":
+            th_amp = np.array((2.5, 6.0))[labels] * comp["theta"]
+            al_amp = np.array((6.0, 3.0))[labels] * comp["alpha"]
+            x[:, ANTERIOR] += (th_amp[:, None] * np.sin(2 * np.pi * 6.0 * t + phases[:, :1]))[:, None]
+            x[:, POSTERIOR] += (al_amp[:, None] * np.sin(2 * np.pi * 10.0 * t + phases[:, 1:]))[:, None]
+        else:
+            wave = np.sin(2 * np.pi * np.array(SPEECH_ENV_HZ)[labels, None] * t + phases)
+            envelope = 1.0 + 0.8 * wave
+            carrier = bandpass(_pink(carrier, n, rate, 4.0 * comp["carrier"]), rate, 20.0, min(60.0, rate / 2 - 2.0))
+            x += carrier * envelope[:, None]
+            x += 3.0 * comp["envline"] * wave[:, None]
+
+        x *= gains[:, None]
+        out += [Recording(data=xr, rate=rate, subject=subject, label=int(label)) for xr, label in zip(x, labels)]
     return out
 
 

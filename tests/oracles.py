@@ -13,7 +13,9 @@ its loss is ``combined_loss``, the chain of head and loss records that
 ``autodiff.heads_cross_entropy`` replaces, and ``unstack`` hands each group of
 a grouped pass to such a chain.
 ``preprocess_per_recording`` filters one recording at a time, the reference for
-the stacked runs of ``signals.preprocess``.
+the stacked runs of ``signals.preprocess``; ``generate_per_recording`` builds one
+trial at a time, the reference for the per-subject stacks of
+``signals.generate_dataset``.
 """
 
 import itertools
@@ -22,14 +24,16 @@ import numpy as np
 
 from ttalign import autodiff as ad
 from ttalign.adapt import content_rng
-from ttalign.errors import ContractError
+from ttalign.errors import ConfigError, ContractError
 from ttalign.metrics import monitoring_metric
 from ttalign.nn import arena_slices, clone_model, restore, snapshot
 from ttalign.optim import make_optimizer
 from ttalign.pretext import AMP_FACTORS, make_view
 from ttalign.training import _validation_score
 from ttalign.signals import (
-    AP_PAIRS, EPOCH_SAMPLES, PASSBAND, TARGET_RATE, bandpass, bandstop_mask, resample,
+    ANTERIOR, AP_PAIRS, EPOCH_SAMPLES, MI_GROUPS, MONTAGE, N_CLASSES, NATIVE_RATE, PASSBAND, POSTERIOR,
+    SPEECH_ENV_HZ, TARGET_RATE, TASKS, Recording, ShiftSpec, _raised_cosine_drop, _subject_profile,
+    bandpass, bandstop_mask, resample,
 )
 
 # the jigsaw label indexes the lexicographic permutations of 3 chunks
@@ -71,6 +75,82 @@ def preprocess_per_recording(recordings):
         subjects += [rec.subject] * n_epochs
     return np.stack(epochs), np.array(labels, dtype=np.int64), np.array(subjects, dtype=np.int64)
 
+
+
+def _pink_noise(rng: np.random.Generator, channels: int, n: int, rate: float, rms: float) -> np.ndarray:
+    """1/f-spectrum noise per channel, scaled to the requested RMS."""
+    if rms == 0.0:
+        return np.zeros((channels, n))
+    freqs = np.fft.rfftfreq(n, d=1.0 / rate)
+    amp = np.zeros_like(freqs)
+    amp[1:] = 1.0 / np.sqrt(freqs[1:])
+    spec = amp * (rng.standard_normal((channels, freqs.size)) + 1j * rng.standard_normal((channels, freqs.size)))
+    x = np.fft.irfft(spec, n=n, axis=-1)
+    scale = rms / np.sqrt(np.mean(x ** 2, axis=-1, keepdims=True))
+    return x * scale
+
+
+def _recording(
+    task: str,
+    label: int,
+    subject: int,
+    rng: np.random.Generator,
+    gains: np.ndarray,
+    comp: dict[str, float],
+    noise_scale: float,
+    duration: float = 1.0,
+) -> Recording:
+    rate = NATIVE_RATE[task]
+    n = int(round(duration * rate))
+    t = np.arange(n) / rate
+    c = len(MONTAGE)
+    x = _pink_noise(rng, c, n, rate, rms=3.0 * noise_scale * comp["noise"])
+
+    if task == "syn_mi":
+        phase = rng.uniform(0, 2 * np.pi)
+        tone = np.sin(2 * np.pi * 10.0 * t + phase)
+        amp = np.full(c, 6.0 * comp["mu"])
+        erd = _raised_cosine_drop(t, onset=0.3, ramp=0.1, floor=0.25)
+        for ch in range(c):
+            env = erd if ch in MI_GROUPS[label] else 1.0
+            x[ch] += amp[ch] * env * tone
+    elif task == "syn_stress":
+        th_amp = (2.5, 6.0)[label] * comp["theta"]
+        al_amp = (6.0, 3.0)[label] * comp["alpha"]
+        theta = th_amp * np.sin(2 * np.pi * 6.0 * t + rng.uniform(0, 2 * np.pi))
+        alpha = al_amp * np.sin(2 * np.pi * 10.0 * t + rng.uniform(0, 2 * np.pi))
+        for ch in ANTERIOR:
+            x[ch] += theta
+        for ch in POSTERIOR:
+            x[ch] += alpha
+    elif task == "syn_speech":
+        f_env = SPEECH_ENV_HZ[label]
+        phi = rng.uniform(0, 2 * np.pi)
+        envelope = 1.0 + 0.8 * np.sin(2 * np.pi * f_env * t + phi)
+        carrier = _pink_noise(rng, c, n, rate, rms=4.0 * comp["carrier"])
+        carrier = bandpass(carrier, rate, 20.0, min(60.0, rate / 2 - 2.0))
+        x += carrier * envelope
+        x += 3.0 * comp["envline"] * np.sin(2 * np.pi * f_env * t + phi)
+    else:
+        raise ConfigError(f"unknown task '{task}' (expected one of {TASKS})")
+
+    x *= gains[:, None]
+    return Recording(data=x, rate=rate, subject=subject, label=label)
+
+
+def generate_per_recording(task, subjects, trials_per_subject, seed, shift=ShiftSpec(), duration=1.0):
+    """``signals.generate_dataset`` with each trial drawn and built alone, its own arrays."""
+    n_classes = N_CLASSES[task]
+    out: list[Recording] = []
+    for subject in subjects:
+        rng, gains, comp = _subject_profile(shift, seed, subject)
+        labels = np.tile(np.arange(n_classes), trials_per_subject // n_classes + 1)[:trials_per_subject]
+        labels = rng.permutation(labels)
+        for label in labels:
+            out.append(
+                _recording(task, int(label), subject, rng, gains, comp, shift.noise_scale, duration)
+            )
+    return out
 
 def stopped_band(data, rng, table):
     label = int(rng.integers(len(table)))

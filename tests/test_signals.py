@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bandpower, bandstop, preprocess_per_recording
+from oracles import bandpower, bandstop, generate_per_recording, preprocess_per_recording
 from ttalign import signals as sig
 from ttalign.errors import ConfigError, ContractError
 
@@ -193,6 +193,20 @@ class TestPreprocess:
 
 
 class TestGenerators:
+    @pytest.mark.parametrize("duration", [1.0, 1.7])
+    @pytest.mark.parametrize("trials", [1, 13])
+    @pytest.mark.parametrize("noise_scale", [0.0, 1.0])
+    @pytest.mark.parametrize("task", sig.TASKS)
+    def test_subject_stacks_are_bitwise_the_per_trial_generator(self, task, noise_scale, trials, duration):
+        shift = sig.ShiftSpec(noise_scale=noise_scale)
+        got = sig.generate_dataset(task, (2, 5, 11), trials, 6, shift, duration)
+        want = generate_per_recording(task, (2, 5, 11), trials, 6, shift, duration)
+        assert len(got) == len(want) == 3 * trials
+        for a, b in zip(got, want):
+            assert (a.rate, a.subject, a.label) == (b.rate, b.subject, b.label)
+            assert a.data.dtype == b.data.dtype and a.data.shape == b.data.shape
+            assert a.data.tobytes() == b.data.tobytes()
+
     def test_determinism_and_seed_sensitivity(self):
         a = sig.generate_dataset("syn_mi", range(1, 3), 8, seed=3)
         b = sig.generate_dataset("syn_mi", range(1, 3), 8, seed=3)
