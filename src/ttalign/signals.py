@@ -224,7 +224,7 @@ def generate_dataset(
     rate = NATIVE_RATE[task]
     n = int(round(duration * rate))
     t = np.arange(n) / rate
-    c, r = len(MONTAGE), trials_per_subject
+    c, r, n_classes = len(MONTAGE), trials_per_subject, N_CLASSES[task]
     spectrum = (r, 2, c, n // 2 + 1)
     n_phases = 2 if task == "syn_stress" else 1
     erd = _raised_cosine_drop(t, onset=0.3, ramp=0.1, floor=0.25)
@@ -232,7 +232,7 @@ def generate_dataset(
     out: list[Recording] = []
     for subject in subjects:
         rng, gains, comp = _subject_profile(shift, seed, subject)
-        labels = np.tile(np.arange(N_CLASSES[task]), r // N_CLASSES[task] + 1)[:r]
+        labels = np.tile(np.arange(n_classes), r // n_classes + 1)[:r]
         labels = rng.permutation(labels)
         rms = 3.0 * shift.noise_scale * comp["noise"]
         noise = np.empty(spectrum) if rms != 0.0 else None

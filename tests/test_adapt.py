@@ -93,7 +93,6 @@ def test_entropy_validation():
         entropy(np.array([1.2, -0.2]))
 
 
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_entropy_rejects_non_finite_rows(bad):
     p = np.full((3, 4), 0.25)
@@ -102,6 +101,7 @@ def test_entropy_rejects_non_finite_rows(bad):
         entropy(p, axis=1)
     with pytest.raises(ContractError):
         entropy(np.array([0.5, 0.5, bad]))
+
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(2, 8), st.integers(0, 10_000))
