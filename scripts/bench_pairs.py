@@ -18,9 +18,12 @@ recorded pair runs at the benchmark's own run length.
 both sides; the parent runs first in even pairs and the change in odd ones.
 The result is written to ``BENCH_<label>.json`` at the repository root: the
 machine facts perfbench printed, both revisions, every run's end-to-end
-metrics, and per workload and metric each side's median and quartiles, the
-change's wins over the parent pair by pair, and the verdicts of
-:func:`summarize` against the metric's bound in ``BENCHMARK.json``.
+metrics and the minor page faults of its process tree, and per workload and
+metric each side's median and quartiles, the change's wins over the parent
+pair by pair, and the verdicts of :func:`summarize` against the metric's bound
+in ``BENCHMARK.json``. Per workload the summary also holds each side's median
+minor page faults per run: they show allocator effects (a run that maps and
+unmaps its temporaries afresh) that no verdict is drawn from.
 
 After the pairs, each side makes one traced run per workload (``--trace 1``,
 seed ``--seed``), and the file also holds those per-layer metrics: they show
@@ -33,6 +36,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import resource
 import shutil
 import statistics
 import subprocess
@@ -61,20 +65,24 @@ def export(rev: str, dest: Path) -> str:
     return sha
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> tuple[dict, dict]:
-    """One perfbench run; returns (machine facts, result of its last line)."""
+def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> tuple[dict, dict, int]:
+    """One perfbench run; returns (machine facts, result of its last line, minor page
+    faults of the run's process tree)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
     lines = proc.stdout.strip().splitlines()
     if proc.returncode not in (0, 1) or not lines:
         raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
     machine = next((json.loads(line[len("machine "):]) for line in lines if line.startswith("machine ")), {})
-    return machine, json.loads(lines[-1])
+    return machine, json.loads(lines[-1]), faults
 
 
 def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
-    """Per workload and end-to-end metric: medians, quartiles, pairwise wins and verdicts.
+    """Per workload and end-to-end metric: medians, quartiles, pairwise wins and verdicts;
+    per workload also each side's median ``minor_faults``.
 
     ``end_to_end`` is the list of that name in ``BENCHMARK.json``: each metric's
     ``name``, the direction that is ``better`` and the ``bound`` by which its median
@@ -119,7 +127,8 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
             }
         failed = {side: sum(by[(k, side)]["failed"] for k in pairs) for side in SIDES}
         attempted = {side: sum(by[(k, side)]["attempted"] for k in pairs) for side in SIDES}
-        out[workload] = {"metrics": metrics, "failed": failed, "attempted": attempted}
+        faults = {side: statistics.median(by[(k, side)]["minor_faults"] for k in pairs) for side in SIDES}
+        out[workload] = {"metrics": metrics, "failed": failed, "attempted": attempted, "minor_faults": faults}
     return out
 
 
@@ -153,11 +162,12 @@ def main(argv=None) -> int:
                 order = SIDES if k % 2 == 0 else SIDES[::-1]
                 for side in order:
                     t0 = time.perf_counter()
-                    machine, result = run_once(trees[side], workload, seed, seconds)
+                    machine, result, faults = run_once(trees[side], workload, seed, seconds)
                     runs.append({
                         "workload": workload, "pair": k, "seed": seed, "side": side, "first": side == order[0],
                         "correct": result["correct"], "attempted": result["attempted"], "failed": result["failed"],
                         "metrics": {m: v["value"] for m, v in result["metrics"].items()},
+                        "minor_faults": faults,
                         "wall_s": time.perf_counter() - t0,
                     })
                     print(json.dumps(runs[-1]), flush=True)
@@ -165,7 +175,7 @@ def main(argv=None) -> int:
         for workload, _ in plan:
             traced[workload] = {"seed": args.seed}
             for side in SIDES:
-                _, result = run_once(trees[side], workload, args.seed, seconds, trace=1)
+                _, result, _ = run_once(trees[side], workload, args.seed, seconds, trace=1)
                 traced[workload][side] = {"correct": result["correct"], "metrics": result["metrics"]}
                 print(json.dumps({"workload": workload, "side": side, "traced": True,
                                   "correct": result["correct"]}), flush=True)

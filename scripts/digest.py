@@ -17,9 +17,12 @@ stage's outputs on micro configs:
   and its history without ``wall_time``;
 - ``cells/...``: the results and adaptation logs of ``harness.run_cells``;
 - ``adapt/...``: the probabilities and logs of episodic ``ttt_ssl``, online
-  ``ttt_ssl`` and ``tent`` on a stream of 24 test epochs (two TTT blocks,
-  three Tent batches), from a freshly initialised model that no training has
-  touched.
+  ``ttt_ssl`` and ``tent`` on a stream of 24 test epochs (one TTT block, three
+  Tent batches), from a freshly initialised model that no training has
+  touched. The bits of a call split into several TTT blocks are held by
+  ``tests/test_adapt.py::test_ttt_blocks_match_per_epoch_reference_bitwise``
+  (2 x ``TTT_BLOCK`` + 3 = 67 epochs in three blocks of uneven size, against
+  adapting one epoch at a time).
 
 ``golden/digests.json`` also holds the machine facts: numpy's version, the
 OpenBLAS version and the kernel that OpenBLAS picked for this CPU. OpenBLAS

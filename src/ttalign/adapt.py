@@ -7,10 +7,12 @@ Two adaptation routes over a fine-tuned model, plus a no-op baseline:
   (a single plain-gradient-descent step is exactly ``theta' = theta - lr * g``),
   then predict. Episodic by default: every epoch adapts from the same weights, so
   predictions are independent of test-set order. Episodes never interact (batch
-  norm runs in eval mode), so they run in blocks of up to ``TTT_BLOCK`` epochs, one
-  parameter replica per epoch (:func:`nn.replicas`), the pretext branches as the
-  groups of one stacked pass per step; each epoch's numbers are bitwise those of
-  adapting it alone, one pass per branch. Online mode
+  norm runs in eval mode), so a call of n epochs runs them in the fewest blocks of
+  at most ``TTT_BLOCK`` epochs, of sizes that differ by at most one
+  (:func:`_ttt_bounds`), one parameter replica per epoch (:func:`nn.replicas`),
+  the pretext branches as the groups of one stacked pass per step; each epoch's
+  numbers are bitwise those of adapting it alone, one pass per branch, whatever
+  block it lands in. Online mode
   carries one model from epoch to epoch. Pretext randomness is seeded from a
   content hash of the sample, so the same epoch always gets the same views.
 
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import accumulate, pairwise
 
 import numpy as np
 
@@ -37,8 +40,8 @@ from .pretext import TaskSpec, active_branches, apply_view, view_classes
 
 ADAPT_METHODS = ("none", "ttt_ssl", "tent")
 
-# Episodic TTT adapts this many test epochs at once, one parameter replica each.
-TTT_BLOCK = 16
+# Episodic TTT adapts at most this many test epochs at once, one parameter replica each.
+TTT_BLOCK = 32
 
 
 def entropy(p, axis: int = -1):
@@ -59,16 +62,22 @@ def entropy(p, axis: int = -1):
 def content_rng(x: np.ndarray, seed: int) -> np.random.Generator:
     """RNG keyed by the sample's bytes: identical epochs get identical views,
     and per-sample adaptation commutes with any reordering of the test set."""
-    digest = hashlib.sha256(np.ascontiguousarray(x, dtype=np.float64).tobytes()).digest()
+    digest = hashlib.sha256(np.ascontiguousarray(x, dtype=np.float64)).digest()  # the buffer, uncopied
     return np.random.default_rng([seed, int.from_bytes(digest[:16], "little")])
 
 
-def _delta_norms(d: np.ndarray, layout) -> np.ndarray:
+def _delta_norms(d: np.ndarray, layout, names=None) -> np.ndarray:
     """The L2 norm of each row of the (S, P) parameter changes ``d`` laid out as ``layout``,
-    its squares summed one parameter at a time, as the dots of a per-tensor norm."""
+    its squares summed one parameter at a time, as the dots of a per-tensor norm.
+
+    Only the parameters in ``names`` (every one when None) are summed, in layout
+    order: a caller that knows the others did not move skips their dots, which
+    would each add exactly +0.0.
+    """
     sq = np.zeros(len(d))
-    for s in arena_slices(layout):
-        sq += (d[:, None, s] @ d[:, s, None])[:, 0, 0]
+    for (name, _), s in zip(layout, arena_slices(layout)):
+        if names is None or name in names:
+            sq += (d[:, None, s] @ d[:, s, None])[:, 0, 0]
     return np.sqrt(sq)
 
 
@@ -100,6 +109,15 @@ class TttConfig:
         check_optimizer(self.optimizer)
 
 
+def _ttt_bounds(n: int) -> list[tuple[int, int]]:
+    """The (lo, hi) index bounds of the fewest blocks of at most ``TTT_BLOCK`` epochs
+    that cover ``n`` epochs, their sizes differing by at most one, the larger first."""
+    blocks = -(-n // TTT_BLOCK)
+    size, extra = divmod(n, blocks) if blocks else (0, 0)
+    ends = accumulate([size + 1] * extra + [size] * (blocks - extra), initial=0)
+    return list(pairwise(ends))
+
+
 def _ttt_block(
     work: Model, start: np.ndarray, X: np.ndarray, spec: TaskSpec, cfg: TttConfig
 ) -> tuple[np.ndarray, list[dict]]:
@@ -122,7 +140,8 @@ def _ttt_block(
     classes = [view_classes(name, spec) for _, name, _ in branches]
     rngs = (content_rng(x, cfg.seed) for x in X)
     labels = np.array([[rng.integers(c) for c in classes] for rng in rngs], dtype=np.int64)
-    views = Tensor(np.stack([apply_view(name, X, y, spec) for (_, name, _), y in zip(branches, labels.T)])[:, :, None])
+    views = [apply_view(name, X, y, spec) for (_, name, _), y in zip(branches, labels.T)]
+    views = Tensor(np.stack(views, dtype=work.cfg.dtype)[:, :, None])  # in the model's dtype: no cast copy
     heads = work.heads([j for j, _, _ in branches])[1:]  # the pretext heads, without the main head
     weights = [w for _, _, w in branches]
     np.copyto(work.param_arena, start)
@@ -250,7 +269,7 @@ def tent_adapt_predict(
                 logits = model.forward_main(batch, train=True, update_stats=False, stem=stem)
             p = softmax(logits.data)
             d = np.subtract(model.param_arena, before, out=before)  # the batch's parameter change
-            (delta,) = _delta_norms(d[None], model.layout).tolist()
+            (delta,) = _delta_norms(d[None], model.layout, affine).tolist()
             _raise_if_diverged("tent", p, delta)
             probs[idx] = p
             records.append(
@@ -283,9 +302,12 @@ def run_adaptation(
     """Predict the test epochs under the chosen adaptation strategy.
 
     Adaptation runs on an internal clone, so the caller's model is never mutated.
-    ``ttt_ssl`` is episodic unless ``ttt.online``: blocks of ``TTT_BLOCK`` epochs
-    adapt at once, one parameter replica per epoch, every replica starting from the
-    model's parameters, in two (S, P) arenas allocated once per call. Online, the
+    ``ttt_ssl`` is episodic unless ``ttt.online``: the n epochs run in
+    ``ceil(n / TTT_BLOCK)`` blocks whose sizes differ by at most one, the larger
+    first (48 epochs as 24 + 24, 65 as 22 + 22 + 21), each adapted at once, one
+    parameter replica per epoch, every replica starting from the model's
+    parameters, in two (S, P) arenas allocated once per call. The split depends
+    on n alone and moves no bit, as replicas never interact. Online, the
     clone adapts in place one epoch after another (:func:`ttt_ssl_adapt_predict`).
     Returns per-sample probabilities plus a log with one record per sample
     (ttt_ssl) or per batch (tent). Test epochs holding a NaN or an infinity raise
@@ -308,12 +330,13 @@ def run_adaptation(
                 probs[i], rec = ttt_ssl_adapt_predict(work, x, spec, cfg)
                 records.append({**rec, "index": i})
         else:  # blocks of replicas, each replica starting from the model
-            params = np.empty((min(TTT_BLOCK, len(X)), model.param_arena.size), model.param_arena.dtype)
+            bounds = _ttt_bounds(len(X))
+            widest = max((hi - lo for lo, hi in bounds), default=0)
+            params = np.empty((widest, model.param_arena.size), model.param_arena.dtype)
             grads = np.empty_like(params)
-            for lo in range(0, len(X), TTT_BLOCK):
-                block = X[lo:lo + TTT_BLOCK]
-                with replicas(work, params[:len(block)], grads[:len(block)]):
-                    probs[lo:lo + len(block)], recs = _ttt_block(work, model.param_arena, block, spec, cfg)
+            for lo, hi in bounds:
+                with replicas(work, params[:hi - lo], grads[:hi - lo]):
+                    probs[lo:hi], recs = _ttt_block(work, model.param_arena, X[lo:hi], spec, cfg)
                 records += [{**rec, "index": i} for i, rec in enumerate(recs, start=lo)]
     elif strategy == "tent":
         probs, records = tent_adapt_predict(clone_model(model), X, tent or TentConfig())

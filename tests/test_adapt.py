@@ -7,6 +7,7 @@ diff proving entropy minimisation touches batch-norm affine terms and nothing
 else.
 """
 
+import hashlib
 import json
 from dataclasses import replace
 
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ttalign.autodiff as ad
-from ttalign import optim
+from ttalign import adapt, optim
 from ttalign.adapt import (
     TTT_BLOCK,
     TentConfig,
@@ -257,7 +258,7 @@ BLOCK_CASES = [
 @pytest.mark.parametrize("task", ["syn_mi", "syn_stress", "syn_speech"])
 @pytest.mark.parametrize("case", BLOCK_CASES, ids=lambda c: "-".join(str(v) for v in c.values()))
 def test_ttt_blocks_match_per_epoch_reference_bitwise(task, case):
-    """Block adaptation, with a partial last block, equals adapting one epoch at a time byte for byte."""
+    """Block adaptation, in three blocks of uneven size, equals adapting one epoch at a time byte for byte."""
     blocks_against_per_epoch(task, case, "float64")
 
 
@@ -277,6 +278,38 @@ def blocks_against_per_epoch(task, case, dtype):
     assert probs.tobytes() == want_probs.tobytes()
     assert json.dumps(records) == json.dumps(want_records)
     assert [len(r["ssl_loss"]) for r in records] == [cfg.steps] * len(X)
+
+
+@pytest.mark.parametrize("n, sizes", [
+    (0, []), (1, [1]), (24, [24]), (32, [32]), (33, [17, 16]), (48, [24, 24]), (65, [22, 22, 21]),
+])
+def test_ttt_runs_the_fewest_even_blocks(monkeypatch, n, sizes):
+    """n epochs run in ceil(n / TTT_BLOCK) blocks whose sizes differ by at most one, the larger first."""
+    assert TTT_BLOCK == 32
+    seen = []
+    block = adapt._ttt_block
+
+    def recorded(work, start, X, spec, cfg):
+        seen.append(len(X))
+        return block(work, start, X, spec, cfg)
+
+    monkeypatch.setattr(adapt, "_ttt_block", recorded)
+    model, spec = tiny_model()
+    probs, records = run_adaptation("ttt_ssl", model, spec, make_epochs(n, seed=73), ttt=TttConfig())
+    assert seen == sizes
+    assert probs.shape == (n, spec.n_main)
+    assert [r["index"] for r in records] == list(range(n))
+
+
+@pytest.mark.parametrize("kind", ["float32", "float64", "strided"])
+def test_content_rng_hashes_the_float64_bytes(kind):
+    """The content hash reads the epoch's float64 values in C order, whatever its dtype or strides."""
+    base = make_epochs(1, seed=79)[0]
+    x = {"float32": base.astype(np.float32), "float64": base, "strided": base[:, ::2]}[kind]
+    assert x.flags.c_contiguous == (kind != "strided")
+    digest = hashlib.sha256(x.astype(np.float64).tobytes()).digest()
+    want = np.random.default_rng([7, int.from_bytes(digest[:16], "little")])
+    assert content_rng(x, 7).integers(2**63, size=8).tolist() == want.integers(2**63, size=8).tolist()
 
 
 def test_a_ttt_block_step_records_three_tape_entries(monkeypatch):

@@ -17,13 +17,17 @@ END_TO_END = [
 ]
 
 
-def _runs(workload: str, parent: dict[str, list[float]], change: dict[str, list[float]]) -> list[dict]:
-    """One run per side and pair, pair ``k`` holding the ``k``-th value of each metric."""
+def _runs(workload: str, parent: dict[str, list[float]], change: dict[str, list[float]],
+          faults: dict[str, list[int]] | None = None) -> list[dict]:
+    """One run per side and pair, pair ``k`` holding the ``k``-th value of each metric
+    and of the side's ``faults`` (0 when not given)."""
+    n = len(parent["throughput"])
+    faults = faults or {"parent": [0] * n, "change": [0] * n}
     return [
         {"workload": workload, "pair": k, "side": side, "failed": 0, "attempted": 1,
-         "metrics": {name: values[k] for name, values in metrics.items()}}
+         "metrics": {name: values[k] for name, values in metrics.items()}, "minor_faults": faults[side][k]}
         for side, metrics in (("parent", parent), ("change", change))
-        for k in range(len(parent["throughput"]))
+        for k in range(n)
     ]
 
 
@@ -54,3 +58,27 @@ def test_summarize_verdicts(wins, gain):
     assert rss["change_wins"] == wins and rss["median_gap_exceeds_parent_iqr"]
     assert rss["gain_shown"] is gain
     assert not rss["every_change_run_better"] and not rss["worse_than_bound"] and not rss["spread_exceeds_bound"]
+
+
+def test_summarize_reports_each_sides_median_minor_faults():
+    """The median minor page faults per run sit beside the verdicts, which they do not move."""
+    same = {"throughput": [100.0, 101.0, 102.0], "setup_s": [1.0] * 3, "peak_rss_mb": [50.0] * 3}
+    quiet = _runs("w", same, same)
+    noisy = _runs("w", same, same, faults={"parent": [900, 40, 1500], "change": [10, 30, 20]})
+    summary = bench_pairs.summarize(noisy, END_TO_END)["w"]
+    assert summary["minor_faults"] == {"parent": 900, "change": 20}
+    assert summary["metrics"] == bench_pairs.summarize(quiet, END_TO_END)["w"]["metrics"]
+
+
+def test_run_once_counts_the_minor_page_faults_of_the_run(tmp_path):
+    """A run that touches 16 MB of fresh pages takes at least one minor fault per 4 KB page."""
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import json\n"
+        "print('machine ' + json.dumps({'cpu': 'test'}))\n"
+        "pages = b'x' * (16 << 20)\n"
+        "print(json.dumps({'touched': len(pages)}))\n"
+    )
+    machine, result, faults = bench_pairs.run_once(tmp_path, "w", 0, 1.0)
+    assert machine == {"cpu": "test"} and result == {"touched": 16 << 20}
+    assert isinstance(faults, int) and faults >= (16 << 20) // 4096
