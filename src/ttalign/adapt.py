@@ -113,7 +113,7 @@ def _ttt_bounds(n: int) -> list[tuple[int, int]]:
     """The (lo, hi) index bounds of the fewest blocks of at most ``TTT_BLOCK`` epochs
     that cover ``n`` epochs, their sizes differing by at most one, the larger first."""
     blocks = -(-n // TTT_BLOCK)
-    size, extra = divmod(n, blocks) if blocks else (0, 0)
+    size, extra = divmod(n, max(blocks, 1))  # no block, and no division by zero, at n = 0
     ends = accumulate([size + 1] * extra + [size] * (blocks - extra), initial=0)
     return list(pairwise(ends))
 
