@@ -13,8 +13,10 @@ Two adaptation routes over a fine-tuned model, plus a no-op baseline:
   the pretext branches as the groups of one stacked pass per step; each epoch's
   numbers are bitwise those of adapting it alone, one pass per branch, whatever
   block it lands in. Online mode
-  carries one model from epoch to epoch. Pretext randomness is seeded from a
-  content hash of the sample, so the same epoch always gets the same views.
+  carries one model from epoch to epoch. Each epoch's pretext labels are keyed by
+  a content hash of the sample, so the same epoch always gets the same views: they
+  are the draws of ``default_rng([seed, hash])``, computed for a whole block at
+  once (:func:`content_labels`).
 
 * ``tent`` — entropy minimisation on batches: forward in batch-statistics mode,
   minimise the mean prediction entropy (nats) by plain gradient descent on the
@@ -27,13 +29,14 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate, pairwise
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, check_seed
 from .nn import Model, arena_slices, clone_model, replicas, softmax
 from .optim import SGD, check_lr, check_optimizer, make_optimizer
 from .pretext import TaskSpec, active_branches, apply_view, view_classes
@@ -59,11 +62,106 @@ def entropy(p, axis: int = -1):
     return -(p * np.log(safe)).sum(axis=axis)
 
 
-def content_rng(x: np.ndarray, seed: int) -> np.random.Generator:
-    """RNG keyed by the sample's bytes: identical epochs get identical views,
-    and per-sample adaptation commutes with any reordering of the test set."""
-    digest = hashlib.sha256(np.ascontiguousarray(x, dtype=np.float64)).digest()  # the buffer, uncopied
-    return np.random.default_rng([seed, int.from_bytes(digest[:16], "little")])
+def content_labels(X: np.ndarray, seed: int, classes: list[int]) -> np.ndarray:
+    """The (n, len(classes)) pretext labels of the n epochs ``X``, each keyed by its bytes.
+
+    Row i holds ``rng.integers(c)`` for each c of ``classes`` in order, where
+    ``rng = np.random.default_rng([seed, key])`` and ``key`` is the first 16 bytes,
+    little-endian, of the sha256 of epoch i's float64 values in C order. Identical
+    epochs get identical labels, and per-sample adaptation commutes with any
+    reordering of the test set. Only the hash runs per epoch; :func:`_keyed_labels`
+    draws the block's labels at once.
+    """
+    digests = b"".join(hashlib.sha256(np.ascontiguousarray(x, dtype=np.float64)).digest()[:16] for x in X)
+    return _keyed_labels(np.frombuffer(digests, "<u4").reshape(len(X), 4), seed, classes)
+
+
+# numpy's SeedSequence (pool of 4 uint32 words) and PCG64 constants
+_MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+@cache
+def _hash_consts(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (xor, multiply) uint32 constants of ``count`` successive SeedSequence hashes."""
+    seq = list(accumulate([init] + [mult] * count, lambda h, m: h * m & _MASK32))
+    return np.array(seq[:-1], np.uint32), np.array(seq[1:], np.uint32)
+
+
+def _hash(words: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix, one constant pair per column (uint32 arithmetic wraps)."""
+    h = (words ^ xor) * mult
+    return h ^ (h >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    m = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+    return m ^ (m >> 16)
+
+
+def _pcg64_outputs(keys: np.ndarray, seed: int, count: int) -> np.ndarray:
+    """The first ``count`` 64-bit outputs of ``PCG64(SeedSequence([seed, key]))`` per row,
+    for the (n, 4) uint32 key words (low word first) of keys whose top word is not zero."""
+    seed = int(seed)  # a numpy integer splits as the Python one does
+    seed_words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]  # low word first
+    entropy = np.concatenate([np.broadcast_to(np.array(seed_words, np.uint32), (len(keys), len(seed_words))),
+                              keys], axis=1)
+    # SeedSequence.mix_entropy: its hash constants never depend on the data, so each
+    # round mixes every row at once; entropy holds at least 5 words, so the pool fills
+    # from it and the words past the pool's 4 are mixed in after the all-pairs rounds
+    xor, mult = _hash_consts(_INIT_A, _MULT_A, 4 + 4 * 3 + 4 * (entropy.shape[1] - 4))
+    pool = _hash(entropy[:, :4], xor[:4], mult[:4])
+    k = 4
+    for src in range(4):  # pool[src] is fixed while it mixes into the other three
+        dst = [d for d in range(4) if d != src]
+        pool[:, dst] = _mix(pool[:, dst], _hash(pool[:, src, None], xor[k:k + 3], mult[k:k + 3]))
+        k += 3
+    for src in range(4, entropy.shape[1]):
+        pool = _mix(pool, _hash(entropy[:, src, None], xor[k:k + 4], mult[k:k + 4]))
+        k += 4
+    # generate_state(4, uint64): 8 words cycled from the pool, paired low word first
+    words = _hash(np.tile(pool, 2), *_hash_consts(_INIT_B, _MULT_B, 8))
+    outputs = []
+    for s_hi, s_lo, q_hi, q_lo in words.astype("<u4").view("<u8").tolist():
+        # pcg_setseq_128_srandom_r, then one step and XSL-RR output per draw
+        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        row = []
+        for _ in range(count):
+            state = (state * _PCG_MULT + inc) & _MASK128
+            x, rot = ((state >> 64) ^ state) & _MASK64, state >> 122
+            row.append(((x >> rot) | (x << (-rot & 63))) & _MASK64)
+        outputs.append(row)
+    return np.array(outputs, "<u8").reshape(len(keys), count)
+
+
+def _keyed_labels(keys: np.ndarray, seed: int, classes: list[int]) -> np.ndarray:
+    """The labels of :func:`content_labels` for the (n, 4) uint32 key words, low word first.
+
+    Repeats ``Generator.integers``'s bounded draw: each count c > 1 takes the next
+    32-bit word of PCG64, low half of each output first, as ``(word * c) >> 32``
+    (Lemire); a count of 1 takes no word. A row whose draw Lemire would reject, or
+    whose key's top word is zero (numpy then seeds from fewer words), and every
+    row when a count exceeds 2**32, is drawn by numpy's own generator.
+    """
+    labels = np.zeros((len(keys), len(classes)), np.int64)
+    drawn = [j for j, c in enumerate(classes) if c != 1]
+    if all(0 < c <= 2**32 for c in classes):
+        counts = np.array([classes[j] for j in drawn], np.uint64)
+        short = keys[:, 3] == 0
+        outputs = _pcg64_outputs(keys[~short], seed, -(-len(drawn) // 2))
+        scaled = outputs.view("<u4")[:, :len(drawn)].astype(np.uint64) * counts
+        labels[np.ix_(~short, drawn)] = scaled >> 32
+        redo = short.copy()
+        redo[~short] = ((scaled & _MASK32) < (2**32 - counts) % counts).any(axis=1)
+    else:
+        redo = np.ones(len(keys), bool)
+    for i in np.flatnonzero(redo):
+        rng = np.random.default_rng([seed, int.from_bytes(keys[i].astype("<u4").tobytes(), "little")])
+        labels[i] = [rng.integers(c) for c in classes]
+    return labels
 
 
 def _delta_norms(d: np.ndarray, layout, names=None) -> np.ndarray:
@@ -81,7 +179,7 @@ def _delta_norms(d: np.ndarray, layout, names=None) -> np.ndarray:
     return np.sqrt(sq)
 
 
-def _raise_if_diverged(strategy: str, probs: np.ndarray, delta: float) -> None:
+def _raise_if_diverged(strategy: str, probs: np.ndarray, delta: np.ndarray | float) -> None:
     """ContractError unless an adaptation's probabilities and parameter change are finite."""
     if not (np.isfinite(probs).all() and np.isfinite(delta).all()):
         raise ContractError(f"{strategy} adaptation diverged: non-finite probabilities or parameter change")
@@ -107,6 +205,7 @@ class TttConfig:
         if self.ssl_mode not in ("both_weighted", "first_only"):
             raise ConfigError(f"unknown ssl_mode '{self.ssl_mode}'")
         check_optimizer(self.optimizer)
+        check_seed(self.seed, "ttt seed")
 
 
 def _ttt_bounds(n: int) -> list[tuple[int, int]]:
@@ -124,9 +223,10 @@ def _ttt_block(
     """Adapt replica i of ``work`` on epoch ``X[i]`` alone, for every i at once, then predict.
 
     ``work`` is bound to one parameter replica per epoch of the (s, C, T) block
-    (:func:`nn.replicas`); each starts from the parameters ``start``. Epoch i's
-    labels come from its own :func:`content_rng`, drawn in ``make_view``'s
-    order, and each pretext branch builds the block's views in one transform.
+    (:func:`nn.replicas`); each starts from the parameters ``start``. The block's
+    labels come from one :func:`content_labels` call, epoch i's keyed by its own
+    bytes and drawn in ``make_view``'s order, and each pretext branch builds the
+    block's views in one transform.
     The branches are the groups of one (G, s, 1, C, T) stack, so a step records
     one pass, one ``autodiff.heads_cross_entropy`` and the replicas' sum, then
     steps all replicas. Replicas never interact and the groups fold in branch
@@ -138,8 +238,7 @@ def _ttt_block(
     if not branches:
         raise ConfigError("no active pretext branch to adapt on (all weights zero)")
     classes = [view_classes(name, spec) for _, name, _ in branches]
-    rngs = (content_rng(x, cfg.seed) for x in X)
-    labels = np.array([[rng.integers(c) for c in classes] for rng in rngs], dtype=np.int64)
+    labels = content_labels(X, cfg.seed, classes)
     views = [apply_view(name, X, y, spec) for (_, name, _), y in zip(branches, labels.T)]
     views = Tensor(np.stack(views, dtype=work.cfg.dtype)[:, :, None])  # in the model's dtype: no cast copy
     heads = work.heads([j for j, _, _ in branches])[1:]  # the pretext heads, without the main head

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, check_seed
 from .metrics import auroc, cohens_kappa, monitoring_metric
 from .nn import Linear, Model, restore, snapshot
 from .optim import check_lr, check_optimizer, make_optimizer
@@ -63,6 +63,7 @@ class PretrainConfig:
             raise ConfigError(f"patch must be >= 1, got {self.patch}")
         check_lr(self.lr, "pretrain lr")
         check_optimizer(self.optimizer)
+        check_seed(self.seed, "pretrain seed")
 
 
 def masked_pretrain(model: Model, X: np.ndarray, cfg: PretrainConfig) -> tuple[Model, list[dict]]:
@@ -139,6 +140,7 @@ class FinetuneConfig:
             raise ConfigError("epochs and batch_size must be positive")
         check_lr(self.lr, "finetune lr")
         check_optimizer(self.optimizer)
+        check_seed(self.seed, "finetune seed")
         if self.monitor is not None and self.monitor not in MONITORS:
             raise ConfigError(f"unknown monitor '{self.monitor}' (expected one of {MONITORS} or null)")
 

@@ -18,12 +18,12 @@ trial at a time, the reference for the per-subject stacks of
 ``signals.generate_dataset``.
 """
 
+import hashlib
 import itertools
 
 import numpy as np
 
 from ttalign import autodiff as ad
-from ttalign.adapt import content_rng
 from ttalign.errors import ConfigError, ContractError
 from ttalign.metrics import monitoring_metric
 from ttalign.nn import arena_slices, clone_model, restore, snapshot
@@ -38,6 +38,13 @@ from ttalign.signals import (
 
 # the jigsaw label indexes the lexicographic permutations of 3 chunks
 JIGSAW_PERMS = list(itertools.permutations(range(3)))
+
+
+def content_rng(x: np.ndarray, seed: int) -> np.random.Generator:
+    """The generator keyed by an epoch's bytes: ``default_rng([seed, key])``, ``key`` the first
+    16 bytes, little-endian, of the sha256 of its float64 values in C order."""
+    digest = hashlib.sha256(np.ascontiguousarray(x, dtype=np.float64)).digest()
+    return np.random.default_rng([seed, int.from_bytes(digest[:16], "little")])
 
 
 def bandpower(data, rate, low, high) -> float:

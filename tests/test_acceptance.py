@@ -16,14 +16,13 @@ from pathlib import Path
 import numpy as np
 
 import test_metrics as metric_oracles
-from oracles import bandpower, combined_loss, jigsaw_order
+from oracles import bandpower, combined_loss, content_rng, jigsaw_order
 from test_adapt import tiny_model
 from ttalign import autodiff as ad
 from ttalign.adapt import (
     TentConfig,
     TttConfig,
     entropy,
-    content_rng,
     tent_adapt_predict,
     ttt_ssl_adapt_predict,
 )

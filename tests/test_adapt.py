@@ -24,7 +24,7 @@ from ttalign.adapt import (
     TentConfig,
     TttConfig,
     _tent_batches,
-    content_rng,
+    content_labels,
     entropy,
     run_adaptation,
     tent_adapt_predict,
@@ -143,7 +143,7 @@ def test_ttt_single_sgd_step_is_exact_gradient_descent():
     ttt_ssl_adapt_predict(model, x, spec, cfg)
 
     # independent replication of the single step
-    rng = content_rng(x, cfg.seed)
+    rng = oracles.content_rng(x, cfg.seed)
     branches = [(j, name, w) for j, (name, w) in enumerate(zip(spec.ssl_tasks, spec.weights)) if w != 0.0]
     views = [make_view(name, x[None], rng, spec) for _, name, _ in branches]
     with fresh_tape():
@@ -302,14 +302,50 @@ def test_ttt_runs_the_fewest_even_blocks(monkeypatch, n, sizes):
 
 
 @pytest.mark.parametrize("kind", ["float32", "float64", "strided"])
-def test_content_rng_hashes_the_float64_bytes(kind):
-    """The content hash reads the epoch's float64 values in C order, whatever its dtype or strides."""
-    base = make_epochs(1, seed=79)[0]
-    x = {"float32": base.astype(np.float32), "float64": base, "strided": base[:, ::2]}[kind]
-    assert x.flags.c_contiguous == (kind != "strided")
-    digest = hashlib.sha256(x.astype(np.float64).tobytes()).digest()
-    want = np.random.default_rng([7, int.from_bytes(digest[:16], "little")])
-    assert content_rng(x, 7).integers(2**63, size=8).tolist() == want.integers(2**63, size=8).tolist()
+def test_content_labels_hash_the_float64_bytes(kind):
+    """The content hash reads each epoch's float64 values in C order, whatever its dtype or strides."""
+    base = make_epochs(5, seed=79)
+    X = {"float32": base.astype(np.float32), "float64": base, "strided": base[:, :, ::2]}[kind]
+    assert X[0].flags.c_contiguous == (kind != "strided")
+    classes = [4, 6, 2**31 + 1]
+    want = []
+    for x in X:
+        digest = hashlib.sha256(x.astype(np.float64).tobytes()).digest()
+        rng = np.random.default_rng([7, int.from_bytes(digest[:16], "little")])
+        want.append([rng.integers(c) for c in classes])
+    assert content_labels(X, 7, classes).tolist() == want
+
+
+LABEL_COUNTS = [1, 2, 4, 6, 16, 2**31 + 1, 2**32 - 1]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 + 5, 2**64 - 1])
+@pytest.mark.parametrize("classes", [[c] for c in LABEL_COUNTS] + [LABEL_COUNTS, LABEL_COUNTS[::-1]],
+                         ids=lambda c: "-".join(map(str, c)))
+def test_content_labels_match_each_epochs_generator(seed, classes):
+    """Every block of 1 to 40 epochs gets, row by row, the draws of each epoch's own
+    ``content_rng`` in class order. A count of 2**31 + 1 sends about half of its draws
+    down the path where Lemire's bounded draw rejects a word and draws again."""
+    X = np.random.default_rng(seed % 2**32).normal(size=(40, 2, 3))
+    want = np.array([[rng.integers(c) for c in classes] for rng in map(oracles.content_rng, X, [seed] * 40)])
+    for n in range(1, 41):
+        got = content_labels(X[:n], seed, classes)
+        assert got.dtype == np.int64 and got.shape == (n, len(classes))
+        np.testing.assert_array_equal(got, want[:n])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 + 5, 2**64 - 1])
+def test_keyed_labels_match_default_rng_on_short_and_wide_draws(seed):
+    """Keys whose top words are zero seed numpy from fewer entropy words, and a count above
+    2**32 draws 64-bit words; both must still give ``default_rng([seed, key])``'s labels.
+    No sha256 input is known to give such a key, so the (n, 4) key words are fed directly."""
+    keys = np.random.default_rng(seed % 2**32).integers(1, 2**32, size=(10, 4), dtype=np.uint32)
+    for zeros in range(1, 5):  # rows 2 * zeros - 2 and 2 * zeros - 1 lose their top `zeros` words
+        keys[2 * zeros - 2: 2 * zeros, 4 - zeros:] = 0
+    for classes in ([6, 2, 2**31 + 1], [1, 3, 2**40, 4]):
+        want = [[rng.integers(c) for c in classes]
+                for rng in (np.random.default_rng([seed, int.from_bytes(k.tobytes(), "little")]) for k in keys)]
+        assert adapt._keyed_labels(keys, seed, classes).tolist() == want
 
 
 def test_a_ttt_block_step_records_three_tape_entries(monkeypatch):
@@ -354,6 +390,14 @@ def test_ttt_all_zero_weights_rejected():
         ttt_ssl_adapt_predict(model, make_epochs(1)[0], spec, TttConfig())
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", True])
+def test_ttt_config_rejects_a_bad_seed(seed):
+    """A seed that is not a non-negative integer fails when the config is built, before any draw."""
+    with pytest.raises(ConfigError, match="ttt seed"):
+        TttConfig(seed=seed)
+    assert TttConfig(seed=np.int64(2**40)).seed == 2**40
+
+
 def test_ttt_config_validation():
     with pytest.raises(ConfigError):
         TttConfig(steps=0)
@@ -363,6 +407,9 @@ def test_ttt_config_validation():
         TttConfig(ssl_mode="everything")
     with pytest.raises(ConfigError, match="optimizer"):
         TttConfig(optimizer="lion")
+    for seed in (-1, 1.5, "3", True):  # numpy would only fail once the labels are drawn
+        with pytest.raises(ConfigError, match="seed"):
+            TttConfig(seed=seed)
     model, spec = tiny_model()
     with pytest.raises(ContractError):
         ttt_ssl_adapt_predict(model, np.zeros((8, 100)), spec, TttConfig())

@@ -189,6 +189,14 @@ def test_masked_pretrain_changes_model_but_not_shape():
     assert all(before[n].shape == after[n].data.shape for n in before)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", True])
+def test_pretrain_config_rejects_a_bad_seed(seed):
+    """A seed that is not a non-negative integer fails when the config is built, before any draw."""
+    with pytest.raises(ConfigError, match="pretrain seed"):
+        PretrainConfig(seed=seed)
+    assert PretrainConfig(seed=np.int64(2**40)).seed == 2**40
+
+
 def test_masked_pretrain_validation():
     with pytest.raises(ConfigError):
         PretrainConfig(mask_ratio=0.0)
@@ -392,6 +400,14 @@ def test_finetune_updates_bn_running_stats_during_training():
                     FinetuneConfig(epochs=1, batch_size=8, weights=(0.0, 0.0), seed=71))
     after = dict(model.named_buffers())
     assert any(not np.array_equal(before[n], after[n]) for n in before if "mean" in n or "var" in n)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", True])
+def test_finetune_config_rejects_a_bad_seed(seed):
+    """A seed that is not a non-negative integer fails when the config is built, before any draw."""
+    with pytest.raises(ConfigError, match="finetune seed"):
+        FinetuneConfig(seed=seed)
+    assert FinetuneConfig(seed=np.int64(2**40)).seed == 2**40
 
 
 def test_finetune_validation_contracts():
