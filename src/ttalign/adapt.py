@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import cache
 from itertools import accumulate, pairwise
 
 import numpy as np
@@ -83,7 +82,6 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-@cache
 def _hash_consts(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     """The (xor, multiply) uint32 constants of ``count`` successive SeedSequence hashes."""
     seq = list(accumulate([init] + [mult] * count, lambda h, m: h * m & _MASK32))
@@ -97,6 +95,7 @@ def _hash(words: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of pool words ``x`` with hashed words ``y``."""
     m = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
     return m ^ (m >> 16)
 

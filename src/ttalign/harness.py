@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .adapt import ADAPT_METHODS, TentConfig, TttConfig, run_adaptation
-from .errors import ConfigError
+from .errors import ConfigError, check_seed
 from .metrics import EvalResult, evaluate_predictions
 from .nn import Model, ModelConfig, clone_model
 from .pretext import TaskSpec, task_spec_for
@@ -107,8 +107,7 @@ class ExperimentConfig:
             raise ConfigError(f"pretrain patch {self.pretrain.patch} does not divide the {EPOCH_SAMPLES}-sample epoch")
         if self.hidden < 1 or self.features < 1:
             raise ConfigError(f"hidden and features must be >= 1, got {self.hidden} and {self.features}")
-        if self.base_seed < 0:
-            raise ConfigError(f"base_seed must be >= 0, got {self.base_seed}")
+        check_seed(self.base_seed, "base_seed")
         if self.finetune.monitor == "auroc" and N_CLASSES[self.task] != 2:
             raise ConfigError(f"monitor 'auroc' needs a binary task; {self.task} has {N_CLASSES[self.task]} classes")
         if self.protocol == "cross_subject":

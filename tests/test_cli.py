@@ -103,6 +103,7 @@ def test_config_of_wrong_encoding_or_type_rejected(tmp_path, capsys, content, ke
     ({"pretrain": {"patch": 0}}, "patch"),
     ({"pretrain": {"patch": -25}}, "patch"),
     ({"base_seed": -1}, "base_seed"),
+    ({"base_seed": 1.5}, "base_seed"),
     ({"train_subjects": [-1, 1]}, "train_subjects"),
     ({"test_subjects": [0]}, "test_subjects"),
     ({"finetune": {"monitor": "auroc"}}, "monitor"),  # syn_mi has four classes
