@@ -1,8 +1,9 @@
 """Acceptance gate: ten checks, one verdict line each.
 
-Every test ends by calling :func:`_verdict`, which records a single
+Every criterion's test ends by calling :func:`_verdict`, which records a single
 ``criterion NN <name>: PASS/FAIL`` line (re-emitted after the run by
-``conftest.pytest_terminal_summary``) and then asserts. Tolerances are stated
+``conftest.pytest_terminal_summary``) and then asserts; one fast test checks the
+detail that criterion 09 gives when its deltas do not reproduce. Tolerances are stated
 inline and are not configurable; when a check cannot be met the test fails —
 it is never to be loosened.
 """
@@ -18,6 +19,7 @@ import numpy as np
 import test_metrics as metric_oracles
 from oracles import bandpower, combined_loss, content_rng, jigsaw_order
 from test_adapt import tiny_model
+from test_digest import digest
 from ttalign import autodiff as ad
 from ttalign.adapt import (
     TentConfig,
@@ -433,6 +435,24 @@ def test_criterion_08_degeneracy_and_linearity():
 # 9. directional strategy checks against the committed pilot
 # ---------------------------------------------------------------------------
 
+def _repro_detail(got: dict, want: dict, facts: dict, frozen_facts: dict) -> str:
+    """Each delta of this run that differs from the frozen one, both values in full, and
+    this machine's facts beside those that ``golden/digests.json`` was frozen on."""
+    moved = ", ".join(f"{key} {got.get(key)!r} (frozen {want.get(key)!r})"
+                      for key in sorted(got.keys() | want.keys()) if got.get(key) != want.get(key))
+    return f"not reproduced: {moved}; this machine {facts}, golden digests frozen on {frozen_facts}"
+
+
+def test_criterion_09_names_each_delta_that_did_not_reproduce():
+    want = {"ssl_advantage": 0.25, "tent_advantage": 0.5, "ttt_transfer/syn_speech": -0.015}
+    got = {**want, "tent_advantage": 0.5000000000000001, "ttt_transfer/syn_speech": -0.01}
+    assert _repro_detail(got, want, {"openblas_core": "Sandybridge"}, {"openblas_core": "SkylakeX"}) == (
+        "not reproduced: tent_advantage 0.5000000000000001 (frozen 0.5), "
+        "ttt_transfer/syn_speech -0.01 (frozen -0.015); "
+        "this machine {'openblas_core': 'Sandybridge'}, golden digests frozen on {'openblas_core': 'SkylakeX'}"
+    )
+
+
 def test_criterion_09_directional_checks():
     assert GOLDEN.exists(), (
         "golden/directional_margins.json missing — run "
@@ -473,6 +493,9 @@ def test_criterion_09_directional_checks():
         f"vs within {got['ttt_transfer/syn_speech']:+.4f}; "
         f"reproduced committed deltas exactly: {repro_ok}; {elapsed:.0f}s"
     )
+    if not repro_ok:
+        frozen_facts = json.loads(digest.GOLDEN.read_text())["machine"]
+        detail += "; " + _repro_detail(got, want, digest.machine_facts(), frozen_facts)
     _verdict(9, "directional-checks", ok, detail)
 
 
