@@ -334,6 +334,26 @@ def test_content_labels_match_each_epochs_generator(seed, classes):
         np.testing.assert_array_equal(got, want[:n])
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**32 + 5, 2**64 - 1])
+def test_keyed_labels_match_default_rng_on_short_and_wide_draws(seed, monkeypatch):
+    """Keys whose top words are zero seed numpy from fewer entropy words, and a count above
+    2**32 draws 64-bit words; both must still give ``default_rng([seed, key])``'s labels.
+    No sha256 input is known to give such a key, so ``adapt``'s sha256 hands out the
+    (n, 4) key words directly, one epoch after another."""
+    keys = np.random.default_rng(seed % 2**32).integers(1, 2**32, size=(10, 4), dtype=np.uint32)
+    for zeros in range(1, 5):  # rows 2 * zeros - 2 and 2 * zeros - 1 lose their top `zeros` words
+        keys[2 * zeros - 2: 2 * zeros, 4 - zeros:] = 0
+    X = make_epochs(len(keys), seed=83)
+    for classes in ([6, 2, 2**31 + 1], [1, 3, 2**32 + 1, 4]):
+        digests = iter([k.astype("<u4").tobytes() + bytes(16) for k in keys])
+        fake = type("Digest", (), {"digest": lambda self: next(digests)})
+        monkeypatch.setattr(adapt, "hashlib", type("Hashlib", (), {"sha256": staticmethod(lambda buf: fake())}))
+        want = [[rng.integers(c) for c in classes]
+                for rng in (np.random.default_rng([seed, int.from_bytes(k.astype("<u4").tobytes(), "little")])
+                            for k in keys)]
+        assert content_labels(X, seed, classes).tolist() == want
+
+
 def test_a_ttt_block_step_records_three_tape_entries(monkeypatch):
     """Each step of a block puts the grouped, replicated pass over the pretext branches, the
     heads-and-loss record and the replicas' sum on the tape, and nothing else."""
