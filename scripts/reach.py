@@ -5,8 +5,8 @@ each command in-process on micro configs of all three tasks: ``generate``,
 ``pretrain``, both ``finetune`` strategies, the three ``adapt`` strategies,
 ``evaluate``, ``ablate`` and ``report``. Variants add SGD and Adam for every
 optimizer, ``head_layers`` 2, ``pretrain: null``, online and ``first_only``
-TTT, ``gradcheck``, and three failing runs (a missing config, a NaN in a
-config, a diverging TTT). ``gradcheck`` runs with each tensor's
+TTT, ``gradcheck``, and five failing runs (a missing config, a NaN in a
+config, a null ``ttt`` section, a diverging TTT, a diverging fine-tune). ``gradcheck`` runs with each tensor's
 central-difference loop cut to its first entry: the loop only reruns, under
 ``no_grad``, what the tape pass already reached. Functions are read from the
 source, nested ones (autodiff pulls) included. Each known exception is printed
@@ -37,7 +37,6 @@ EXCEPTIONS = (
     ("pilot.", "run by scripts/pilot_directional.py and acceptance criterion 09"),
     ("nn.Snapshot.params", "read by perfbench/workloads.py"),
     ("autodiff.Tape.__len__", "read by perfbench/tracing.py"),
-    ("signals.pink_noise", "one trial's noise for tests, the generator's stacked _pink applied to one draw"),
 )
 
 MICRO = {
@@ -121,9 +120,13 @@ def commands(tmp: Path) -> list[tuple[list[str], int]]:
         runs.append(["evaluate", "--config", config(name, payload), "--out", str(tmp / name)])
     runs.append(["gradcheck", "--out", str(tmp / "gradcheck")])
     planned = [(argv, 0) for argv in runs]
-    # the failing runs: a NaN in a config (2), a diverging TTT (3), a missing config (2)
+    # the failing runs: a NaN in a config (2), a null nested section (2), a diverging TTT (3),
+    # a fine-tune whose parameters stay finite but whose read-out does not (3), a missing config (2)
     failing = {"nan": ('{"duration": NaN}', 2),
-               "diverge": ({**MICRO, "ttt": {"lr": 1e300}, "strategies": ["ttt_ssl"]}, 3)}
+               "null_ttt": ({**MICRO, "ttt": None}, 2),
+               "diverge": ({**MICRO, "ttt": {"lr": 1e300}, "strategies": ["ttt_ssl"]}, 3),
+               "diverge_finetune": ({**MICRO, "finetune": {"optimizer": "sgd", "lr": 1e30, "epochs": 1,
+                                                           "batch_size": 64}}, 3)}
     planned += [(["evaluate", "--config", config(name, payload), "--out", str(tmp / name)], code)
                 for name, (payload, code) in failing.items()]
     planned.append((["evaluate", "--config", str(tmp / "missing.json")], 2))

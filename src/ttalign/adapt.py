@@ -324,13 +324,15 @@ def run_adaptation(
     clone adapts in place one epoch after another (:func:`ttt_ssl_adapt_predict`).
     Returns per-sample probabilities plus a log with one record per sample
     (ttt_ssl) or per batch (tent). Test epochs holding a NaN or an infinity raise
-    ContractError under every strategy, and so does an adaptation that diverges:
-    non-finite probabilities or parameter change.
+    ContractError under every strategy, and so do non-finite probabilities from
+    ``none`` and an adaptation that diverges: non-finite probabilities or parameter change.
     """
     if not np.all(np.isfinite(X)):
         raise ContractError("test epochs hold non-finite values")
     if strategy == "none":
         probs, records = model.predict_proba(X), []
+        if not np.isfinite(probs).all():  # say, epochs finite in float64 but not in the model's dtype
+            raise ContractError("the model's read-out of the test epochs is non-finite")
     elif strategy == "ttt_ssl":
         cfg = ttt or TttConfig()
         if X.ndim != 3:

@@ -24,13 +24,13 @@ import json
 import sys
 import time
 import types
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, is_dataclass, replace
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .adapt import ADAPT_METHODS, TentConfig, TttConfig
+from .adapt import ADAPT_METHODS
 from .errors import ConfigError, ContractError, ShapeError
 from .gradcheck import TOLERANCE, max_relative_error, run_gradcheck
 from .harness import (
@@ -51,16 +51,11 @@ from .harness import (
 )
 from .nn import save_checkpoint
 from .pretext import task_spec_for
-from .signals import TASKS, ShiftSpec, save_split
-from .training import FinetuneConfig, PretrainConfig
+from .signals import TASKS, save_split
 
-_NESTED = {
-    "finetune": FinetuneConfig,
-    "pretrain": PretrainConfig,
-    "ttt": TttConfig,
-    "tent": TentConfig,
-    "shift": ShiftSpec,
-}
+_HINTS = get_type_hints(ExperimentConfig)
+# the config's nested sections: field -> its dataclass (``X`` or ``X | None``)
+_NESTED = {key: cls for key, hint in _HINTS.items() for cls in (hint, *get_args(hint)) if is_dataclass(cls)}
 _FINETUNE_STRATEGIES = ("supervised_only", "stage1_ssl")
 
 
@@ -117,32 +112,25 @@ def load_config_file(path: Path) -> dict:
 
 
 def build_config(args) -> ExperimentConfig:
-    """Preset for the task, then file overrides, then flag overrides."""
-    file_cfg = load_config_file(args.config) if args.config else {}
-    task = args.task or file_cfg.get("task") or "syn_mi"
-    if task not in TASKS:
-        raise ConfigError(f"unknown task '{task}' (expected one of {TASKS})")
+    """Preset for the task, then file overrides, then flag overrides.
 
-    known = {f.name for f in fields(ExperimentConfig)}
+    A nested section given as an object is merged field-wise into the preset's;
+    any other value, null included, must fit the field's type hint.
+    """
+    file_cfg = load_config_file(args.config) if args.config else {}
+    task = args.task or file_cfg.get("task", "syn_mi")
     base = preset_experiment(task)
     overrides = {}
     for key, value in file_cfg.items():
         if key == "task":
             continue
-        if key not in known:
+        if key not in _HINTS:
             raise ConfigError(f"unknown config key '{key}'")
-        if key in _NESTED:
-            if value is None:
-                overrides[key] = None
-                continue
-            if not isinstance(value, dict):
-                raise ConfigError(f"config key '{key}' must be an object or null")
+        if key in _NESTED and isinstance(value, dict):
             for owned in RUN_OWNED.get(key, ()):
                 if owned in value:
                     raise ConfigError(f"config key '{key}.{owned}' is set by the run, not the config file")
-            current = getattr(base, key)
-            merged = dict(asdict(current)) if current is not None else {}
-            merged.update(_typed(_NESTED[key], value, f"{key}."))
+            merged = {**asdict(getattr(base, key)), **_typed(_NESTED[key], value, f"{key}.")}
             try:
                 overrides[key] = _NESTED[key](**merged)
             except TypeError as exc:
@@ -154,8 +142,10 @@ def build_config(args) -> ExperimentConfig:
     return preset_experiment(task, **overrides)
 
 
-def _seed(args, cfg: ExperimentConfig) -> int:
-    return args.seed if args.seed is not None else cfg.base_seed
+def _manifest(args, cfg: ExperimentConfig, **fields) -> dict:
+    """A stage command's record: the header every one shares, then ``fields``."""
+    return {"command": args.command, "task": cfg.task, "seed": cfg.base_seed, "config_hash": config_hash(cfg),
+            **fields}
 
 
 def _out_dir(args) -> Path:
@@ -180,23 +170,13 @@ def _emit(payload: dict) -> None:
 
 def cmd_generate(args) -> None:
     cfg = build_config(args)
-    seed = _seed(args, cfg)
     out = _out_dir(args)
-    splits = build_splits(cfg, seed)
-    summary = {}
-    for name, (X, y, subj) in splits.items():
-        meta = {"task": cfg.task, "split": name, "seed": seed, "config_hash": config_hash(cfg)}
-        save_split(out, name, X, y, subj, meta)
+    manifest = _manifest(args, cfg, protocol=cfg.protocol, splits={})
+    meta = {key: manifest[key] for key in ("task", "seed", "config_hash")}
+    for name, (X, y, subj) in build_splits(cfg, cfg.base_seed).items():
+        save_split(out, name, X, y, subj, {**meta, "split": name})
         counts = {int(c): int(n) for c, n in zip(*np.unique(y, return_counts=True))}
-        summary[name] = {"epochs": int(X.shape[0]), "class_counts": counts}
-    manifest = {
-        "command": "generate",
-        "task": cfg.task,
-        "protocol": cfg.protocol,
-        "seed": seed,
-        "config_hash": config_hash(cfg),
-        "splits": summary,
-    }
+        manifest["splits"][name] = {"epochs": int(X.shape[0]), "class_counts": counts}
     _write_json(out / "manifest.json", manifest)
     _emit(manifest)
 
@@ -205,69 +185,38 @@ def cmd_pretrain(args) -> None:
     cfg = build_config(args)
     if cfg.pretrain is None:
         raise ConfigError("pretraining is disabled in this config ('pretrain': null)")
-    seed = _seed(args, cfg)
     out = _out_dir(args)
-    splits = build_splits(cfg, seed)
-    model, history = pretrained_base(cfg, task_spec_for(cfg.task), seed, splits["train"][0])
+    splits = build_splits(cfg, cfg.base_seed)
+    model, history = pretrained_base(cfg, task_spec_for(cfg.task), cfg.base_seed, splits["train"][0])
     save_checkpoint(model, out / "pretrained.ckpt")
     _write_json(out / "pretrain_history.json", history)
-    _emit(
-        {
-            "command": "pretrain",
-            "task": cfg.task,
-            "seed": seed,
-            "config_hash": config_hash(cfg),
-            "epochs": len(history),
-            "final_recon_loss": history[-1]["recon_loss"],
-            "checkpoint": str(out / "pretrained.ckpt"),
-        }
-    )
+    _emit(_manifest(args, cfg, epochs=len(history), final_recon_loss=history[-1]["recon_loss"],
+                    checkpoint=str(out / "pretrained.ckpt")))
 
 
 def cmd_finetune(args) -> None:
     cfg = build_config(args)
     strategy = args.strategy or "stage1_ssl"
-    seed = _seed(args, cfg)
     out = _out_dir(args)
     row = STRATEGY_CELLS[strategy][0]
-    _, _, models = finetuned_rows(cfg, seed, [row])
+    _, _, models = finetuned_rows(cfg, cfg.base_seed, [row])
     _, model, history = models[row]
     ckpt = out / f"checkpoint_{strategy}.ckpt"
     save_checkpoint(model, ckpt)
     _write_json(out / f"finetune_history_{strategy}.json", history)
-    _emit(
-        {
-            "command": "finetune",
-            "task": cfg.task,
-            "strategy": strategy,
-            "seed": seed,
-            "config_hash": config_hash(cfg),
-            "val_best": float(max(h["val_score"] for h in history)),
-            "monitor": history[-1]["monitor"],
-            "checkpoint": str(ckpt),
-        }
-    )
+    _emit(_manifest(args, cfg, strategy=strategy, val_best=float(max(h["val_score"] for h in history)),
+                    monitor=history[-1]["monitor"], checkpoint=str(ckpt)))
 
 
 def cmd_adapt(args) -> None:
     cfg = build_config(args)
     strategy = args.strategy or "none"
-    seed = _seed(args, cfg)
     out = _out_dir(args)
-    result, records, _, _ = run_cells(cfg, seed, [("both", strategy)])["both", strategy]
+    result, records, _, _ = run_cells(cfg, cfg.base_seed, [("both", strategy)])["both", strategy]
     _write_json(out / f"metrics_{strategy}.json", result.as_dict())
     _write_json(out / f"adaptation_log_{strategy}.json", records)
-    _emit(
-        {
-            "command": "adapt",
-            "task": cfg.task,
-            "strategy": strategy,
-            "seed": seed,
-            "config_hash": config_hash(cfg),
-            "metrics": result.as_dict()["values"],
-            "adaptation_records": len(records),
-        }
-    )
+    _emit(_manifest(args, cfg, strategy=strategy, metrics=result.as_dict()["values"],
+                    adaptation_records=len(records)))
 
 
 def cmd_run(args) -> None:

@@ -128,32 +128,23 @@ class ExperimentConfig:
                 raise ConfigError(f"split_fractions must be 3 positive numbers summing to 1, got {fr}")
 
 
+# what each task's preset changes in ExperimentConfig's defaults, which are syn_mi's
+PRESETS = {
+    "syn_mi": {},
+    "syn_stress": dict(
+        train_subjects=(1, 2, 3, 4, 5, 6, 7, 8), val_subjects=(9, 10), test_subjects=(11, 12),
+        trials_per_subject=16,
+    ),
+    "syn_speech": dict(protocol="within_subject", trials_per_subject=30),
+}
+PRESET_FINETUNE = FinetuneConfig(epochs=8, batch_size=32, lr=1e-3)  # every preset's
+
+
 def preset_experiment(task: str, **overrides) -> ExperimentConfig:
-    """Desk-scale defaults per task, mirroring the split protocols in the tests."""
-    if task == "syn_mi":
-        base = dict(
-            task="syn_mi", protocol="cross_subject",
-            train_subjects=(1, 2, 3, 4, 5), val_subjects=(6, 7), test_subjects=(8, 9),
-            trials_per_subject=24,
-            finetune=FinetuneConfig(epochs=8, batch_size=32, lr=1e-3),
-        )
-    elif task == "syn_stress":
-        base = dict(
-            task="syn_stress", protocol="cross_subject",
-            train_subjects=(1, 2, 3, 4, 5, 6, 7, 8), val_subjects=(9, 10),
-            test_subjects=(11, 12), trials_per_subject=16,
-            finetune=FinetuneConfig(epochs=8, batch_size=32, lr=1e-3),
-        )
-    elif task == "syn_speech":
-        base = dict(
-            task="syn_speech", protocol="within_subject", n_subjects=4,
-            trials_per_subject=30,
-            finetune=FinetuneConfig(epochs=8, batch_size=32, lr=1e-3),
-        )
-    else:
+    """Desk-scale defaults per task: the task's ``PRESETS`` entry and ``PRESET_FINETUNE``, then ``overrides``."""
+    if task not in TASKS:  # before the lookup: a task that is no string is a config error too
         raise ConfigError(f"unknown task '{task}' (expected one of {TASKS})")
-    base.update(overrides)
-    return ExperimentConfig(**base)
+    return ExperimentConfig(**{"task": task, "finetune": PRESET_FINETUNE, **PRESETS[task], **overrides})
 
 
 def config_hash(cfg: ExperimentConfig) -> str:

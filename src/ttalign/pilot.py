@@ -45,14 +45,21 @@ MARGINS = {"ssl_advantage": 0.02, "tent_advantage": 0.02}
 PILOT_SEEDS = 5
 
 # Scarce-label regime where the auxiliary heads are the only regularizer:
-# no dropout, wider trunk, few trials, long small-batch training.
-_SCARCE = dict(
-    trials_per_subject=12,
+# no dropout, wider trunk, long small-batch training; _SCARCE adds few trials.
+_WIDE = dict(
     hidden=32,
     features=64,
     dropout=0.0,
     finetune=FinetuneConfig(epochs=120, batch_size=8, lr=1e-3),
 )
+_SCARCE = dict(_WIDE, trials_per_subject=12)
+
+# ttt_transfer's per-task TTT learning rate and overrides
+_TRANSFER = {
+    "syn_mi": (1e-2, _WIDE),
+    "syn_stress": (5e-2, _SCARCE),
+    "syn_speech": (1e-2, dict(finetune=FinetuneConfig(epochs=60, batch_size=8, lr=1e-3))),
+}
 
 
 def ssl_advantage_config() -> ExperimentConfig:
@@ -77,35 +84,15 @@ def tent_advantage_config() -> ExperimentConfig:
 
 def ttt_transfer_configs() -> dict[str, ExperimentConfig]:
     """One config per task for the cross- vs within-subject transfer check."""
-    big = dict(
-        hidden=32,
-        features=64,
-        dropout=0.0,
-        finetune=FinetuneConfig(epochs=120, batch_size=8, lr=1e-3),
-    )
     return {
-        "syn_mi": preset_experiment(
-            "syn_mi",
+        task: preset_experiment(
+            task,
             strategies=("stage1_ssl", "ttt_ssl"),
             n_seeds=PILOT_SEEDS,
-            ttt=TttConfig(lr=1e-2, steps=1),
-            **big,
-        ),
-        "syn_stress": preset_experiment(
-            "syn_stress",
-            strategies=("stage1_ssl", "ttt_ssl"),
-            n_seeds=PILOT_SEEDS,
-            trials_per_subject=12,
-            ttt=TttConfig(lr=5e-2, steps=1),
-            **big,
-        ),
-        "syn_speech": preset_experiment(
-            "syn_speech",
-            strategies=("stage1_ssl", "ttt_ssl"),
-            n_seeds=PILOT_SEEDS,
-            finetune=FinetuneConfig(epochs=60, batch_size=8, lr=1e-3),
-            ttt=TttConfig(lr=1e-2, steps=1),
-        ),
+            ttt=TttConfig(lr=lr, steps=1),
+            **overrides,
+        )
+        for task, (lr, overrides) in _TRANSFER.items()
     }
 
 

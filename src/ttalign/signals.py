@@ -169,13 +169,6 @@ def _pink(normals: np.ndarray, n: int, rate: float, rms: float) -> np.ndarray:
     return x
 
 
-def pink_noise(rng: np.random.Generator, channels: int, n: int, rate: float, rms: float) -> np.ndarray:
-    """1/f-spectrum noise per channel, scaled to the requested RMS; at RMS 0, zeros and no draw."""
-    if rms == 0.0:
-        return np.zeros((channels, n))
-    return _pink(rng.standard_normal((2, channels, n // 2 + 1)), n, rate, rms)
-
-
 # ---------------------------------------------------------------------------
 # generators
 # ---------------------------------------------------------------------------

@@ -147,6 +147,8 @@ class FinetuneConfig:
 
 def _validation_score(model: Model, X_val, y_val, monitor: str) -> float:
     probs = model.predict_proba(X_val)
+    if not np.isfinite(probs).all():
+        raise ContractError("fine-tuning diverged: non-finite validation probabilities")
     if monitor == "auroc":
         return auroc(y_val, probs[:, 1])
     return cohens_kappa(y_val, probs.argmax(axis=1))

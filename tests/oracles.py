@@ -84,7 +84,7 @@ def preprocess_per_recording(recordings):
 
 
 
-def _pink_noise(rng: np.random.Generator, channels: int, n: int, rate: float, rms: float) -> np.ndarray:
+def pink_noise(rng: np.random.Generator, channels: int, n: int, rate: float, rms: float) -> np.ndarray:
     """1/f-spectrum noise per channel, scaled to the requested RMS."""
     if rms == 0.0:
         return np.zeros((channels, n))
@@ -111,7 +111,7 @@ def _recording(
     n = int(round(duration * rate))
     t = np.arange(n) / rate
     c = len(MONTAGE)
-    x = _pink_noise(rng, c, n, rate, rms=3.0 * noise_scale * comp["noise"])
+    x = pink_noise(rng, c, n, rate, rms=3.0 * noise_scale * comp["noise"])
 
     if task == "syn_mi":
         phase = rng.uniform(0, 2 * np.pi)
@@ -134,7 +134,7 @@ def _recording(
         f_env = SPEECH_ENV_HZ[label]
         phi = rng.uniform(0, 2 * np.pi)
         envelope = 1.0 + 0.8 * np.sin(2 * np.pi * f_env * t + phi)
-        carrier = _pink_noise(rng, c, n, rate, rms=4.0 * comp["carrier"])
+        carrier = pink_noise(rng, c, n, rate, rms=4.0 * comp["carrier"])
         carrier = bandpass(carrier, rate, 20.0, min(60.0, rate / 2 - 2.0))
         x += carrier * envelope
         x += 3.0 * comp["envline"] * np.sin(2 * np.pi * f_env * t + phi)

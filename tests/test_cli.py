@@ -197,6 +197,54 @@ def test_run_owned_config_keys_rejected(tmp_path, capsys, section, key, value):
     assert record["error"] == "ConfigError" and f"{section}.{key}" in record["message"]
 
 
+@pytest.mark.parametrize("override", [
+    {"finetune": None}, {"ttt": None}, {"tent": None}, {"shift": None},
+    {"finetune": 3}, {"tent": "default"}, {"shift": [1.0, 2.0]},
+])
+def test_nested_section_that_is_no_object_rejected(tmp_path, capsys, override):
+    # only ``pretrain`` is hinted ``| None``; a null elsewhere fits no field's type
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**MICRO, **override}))
+    code, stdout, err = run_cli("evaluate", "--config", path, "--out", tmp_path / "o", capsys=capsys)
+    assert code == 2 and stdout == "" and err.count("\n") == 1
+    record = json.loads(err)
+    (key,) = override
+    assert record["error"] == "ConfigError" and f"'{key}'" in record["message"]
+
+
+def test_null_pretrain_runs_without_pretraining(tmp_path, capsys):
+    path = tmp_path / "nopre.json"
+    path.write_text(json.dumps({**MICRO, "pretrain": None}))
+    assert build_config(build_parser().parse_args(["evaluate", "--config", str(path)])).pretrain is None
+    code, _, _ = run_cli("evaluate", "--config", path, "--strategy", "supervised_only", "--out", tmp_path / "o",
+                         capsys=capsys)
+    assert code == 0
+
+
+@pytest.mark.parametrize("task", [["syn_mi"], {"syn_mi": 1}, 3, 0, None, ""])
+def test_task_that_is_no_task_name_rejected(tmp_path, task):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"task": task}))
+    with pytest.raises(ConfigError, match="unknown task"):
+        build_config(build_parser().parse_args(["generate", "--config", str(path)]))
+
+
+@pytest.mark.parametrize("override, message", [
+    # the parameters stay finite float32, but every validation probability is NaN
+    ({"finetune": {"optimizer": "sgd", "lr": 1e30, "epochs": 1, "batch_size": 64}}, "validation probabilities"),
+    # the float64 test split is finite, its float32 cast is not
+    ({"test_gain": 1e300}, "read-out"),
+])
+def test_non_finite_read_out_exits_3(tmp_path, capsys, override, message):
+    path = tmp_path / "garbage.json"
+    path.write_text(json.dumps({**MICRO, **override}))
+    code, stdout, err = run_cli("adapt", "--strategy", "none", "--config", path, "--out", tmp_path / "o",
+                                capsys=capsys)
+    assert code == 3 and stdout == "" and err.count("\n") == 1
+    record = json.loads(err)
+    assert record["error"] == "ContractError" and message in record["message"]
+
+
 def test_pretrain_disabled_rejected(tmp_path, capsys):
     path = tmp_path / "nopre.json"
     path.write_text(json.dumps({**MICRO, "pretrain": None}))

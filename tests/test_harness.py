@@ -112,6 +112,41 @@ def test_nan_fails_every_range_check(build, field):
         build(**field)
 
 
+# each preset as one literal config, the reference for the PRESETS table
+_PRESET_LITERALS = {
+    "syn_mi": (ExperimentConfig(
+        task="syn_mi", protocol="cross_subject",
+        train_subjects=(1, 2, 3, 4, 5), val_subjects=(6, 7), test_subjects=(8, 9),
+        trials_per_subject=24,
+        finetune=FinetuneConfig(epochs=8, batch_size=32, lr=1e-3),
+    ), "cd7d3fe89bc01d68"),
+    "syn_stress": (ExperimentConfig(
+        task="syn_stress", protocol="cross_subject",
+        train_subjects=(1, 2, 3, 4, 5, 6, 7, 8), val_subjects=(9, 10),
+        test_subjects=(11, 12), trials_per_subject=16,
+        finetune=FinetuneConfig(epochs=8, batch_size=32, lr=1e-3),
+    ), "810c554831057e69"),
+    "syn_speech": (ExperimentConfig(
+        task="syn_speech", protocol="within_subject", n_subjects=4,
+        trials_per_subject=30,
+        finetune=FinetuneConfig(epochs=8, batch_size=32, lr=1e-3),
+    ), "990edcfb46538ab4"),
+}
+
+
+@pytest.mark.parametrize("task", sorted(_PRESET_LITERALS))
+def test_preset_equals_its_literal_config(task):
+    literal, digest = _PRESET_LITERALS[task]
+    assert preset_experiment(task) == literal
+    assert config_hash(preset_experiment(task)) == digest
+
+
+@pytest.mark.parametrize("task", [["syn_mi"], {"syn_mi": 1}, "syn_eeg"])
+def test_preset_of_no_task_name_is_a_config_error(task):
+    with pytest.raises(ConfigError, match="unknown task"):
+        preset_experiment(task)
+
+
 def test_infinite_duration_is_a_config_error():
     # without the check the config builds and generation dies converting inf to a sample count
     with pytest.raises(ConfigError, match="duration"):

@@ -1,8 +1,11 @@
-"""``scripts/pilot_directional.py --freeze`` shows what a refreeze changes, on hand-built payloads."""
+"""``scripts/pilot_directional.py --freeze`` shows what a refreeze changes, on hand-built payloads;
+the pinned configs still hash as the golden file froze them."""
 
 import importlib.util
 import json
 from pathlib import Path
+
+from ttalign.pilot import pilot_config_hashes
 
 _PATH = Path(__file__).resolve().parents[1] / "scripts" / "pilot_directional.py"
 _SPEC = importlib.util.spec_from_file_location("pilot_directional", _PATH)
@@ -43,3 +46,9 @@ def test_golden_changes_names_added_removed_and_resized_entries():
         "config_hashes/extra: None -> 'def'",
         "margins/ssl_advantage: 0.02 -> None",
     ]
+
+
+def test_pinned_configs_hash_as_frozen():
+    # criterion 09 checks this too, after its 30 s rerun
+    golden = json.loads((_PATH.parents[1] / "golden" / "directional_margins.json").read_text())
+    assert pilot_config_hashes() == golden["config_hashes"]

@@ -16,7 +16,7 @@ from ttalign.errors import ConfigError, ContractError
 
 def noisy_epoch(seed=0, rms=5.0):
     rng = np.random.default_rng(seed)
-    return sig.pink_noise(rng, 8, 200, 200.0, rms=rms)
+    return oracles.pink_noise(rng, 8, 200, 200.0, rms=rms)
 
 
 class TestBandTables:
@@ -284,7 +284,7 @@ def test_amp_scale_written_from_a_source_is_the_float32_cast_of_its_views():
 )
 def test_property_views_preserve_shape_and_label_range(seed, name, task):
     rng = np.random.default_rng(seed)
-    x = sig.pink_noise(rng, 8, 200, 200.0, rms=4.0)
+    x = oracles.pink_noise(rng, 8, 200, 200.0, rms=4.0)
     spec = px.task_spec_for(task)
     views, labels = px.make_view(name, x[None], rng, spec)
     assert views.shape == (1,) + x.shape
