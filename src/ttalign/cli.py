@@ -78,8 +78,8 @@ def _fits(value, hint) -> bool:
         if args[-1] is Ellipsis:
             args = args[:1] * len(value) if isinstance(value, tuple) else ()
         return isinstance(value, tuple) and len(value) == len(args) and all(map(_fits, value, args))
-    if hint is float:
-        hint = (int, float)
+    if hint is float:  # an int fits if a float holds it
+        return isinstance(value, float) or _fits(value, int) and abs(value) <= sys.float_info.max
     return isinstance(value, hint) and (hint is bool or not isinstance(value, bool))
 
 

@@ -31,9 +31,10 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from functools import partial
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -42,7 +43,7 @@ from .errors import ConfigError, check_seed
 from .metrics import EvalResult, evaluate_predictions
 from .nn import Model, ModelConfig, clone_model
 from .pretext import TaskSpec, task_spec_for
-from .signals import EPOCH_SAMPLES, N_CLASSES, TARGET_RATE, TASKS, ShiftSpec, generate_dataset, preprocess
+from .signals import EPOCH_SAMPLES, N_CLASSES, NATIVE_RATE, TARGET_RATE, TASKS, ShiftSpec, generate_dataset, preprocess
 from .training import FinetuneConfig, PretrainConfig, finetune_stage1, masked_pretrain
 
 # strategy -> its (stage-I row, stage-II column) cell of the grid
@@ -83,6 +84,9 @@ class ExperimentConfig:
     base_seed: int = 0
 
     def __post_init__(self):
+        for key, kind in _SECTIONS.items():
+            if not isinstance(getattr(self, key), kind):
+                raise ConfigError(f"config section '{key}' must be {kind}, got {getattr(self, key)!r}")
         if self.task not in TASKS:
             raise ConfigError(f"unknown task '{self.task}' (expected one of {TASKS})")
         if self.protocol not in PROTOCOLS:
@@ -128,6 +132,10 @@ class ExperimentConfig:
                 raise ConfigError(f"split_fractions must be 3 positive numbers summing to 1, got {fr}")
 
 
+# the nested sections: field -> its declared config class (``PretrainConfig | None`` for pretrain)
+_SECTIONS = {key: hint for key, hint in get_type_hints(ExperimentConfig).items()
+             if any(map(is_dataclass, (hint, *get_args(hint))))}
+
 # what each task's preset changes in ExperimentConfig's defaults, which are syn_mi's
 PRESETS = {
     "syn_mi": {},
@@ -160,43 +168,35 @@ def config_hash(cfg: ExperimentConfig) -> str:
 def build_splits(cfg: ExperimentConfig, seed: int) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Generate, split and preprocess one seed's dataset.
 
-    Cross-subject: whole subjects go to one split each. Within-subject: every
-    subject contributes to all three splits, stratified by class, recordings kept
-    whole (all epochs of a recording land in the same split). The test split is
-    multiplied by ``test_gain`` afterwards (covariate-shift knob).
+    A split is a list of row indices into the generated trials, and every epoch of
+    a trial lands in its trial's split. Cross-subject: each subject's rows go to
+    its split. Within-subject: each sorted ``(subject, label)`` group of rows is cut
+    at ``split_fractions``, so every subject feeds all three splits. The test split
+    is multiplied by ``test_gain`` afterwards (covariate-shift knob).
     """
     cross = cfg.protocol == "cross_subject"
     if cross:
         subjects = sorted({*cfg.train_subjects, *cfg.val_subjects, *cfg.test_subjects})
     else:
         subjects = range(1, cfg.n_subjects + 1)
-    recs = generate_dataset(cfg.task, subjects, cfg.trials_per_subject, seed, cfg.shift, cfg.duration)
-    split_recs = {"train": [], "val": [], "test": []}
+    X, y, subj = generate_dataset(cfg.task, subjects, cfg.trials_per_subject, seed, cfg.shift, cfg.duration)
+    rows = {"train": [], "val": [], "test": []}
     if cross:
-        split_of = {s: name for name in split_recs for s in getattr(cfg, f"{name}_subjects")}
-        for rec in recs:
-            if rec.subject in split_of:
-                split_recs[split_of[rec.subject]].append(rec)
+        rows = {name: np.flatnonzero(np.isin(subj, getattr(cfg, f"{name}_subjects"))) for name in rows}
     else:
-        by_subject_class: dict[tuple[int, int], list] = {}
-        for rec in recs:
-            by_subject_class.setdefault((rec.subject, rec.label), []).append(rec)
-        for _, group in sorted(by_subject_class.items()):
+        for s, label in sorted(set(zip(subj.tolist(), y.tolist()))):
+            group = np.flatnonzero((subj == s) & (y == label)).tolist()
             n = len(group)
-            n_tr = int(np.floor(cfg.split_fractions[0] * n))
-            n_va = int(np.floor(cfg.split_fractions[1] * n))
+            n_tr, n_va = (int(np.floor(f * n)) for f in cfg.split_fractions[:2])
             if n_tr < 1 or n_va < 1 or n - n_tr - n_va < 1:
-                raise ConfigError(
-                    f"{n} recordings per subject/class cannot fill all three splits "
-                    f"at fractions {cfg.split_fractions}"
-                )
-            split_recs["train"] += group[:n_tr]
-            split_recs["val"] += group[n_tr: n_tr + n_va]
-            split_recs["test"] += group[n_tr + n_va:]
-    out = {name: preprocess(group) for name, group in split_recs.items()}
+                raise ConfigError(f"{n} trials per subject/class cannot fill all three splits "
+                                  f"at fractions {cfg.split_fractions}")
+            rows["train"] += group[:n_tr]
+            rows["val"] += group[n_tr: n_tr + n_va]
+            rows["test"] += group[n_tr + n_va:]
+    out = {name: preprocess(X, y, subj, NATIVE_RATE[cfg.task], split) for name, split in rows.items()}
     if cfg.test_gain != 1.0:
-        X, y, subj = out["test"]
-        out["test"] = (X * cfg.test_gain, y, subj)
+        out["test"][0][...] *= cfg.test_gain  # in place: the epochs are this call's own
     return out
 
 

@@ -9,16 +9,17 @@ Three task families are generated on a fixed 8-channel montage:
 * ``syn_speech`` (5 classes): a broadband carrier amplitude-modulated at a
   class-specific envelope rate (2..6 Hz) plus the envelope-following component.
 
-All spectral surgery (band-pass, band-stop masks, resampling) works on the
+All spectral surgery (band-pass, band-stop masks, downsampling) works on the
 one-sided FFT with raised-cosine edges ``TRANSITION`` Hz wide, so passbands are
 preserved exactly and stopbands are zeroed exactly at the bin level.
 
-``generate_dataset`` builds each subject's trials as one (trials, channels,
-samples) stack, one inverse FFT and one pass of each task term for all of them.
-It draws as a one-trial-at-a-time loop would: per trial, the noise normals, the
-phases, then the ``syn_speech`` carrier's normals. All later arithmetic is
-elementwise, or an FFT or mean along each row, which numpy computes per row as
-for a lone trial, so each recording is bitwise the trial built alone.
+``generate_dataset`` returns one subject-major (trials, channels, samples) array
+at the task's native rate, a split is a list of its row indices, and
+``preprocess`` turns a split's rows into epochs. Each subject's trials are built
+as one stack, drawn as a one-trial loop would: per trial, the noise normals, the
+phases, then the ``syn_speech`` carrier's normals. All later arithmetic, here
+and in ``preprocess``, is elementwise or along each row, which numpy computes
+per row as for a lone trial, so each trial is bitwise the trial alone.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -52,16 +52,6 @@ PASSBAND = (0.3, 75.0)
 # class -> suppressed channel group for syn_mi
 MI_GROUPS = ((2, 4), (3, 5), (0, 1), (6, 7))  # left, right, frontal, occipital
 SPEECH_ENV_HZ = (2.0, 3.0, 4.0, 5.0, 6.0)
-
-
-@dataclass
-class Recording:
-    """One continuous multichannel trial at its native sampling rate."""
-
-    data: np.ndarray  # (channels, samples) float64
-    rate: float
-    subject: int
-    label: int
 
 
 @dataclass(frozen=True)
@@ -135,22 +125,14 @@ def bandpass(data: np.ndarray, rate: float, low: float, high: float) -> np.ndarr
 
 
 def resample(data: np.ndarray, rate_in: float, rate_out: float) -> np.ndarray:
-    """Fourier-domain resampling; downsampling truncates the spectrum (no aliasing)."""
-    if rate_in <= 0 or rate_out <= 0:
-        raise ConfigError("sampling rates must be positive")
+    """Fourier-domain downsampling: the spectrum is truncated, so nothing aliases."""
+    if not 0 < rate_out < rate_in:
+        raise ContractError(f"resample only downsamples, got {rate_in} Hz -> {rate_out} Hz")
     n = data.shape[-1]
-    if rate_in == rate_out:
-        return data.copy()
     n_out = int(round(n * rate_out / rate_in))
     if n_out < 2:
         raise ContractError(f"resample target too short ({n_out} samples)")
-    spec = np.fft.rfft(data, axis=-1)
-    bins_out = n_out // 2 + 1
-    if bins_out <= spec.shape[-1]:
-        out_spec = spec[..., :bins_out].copy()
-    else:
-        pad = [(0, 0)] * (spec.ndim - 1) + [(0, bins_out - spec.shape[-1])]
-        out_spec = np.pad(spec, pad)
+    out_spec = np.fft.rfft(data, axis=-1)[..., :n_out // 2 + 1]
     if n_out % 2 == 0:
         out_spec[..., -1] = out_spec[..., -1].real
     out = np.fft.irfft(out_spec, n=n_out, axis=-1)
@@ -202,13 +184,13 @@ def generate_dataset(
     seed: int,
     shift: ShiftSpec = ShiftSpec(),
     duration: float = 1.0,
-) -> list[Recording]:
-    """Balanced labelled recordings for the subjects with ids ``subjects``, in that order.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Balanced labelled trials ``(X, labels, subjects)`` of the subjects with ids ``subjects``.
 
-    Each subject owns an independent RNG stream derived from the master seed, so a
-    subject's data does not depend on which other subjects are generated. Each
-    recording's ``data`` is a row view of its subject's stack (module docstring); at
-    noise scale 0 no noise normals are drawn.
+    ``X`` is (trials, channels, samples) float64 at ``NATIVE_RATE[task]``, subject-major in
+    the order of ``subjects``, with one int64 label and subject id per trial. Each subject's
+    own RNG stream derives from the master seed, so its data does not depend on which other
+    subjects are generated. At noise scale 0 no noise normals are drawn.
     """
     if task not in TASKS:
         raise ConfigError(f"unknown task '{task}' (expected one of {TASKS})")
@@ -222,11 +204,11 @@ def generate_dataset(
     n_phases = 2 if task == "syn_stress" else 1
     erd = _raised_cosine_drop(t, onset=0.3, ramp=0.1, floor=0.25)
     mi_groups = np.array([[ch in group for ch in range(c)] for group in MI_GROUPS])
-    out: list[Recording] = []
-    for subject in subjects:
+    X = np.empty((len(subjects) * r, c, n))
+    y = np.empty(len(subjects) * r, dtype=np.int64)
+    for k, subject in enumerate(subjects):
         rng, gains, comp = _subject_profile(shift, seed, subject)
-        labels = np.tile(np.arange(n_classes), r // n_classes + 1)[:r]
-        labels = rng.permutation(labels)
+        labels = y[k * r: (k + 1) * r] = rng.permutation(np.tile(np.arange(n_classes), r // n_classes + 1)[:r])
         rms = 3.0 * shift.noise_scale * comp["noise"]
         noise = np.empty(spectrum) if rms != 0.0 else None
         carrier = np.empty(spectrum) if task == "syn_speech" else None
@@ -255,39 +237,37 @@ def generate_dataset(
             x += carrier * envelope[:, None]
             x += 3.0 * comp["envline"] * wave[:, None]
 
-        x *= gains[:, None]
-        out += [Recording(data=xr, rate=rate, subject=subject, label=int(label)) for xr, label in zip(x, labels)]
-    return out
+        np.multiply(x, gains[:, None], out=X[k * r: (k + 1) * r])
+    return X, y, np.repeat(np.asarray(subjects, dtype=np.int64), r)
 
 
 # ---------------------------------------------------------------------------
 # preprocessing
 # ---------------------------------------------------------------------------
 
-def preprocess(recordings: list[Recording]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One split's ``(X, labels, subjects)`` arrays from its recordings, in order.
+def preprocess(X: np.ndarray, labels: np.ndarray, subjects: np.ndarray, rate: float,
+               rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One split's epoch arrays ``(X, labels, subjects)`` from the trials at ``rows`` of
+    :func:`generate_dataset`'s arrays, in the order of ``rows``.
 
-    Each recording is band-passed to ``PASSBAND``, resampled to ``TARGET_RATE`` and
-    cut into non-overlapping ``EPOCH_SAMPLES`` epochs; a recording shorter than one
-    epoch contributes none. Each run of consecutive recordings with the same
-    subject, rate and shape (one subject's trials, as :func:`generate_dataset`
-    emits them) goes through the FFTs as one stack, which transforms each
-    recording exactly as it would alone.
+    Each trial is band-passed to ``PASSBAND``, downsampled from ``rate`` to ``TARGET_RATE``
+    and cut into non-overlapping ``EPOCH_SAMPLES`` epochs, written into one preallocated
+    array. Each run of one subject's consecutive rows is one FFT pass (bitwise each trial
+    alone); no split is filtered as one stack, so FFT temporaries stay one subject's size.
     """
-    epochs, labels, subjects = [], [], []
-    for (subject, rate, shape), run in groupby(recordings, key=lambda r: (r.subject, r.rate, r.data.shape)):
-        if len(shape) != 2:
-            raise ContractError(f"recording data must be 2-D, got shape {shape}")
-        run = list(run)
-        x = resample(bandpass(np.stack([rec.data for rec in run]), rate, *PASSBAND), rate, TARGET_RATE)
-        n_epochs = x.shape[-1] // EPOCH_SAMPLES
-        for rec, xr in zip(run, x):
-            epochs += [xr[:, i * EPOCH_SAMPLES: (i + 1) * EPOCH_SAMPLES] for i in range(n_epochs)]
-            labels += [rec.label] * n_epochs
-        subjects += [subject] * (n_epochs * len(run))
-    if not epochs:
-        raise ContractError(f"no epochs in {len(recordings)} recordings")
-    return np.stack(epochs), np.array(labels, dtype=np.int64), np.array(subjects, dtype=np.int64)
+    if getattr(X, "ndim", None) != 3:
+        raise ContractError("trials must be one (trials, channels, samples) array")
+    rows = np.asarray(rows, dtype=np.int64)
+    c, n_epochs = X.shape[1], int(round(X.shape[-1] * TARGET_RATE / rate)) // EPOCH_SAMPLES
+    if not len(rows) * n_epochs:
+        raise ContractError(f"no epochs in {len(rows)} trials of {X.shape[-1]} samples at {rate} Hz")
+    out = np.empty((len(rows), n_epochs, c, EPOCH_SAMPLES))
+    subj = subjects[rows]
+    cuts = [0, *np.flatnonzero(subj[1:] != subj[:-1]) + 1, len(rows)]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        x = resample(bandpass(X[rows[lo:hi]], rate, *PASSBAND), rate, TARGET_RATE)[..., :n_epochs * EPOCH_SAMPLES]
+        out[lo:hi] = x.reshape(hi - lo, c, n_epochs, EPOCH_SAMPLES).swapaxes(1, 2)
+    return out.reshape(-1, c, EPOCH_SAMPLES), np.repeat(labels[rows], n_epochs), np.repeat(subj, n_epochs)
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,11 @@ branch, the reference for the grouped pass of ``training.finetune_stage1``;
 its loss is ``combined_loss``, the chain of head and loss records that
 ``autodiff.heads_cross_entropy`` replaces, and ``unstack`` hands each group of
 a grouped pass to such a chain.
-``preprocess_per_recording`` filters one recording at a time, the reference for
-the stacked runs of ``signals.preprocess``; ``generate_per_recording`` builds one
+``preprocess_per_recording`` filters one trial at a time, the reference for the
+per-subject runs of ``signals.preprocess``; ``generate_per_recording`` builds one
 trial at a time, the reference for the per-subject stacks of
-``signals.generate_dataset``.
+``signals.generate_dataset``. Both return the same arrays as the function they
+check.
 """
 
 import hashlib
@@ -32,7 +33,7 @@ from ttalign.pretext import AMP_FACTORS, make_view
 from ttalign.training import _validation_score
 from ttalign.signals import (
     ANTERIOR, AP_PAIRS, EPOCH_SAMPLES, MI_GROUPS, MONTAGE, N_CLASSES, NATIVE_RATE, PASSBAND, POSTERIOR,
-    SPEECH_ENV_HZ, TARGET_RATE, TASKS, Recording, ShiftSpec, _raised_cosine_drop, _subject_profile,
+    SPEECH_ENV_HZ, TARGET_RATE, TASKS, ShiftSpec, _raised_cosine_drop, _subject_profile,
     bandpass, bandstop_mask, resample,
 )
 
@@ -71,16 +72,16 @@ def bandstop(data, rate, low, high):
     return np.fft.irfft(np.fft.rfft(data, axis=-1) * bandstop_mask(n, rate, low, high), n=n, axis=-1)
 
 
-def preprocess_per_recording(recordings):
-    """``signals.preprocess`` with each recording band-passed and resampled alone."""
-    epochs, labels, subjects = [], [], []
-    for rec in recordings:
-        x = resample(bandpass(rec.data, rec.rate, *PASSBAND), rec.rate, TARGET_RATE)
+def preprocess_per_recording(X, labels, subjects, rate, rows):
+    """``signals.preprocess`` with each trial band-passed and resampled alone."""
+    epochs, epoch_labels, epoch_subjects = [], [], []
+    for row in rows:
+        x = resample(bandpass(X[row], rate, *PASSBAND), rate, TARGET_RATE)
         n_epochs = x.shape[-1] // EPOCH_SAMPLES
         epochs += [x[:, i * EPOCH_SAMPLES: (i + 1) * EPOCH_SAMPLES] for i in range(n_epochs)]
-        labels += [rec.label] * n_epochs
-        subjects += [rec.subject] * n_epochs
-    return np.stack(epochs), np.array(labels, dtype=np.int64), np.array(subjects, dtype=np.int64)
+        epoch_labels += [labels[row]] * n_epochs
+        epoch_subjects += [subjects[row]] * n_epochs
+    return np.stack(epochs), np.array(epoch_labels, dtype=np.int64), np.array(epoch_subjects, dtype=np.int64)
 
 
 
@@ -106,7 +107,8 @@ def _recording(
     comp: dict[str, float],
     noise_scale: float,
     duration: float = 1.0,
-) -> Recording:
+) -> np.ndarray:
+    """One trial's (channels, samples) array at the task's native rate."""
     rate = NATIVE_RATE[task]
     n = int(round(duration * rate))
     t = np.arange(n) / rate
@@ -142,22 +144,22 @@ def _recording(
         raise ConfigError(f"unknown task '{task}' (expected one of {TASKS})")
 
     x *= gains[:, None]
-    return Recording(data=x, rate=rate, subject=subject, label=label)
+    return x
 
 
 def generate_per_recording(task, subjects, trials_per_subject, seed, shift=ShiftSpec(), duration=1.0):
-    """``signals.generate_dataset`` with each trial drawn and built alone, its own arrays."""
+    """``signals.generate_dataset`` with each trial drawn and built alone, its own array."""
     n_classes = N_CLASSES[task]
-    out: list[Recording] = []
+    trials, all_labels, all_subjects = [], [], []
     for subject in subjects:
         rng, gains, comp = _subject_profile(shift, seed, subject)
         labels = np.tile(np.arange(n_classes), trials_per_subject // n_classes + 1)[:trials_per_subject]
         labels = rng.permutation(labels)
         for label in labels:
-            out.append(
-                _recording(task, int(label), subject, rng, gains, comp, shift.noise_scale, duration)
-            )
-    return out
+            trials.append(_recording(task, int(label), subject, rng, gains, comp, shift.noise_scale, duration))
+            all_labels.append(int(label))
+            all_subjects.append(subject)
+    return np.stack(trials), np.array(all_labels, dtype=np.int64), np.array(all_subjects, dtype=np.int64)
 
 def stopped_band(data, rng, table):
     label = int(rng.integers(len(table)))

@@ -9,18 +9,25 @@ import importlib.util
 import json
 import subprocess
 import sys
+import types
 import warnings
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ttalign import autodiff as ad
+from ttalign import cli
 from ttalign.cli import build_config, build_parser, main
 from ttalign.errors import ConfigError
 from ttalign.gradcheck import run_gradcheck
-from ttalign.harness import build_splits, finetuned_rows, run_single
+from ttalign.harness import ExperimentConfig, build_splits, finetuned_rows, run_single
+from ttalign.signals import TASKS
 
 MICRO = {
     "task": "syn_mi",
@@ -210,6 +217,59 @@ def test_nested_section_that_is_no_object_rejected(tmp_path, capsys, override):
     record = json.loads(err)
     (key,) = override
     assert record["error"] == "ConfigError" and f"'{key}'" in record["message"]
+
+
+# values no field takes, and the edges of those it does
+_JUNK = st.sampled_from([None, "", "x", [], {}, True, [1, "a"], {"bogus": 1}, float("nan"), float("inf"), -1, 0.5])
+_EDGES = {
+    float: st.sampled_from([0.0, -0.0, -1.0, 1e-300, 5e-324, 1e308, -1e308, float("nan"), float("inf"),
+                            float("-inf"), 0, -7, 2**63, 10**400]) | st.floats(),
+    int: st.sampled_from([0, -1, 1, 2, 2**31, 2**63 - 1, 2**63, -2**63, 10**400]) | st.integers(),
+    bool: st.booleans(),
+    str: st.sampled_from(["adam", "sgd", "auroc", "kappa", "first_only", "within_subject", *TASKS, "", "x"]),
+    type(None): st.none(),
+}
+
+
+def _overrides(cls, max_keys):
+    """Dicts of up to ``max_keys`` of ``cls``'s fields (or an unknown key), each drawn by :func:`_drawn`."""
+    hints = {**get_type_hints(cls), "bogus": None}
+    return st.lists(st.sampled_from(sorted(hints)), max_size=max_keys, unique=True).flatmap(
+        lambda keys: st.fixed_dictionaries({key: _drawn(hints[key]) for key in keys}))
+
+
+def _drawn(hint):
+    """A value for a field of type ``hint``: mostly the edges of its own type, else one no field takes."""
+    args = get_args(hint)
+    if hint is None:
+        return _JUNK
+    if isinstance(hint, types.UnionType):
+        return st.one_of(*map(_drawn, args))
+    if is_dataclass(hint):
+        return _overrides(hint, 2) | _JUNK
+    if get_origin(hint) is tuple:
+        if args[-1] is Ellipsis:
+            return st.lists(_drawn(args[0]), max_size=4) | _JUNK
+        return st.tuples(*map(_drawn, args)).map(list) | st.lists(_drawn(args[0]), max_size=3) | _JUNK
+    return _EDGES[hint] | _EDGES[hint] | _JUNK
+
+
+@settings(max_examples=250, deadline=None)
+@given(overrides=_overrides(ExperimentConfig, 3), task=st.sampled_from([None, *TASKS]),
+       seed=st.none() | st.sampled_from([0, -1, 2**63, 2**64, 10**400]) | st.integers())
+# an int no float holds summed into the fractions' check with an OverflowError
+@example(overrides={"split_fractions": [10**400, 0.5, 0.5]}, task="syn_speech", seed=None)
+def test_property_any_override_builds_or_is_a_config_error(overrides, task, seed):
+    # the overrides reach build_config as a parsed config file would hand them
+    # over, NaN and inf included (the JSON reader refuses those on its own)
+    args = build_parser().parse_args(["evaluate", "--config", "drawn.json"])
+    args.task, args.seed = task, seed
+    with mock.patch.object(cli, "load_config_file", return_value=overrides):
+        try:
+            cfg = build_config(args)
+        except ConfigError:
+            return
+    assert isinstance(cfg, ExperimentConfig)
 
 
 def test_null_pretrain_runs_without_pretraining(tmp_path, capsys):

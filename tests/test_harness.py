@@ -30,7 +30,10 @@ from ttalign.harness import (
     run_single,
 )
 from ttalign.optim import SGD
-from ttalign.signals import PASSBAND, TARGET_RATE, ShiftSpec, bandpass, generate_dataset, preprocess, resample
+from ttalign import signals
+from ttalign.signals import (
+    NATIVE_RATE, PASSBAND, TARGET_RATE, ShiftSpec, bandpass, generate_dataset, preprocess, resample,
+)
 from ttalign.training import FinetuneConfig, PretrainConfig
 
 
@@ -147,6 +150,18 @@ def test_preset_of_no_task_name_is_a_config_error(task):
         preset_experiment(task)
 
 
+@pytest.mark.parametrize("section", ["shift", "finetune", "ttt", "tent", "pretrain"])
+@pytest.mark.parametrize("value", [None, {}, "default"], ids=["none", "dict", "str"])
+def test_nested_section_of_another_type_is_a_config_error(section, value):
+    # without the check a None ttt or tent ran the defaults, a None shift failed
+    # in generation and a None finetune raised an untyped AttributeError
+    if section == "pretrain" and value is None:
+        assert preset_experiment("syn_mi", pretrain=None).pretrain is None
+        return
+    with pytest.raises(ConfigError, match=f"config section '{section}'"):
+        preset_experiment("syn_mi", **{section: value})
+
+
 def test_infinite_duration_is_a_config_error():
     # without the check the config builds and generation dies converting inf to a sample count
     with pytest.raises(ConfigError, match="duration"):
@@ -209,7 +224,7 @@ def test_within_subject_split_every_subject_everywhere():
     for name in ("train", "val", "test"):
         _, _, subj = splits[name]
         assert set(np.unique(subj)) == all_subjects
-    # stratified counts: 5 recordings per subject/class -> 3/1/1
+    # stratified counts: 5 trials per subject/class -> 3/1/1
     _, ytr, str_ = splits["train"]
     n_cls = len(np.unique(ytr))
     for s in all_subjects:
@@ -237,10 +252,12 @@ def test_multi_epoch_recordings_stay_whole_and_in_order(task):
     cfg = micro(task, duration=2.5)
     cross = cfg.protocol == "cross_subject"
     n_subjects = max(*cfg.train_subjects, *cfg.val_subjects, *cfg.test_subjects) if cross else cfg.n_subjects
-    recs = generate_dataset(cfg.task, range(1, n_subjects + 1), cfg.trials_per_subject, 1, cfg.shift, cfg.duration)
+    trials, labels, subjects = generate_dataset(
+        cfg.task, range(1, n_subjects + 1), cfg.trials_per_subject, 1, cfg.shift, cfg.duration)
+    rate = NATIVE_RATE[task]
     epochs = []
-    for rec in recs:
-        x = resample(bandpass(rec.data, rec.rate, *PASSBAND), rec.rate, TARGET_RATE)
+    for trial in trials:
+        x = resample(bandpass(trial, rate, *PASSBAND), rate, TARGET_RATE)
         assert x.shape[-1] // 200 == 2
         epochs.append([x[:, :200], x[:, 200:400]])
     owner = {first.tobytes(): i for i, (first, _) in enumerate(epochs)}
@@ -249,22 +266,22 @@ def test_multi_epoch_recordings_stay_whole_and_in_order(task):
         assert X.flags.c_contiguous and len(X) % 2 == 0
         order = orders[name] = [owner[X[i].tobytes()] for i in range(0, len(X), 2)]
         assert np.array_equal(X, np.stack([e for i in order for e in epochs[i]]))
-        assert y.tolist() == [recs[i].label for i in order for _ in range(2)]
-        assert subj.tolist() == [recs[i].subject for i in order for _ in range(2)]
-    # every recording lands whole in exactly one split
-    assert sorted(i for order in orders.values() for i in order) == list(range(len(recs)))
+        assert y.tolist() == [labels[i] for i in order for _ in range(2)]
+        assert subj.tolist() == [subjects[i] for i in order for _ in range(2)]
+    # every trial lands whole in exactly one split
+    assert sorted(i for order in orders.values() for i in order) == list(range(len(trials)))
     for name, order in orders.items():
         if cross:
             assert order == sorted(order)
-            assert {recs[i].subject for i in order} == set(getattr(cfg, f"{name}_subjects"))
+            assert {subjects[i] for i in order} == set(getattr(cfg, f"{name}_subjects"))
         else:
-            assert order == sorted(order, key=lambda i: (recs[i].subject, recs[i].label, i))
+            assert order == sorted(order, key=lambda i: (subjects[i], labels[i], i))
 
 
 def test_gapped_subject_sets_generate_only_listed_subjects(monkeypatch):
     cfg = micro(train_subjects=(2, 5), val_subjects=(7,), test_subjects=(3, 9))
     # reference: every subject up to the largest listed id, each split keeping its own
-    recs = generate_dataset(cfg.task, range(1, 10), cfg.trials_per_subject, 4, cfg.shift, cfg.duration)
+    data = generate_dataset(cfg.task, range(1, 10), cfg.trials_per_subject, 4, cfg.shift, cfg.duration)
     generated = []
 
     def spy(task, subjects, *args):
@@ -275,10 +292,25 @@ def test_gapped_subject_sets_generate_only_listed_subjects(monkeypatch):
     splits = build_splits(cfg, seed=4)
     assert generated == [[2, 3, 5, 7, 9]]
     for name in ("train", "val", "test"):
-        keep = set(getattr(cfg, f"{name}_subjects"))
-        want = preprocess([r for r in recs if r.subject in keep])
+        rows = np.flatnonzero(np.isin(data[2], getattr(cfg, f"{name}_subjects")))
+        want = preprocess(*data, NATIVE_RATE[cfg.task], rows)
         for got, ref in zip(splits[name], want):
             assert got.tobytes() == ref.tobytes(), name
+
+
+@pytest.mark.parametrize("task", ["syn_mi", "syn_stress", "syn_speech"])
+def test_splits_are_filtered_one_subject_at_a_time(task, monkeypatch):
+    # the memory bound: filtering a whole split as one stack doubles build_splits' peak
+    cfg = preset_experiment(task)
+    stacks = []
+
+    def spy(data, *args):
+        stacks.append(data.shape[0])
+        return bandpass(data, *args)
+
+    monkeypatch.setattr(signals, "bandpass", spy)
+    build_splits(cfg, seed=0)
+    assert stacks and max(stacks) <= cfg.trials_per_subject
 
 
 def test_build_splits_deterministic():

@@ -115,10 +115,10 @@ class TestBandstop:
 
 
 class TestResample:
-    def test_identity_when_rates_match(self):
-        x = np.arange(200.0).reshape(1, 200)
-        out = sig.resample(x, 200.0, 200.0)
-        assert np.array_equal(out, x)
+    @pytest.mark.parametrize("rate_out", [200.0, 400.0])
+    def test_equal_or_higher_rate_refused(self, rate_out):
+        with pytest.raises(ContractError, match="only downsamples"):
+            sig.resample(np.arange(200.0).reshape(1, 200), 200.0, rate_out)
 
     def test_tone_survives_downsampling(self):
         x = tone(10.0, rate=500.0, n=500)
@@ -138,47 +138,58 @@ class TestResample:
             sig.resample(np.ones(4), 1000.0, 100.0)
 
 
+def one_subject(data, label=0, subject=1):
+    """``preprocess``'s arrays for trials of one subject and label."""
+    return data, np.full(len(data), label, dtype=np.int64), np.full(len(data), subject, dtype=np.int64)
+
+
 class TestPreprocess:
     def test_epoch_count_10s_500hz(self):
-        rec = sig.Recording(np.zeros((8, 5000)), 500.0, subject=1, label=0)
-        X, y, subj = sig.preprocess([rec])
+        X, y, subj = sig.preprocess(*one_subject(np.zeros((1, 8, 5000))), 500.0, [0])
         assert X.shape == (10, 8, 200) and y.shape == subj.shape == (10,)
 
-    def test_native_200hz_is_exact_slicing_of_the_passband(self):
+    def test_epochs_are_slices_of_the_downsampled_passband(self):
         rng = np.random.default_rng(2)
-        data = rng.normal(size=(8, 600))
-        rec = sig.Recording(data, 200.0, subject=1, label=2)
-        X, y, subj = sig.preprocess([rec])
-        passed = sig.bandpass(data, 200.0, *sig.PASSBAND)
-        assert X.shape == (3, 8, 200) and X.flags.c_contiguous
-        for i in range(3):
-            assert np.array_equal(X[i], passed[:, 200 * i: 200 * (i + 1)])
-        assert y.tolist() == [2, 2, 2] and subj.tolist() == [1, 1, 1]
+        data = rng.normal(size=(2, 8, 1300))
+        X, y, subj = sig.preprocess(*one_subject(data, label=2), 400.0, [1, 0])
+        passed = sig.resample(sig.bandpass(data, 400.0, *sig.PASSBAND), 400.0, 200.0)
+        assert X.shape == (6, 8, 200) and X.flags.c_contiguous
+        for i in range(6):
+            row, k = (1, 0)[i // 3], i % 3
+            assert np.array_equal(X[i], passed[row, :, 200 * k: 200 * (k + 1)])
+        assert y.tolist() == [2] * 6 and subj.tolist() == [1] * 6
         assert y.dtype == subj.dtype == np.int64
 
-    def test_short_recording_yields_no_epochs(self):
-        short = sig.Recording(np.zeros((8, 100)), 200.0, subject=1, label=0)
-        whole = sig.Recording(np.ones((8, 200)), 200.0, subject=2, label=3)
-        X, y, subj = sig.preprocess([short, whole, short])
-        assert X.shape == (1, 8, 200) and y.tolist() == [3] and subj.tolist() == [2]
-        with pytest.raises(ContractError):
-            sig.preprocess([short])
+    def test_trials_shorter_than_an_epoch_or_no_rows_refused(self):
+        with pytest.raises(ContractError, match="no epochs"):
+            sig.preprocess(*one_subject(np.zeros((2, 8, 200))), 500.0, [0, 1])
+        with pytest.raises(ContractError, match="no epochs"):
+            sig.preprocess(*one_subject(np.ones((2, 8, 500))), 500.0, [])
 
-    def test_stacked_runs_equal_one_recording_at_a_time(self):
-        # two subjects, two rates and two durations, one shorter than an epoch; runs
-        # of one, two and three recordings, and one subject returning after another
+    def test_trials_of_mixed_lengths_refused(self):
+        # one array holds trials of one length: a list of recordings, ragged or 2-D, is refused
+        for data in ([np.zeros((8, 500)), np.zeros((8, 1000))], np.zeros((8, 500))):
+            with pytest.raises(ContractError, match="one \\(trials, channels, samples\\) array"):
+                sig.preprocess(data, np.zeros(2, dtype=np.int64), np.ones(2, dtype=np.int64), 500.0, [0])
+
+    @pytest.mark.parametrize("rate", [200.0, 180.0])
+    def test_trials_at_or_below_the_target_rate_refused(self, rate):
+        # every task's native rate lies above TARGET_RATE; one call takes one rate
+        with pytest.raises(ContractError, match="only downsamples"):
+            sig.preprocess(*one_subject(np.ones((1, 8, 400))), rate, [0])
+
+    @pytest.mark.parametrize("rate, n, n_epochs", [(250.0, 500, 2), (500.0, 850, 1)])
+    def test_subject_runs_equal_one_trial_at_a_time(self, rate, n, n_epochs):
+        # runs of one, two and three rows, a subject returning after another, rows out
+        # of order and repeated
         rng = np.random.default_rng(7)
-
-        def rec(subject, rate, n, label):
-            return sig.Recording(rng.normal(size=(8, n)) * 10.0, rate, subject=subject, label=label)
-
-        recs = [rec(1, 250.0, 500, 0), rec(1, 250.0, 500, 1), rec(1, 250.0, 500, 2),
-                rec(1, 250.0, 150, 3), rec(1, 500.0, 1000, 1), rec(1, 500.0, 1000, 0),
-                rec(2, 500.0, 1000, 3), rec(2, 250.0, 500, 2), rec(2, 250.0, 150, 1),
-                rec(2, 250.0, 150, 0), rec(1, 250.0, 500, 3)]
-        got = sig.preprocess(recs)
-        want = preprocess_per_recording(recs)
-        assert got[0].flags.c_contiguous and got[0].shape == (16, 8, 200)
+        data = rng.normal(size=(7, 8, n)) * 10.0
+        labels = np.array([0, 1, 2, 3, 1, 0, 3], dtype=np.int64)
+        subjects = np.array([1, 1, 1, 1, 2, 2, 2], dtype=np.int64)
+        rows = [0, 1, 2, 4, 1, 6, 5, 3, 2]
+        got = sig.preprocess(data, labels, subjects, rate, rows)
+        want = preprocess_per_recording(data, labels, subjects, rate, rows)
+        assert got[0].flags.c_contiguous and got[0].shape == (9 * n_epochs, 8, 200)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -188,7 +199,7 @@ class TestPreprocess:
         assert rms(sig.bandpass(x, 500.0, 4.0, 30.0)) < 0.05
         # 90 Hz lies below the 100 Hz Nyquist of TARGET_RATE: only PASSBAND removes it
         hum = tone(90.0, rate=500.0, n=5000, amp=5.0)[None, :] * np.ones((8, 1))
-        X, _, _ = sig.preprocess([sig.Recording(hum, 500.0, subject=1, label=0)])
+        X, _, _ = sig.preprocess(*one_subject(hum[None]), 500.0, [0])
         assert rms(X) < 0.05
 
 
@@ -201,54 +212,53 @@ class TestGenerators:
         shift = sig.ShiftSpec(noise_scale=noise_scale)
         got = sig.generate_dataset(task, (2, 5, 11), trials, 6, shift, duration)
         want = generate_per_recording(task, (2, 5, 11), trials, 6, shift, duration)
-        assert len(got) == len(want) == 3 * trials
+        assert len(got[0]) == 3 * trials and got[0].flags.c_contiguous
         for a, b in zip(got, want):
-            assert (a.rate, a.subject, a.label) == (b.rate, b.subject, b.label)
-            assert a.data.dtype == b.data.dtype and a.data.shape == b.data.shape
-            assert a.data.tobytes() == b.data.tobytes()
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert got[2].tolist() == [2] * trials + [5] * trials + [11] * trials
 
     def test_determinism_and_seed_sensitivity(self):
-        a = sig.generate_dataset("syn_mi", range(1, 3), 8, seed=3)
-        b = sig.generate_dataset("syn_mi", range(1, 3), 8, seed=3)
-        c = sig.generate_dataset("syn_mi", range(1, 3), 8, seed=4)
-        assert all(np.array_equal(x.data, y.data) for x, y in zip(a, b))
-        assert not np.array_equal(a[0].data, c[0].data)
+        a, _, _ = sig.generate_dataset("syn_mi", range(1, 3), 8, seed=3)
+        b, _, _ = sig.generate_dataset("syn_mi", range(1, 3), 8, seed=3)
+        c, _, _ = sig.generate_dataset("syn_mi", range(1, 3), 8, seed=4)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a[0], c[0])
 
     def test_subject_stream_independent_of_cohort_size(self):
-        few = sig.generate_dataset("syn_stress", range(1, 3), 6, seed=9)
-        many = sig.generate_dataset("syn_stress", range(1, 6), 6, seed=9)
-        subj2_few = [r for r in few if r.subject == 2]
-        subj2_many = [r for r in many if r.subject == 2]
-        for x, y in zip(subj2_few, subj2_many):
-            assert np.array_equal(x.data, y.data) and x.label == y.label
+        X_few, y_few, s_few = sig.generate_dataset("syn_stress", range(1, 3), 6, seed=9)
+        X_many, y_many, s_many = sig.generate_dataset("syn_stress", range(1, 6), 6, seed=9)
+        assert np.array_equal(X_few[s_few == 2], X_many[s_many == 2])
+        assert np.array_equal(y_few[s_few == 2], y_many[s_many == 2])
 
     def test_labels_are_balanced(self):
-        recs = sig.generate_dataset("syn_speech", range(1, 2), 50, seed=0)
-        counts = np.bincount([r.label for r in recs], minlength=5)
+        _, y, _ = sig.generate_dataset("syn_speech", range(1, 2), 50, seed=0)
+        counts = np.bincount(y, minlength=5)
         assert counts.min() == 10 and counts.max() == 10
 
     def test_mi_pure_component_is_spectrally_concentrated(self):
         shift = sig.ShiftSpec(channel_gain=(1.0, 1.0), component_jitter=0.0, noise_scale=0.0)
-        rec = sig.generate_dataset("syn_mi", range(1, 2), 4, seed=5, shift=shift)[0]
-        ch = 0 if 0 not in sig.MI_GROUPS[rec.label] else 2  # an unsuppressed channel
-        total = bandpower(rec.data[ch], rec.rate, 0.0, rec.rate / 2)
-        in_band = bandpower(rec.data[ch], rec.rate, 8.0, 13.0)
+        X, y, _ = sig.generate_dataset("syn_mi", range(1, 2), 4, seed=5, shift=shift)
+        rate = sig.NATIVE_RATE["syn_mi"]
+        ch = 0 if 0 not in sig.MI_GROUPS[y[0]] else 2  # an unsuppressed channel
+        total = bandpower(X[0, ch], rate, 0.0, rate / 2)
+        in_band = bandpower(X[0, ch], rate, 8.0, 13.0)
         assert total - in_band < 0.01 * total
 
     def test_stress_theta_ratio_separates_classes(self):
-        recs = sig.generate_dataset("syn_stress", range(1, 5), 120, seed=11)
+        X, y, _ = sig.generate_dataset("syn_stress", range(1, 5), 120, seed=11)
+        rate = sig.NATIVE_RATE["syn_stress"]
         ratios = {0: [], 1: []}
-        for r in recs:
-            ant = bandpower(r.data[list(sig.ANTERIOR)], r.rate, 4.0, 8.0)
-            post = bandpower(r.data[list(sig.POSTERIOR)], r.rate, 4.0, 8.0)
-            ratios[r.label].append(ant / post)
+        for x, label in zip(X, y):
+            ant = bandpower(x[list(sig.ANTERIOR)], rate, 4.0, 8.0)
+            post = bandpower(x[list(sig.POSTERIOR)], rate, 4.0, 8.0)
+            ratios[label].append(ant / post)
         assert len(ratios[0]) >= 200 and len(ratios[1]) >= 200
         assert np.mean(ratios[1]) > 1.5 * np.mean(ratios[0])
 
     @pytest.mark.parametrize("task", sig.TASKS)
     def test_band_power_probe_separability(self, task):
-        recs = sig.generate_dataset(task, range(1, 3), 60, seed=21, shift=UNSHIFTED)
-        X, y, _ = sig.preprocess(recs)
+        data = sig.generate_dataset(task, range(1, 3), 60, seed=21, shift=UNSHIFTED)
+        X, y, _ = sig.preprocess(*data, sig.NATIVE_RATE[task], np.arange(120))
         F = band_features(X)
         n = len(y)
         cut = int(0.7 * n)
@@ -267,8 +277,7 @@ class TestGenerators:
 
 class TestDatasetFiles:
     def test_split_file_layout(self, tmp_path):
-        recs = sig.generate_dataset("syn_mi", range(1, 2), 8, seed=7)
-        X, y, subj = sig.preprocess(recs)
+        X, y, subj = sig.preprocess(*sig.generate_dataset("syn_mi", range(1, 2), 8, seed=7), 250.0, np.arange(8))
         meta = {"task": "syn_mi", "seed": 7, "generator": {"n_subjects": 1, "trials": 8}}
         sig.save_split(tmp_path, "train", X, y, subj, meta)
         assert (tmp_path / "train.f32").read_bytes() == X.astype("<f4").tobytes()
