@@ -47,7 +47,7 @@ MICRO = {
     "finetune": {"epochs": 2, "batch_size": 16, "lr": 1e-3},
     "pretrain": {"epochs": 1},
 }
-# syn_speech splits each subject's recordings per class: 5 classes x 5 trials fill all three splits
+# syn_speech splits each subject's trials per class: 5 classes x 5 trials fill all three splits
 TRIALS = {"syn_speech": 25}
 
 # configs beyond the three task presets: every optimizer switched, deeper head,

@@ -128,7 +128,7 @@ class ExperimentConfig:
             if self.n_subjects < 1:
                 raise ConfigError("within_subject needs n_subjects >= 1")
             fr = self.split_fractions
-            if len(fr) != 3 or not all(f > 0 for f in fr) or not abs(sum(fr) - 1.0) <= 1e-9:
+            if len(fr) != 3 or not all(0 < f < 1 for f in fr) or not abs(sum(fr) - 1.0) <= 1e-9:
                 raise ConfigError(f"split_fractions must be 3 positive numbers summing to 1, got {fr}")
 
 

@@ -11,7 +11,7 @@ import subprocess
 import sys
 import types
 import warnings
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import is_dataclass, replace
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 from unittest import mock
@@ -251,7 +251,7 @@ def _drawn(hint):
         if args[-1] is Ellipsis:
             return st.lists(_drawn(args[0]), max_size=4) | _JUNK
         return st.tuples(*map(_drawn, args)).map(list) | st.lists(_drawn(args[0]), max_size=3) | _JUNK
-    return _EDGES[hint] | _EDGES[hint] | _JUNK
+    return _EDGES[hint] | _EDGES[hint] | _JUNK  # its own type two times in three
 
 
 @settings(max_examples=250, deadline=None)

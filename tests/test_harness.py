@@ -13,7 +13,7 @@ import json
 import numpy as np
 import pytest
 
-from ttalign import harness
+from ttalign import harness, signals
 from ttalign.adapt import ADAPT_METHODS, TentConfig, TttConfig
 from ttalign.autodiff import Tensor
 from ttalign.errors import ConfigError
@@ -30,7 +30,6 @@ from ttalign.harness import (
     run_single,
 )
 from ttalign.optim import SGD
-from ttalign import signals
 from ttalign.signals import (
     NATIVE_RATE, PASSBAND, TARGET_RATE, ShiftSpec, bandpass, generate_dataset, preprocess, resample,
 )
@@ -89,6 +88,8 @@ def test_config_validation():
         ExperimentConfig(test_gain=0.0)
     with pytest.raises(ConfigError):
         ExperimentConfig(protocol="within_subject", split_fractions=(0.5, 0.5, 0.5))
+    with pytest.raises(ConfigError):  # an int no float holds: the sum used to raise OverflowError
+        ExperimentConfig(protocol="within_subject", split_fractions=(10**400, 0.5, 0.5))
 
 
 NAN = float("nan")
