@@ -20,16 +20,17 @@ Every report is a set of labelled cells: :func:`run_experiment` labels each
 strategy's cell by the strategy, :func:`run_ablation` labels every cell of the grid
 ``row/column``. One job per seed (:func:`run_single`) records each label's cell,
 and the aggregates are ``{label: {metric: {"mean", "std"}}}`` in ``columns`` order.
-Only this module knows the per-seed layout; :func:`report_cells` reads it. Seeds
-are independent jobs; TTALIGN_WORKERS bounds the process pool (default 1 = in-process).
+:func:`report_cells` reads a report's per-seed layout. Every ``(config, seed)`` job
+is independent: :func:`run_jobs` runs a list of them, in a process pool of
+TTALIGN_WORKERS processes (default 1 = in-process).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
+import sys
 import time
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from functools import partial
@@ -98,19 +99,17 @@ class ExperimentConfig:
             raise ConfigError(f"unknown strategies {sorted(unknown)}")
         if self.n_seeds < 1:
             raise ConfigError(f"n_seeds must be >= 1, got {self.n_seeds}")
-        if not 0 < self.test_gain < math.inf:
+        if not 0 < self.test_gain <= sys.float_info.max:
             raise ConfigError(f"test_gain must be positive and finite, got {self.test_gain}")
         if self.trials_per_subject < 1:
             raise ConfigError("trials_per_subject must be >= 1")
-        if not EPOCH_SAMPLES / TARGET_RATE <= self.duration < math.inf:
+        if not EPOCH_SAMPLES / TARGET_RATE <= self.duration <= sys.float_info.max:
             raise ConfigError(
                 f"duration must be finite and cover one epoch ({EPOCH_SAMPLES / TARGET_RATE:g} s), got {self.duration}")
-        if not 0 <= self.dropout < 1:
-            raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
+        # every model-shape rule, before any data is generated
+        ModelConfig(hidden=self.hidden, features=self.features, head_layers=self.head_layers, dropout=self.dropout)
         if self.pretrain is not None and EPOCH_SAMPLES % self.pretrain.patch:
             raise ConfigError(f"pretrain patch {self.pretrain.patch} does not divide the {EPOCH_SAMPLES}-sample epoch")
-        if self.hidden < 1 or self.features < 1:
-            raise ConfigError(f"hidden and features must be >= 1, got {self.hidden} and {self.features}")
         check_seed(self.base_seed, "base_seed")
         if self.finetune.monitor == "auroc" and N_CLASSES[self.task] != 2:
             raise ConfigError(f"monitor 'auroc' needs a binary task; {self.task} has {N_CLASSES[self.task]} classes")
@@ -334,8 +333,8 @@ class RunReport:
         return asdict(self)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get(WORKERS_ENV, "1")
+def _worker_count(default: int) -> int:
+    raw = os.environ.get(WORKERS_ENV, str(default))
     try:
         n = int(raw)
     except ValueError:
@@ -343,15 +342,19 @@ def _worker_count() -> int:
     return max(1, n)
 
 
-def _run_jobs(fn, cfg: ExperimentConfig, seeds: list[int]) -> list:
-    """``[fn(cfg, seed) for seed in seeds]``, in a process pool when TTALIGN_WORKERS > 1."""
-    workers = _worker_count()
-    if workers == 1 or len(seeds) <= 1:
-        return [fn(cfg, seed) for seed in seeds]
+def run_jobs(fn, jobs: list[tuple[ExperimentConfig, int]], default_workers: int = 1) -> list:
+    """``[fn(cfg, seed) for cfg, seed in jobs]``, in job order.
+
+    The jobs run in a process pool of TTALIGN_WORKERS processes (else ``default_workers``),
+    at most one per job; with one worker, in this process.
+    """
+    workers = min(_worker_count(default_workers), len(jobs))
+    if workers <= 1:
+        return [fn(cfg, seed) for cfg, seed in jobs]
     from concurrent.futures import ProcessPoolExecutor  # only here: it imports multiprocessing
 
-    with ProcessPoolExecutor(max_workers=min(workers, len(seeds))) as pool:
-        return list(pool.map(fn, [cfg] * len(seeds), seeds))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, *zip(*jobs)))
 
 
 def _aggregate(results: list[dict]) -> dict:
@@ -370,7 +373,7 @@ def _run_report(kind: str, cfg: ExperimentConfig, labels: dict[str, tuple[str, s
     """The labelled cells over ``cfg.n_seeds`` seeds, one :func:`run_single` job per seed."""
     t0 = time.perf_counter()
     seeds = [cfg.base_seed + s for s in range(cfg.n_seeds)]
-    per_seed = _run_jobs(partial(run_single, labels=labels), cfg, seeds)
+    per_seed = run_jobs(partial(run_single, labels=labels), [(cfg, seed) for seed in seeds])
     aggregates = {
         label: _aggregate([rec["strategies"][label]["metrics"] for rec in per_seed]) for label in labels
     }

@@ -158,6 +158,10 @@ class ModelConfig:
     def __post_init__(self):
         if self.dtype not in ("float32", "float64"):
             raise ConfigError(f"dtype must be 'float32' or 'float64', got {self.dtype!r}")
+        if self.hidden < 1 or self.features < 1:
+            raise ConfigError(f"hidden and features must be >= 1, got {self.hidden} and {self.features}")
+        if not 0 <= self.dropout < 1:
+            raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
         if self.head_layers not in (1, 2, 3):
             raise ConfigError(f"head_layers must be 1, 2, or 3, got {self.head_layers}")
         if self.samples <= 0 or self.samples % WINDOW != 0:

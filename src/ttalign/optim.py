@@ -13,7 +13,7 @@ the step with a diagnostic naming the offending parameter.
 
 from __future__ import annotations
 
-import math
+import sys
 
 import numpy as np
 
@@ -43,7 +43,7 @@ def _check_finite(runs: list[Run]) -> None:
 
 def check_lr(lr: float, what: str = "learning rate") -> None:
     """Reject a rate that is not a positive finite number (NaN included)."""
-    if not 0.0 < lr < math.inf:
+    if not 0.0 < lr <= sys.float_info.max:
         raise ConfigError(f"{what} must be positive and finite, got {lr}")
 
 

@@ -10,12 +10,17 @@ directional gap:
 * ``ttt_transfer`` — per-sample test-time training moves balanced accuracy
   more on the two cross-subject tasks than on the within-subject speech task.
 
-The configs live here, in one place, because two consumers must agree on them
-bit for bit: ``scripts/pilot_directional.py`` (which freezes the observed
-deltas and margins into ``golden/directional_margins.json``) and the
-acceptance suite (which reruns them and compares against the frozen file).
-Everything downstream of a config is seeded, so a rerun that matches the
-config hashes must reproduce the recorded deltas exactly.
+The configs live here, in one place (:func:`pilot_configs`), because two
+consumers must agree on them bit for bit: ``scripts/pilot_directional.py``
+(which freezes the observed deltas and margins into
+``golden/directional_margins.json``) and the acceptance suite (which reruns them
+and compares against the frozen file). Everything downstream of a config is
+seeded, so a rerun that matches the config hashes must reproduce the recorded
+deltas exactly. Each config's ``strategies`` are its check's baseline and
+challenger, in that order.
+
+:func:`run_pilot` runs every seed of every config as one ``harness.run_jobs`` list,
+one worker per usable core unless ``TTALIGN_WORKERS`` sets the count.
 
 The per-task test-time-training settings differ on purpose: the pretext
 weights scale the adaptation gradient, so tasks with small weights need a
@@ -25,17 +30,12 @@ recipe calls for.
 
 from __future__ import annotations
 
+import os
 import time
+from itertools import islice
 
 from .adapt import TttConfig
-from .harness import (
-    ExperimentConfig,
-    RunReport,
-    config_hash,
-    preset_experiment,
-    report_cells,
-    run_experiment,
-)
+from .harness import ExperimentConfig, config_hash, preset_experiment, run_jobs, run_single
 from .training import FinetuneConfig
 
 # Balanced-accuracy margins the two two-sided checks must clear (fractions,
@@ -82,38 +82,29 @@ def tent_advantage_config() -> ExperimentConfig:
     )
 
 
-def ttt_transfer_configs() -> dict[str, ExperimentConfig]:
-    """One config per task for the cross- vs within-subject transfer check."""
+def pilot_configs() -> dict[str, ExperimentConfig]:
+    """The pinned configs by check name: ``ssl_advantage``, ``tent_advantage`` and,
+    for the cross- vs within-subject transfer check, ``ttt_transfer/<task>``."""
     return {
-        task: preset_experiment(
+        "ssl_advantage": ssl_advantage_config(),
+        "tent_advantage": tent_advantage_config(),
+        **{f"ttt_transfer/{task}": preset_experiment(
             task,
             strategies=("stage1_ssl", "ttt_ssl"),
             n_seeds=PILOT_SEEDS,
             ttt=TttConfig(lr=lr, steps=1),
             **overrides,
-        )
-        for task, (lr, overrides) in _TRANSFER.items()
+        ) for task, (lr, overrides) in _TRANSFER.items()},
     }
 
 
 def pilot_config_hashes() -> dict[str, str]:
-    hashes = {
-        "ssl_advantage": config_hash(ssl_advantage_config()),
-        "tent_advantage": config_hash(tent_advantage_config()),
-    }
-    for task, cfg in ttt_transfer_configs().items():
-        hashes[f"ttt_transfer/{task}"] = config_hash(cfg)
-    return hashes
+    return {name: config_hash(cfg) for name, cfg in pilot_configs().items()}
 
 
-def _per_seed_balacc(report: RunReport, strategy: str) -> list[float]:
-    return [values["balanced_accuracy"]
-            for label, _, values in report_cells(report.to_dict()) if label == strategy]
-
-
-def _pair(report: RunReport, baseline: str, challenger: str) -> dict:
-    base = _per_seed_balacc(report, baseline)
-    chal = _per_seed_balacc(report, challenger)
+def _pair(records: list[dict], baseline: str, challenger: str) -> dict:
+    base, chal = ([rec["strategies"][strategy]["metrics"]["values"]["balanced_accuracy"] for rec in records]
+                  for strategy in (baseline, challenger))
     return {
         "baseline": baseline,
         "challenger": challenger,
@@ -132,25 +123,18 @@ def run_pilot() -> dict:
     the freeze script commits; ``wall_time`` is informational only.
     """
     t0 = time.perf_counter()
-
-    ssl_report = run_experiment(ssl_advantage_config())
-    ssl_check = _pair(ssl_report, "supervised_only", "stage1_ssl")
-
-    tent_report = run_experiment(tent_advantage_config())
-    tent_check = _pair(tent_report, "stage1_ssl", "tent")
-
-    transfer = {}
-    for task, cfg in ttt_transfer_configs().items():
-        transfer[task] = _pair(run_experiment(cfg), "stage1_ssl", "ttt_ssl")
-
+    configs = pilot_configs()
+    jobs = [(cfg, cfg.base_seed + s) for cfg in configs.values() for s in range(cfg.n_seeds)]
+    records = iter(run_jobs(run_single, jobs, default_workers=len(os.sched_getaffinity(0))))
+    checks = {name: _pair(list(islice(records, cfg.n_seeds)), *cfg.strategies) for name, cfg in configs.items()}
     return {
         "seeds": PILOT_SEEDS,
         "margins": dict(MARGINS),
         "config_hashes": pilot_config_hashes(),
         "checks": {
-            "ssl_advantage": ssl_check,
-            "tent_advantage": tent_check,
-            "ttt_transfer": transfer,
+            "ssl_advantage": checks.pop("ssl_advantage"),
+            "tent_advantage": checks.pop("tent_advantage"),
+            "ttt_transfer": {name.removeprefix("ttt_transfer/"): pair for name, pair in checks.items()},
         },
         "wall_time": time.perf_counter() - t0,
     }

@@ -25,14 +25,14 @@ per row as for a lone trial, so each trial is bitwise the trial alone.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, check_seed
 
 MONTAGE = ("Fp1", "Fp2", "F3", "F4", "P3", "P4", "O1", "O2")
 ANTERIOR = (0, 1, 2, 3)
@@ -70,12 +70,13 @@ class ShiftSpec:
 
     def __post_init__(self):
         lo, hi = self.channel_gain
-        if not 0 < lo <= hi < math.inf:
+        if not 0 < lo <= hi <= sys.float_info.max:
             raise ConfigError(f"channel gain range must satisfy 0 < lo <= hi < inf, got {self.channel_gain}")
         if not 0 <= self.component_jitter < 1:
             raise ConfigError(f"component jitter must lie in [0, 1), got {self.component_jitter}")
-        if not 0 <= self.noise_scale < math.inf:
+        if not 0 <= self.noise_scale <= sys.float_info.max:
             raise ConfigError(f"noise scale must be non-negative and finite, got {self.noise_scale}")
+        check_seed(self.seed, "shift seed")
 
 
 def subject_seed(master_seed: int, subject: int) -> int:

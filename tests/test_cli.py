@@ -139,6 +139,8 @@ def test_config_out_of_range_rejected(tmp_path, capsys, override, key):
     ({"test_subjects": [2**70]}, "test_subjects"),
     ({"shift": {"channel_gain": [0.5, float("inf")]}}, "channel gain"),
     ({"shift": {"noise_scale": float("inf")}}, "noise scale"),
+    ({"shift": {"seed": -1}}, "shift seed"),
+    ({"head_layers": 4}, "head_layers"),
 ])
 def test_config_rejected_before_any_data_is_generated(tmp_path, monkeypatch, override, key):
     import ttalign.harness

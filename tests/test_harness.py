@@ -116,6 +116,24 @@ def test_nan_fails_every_range_check(build, field):
         build(**field)
 
 
+HUGE = 10**400  # an int that no float holds; the run would raise OverflowError on it
+
+
+@pytest.mark.parametrize("build, field", [
+    (FinetuneConfig, {"lr": HUGE}),
+    (PretrainConfig, {"lr": HUGE}),
+    (TttConfig, {"lr": HUGE}),
+    (TentConfig, {"lr": HUGE}),
+    (ShiftSpec, {"channel_gain": (1.0, HUGE)}),
+    (ShiftSpec, {"noise_scale": HUGE}),
+    (micro, {"test_gain": HUGE}),
+    (micro, {"duration": HUGE}),
+], ids=lambda v: "-".join(v) if isinstance(v, dict) else v.__name__)
+def test_int_no_float_holds_fails_every_float_range_check(build, field):
+    with pytest.raises(ConfigError):
+        build(**field)
+
+
 # each preset as one literal config, the reference for the PRESETS table
 _PRESET_LITERALS = {
     "syn_mi": (ExperimentConfig(
@@ -381,6 +399,16 @@ def test_worker_pool_result_independent_of_pool_size(monkeypatch):
         monkeypatch.setenv("TTALIGN_WORKERS", "2")
         parallel = strip_wall(run(cfg).to_dict())
         assert serial == parallel, run.__name__
+    # one job list mixing two configs comes back in job order, whatever the pool size
+    a, b = micro(strategies=("supervised_only",)), micro(strategies=("tent",), hidden=4)
+    jobs = [(a, 0), (b, 0), (a, 1), (b, 1)]
+    records = {}
+    for workers in ("1", "2"):
+        monkeypatch.setenv("TTALIGN_WORKERS", workers)
+        records[workers] = strip_wall(harness.run_jobs(run_single, jobs))
+    assert records["1"] == records["2"]
+    assert [(r["seed"], *r["strategies"]) for r in records["1"]] == [
+        (0, "supervised_only"), (0, "tent"), (1, "supervised_only"), (1, "tent")]
 
 
 def test_worker_env_var_validated(monkeypatch):

@@ -110,6 +110,14 @@ class TestDropout:
 
 
 class TestModel:
+    @pytest.mark.parametrize("field", [
+        {"hidden": 0}, {"features": -1}, {"dropout": 1.0}, {"dropout": -0.1}, {"dropout": float("nan")},
+        {"head_layers": 4},
+    ], ids=lambda f: "-".join(f"{k}={v}" for k, v in f.items()))
+    def test_config_out_of_range_refused(self, field):
+        with pytest.raises(ConfigError, match=next(iter(field))):
+            nn.ModelConfig(**field)
+
     def test_zero_input_gives_zero_features(self):
         model = nn.Model(small_config())
         with ad.fresh_tape():

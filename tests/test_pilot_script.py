@@ -5,7 +5,10 @@ import importlib.util
 import json
 from pathlib import Path
 
+from ttalign import pilot
+from ttalign.harness import preset_experiment, run_single
 from ttalign.pilot import pilot_config_hashes
+from ttalign.training import FinetuneConfig, PretrainConfig
 
 _PATH = Path(__file__).resolve().parents[1] / "scripts" / "pilot_directional.py"
 _SPEC = importlib.util.spec_from_file_location("pilot_directional", _PATH)
@@ -52,3 +55,24 @@ def test_pinned_configs_hash_as_frozen():
     # criterion 09 checks this too, after its 30 s rerun
     golden = json.loads((_PATH.parents[1] / "golden" / "directional_margins.json").read_text())
     assert pilot_config_hashes() == golden["config_hashes"]
+
+
+def test_run_pilot_pairs_each_config_with_its_own_strategies(monkeypatch):
+    # two micro configs, two seeds each, in one job list
+    micro = dict(trials_per_subject=8, hidden=8, features=16, n_seeds=2,
+                 finetune=FinetuneConfig(epochs=2, batch_size=16, lr=1e-3), pretrain=PretrainConfig(epochs=1))
+    configs = {
+        "ssl_advantage": preset_experiment("syn_mi", strategies=("supervised_only", "stage1_ssl"), **micro),
+        "tent_advantage": preset_experiment("syn_mi", strategies=("stage1_ssl", "tent"), base_seed=3, **micro),
+    }
+    monkeypatch.setattr(pilot, "pilot_configs", lambda: configs)
+    payload = pilot.run_pilot()
+    assert payload["checks"]["ttt_transfer"] == {}
+    for name, cfg in configs.items():
+        records = [run_single(cfg, seed) for seed in (cfg.base_seed, cfg.base_seed + 1)]
+        baseline, challenger = cfg.strategies
+        pair = payload["checks"][name]
+        assert (pair["baseline"], pair["challenger"]) == cfg.strategies
+        for side, strategy in (("baseline", baseline), ("challenger", challenger)):
+            assert pair[f"{side}_per_seed"] == [
+                r["strategies"][strategy]["metrics"]["values"]["balanced_accuracy"] for r in records]

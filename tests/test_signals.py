@@ -275,6 +275,14 @@ class TestGenerators:
             sig.ShiftSpec(channel_gain=(0.0, 1.0))
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", True])
+def test_shift_spec_rejects_a_bad_seed(seed):
+    """A seed that is not a non-negative integer fails when the config is built, before any draw."""
+    with pytest.raises(ConfigError, match="shift seed"):
+        sig.ShiftSpec(seed=seed)
+    assert sig.ShiftSpec(seed=np.int64(2**40)).seed == 2**40
+
+
 class TestDatasetFiles:
     def test_split_file_layout(self, tmp_path):
         X, y, subj = sig.preprocess(*sig.generate_dataset("syn_mi", range(1, 2), 8, seed=7), 250.0, np.arange(8))
